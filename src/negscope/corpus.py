@@ -421,8 +421,9 @@ def clip_annotation(annotation: NegationAnnotation, max_len: int) -> NegationAnn
 
 @dataclass
 class EncodedInstance:
-    """Arrays the models consume; fixed length max_len with a 0/1 mask.
-    `n` is the real token count and tag fields hold the clipped gold."""
+    """Arrays the models consume, padded to max_len (the sentence length
+    when there is no cut) with a 0/1 mask. `n` is the real token count and
+    tag fields hold the clipped gold."""
 
     source_id: str
     tokens: tuple[str, ...]
@@ -440,16 +441,14 @@ class EncodedInstance:
     def is_negation(self) -> bool:
         return self.annotation.is_negation
 
-    def unpadded_token_ids(self) -> np.ndarray:
-        return self.token_ids[: self.n]
-
-    def unpadded_cue_bits(self) -> np.ndarray:
-        return self.cue_bits[: self.n]
-
 
 def encode_instance(
-    inst: NegationInstance, vocab: Vocabulary, max_len: int
+    inst: NegationInstance, vocab: Vocabulary, max_len: int | None = None
 ) -> EncodedInstance:
+    """Cut to max_len tokens (clipping the annotation) and pad to it;
+    max_len=None keeps the whole sentence."""
+    if max_len is None:
+        max_len = len(inst.sentence.tokens)
     tokens = inst.sentence.tokens[:max_len]
     n = len(tokens)
     ann = clip_annotation(inst.annotation, max_len)
@@ -476,7 +475,9 @@ def encode_instance(
     )
 
 
-def encode_instances(instances, vocab: Vocabulary, max_len: int) -> list[EncodedInstance]:
+def encode_instances(
+    instances, vocab: Vocabulary, max_len: int | None = None
+) -> list[EncodedInstance]:
     return [encode_instance(inst, vocab, max_len) for inst in instances]
 
 
@@ -537,8 +538,3 @@ def corpus_stats(instances, covered_tokens: set[str] | None = None) -> dict:
         oov = sum(1 for t in tokens if t not in covered_tokens)
         stats["oov_rate"] = oov / len(tokens) if tokens else 0.0
     return stats
-
-
-def format_stats(stats: dict) -> str:
-    lines = [f"{key}={stats[key]}" for key in sorted(stats)]
-    return "\n".join(lines)

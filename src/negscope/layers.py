@@ -1,8 +1,10 @@
 """Layer forward/backward passes, written out by hand on numpy.
 
-Shapes: a sentence of n tokens flows through as
-    token ids (n,) -> embedded (n, d) -> BiLSTM (n, 2U) -> scores (L, n)
-and the score matrix feeds either a per-token softmax or a linear-chain CRF.
+Shapes: a batch of sentences, T tokens in all, flows through packed, one
+sentence after another:
+    token ids (T,) -> embedded (T, d) -> BiLSTM (T, 2U) -> scores (L, T)
+and each sentence's score columns feed either a per-token softmax or a
+linear-chain CRF. Only the LSTM recurrence pads, to (n_max, B, d).
 Gradients mirror each forward exactly; nothing here depends on autodiff.
 """
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import logsumexp, sigmoid, tanh_act
+from .numerics import logsumexp, sigmoid
 
 GATES = ("i", "f", "o", "g")
 
@@ -72,15 +74,8 @@ def embed_backward(
     return grad
 
 
-def cue_embed(cue_bit: int, embed_dim: int) -> np.ndarray:
-    """All-ones vector for a cue token, all-zeros otherwise."""
-    if cue_bit not in (0, 1):
-        raise ValueError(f"cue bit must be 0 or 1, got {cue_bit}")
-    return np.ones(embed_dim) if cue_bit else np.zeros(embed_dim)
-
-
 def cue_embed_seq(cue_bits, embed_dim: int) -> np.ndarray:
-    """bits (n,) -> (n, d) of constant cue embeddings."""
+    """bits (n,) -> (n, d): all ones on a cue token, all zeros elsewhere."""
     bits = np.asarray(cue_bits, dtype=np.float64)
     if bits.ndim != 1 or not np.all((bits == 0) | (bits == 1)):
         raise ValueError("cue bits must be a 1-d 0/1 vector")
@@ -89,76 +84,75 @@ def cue_embed_seq(cue_bits, embed_dim: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # LSTM
+#
+# The recurrence runs time-major over a padded batch (n_max, B, d): column b
+# holds one sentence's tokens in the order its recurrence visits them,
+# left-aligned, and the steps after its end are padding. State only flows
+# forward, so padding never reaches a real output; given a zero upstream
+# gradient on padding, it never reaches a real gradient either.
 
 @dataclass
 class LstmParams:
-    """Per-gate weights; `w_aux` is present only for the two-input cell,
-    which adds w_aux[g] @ aux_k to every gate preactivation."""
+    """One direction's weights, fused over the gates: rows [k*U, (k+1)*U)
+    of every block belong to gate GATES[k]. `w_aux` is present only for the
+    two-input cell, which adds w_aux @ aux_k to the gate preactivations."""
 
-    w_in: dict[str, np.ndarray]  # gate -> (U, d)
-    w_rec: dict[str, np.ndarray]  # gate -> (U, U)
-    b: dict[str, np.ndarray]  # gate -> (U,)
-    w_aux: dict[str, np.ndarray] | None = None  # gate -> (U, d)
+    w_in: np.ndarray  # (4U, d)
+    w_rec: np.ndarray  # (4U, U)
+    b: np.ndarray  # (4U,)
+    w_aux: np.ndarray | None = None  # (4U, d)
 
     @property
     def units(self) -> int:
-        return self.w_in["i"].shape[0]
+        return self.w_rec.shape[1]
 
     @property
     def in_dim(self) -> int:
-        return self.w_in["i"].shape[1]
+        return self.w_in.shape[1]
 
-    def zeros_like(self) -> "LstmParams":
-        return LstmParams(
-            {g: np.zeros_like(self.w_in[g]) for g in GATES},
-            {g: np.zeros_like(self.w_rec[g]) for g in GATES},
-            {g: np.zeros_like(self.b[g]) for g in GATES},
-            None
-            if self.w_aux is None
-            else {g: np.zeros_like(self.w_aux[g]) for g in GATES},
-        )
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Block name -> array, in a stable order."""
+        out = {"w_in": self.w_in, "w_rec": self.w_rec, "b": self.b}
+        if self.w_aux is not None:
+            out["w_aux"] = self.w_aux
+        return out
 
 
 def init_lstm(
     units: int, in_dim: int, rng: np.random.Generator, two_input: bool = False
 ) -> LstmParams:
+    """Glorot per gate (fan-in plus fan-out of one (U, cols) gate), zero bias."""
+
+    def fused(cols: int) -> np.ndarray:
+        return np.vstack([glorot(rng, units, cols) for _ in GATES])
+
     return LstmParams(
-        {g: glorot(rng, units, in_dim) for g in GATES},
-        {g: glorot(rng, units, units) for g in GATES},
-        {g: np.zeros(units) for g in GATES},
-        {g: glorot(rng, units, in_dim) for g in GATES} if two_input else None,
+        fused(in_dim), fused(units), np.zeros(4 * units),
+        fused(in_dim) if two_input else None,
     )
 
 
 @dataclass
 class LstmCache:
-    inputs: np.ndarray  # (n, d), in recurrence order
+    inputs: np.ndarray  # (n, B, d), in recurrence order
     aux: np.ndarray | None
-    gate_i: np.ndarray  # (n, U)
-    gate_f: np.ndarray
-    gate_o: np.ndarray
-    gate_g: np.ndarray
-    cell: np.ndarray  # (n, U)
-    tanh_cell: np.ndarray
-    hidden: np.ndarray  # (n, U)
-    reverse: bool
+    gates: np.ndarray  # (n, B, 4U): sigmoid of i, f, o and tanh of g
+    cell: np.ndarray  # (n, B, U)
+    hidden: np.ndarray  # (n, B, U)
 
 
 def lstm_forward(
-    params: LstmParams,
-    inputs: np.ndarray,
-    aux: np.ndarray | None = None,
-    reverse: bool = False,
+    params: LstmParams, inputs: np.ndarray, aux: np.ndarray | None = None
 ) -> tuple[np.ndarray, LstmCache]:
-    """inputs (n, d) [, aux (n, d)] -> hidden states (n, U) in input order.
+    """Padded batch inputs (n, B, d) [, aux (n, B, d)] -> hidden (n, B, U).
 
-    With reverse=True the recurrence runs right to left and the outputs are
-    re-aligned to input positions. State starts at zero. Aux inputs must be
-    supplied iff the params carry aux weights.
+    State starts at zero in every column, and each step is one
+    (B, U) @ (U, 4U) product. Aux inputs must be supplied iff the params
+    carry aux weights.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.in_dim:
-        raise ValueError(f"expected inputs (n, {params.in_dim}), got {x.shape}")
+    if x.ndim != 3 or x.shape[2] != params.in_dim:
+        raise ValueError(f"expected inputs (n, B, {params.in_dim}), got {x.shape}")
     if (aux is None) != (params.w_aux is None):
         raise ValueError("aux inputs must be present iff params has aux weights")
     q = None
@@ -166,85 +160,99 @@ def lstm_forward(
         q = np.asarray(aux, dtype=np.float64)
         if q.shape != x.shape:
             raise ValueError(f"aux shape {q.shape} != input shape {x.shape}")
-    if reverse:
-        x = x[::-1]
-        q = None if q is None else q[::-1]
 
-    n, units = x.shape[0], params.units
-    # input-side preactivations for every step at once
-    pre = {g: x @ params.w_in[g].T + params.b[g] for g in GATES}
+    n, batch, dim = x.shape
+    units = params.units
+    # input-side preactivations for every step at once; each step then adds
+    # its recurrent term and overwrites its slice with the activations
+    gates = (x.reshape(-1, dim) @ params.w_in.T).reshape(n, batch, 4 * units)
+    gates += params.b
     if q is not None:
-        for g in GATES:
-            pre[g] += q @ params.w_aux[g].T
-
-    gi = np.empty((n, units))
-    gf = np.empty((n, units))
-    go = np.empty((n, units))
-    gg = np.empty((n, units))
-    cell = np.empty((n, units))
-    hidden = np.empty((n, units))
-    h_prev = np.zeros(units)
-    c_prev = np.zeros(units)
+        gates += (q.reshape(-1, dim) @ params.w_aux.T).reshape(gates.shape)
+    cell = np.empty((n, batch, units))
+    hidden = np.empty((n, batch, units))
+    w_rec_t = params.w_rec.T
+    u2, u3 = 2 * units, 3 * units
+    h = np.zeros((batch, units))
+    c = np.zeros((batch, units))
     for k in range(n):
-        gi[k] = sigmoid(pre["i"][k] + params.w_rec["i"] @ h_prev)
-        gf[k] = sigmoid(pre["f"][k] + params.w_rec["f"] @ h_prev)
-        go[k] = sigmoid(pre["o"][k] + params.w_rec["o"] @ h_prev)
-        gg[k] = tanh_act(pre["g"][k] + params.w_rec["g"] @ h_prev)
-        cell[k] = gf[k] * c_prev + gi[k] * gg[k]
-        hidden[k] = go[k] * np.tanh(cell[k])
-        h_prev, c_prev = hidden[k], cell[k]
+        z = gates[k]
+        z += h @ w_rec_t
+        z[:, :u3] = sigmoid(z[:, :u3])
+        np.tanh(z[:, u3:], out=z[:, u3:])
+        c = z[:, units:u2] * c + z[:, :units] * z[:, u3:]
+        h = z[:, u2:u3] * np.tanh(c)
+        cell[k] = c
+        hidden[k] = h
 
-    cache = LstmCache(
-        x, q, gi, gf, go, gg, cell, np.tanh(cell), hidden, reverse
-    )
-    out = hidden[::-1] if reverse else hidden
-    return out.copy(), cache
+    return hidden, LstmCache(x, q, gates, cell, hidden)
 
 
 def lstm_backward(
     params: LstmParams, cache: LstmCache, d_hidden: np.ndarray
 ) -> tuple[LstmParams, np.ndarray, np.ndarray | None]:
-    """d_hidden (n, U) in input order -> (param grads, d_inputs, d_aux)."""
+    """d_hidden (n, B, U), zero on padding -> (param grads, d_inputs, d_aux),
+    the latter two (n, B, d) in recurrence order."""
     dh_out = np.asarray(d_hidden, dtype=np.float64)
     if dh_out.shape != cache.hidden.shape:
         raise ValueError(f"expected d_hidden {cache.hidden.shape}, got {dh_out.shape}")
-    if cache.reverse:
-        dh_out = dh_out[::-1]
 
-    n, units = cache.hidden.shape
-    dpre = {g: np.zeros((n, units)) for g in GATES}
-    dh_rec = np.zeros(units)
-    dc_rec = np.zeros(units)
+    n, batch, units = cache.hidden.shape
+    zero = np.zeros((1, batch, units))
+    i, f, o, g = np.split(cache.gates, 4, axis=2)
+    tc = np.tanh(cache.cell)
+    c_prev = np.concatenate([zero, cache.cell[:-1]])
+    # d(gate output)/d(preactivation) times the factor each gate meets in
+    # c = f*c_prev + i*g and h = o*tanh(c); the loop scales the o slot by
+    # dh and the rest by dc in place, which leaves d(preactivation)
+    dpre = np.concatenate(
+        [g * i * (1 - i), c_prev * f * (1 - f), tc * o * (1 - o), i * (1 - g * g)], axis=2
+    ).reshape(n, batch, 4, units)
+    dc_dh = o * (1 - tc * tc)
+    del tc, c_prev
+
+    dh_rec = np.zeros((batch, units))
+    dc_rec = np.zeros((batch, units))
     for k in range(n - 1, -1, -1):
-        i, f, o, g = cache.gate_i[k], cache.gate_f[k], cache.gate_o[k], cache.gate_g[k]
-        tc = cache.tanh_cell[k]
-        c_prev = cache.cell[k - 1] if k > 0 else np.zeros(units)
         dh = dh_out[k] + dh_rec
-        dc = dh * o * (1 - tc * tc) + dc_rec
-        dpre["o"][k] = dh * tc * o * (1 - o)
-        dpre["f"][k] = dc * c_prev * f * (1 - f)
-        dpre["i"][k] = dc * g * i * (1 - i)
-        dpre["g"][k] = dc * i * (1 - g * g)
-        dh_rec = sum(params.w_rec[x].T @ dpre[x][k] for x in GATES)
-        dc_rec = dc * f
+        dc = dh * dc_dh[k] + dc_rec
+        dpre[k, :, :2] *= dc[:, None, :]
+        dpre[k, :, 2] *= dh
+        dpre[k, :, 3] *= dc
+        dh_rec = dpre[k].reshape(batch, 4 * units) @ params.w_rec
+        dc_rec = dc * f[k]
 
-    h_shift = np.vstack([np.zeros(units), cache.hidden[:-1]])
+    flat = dpre.reshape(n * batch, 4 * units)
+    h_prev = np.concatenate([zero, cache.hidden[:-1]]).reshape(n * batch, units)
+    dim = cache.inputs.shape[2]
     grads = LstmParams(
-        {g: dpre[g].T @ cache.inputs for g in GATES},
-        {g: dpre[g].T @ h_shift for g in GATES},
-        {g: dpre[g].sum(axis=0) for g in GATES},
-        None
-        if cache.aux is None
-        else {g: dpre[g].T @ cache.aux for g in GATES},
+        flat.T @ cache.inputs.reshape(-1, dim),
+        flat.T @ h_prev,
+        flat.sum(axis=0),
+        None if cache.aux is None else flat.T @ cache.aux.reshape(-1, dim),
     )
-    d_inputs = sum(dpre[g] @ params.w_in[g] for g in GATES)
+    d_inputs = (flat @ params.w_in).reshape(n, batch, dim)
     d_aux = None
     if cache.aux is not None:
-        d_aux = sum(dpre[g] @ params.w_aux[g] for g in GATES)
-    if cache.reverse:
-        d_inputs = d_inputs[::-1].copy()
-        d_aux = None if d_aux is None else d_aux[::-1].copy()
+        d_aux = (flat @ params.w_aux).reshape(n, batch, dim)
     return grads, d_inputs, d_aux
+
+
+def step_rows(lengths: np.ndarray, reverse: bool) -> np.ndarray:
+    """(n_max, B): the packed row that step k of sentence b's recurrence
+    reads, right to left with reverse=True. Padded steps get row T, one
+    past the last."""
+    steps = np.arange(lengths.max())[:, None]
+    offsets = np.cumsum(lengths) - lengths
+    rows = offsets + (lengths - 1 - steps if reverse else steps)
+    return np.where(steps < lengths, rows, lengths.sum())
+
+
+def _to_steps(packed: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Packed (T, w) -> padded (n_max, B, w), zero on padding."""
+    out = np.take(packed, rows, axis=0, mode="clip")
+    out[rows == len(packed)] = 0.0
+    return out
 
 
 def bilstm_forward(
@@ -252,25 +260,56 @@ def bilstm_forward(
     bwd: LstmParams,
     inputs: np.ndarray,
     aux: np.ndarray | None = None,
-) -> tuple[np.ndarray, tuple[LstmCache, LstmCache]]:
-    """Concatenate left-to-right and right-to-left hidden states: (n, 2U)."""
-    h_f, cache_f = lstm_forward(fwd, inputs, aux, reverse=False)
-    h_b, cache_b = lstm_forward(bwd, inputs, aux, reverse=True)
-    return np.hstack([h_f, h_b]), (cache_f, cache_b)
+    lengths=None,
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, tuple | None]:
+    """Packed inputs (T, d) [+ aux (T, d)] -> states (T, 2U): the sentences
+    of the given lengths (default: one sentence) lie one after another, and
+    each row holds its token's left-to-right then right-to-left state.
+
+    The cache is (LstmCache, step_rows) per direction; keep_cache=False
+    frees each direction as soon as its states are read, for callers that
+    run no backward pass."""
+    x = np.asarray(inputs, dtype=np.float64)
+    lengths = np.array([len(x)] if lengths is None else lengths, dtype=np.int64)
+    if lengths.sum() != len(x) or (lengths < 1).any():
+        raise ValueError(f"lengths {lengths.tolist()} do not split {len(x)} rows")
+    units = fwd.units
+    states = np.empty((len(x), 2 * units))
+    caches = []
+    for params, reverse, half in ((fwd, False, slice(0, units)),
+                                  (bwd, True, slice(units, 2 * units))):
+        rows = step_rows(lengths, reverse)
+        q = None if aux is None else _to_steps(np.asarray(aux, dtype=np.float64), rows)
+        hidden, cache = lstm_forward(params, _to_steps(x, rows), q)
+        real = rows < len(x)
+        states[rows[real], half] = hidden[real]
+        if keep_cache:
+            caches.append((cache, rows))
+        del hidden, cache, q  # else this direction stays alive during the next
+    return states, tuple(caches) if keep_cache else None
 
 
 def bilstm_backward(
     fwd: LstmParams,
     bwd: LstmParams,
-    caches: tuple[LstmCache, LstmCache],
+    caches: tuple,
     d_hidden: np.ndarray,
 ) -> tuple[LstmParams, LstmParams, np.ndarray, np.ndarray | None]:
-    cache_f, cache_b = caches
-    units = cache_f.hidden.shape[1]
-    g_f, dx_f, dq_f = lstm_backward(fwd, cache_f, d_hidden[:, :units])
-    g_b, dx_b, dq_b = lstm_backward(bwd, cache_b, d_hidden[:, units:])
-    d_aux = None if dq_f is None else dq_f + dq_b
-    return g_f, g_b, dx_f + dx_b, d_aux
+    """d_states (T, 2U) -> (fwd grads, bwd grads, d_inputs (T, d), d_aux)."""
+    units = fwd.units
+    d_inputs = np.zeros((len(d_hidden), fwd.in_dim))
+    d_aux = None if caches[0][0].aux is None else np.zeros_like(d_inputs)
+    grads = []
+    for params, (cache, rows), half in ((fwd, caches[0], slice(0, units)),
+                                        (bwd, caches[1], slice(units, 2 * units))):
+        g, dx, dq = lstm_backward(params, cache, _to_steps(d_hidden[:, half], rows))
+        real = rows < len(d_hidden)
+        d_inputs[rows[real]] += dx[real]
+        if d_aux is not None:
+            d_aux[rows[real]] += dq[real]
+        grads.append(g)
+    return grads[0], grads[1], d_inputs, d_aux
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ at prediction time).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .layers import (
     CrfParams,
     DenseParams,
     EmbeddingParams,
-    GATES,
     bilstm_forward,
     crf_viterbi,
     cue_embed_seq,
@@ -35,13 +34,16 @@ from .layers import (
     LstmParams,
 )
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
+
+# padded tokens (sentences x longest length) per prediction chunk
+PREDICT_TOKEN_BUDGET = 256
 
 CUE_VARIANTS = {
     "baseline": dict(use_lstm=False, head="softmax", embeddings_trainable=False),
     "emb-train": dict(use_lstm=False, head="softmax", embeddings_trainable=True),
     "bilstm": dict(use_lstm=True, head="softmax", embeddings_trainable=False),
-    "emb-crf": dict(use_lstm=False, head="crf", embeddings_trainable=False),
+    "emb-crf": dict(use_lstm=False, head="crf", embeddings_trainable=True),
     "bilstm-crf": dict(use_lstm=True, head="crf", embeddings_trainable=False),
 }
 
@@ -146,14 +148,8 @@ class Tagger:
         """Name -> live array, in a stable order."""
         out: dict[str, np.ndarray] = {"emb.E": self.embedding.weights}
         for tag, lstm in (("f", self.lstm_fwd), ("b", self.lstm_bwd)):
-            if lstm is None:
-                continue
-            for gate in GATES:
-                out[f"lstm.{tag}.w_in.{gate}"] = lstm.w_in[gate]
-                out[f"lstm.{tag}.w_rec.{gate}"] = lstm.w_rec[gate]
-                out[f"lstm.{tag}.b.{gate}"] = lstm.b[gate]
-                if lstm.w_aux is not None:
-                    out[f"lstm.{tag}.w_aux.{gate}"] = lstm.w_aux[gate]
+            if lstm is not None:
+                out.update({f"lstm.{tag}.{k}": v for k, v in lstm.arrays().items()})
         out["dense.W"] = self.dense.weights
         out["dense.b"] = self.dense.bias
         if self.crf is not None:
@@ -175,49 +171,89 @@ class Tagger:
 
     # -- forward ----------------------------------------------------------
 
-    def scores(self, token_ids, cue_bits=None):
-        """Unpadded ids (n,) [+ cue bits (n,)] -> (scores (L, n), cache)."""
-        ids = np.asarray(token_ids)
+    def scores(self, token_ids, cue_bits=None, keep_cache: bool = True):
+        """A batch of sentences' ids [+ cue bits] -> (scores (L, T), cache).
+
+        The sentences' columns lie one after another, T being their total
+        length; `split_columns` cuts them apart again. keep_cache=False
+        skips what only the backward pass reads.
+        """
+        lengths = np.array([len(ids) for ids in token_ids], dtype=np.int64)
+        ids = np.concatenate(token_ids).astype(np.int64)
         if self.config.two_input:
             if cue_bits is None:
                 raise ValueError(f"{self.config.task} model needs cue bits")
-            aux = cue_embed_seq(cue_bits, self.config.embed_dim)
+            aux = cue_embed_seq(np.concatenate(cue_bits), self.config.embed_dim)
         else:
             aux = None
         embedded = embed(self.embedding, ids)
         if self.config.use_lstm:
-            states, lstm_caches = bilstm_forward(
-                self.lstm_fwd, self.lstm_bwd, embedded, aux
+            states, lstm_cache = bilstm_forward(
+                self.lstm_fwd, self.lstm_bwd, embedded, aux, lengths, keep_cache
             )
         else:
-            states, lstm_caches = embedded, None
+            states, lstm_cache = embedded, None
         scores = dense_forward(self.dense, states)
-        cache = {"ids": ids, "embedded": embedded, "aux": aux,
-                 "states": states, "lstm": lstm_caches}
+        cache = {"ids": ids, "lengths": lengths, "states": states, "lstm": lstm_cache}
         return scores, cache
 
-    def predict_ids(self, token_ids, cue_bits=None) -> list[int]:
-        """Argmax per token (softmax head) or the Viterbi path (CRF head);
-        ties resolve to the lowest label index either way."""
-        scores, _ = self.scores(token_ids, cue_bits)
-        if self.crf is not None:
-            labels, _ = crf_viterbi(scores, self.crf)
-            return labels
-        return [int(k) for k in scores.argmax(axis=0)]
+    def predict_ids(self, token_ids, cue_bits=None) -> list[list[int]]:
+        """Label ids per sentence, in input order: the argmax per token
+        (softmax head) or the Viterbi path (CRF head), ties resolving to the
+        lowest label index either way. Sentences run in length_chunks of
+        PREDICT_TOKEN_BUDGET padded tokens; padding never reaches a real
+        token, so labels do not depend on the chunk a sentence lands in.
+        """
+        lengths = [len(ids) for ids in token_ids]
+        out: list = [None] * len(lengths)
+        for chunk in length_chunks(lengths, PREDICT_TOKEN_BUDGET):
+            bits = None if cue_bits is None else [cue_bits[i] for i in chunk]
+            scores, _ = self.scores([token_ids[i] for i in chunk], bits, keep_cache=False)
+            columns = split_columns(scores, [lengths[i] for i in chunk])
+            for i, cols in zip(chunk, columns):
+                if self.crf is not None:
+                    out[i] = crf_viterbi(cols, self.crf)[0]
+                else:
+                    out[i] = cols.argmax(axis=0).tolist()
+        return out
 
-    def predict_tags(self, token_ids, cue_bits=None) -> list[str]:
-        return [self.config.labels[k] for k in self.predict_ids(token_ids, cue_bits)]
+    def predict_tags(self, token_ids, cue_bits=None) -> list[list[str]]:
+        labels = self.config.labels
+        return [[labels[k] for k in ids] for ids in self.predict_ids(token_ids, cue_bits)]
+
+
+def length_chunks(lengths, budget: int):
+    """Sentence indices, stably sorted by length, cut into chunks whose
+    padded size (count x longest) stays within budget; a sentence longer
+    than the budget runs alone."""
+    chunk: list[int] = []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if chunk and (len(chunk) + 1) * lengths[i] > budget:
+            yield chunk
+            chunk = []
+        chunk.append(i)
+    if chunk:
+        yield chunk
+
+
+def split_columns(scores: np.ndarray, lengths) -> list[np.ndarray]:
+    """(L, T) scores -> one (L, n) block per sentence."""
+    return np.split(scores, np.cumsum(lengths)[:-1], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 #
 # A checkpoint is a numpy .npz archive. Entry "__meta__" is a JSON string:
-#   {"format": 1, "task", "variant", "labels", "vocab_size", "embed_dim",
+#   {"format": 2, "task", "variant", "labels", "vocab_size", "embed_dim",
 #    "units", "head", "use_lstm", "two_input", "embeddings_trainable",
 #    "oov_index", "vocab_sha256"}
 # Every other entry is one float64 parameter array stored under the names
-# Tagger.parameters() uses (emb.E, lstm.f.w_in.i, ..., dense.W, crf.T).
+# Tagger.parameters() uses: emb.E, dense.W, dense.b, crf.T and, per LSTM
+# direction (f, b), the fused blocks lstm.f.w_in (4U, d), lstm.f.w_rec
+# (4U, U), lstm.f.b (4U,) and, for the scope model, lstm.f.w_aux (4U, d),
+# gates stacked in the order i, f, o, g. Format 1 stored per-gate arrays
+# and is rejected.
 
 def save_checkpoint(path, tagger: Tagger, vocab_hash: str) -> None:
     cfg = tagger.config
@@ -246,17 +282,12 @@ def load_checkpoint(path) -> tuple[Tagger, dict]:
             raise ValueError(f"{path}: not a tagger checkpoint (missing __meta__)")
         meta = json.loads(str(data["__meta__"]))
         if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')}")
+            hint = "; it holds per-gate LSTM weights, retrain" if meta.get("format") == 1 else ""
+            raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')}{hint}")
         arrays = {name: np.array(data[name], dtype=np.float64)
                   for name in data.files if name != "__meta__"}
 
-    config = TaggerConfig(
-        task=meta["task"], variant=meta["variant"], vocab_size=meta["vocab_size"],
-        embed_dim=meta["embed_dim"], units=meta["units"], head=meta["head"],
-        use_lstm=meta["use_lstm"], two_input=meta["two_input"],
-        embeddings_trainable=meta["embeddings_trainable"],
-        labels=tuple(meta["labels"]), oov_index=meta["oov_index"],
-    )
+    config = _checked_config(path, meta)
     tagger = Tagger.build(config, np.random.default_rng(0))
     params = tagger.parameters()
     if set(params) != set(arrays):
@@ -270,3 +301,21 @@ def load_checkpoint(path) -> tuple[Tagger, dict]:
             )
         arr[:] = arrays[name]
     return tagger, meta
+
+
+def _checked_config(path, meta: dict) -> TaggerConfig:
+    """The config a checkpoint's task and variant imply, after checking the
+    stored architecture against it. Stored trainable embeddings may widen a
+    frozen variant (the embeddings_trainable flag), never the reverse."""
+    make = {"cue": cue_config, "scope": scope_config}.get(meta["task"])
+    if make is None:
+        raise ValueError(f"{path}: unknown task {meta['task']!r}")
+    expected = make(meta["variant"], meta["vocab_size"], meta["embed_dim"], meta["units"])
+    for key in ("labels", "head", "use_lstm", "two_input", "embeddings_trainable"):
+        stored = tuple(meta[key]) if key == "labels" else meta[key]
+        want = getattr(expected, key)
+        if stored != want and not (key == "embeddings_trainable" and stored):
+            raise ValueError(f"{path}: {key}={stored!r} does not match {meta['task']} "
+                             f"variant {meta['variant']!r}, which has {want!r}")
+    return replace(expected, embeddings_trainable=meta["embeddings_trainable"],
+                   oov_index=meta["oov_index"])

@@ -45,13 +45,11 @@ def matvec(m: Array, v: Array) -> Array:
 
 
 def sigmoid(x):
-    """Elementwise 1 / (1 + e^-x), evaluated on the overflow-safe branch."""
+    """Elementwise 1 / (1 + e^-x). With e = e^-|x| this is 1 / (1 + e) for
+    x >= 0 and e / (1 + e) below, so exp never overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 

@@ -44,7 +44,7 @@ from .evaluation import (
     evaluate_scope,
     metric_str,
 )
-from .labeling import postprocess
+from .labeling import cue_vector, postprocess
 from .models import (
     CUE_VARIANTS,
     SCOPE_VARIANTS,
@@ -201,6 +201,13 @@ def _task_train_config(values: dict, task: str, seed: int) -> TrainConfig:
         raise UsageError(f"{task} training settings: {exc}") from None
 
 
+def _known(variant: str, task: str) -> str:
+    table = CUE_VARIANTS if task == "cue" else SCOPE_VARIANTS
+    if variant not in table:
+        raise UsageError(f"unknown {task} variant {variant!r}; pick from {sorted(table)}")
+    return variant
+
+
 def resolve_config(args, need_corpus: bool = False, need_out: bool = False) -> ExperimentConfig:
     """Merge defaults < config file < NEGSCOPE_OUT < command-line flags."""
     values = dict(DEFAULTS)
@@ -227,15 +234,9 @@ def resolve_config(args, need_corpus: bool = False, need_out: bool = False) -> E
         scope_train=_task_train_config(values, "scope", values["seed"]),
     )
 
-    if config.cue_variant not in CUE_VARIANTS:
-        raise UsageError(
-            f"unknown cue variant {config.cue_variant!r}; pick from {sorted(CUE_VARIANTS)}"
-        )
+    _known(config.cue_variant, "cue")
     for variant in config.scope_variants:
-        if variant not in SCOPE_VARIANTS:
-            raise UsageError(
-                f"unknown scope variant {variant!r}; pick from {sorted(SCOPE_VARIANTS)}"
-            )
+        _known(variant, "scope")
     if need_corpus:
         if not config.corpus:
             raise UsageError("no corpus given (use --corpus or the config file)")
@@ -298,11 +299,14 @@ def load_corpus(config: ExperimentConfig, emit) -> LoadedCorpus:
              f"embeddings.missing={len(coverage.missing)} "
              f"embeddings.type_oov_rate={coverage.type_oov_rate:.4f}")
 
+    # only training instances are cut; validation and test are scored whole
     max_len = config.cue_train.max_len
+    cut = sum(1 for inst in split.train if len(inst.sentence.tokens) > max_len)
+    emit(f"train.max_len={max_len} train.cut_instances={cut}")
     return LoadedCorpus(
         encode_instances(split.train, vocab, max_len),
-        encode_instances(split.validation, vocab, max_len),
-        encode_instances(split.test, vocab, max_len),
+        encode_instances(split.validation, vocab),
+        encode_instances(split.test, vocab),
         vocab,
         matrix,
     )
@@ -321,6 +325,16 @@ def write_blocks(path, blocks) -> None:
     Path(path).write_text(format_column_blocks(blocks), encoding="utf-8")
 
 
+def write_and_score(out: Path, stem: str, rows, gold_path) -> EvaluationResult:
+    """Write `<stem>_pred.col`, score it against the gold file and write
+    `<stem>_report.txt`."""
+    pred_path = out / f"{stem}_pred.col"
+    write_blocks(pred_path, rows)
+    result = evaluate_files(pred_path, gold_path)
+    (out / f"{stem}_report.txt").write_text(result.text, encoding="utf-8")
+    return result
+
+
 # ---------------------------------------------------------------------------
 # evaluation of prediction files
 
@@ -335,7 +349,8 @@ class EvaluationResult:
 def evaluate_files(pred_path, gold_path) -> EvaluationResult:
     """Score a prediction file against a gold file. Both must hold the same
     sentences in the same order; cue metrics always apply and scope metrics
-    apply when both files carry a scope column."""
+    apply when every prediction block carries a scope column (some but not
+    all is an error)."""
     pred_blocks = read_tag_blocks(pred_path)
     gold_blocks = read_tag_blocks(gold_path)
     if len(pred_blocks) != len(gold_blocks):
@@ -355,7 +370,13 @@ def evaluate_files(pred_path, gold_path) -> EvaluationResult:
     lines += cue_report.kv_lines("cue")
 
     scope_report = None
-    if all(p.scope_tags for p in pred_blocks):
+    with_scope = sum(1 for p in pred_blocks if p.scope_tags)
+    if 0 < with_scope < len(pred_blocks):
+        raise CorpusError(
+            f"{pred_path}: {len(pred_blocks) - with_scope} of {len(pred_blocks)} "
+            "instances lack the scope column the others carry"
+        )
+    if with_scope:
         if not all(g.scope_tags for g in gold_blocks):
             raise CorpusError(f"{gold_path}: no scope column to score against")
         scope_report = evaluate_scope(
@@ -370,10 +391,6 @@ def evaluate_files(pred_path, gold_path) -> EvaluationResult:
 
 # ---------------------------------------------------------------------------
 # model stages shared by the commands
-
-def cue_bits_from_tags(tags) -> np.ndarray:
-    return np.array([1 if t in ("C", "MC") else 0 for t in tags], dtype=np.int64)
-
 
 def build_cue_tagger(config: ExperimentConfig, vocab_size: int, matrix) -> Tagger:
     cfg = cue_config(config.cue_variant, vocab_size,
@@ -402,20 +419,21 @@ def build_scope_tagger(config: ExperimentConfig, variant: str, vocab_size: int,
     return Tagger.build(cfg, rng, matrix)
 
 
-def predict_cue(tagger: Tagger, inst) -> list[str]:
-    return tagger.predict_tags(inst.token_ids[:inst.n])
+def predict_cues(tagger: Tagger, data) -> list[list[str]]:
+    return tagger.predict_tags([inst.token_ids[:inst.n] for inst in data])
 
 
-def predict_scope(tagger: Tagger, inst, bits, smooth: bool) -> list[str]:
-    """Scope tags for one sentence given its cue bits; no cue means no scope
-    model call and an all-O row. Smoothing needs at least one cue bit, which
-    the guard guarantees."""
-    if not bits.any():
-        return ["O"] * inst.n
-    tags = tagger.predict_tags(inst.token_ids[:inst.n], bits)
-    if smooth:
-        tags = postprocess(tags, bits)
-    return tags
+def predict_scopes(tagger: Tagger, token_ids, cue_tags, smooth: bool) -> list[list[str]]:
+    """Scope tags per sentence given its cue tags, in one batched call. A
+    sentence without a cue gets an all-O row and no scope-model input.
+    Smoothing needs at least one cue bit, which that guarantees."""
+    bits = [np.array(cue_vector(tags), dtype=np.int64) for tags in cue_tags]
+    out = [["O"] * len(ids) for ids in token_ids]
+    todo = [i for i, b in enumerate(bits) if b.any()]
+    tagged = tagger.predict_tags([token_ids[i] for i in todo], [bits[i] for i in todo])
+    for i, tags in zip(todo, tagged):
+        out[i] = postprocess(tags, bits[i]) if smooth else tags
+    return out
 
 
 def run_cue_stage(config: ExperimentConfig, corpus: LoadedCorpus, out: Path,
@@ -431,17 +449,14 @@ def run_cue_stage(config: ExperimentConfig, corpus: LoadedCorpus, out: Path,
     save_checkpoint(out / "cue.npz", tagger, corpus.vocab.content_hash())
 
     for name, data in (("val", corpus.validation), ("test", corpus.test)):
-        pred_path = out / f"cue_{name}_pred.col"
         gold_path = out / f"cue_{name}_gold.col"
-        write_blocks(pred_path, [
-            (inst.source_id, inst.tokens, predict_cue(tagger, inst), None)
-            for inst in data
-        ])
         write_blocks(gold_path, [
             (inst.source_id, inst.tokens, inst.cue_tags, None) for inst in data
         ])
-        result = evaluate_files(pred_path, gold_path)
-        (out / f"cue_{name}_report.txt").write_text(result.text, encoding="utf-8")
+        result = write_and_score(out, f"cue_{name}", [
+            (inst.source_id, inst.tokens, tags, None)
+            for inst, tags in zip(data, predict_cues(tagger, data))
+        ], gold_path)
         emit(f"cue.{name}.f1={metric_str(result.cue.token.f1)} "
              f"cue.{name}.pecm={metric_str(result.cue.pecm)}")
     return tagger
@@ -474,11 +489,7 @@ def run_scope_training(config: ExperimentConfig, corpus: LoadedCorpus, variant: 
 def cmd_train_cue(args) -> int:
     config = resolve_config(args, need_corpus=True, need_out=True)
     if args.variant:
-        if args.variant not in CUE_VARIANTS:
-            raise UsageError(
-                f"unknown cue variant {args.variant!r}; pick from {sorted(CUE_VARIANTS)}"
-            )
-        config.cue_variant = args.variant
+        config.cue_variant = _known(args.variant, "cue")
     out = prepare_run_dir(config)
     emit = RunLog()
     corpus = load_corpus(config, emit)
@@ -499,11 +510,7 @@ def cmd_train_scope(args) -> int:
             f"config selects several scope variants {config.scope_variants}; "
             "pick one with --variant"
         )
-    if variant not in SCOPE_VARIANTS:
-        raise UsageError(
-            f"unknown scope variant {variant!r}; pick from {sorted(SCOPE_VARIANTS)}"
-        )
-    config.scope_variants = (variant,)
+    config.scope_variants = (_known(variant, "scope"),)
     out = prepare_run_dir(config)
     cue_tagger = cue_meta = None
     if args.cue_input == "pred":
@@ -526,26 +533,25 @@ def cmd_train_scope(args) -> int:
 
     for name, data in (("val", corpus.validation), ("test", corpus.test)):
         subset = negation_subset(data, name)
-        rows = []
-        for inst in subset:
-            if cue_tagger is None:
-                ctags = list(inst.cue_tags)
-            else:
-                ctags = predict_cue(cue_tagger, inst)
+        if cue_tagger is None:
+            cue_rows = [list(inst.cue_tags) for inst in subset]
+        else:
+            cue_rows = predict_cues(cue_tagger, subset)
+            for inst, ctags in zip(subset, cue_rows):
                 emit(f"pred_cues id={inst.source_id} "
-                     f"bits={''.join(str(b) for b in cue_bits_from_tags(ctags))}")
-            bits = cue_bits_from_tags(ctags)
-            rows.append((inst.source_id, inst.tokens, ctags,
-                         predict_scope(tagger, inst, bits, smooth)))
-        pred_path = out / f"scope_{name}_pred.col"
+                     f"bits={''.join(str(b) for b in cue_vector(ctags))}")
+        scope_rows = predict_scopes(
+            tagger, [inst.token_ids[:inst.n] for inst in subset], cue_rows, smooth
+        )
         gold_path = out / f"scope_{name}_gold.col"
-        write_blocks(pred_path, rows)
         write_blocks(gold_path, [
             (inst.source_id, inst.tokens, inst.cue_tags, inst.scope_tags)
             for inst in subset
         ])
-        result = evaluate_files(pred_path, gold_path)
-        (out / f"scope_{name}_report.txt").write_text(result.text, encoding="utf-8")
+        result = write_and_score(out, f"scope_{name}", [
+            (inst.source_id, inst.tokens, ctags, stags)
+            for inst, ctags, stags in zip(subset, cue_rows, scope_rows)
+        ], gold_path)
         emit(f"scope.{name}.f1={metric_str(result.scope.token.f1)} "
              f"scope.{name}.pcs={metric_str(result.scope.pcs)} "
              f"scope.{name}.pcp={metric_str(result.scope.pcp)}")
@@ -569,22 +575,17 @@ def cmd_experiment(args) -> int:
     cue_tagger = run_cue_stage(config, corpus, out, emit)
 
     # one trained model per distinct base; -post reuses its base's weights
-    bases = []
-    for variant in config.scope_variants:
-        base = scope_base(variant)
-        if base not in bases:
-            bases.append(base)
     scope_models = {}
-    for base in bases:
+    for base in dict.fromkeys(scope_base(v) for v in config.scope_variants):
         scope_models[base] = run_scope_training(config, corpus, base, emit)
         save_checkpoint(out / f"scope_{base}.npz", scope_models[base],
                         corpus.vocab.content_hash())
 
     # both conditions are evaluated on tp + fn + fp, fixed by the cue model
     test = corpus.test
-    pred_tags = [predict_cue(cue_tagger, inst) for inst in test]
+    pred_tags = predict_cues(cue_tagger, test)
     gold_flags = [inst.is_negation for inst in test]
-    pred_flags = [any(t in ("C", "MC") for t in tags) for tags in pred_tags]
+    pred_flags = [any(cue_vector(tags)) for tags in pred_tags]
     testset = build_task2_testset(gold_flags, pred_flags, test)
     emit(f"testset.tp={len(testset.tp)} testset.fn={len(testset.fn)} "
          f"testset.fp={len(testset.fp)} testset.tn={len(testset.tn)} "
@@ -610,22 +611,17 @@ def cmd_experiment(args) -> int:
         smooth = variant.endswith("-post")
         scores = {}
         for condition in ("gold", "pred"):
-            model_set = testset.model_indices(condition)
-            rows = []
-            for i in indices:
-                inst = test[i]
-                ctags = list(inst.cue_tags) if condition == "gold" else pred_tags[i]
-                bits = cue_bits_from_tags(ctags)
-                if i in model_set:
-                    stags = predict_scope(tagger, inst, bits, smooth)
-                else:
-                    stags = ["O"] * inst.n
-                rows.append((inst.source_id, inst.tokens, ctags, stags))
-            pred_path = out / f"scope_{variant}_{condition}cue_pred.col"
-            write_blocks(pred_path, rows)
-            result = evaluate_files(pred_path, gold_path)
-            report_path = out / f"scope_{variant}_{condition}cue_report.txt"
-            report_path.write_text(result.text, encoding="utf-8")
+            # the model runs on exactly the sentences with a cue under this
+            # condition; the rest (fp under gold, fn under pred) get all O
+            cue_rows = [list(test[i].cue_tags) if condition == "gold" else pred_tags[i]
+                        for i in indices]
+            scope_rows = predict_scopes(
+                tagger, [test[i].token_ids[:test[i].n] for i in indices], cue_rows, smooth
+            )
+            result = write_and_score(out, f"scope_{variant}_{condition}cue", [
+                (test[i].source_id, test[i].tokens, ctags, stags)
+                for i, ctags, stags in zip(indices, cue_rows, scope_rows)
+            ], gold_path)
             scores[condition] = result.scope
             summary += [
                 f"scope.{variant}.{condition}cue.f1={metric_str(result.scope.token.f1)}",
@@ -709,25 +705,19 @@ def cmd_predict(args) -> int:
     smooth = args.postprocess or (
         scope_tagger is not None and scope_tagger.config.smooth_predictions
     )
-    out_blocks = []
-    for source_id, tokens, gold_ctags in blocks_in:
-        ids = np.array([vocab.lookup(t) for t in tokens], dtype=np.int64)
-        if args.cue_input == "gold":
-            if gold_ctags is None:
-                raise UsageError("--cue-input gold needs a cue column in the input")
-            ctags = list(gold_ctags)
-        else:
-            ctags = cue_tagger.predict_tags(ids)
-        stags = None
-        if scope_tagger is not None:
-            bits = cue_bits_from_tags(ctags)
-            if bits.any():
-                stags = scope_tagger.predict_tags(ids, bits)
-                if smooth:
-                    stags = postprocess(stags, bits)
-            else:
-                stags = ["O"] * len(tokens)
-        out_blocks.append((source_id, tokens, ctags, stags))
+    ids = [np.array([vocab.lookup(t) for t in tokens], dtype=np.int64)
+           for _, tokens, _ in blocks_in]
+    if args.cue_input == "gold":
+        if any(ctags is None for _, _, ctags in blocks_in):
+            raise UsageError("--cue-input gold needs a cue column in the input")
+        cue_rows = [list(ctags) for _, _, ctags in blocks_in]
+    else:
+        cue_rows = cue_tagger.predict_tags(ids)
+    scope_rows = [None] * len(blocks_in)
+    if scope_tagger is not None:
+        scope_rows = predict_scopes(scope_tagger, ids, cue_rows, smooth)
+    out_blocks = [(source_id, tokens, ctags, stags) for (source_id, tokens, _), ctags, stags
+                  in zip(blocks_in, cue_rows, scope_rows)]
 
     text = format_column_blocks(out_blocks)
     if args.output:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .layers import bilstm_backward, crf_nll_grads, dense_backward, embed_backward
 from .models import Tagger
-from .numerics import logsumexp
 
 log = logging.getLogger("negscope.training")
 
@@ -57,58 +56,61 @@ def crf_nll(emissions, crf, gold) -> float:
 def softmax_seq_grads(scores, gold) -> tuple[float, np.ndarray]:
     """Summed per-token softmax NLL over score columns plus d(loss)/d(scores).
 
-    Computed from raw scores via logsumexp, so it is stable and matches
-    token_nll(softmax of each column) times n.
+    Computed from raw scores through a per-column log-sum-exp, so it is
+    stable and matches token_nll(softmax of each column) times n.
     """
+    s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(gold)
-    num_labels, n = scores.shape
-    loss = 0.0
-    d_scores = np.empty_like(scores)
-    for k in range(n):
-        lse = logsumexp(scores[:, k])
-        loss += lse - scores[y[k], k]
-        d_scores[:, k] = np.exp(scores[:, k] - lse)
-        d_scores[y[k], k] -= 1.0
-    return float(loss), d_scores
+    cols = np.arange(s.shape[1])
+    top = s.max(axis=0)
+    lse = top + np.log(np.exp(s - top).sum(axis=0))
+    loss = float((lse - s[y, cols]).sum())
+    d_scores = np.exp(s - lse)
+    d_scores[y, cols] -= 1.0
+    return loss, d_scores
 
 
 def instance_loss_grads(tagger: Tagger, token_ids, gold, cue_bits=None):
-    """Forward + full backward for one instance.
+    """Forward + full backward for a batch of instances, given as lists of
+    per-sentence arrays (cue_bits only for the scope task).
 
     Returns (summed loss, token count, gradient dict) where the gradient
-    keys match tagger.trainable_parameters().
+    keys match tagger.trainable_parameters(). The CRF head scores each
+    sentence's own columns.
     """
     scores, cache = tagger.scores(token_ids, cue_bits)
-    if tagger.crf is not None:
-        loss_sum, d_scores, d_trans = crf_nll_grads(scores, tagger.crf, gold)
-    else:
-        loss_sum, d_scores = softmax_seq_grads(scores, gold)
-        d_trans = None
-
+    y = np.concatenate(gold)
     grads: dict[str, np.ndarray] = {}
-    dw, db, d_states = dense_backward(tagger.dense, cache["states"], d_scores)
-    grads["dense.W"] = dw
-    grads["dense.b"] = db
-    if d_trans is not None:
+    if tagger.crf is not None:
+        loss_sum = 0.0
+        d_scores = np.empty_like(scores)
+        d_trans = np.zeros_like(tagger.crf.trans)
+        stops = np.cumsum(cache["lengths"])
+        for start, stop in zip(stops - cache["lengths"], stops):
+            nll, d_scores[:, start:stop], d_t = crf_nll_grads(
+                scores[:, start:stop], tagger.crf, y[start:stop]
+            )
+            loss_sum += nll
+            d_trans += d_t
         grads["crf.T"] = d_trans
+    else:
+        loss_sum, d_scores = softmax_seq_grads(scores, y)
 
+    grads["dense.W"], grads["dense.b"], d_states = dense_backward(
+        tagger.dense, cache["states"], d_scores
+    )
     if tagger.config.use_lstm:
         g_f, g_b, d_embedded, _ = bilstm_backward(
             tagger.lstm_fwd, tagger.lstm_bwd, cache["lstm"], d_states
         )
         for tag, g in (("f", g_f), ("b", g_b)):
-            for gate in ("i", "f", "o", "g"):
-                grads[f"lstm.{tag}.w_in.{gate}"] = g.w_in[gate]
-                grads[f"lstm.{tag}.w_rec.{gate}"] = g.w_rec[gate]
-                grads[f"lstm.{tag}.b.{gate}"] = g.b[gate]
-                if g.w_aux is not None:
-                    grads[f"lstm.{tag}.w_aux.{gate}"] = g.w_aux[gate]
+            grads.update({f"lstm.{tag}.{k}": v for k, v in g.arrays().items()})
     else:
         d_embedded = d_states
 
     if tagger.embedding.trainable:
         grads["emb.E"] = embed_backward(tagger.embedding, cache["ids"], d_embedded)
-    return loss_sum, len(np.asarray(token_ids)), grads
+    return loss_sum, len(y), grads
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +152,23 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for {name}")
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = state.m[name] / (1 - state.beta1 ** t)
-        v_hat = state.v[name] / (1 - state.beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v = state.m[name], state.v[name]
+        # in place, in the operation order of m = b1*m + (1-b1)*g, v = b2*v +
+        # (1-b2)*g*g, p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+        buf = np.multiply(1 - state.beta1, g)
+        m *= state.beta1
+        m += buf
+        np.multiply(1 - state.beta2, g, out=buf)
+        buf *= g
+        v *= state.beta2
+        v += buf
+        np.divide(v, 1 - state.beta2 ** t, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += state.eps
+        update = np.divide(m, 1 - state.beta1 ** t)
+        update *= lr
+        update /= buf
+        p -= update
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +225,23 @@ def model_inputs(tagger: Tagger, inst) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return ids, inst.scope_label_ids[:n], inst.cue_bits[:n]
 
 
+def batch_inputs(tagger: Tagger, data) -> tuple[list, list, list | None]:
+    """model_inputs over encoded instances, as per-sentence lists; the cue
+    bits are None for the cue task."""
+    rows = [model_inputs(tagger, inst) for inst in data]
+    ids, gold, bits = ([row[k] for row in rows] for k in range(3))
+    return ids, gold, None if tagger.config.task == "cue" else bits
+
+
 def token_f1_score(tagger: Tagger, data) -> float:
     """Validation token F1 for the tagger's task over encoded instances."""
     from .evaluation import cue_token_metrics, scope_token_metrics
 
-    preds, golds = [], []
-    for inst in data:
-        ids, _, bits = model_inputs(tagger, inst)
-        preds.append(tagger.predict_tags(ids, bits))
-        golds.append(list(inst.cue_tags if tagger.config.task == "cue" else inst.scope_tags))
-    metric = cue_token_metrics if tagger.config.task == "cue" else scope_token_metrics
+    ids, _, bits = batch_inputs(tagger, data)
+    preds = tagger.predict_tags(ids, bits)
+    cue = tagger.config.task == "cue"
+    golds = [list(inst.cue_tags if cue else inst.scope_tags) for inst in data]
+    metric = cue_token_metrics if cue else scope_token_metrics
     return metric(preds, golds).f1
 
 
@@ -252,23 +273,16 @@ def train(tagger: Tagger, train_data, val_data, config: TrainConfig,
         epoch_tokens = 0
         for start in range(0, len(order), config.batch_size):
             batch = [train_data[i] for i in order[start:start + config.batch_size]]
-            acc = {name: np.zeros_like(p) for name, p in params.items()}
-            batch_loss = 0.0
-            batch_tokens = 0
-            for inst in batch:
-                ids, gold, bits = model_inputs(tagger, inst)
-                loss_sum, n_tok, grads = instance_loss_grads(tagger, ids, gold, bits)
-                batch_loss += loss_sum
-                batch_tokens += n_tok
-                for name in acc:
-                    acc[name] += grads[name]
+            batch_loss, batch_tokens, grads = instance_loss_grads(
+                tagger, *batch_inputs(tagger, batch)
+            )
             if not math.isfinite(batch_loss):
                 raise TrainingDiverged(
                     f"loss diverged at epoch {epoch}", history
                 )
-            for name in acc:
-                acc[name] /= batch_tokens
-            adam_step(params, acc, adam, lr)
+            for grad in grads.values():
+                grad /= batch_tokens
+            adam_step(params, grads, adam, lr)
             epoch_loss += batch_loss
             epoch_tokens += batch_tokens
 

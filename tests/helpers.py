@@ -50,7 +50,11 @@ def brute_best_path(emissions, trans, start, end, tie_tol=1e-9):
 # scalar LSTM reference (one step, pure Python floats)
 
 def scalar_lstm_step(w_in, w_rec, b, x, h_prev, c_prev, w_aux=None, q=None):
-    """One LSTM step evaluated coordinate by coordinate with math.exp."""
+    """One LSTM step evaluated coordinate by coordinate with math.exp.
+
+    The weights are fused blocks (nested lists or arrays with 4U rows);
+    gate k of ("i", "f", "o", "g") reads rows k*U .. (k+1)*U - 1.
+    """
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
@@ -58,24 +62,40 @@ def scalar_lstm_step(w_in, w_rec, b, x, h_prev, c_prev, w_aux=None, q=None):
     def tnh(v):
         return (math.exp(v) - math.exp(-v)) / (math.exp(v) + math.exp(-v))
 
-    units = len(b["i"])
+    units = len(b) // 4
     acts = {}
-    for gate in ("i", "f", "o", "g"):
+    for k, gate in enumerate(("i", "f", "o", "g")):
         vals = []
         for u in range(units):
-            pre = b[gate][u]
+            row = k * units + u
+            pre = float(b[row])
             for j, xj in enumerate(x):
-                pre += w_in[gate][u][j] * xj
+                pre += w_in[row][j] * xj
             if w_aux is not None:
                 for j, qj in enumerate(q):
-                    pre += w_aux[gate][u][j] * qj
+                    pre += w_aux[row][j] * qj
             for j, hj in enumerate(h_prev):
-                pre += w_rec[gate][u][j] * hj
+                pre += w_rec[row][j] * hj
             vals.append(tnh(pre) if gate == "g" else sig(pre))
         acts[gate] = vals
     c = [acts["f"][u] * c_prev[u] + acts["i"][u] * acts["g"][u] for u in range(units)]
     h = [acts["o"][u] * tnh(c[u]) for u in range(units)]
     return h, c
+
+
+def scalar_lstm_states(params, x, q=None):
+    """Hidden states of one sentence (rows of x, in recurrence order) from
+    repeated scalar_lstm_step calls."""
+    w_in, w_rec, b = params.w_in.tolist(), params.w_rec.tolist(), params.b.tolist()
+    w_aux = None if params.w_aux is None else params.w_aux.tolist()
+    units = len(b) // 4
+    h, c = [0.0] * units, [0.0] * units
+    out = []
+    for k in range(len(x)):
+        h, c = scalar_lstm_step(w_in, w_rec, b, list(x[k]), h, c,
+                                w_aux=w_aux, q=None if q is None else list(q[k]))
+        out.append(h)
+    return np.array(out).reshape(len(x), units)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from negscope.labeling import is_continuous, postprocess, valid_gold_pattern
 from negscope.layers import (
     CrfParams,
     LstmParams,
+    bilstm_forward,
     crf_log_partition,
     crf_viterbi,
     init_lstm,
@@ -36,7 +37,7 @@ from negscope.layers import (
 from negscope.models import Tagger, cue_config, scope_config
 from negscope.numerics import finite_diff_grad
 from negscope.pipeline import main
-from negscope.training import TrainConfig, instance_loss_grads, train
+from negscope.training import TrainConfig, batch_inputs, instance_loss_grads, train
 from helpers import (
     brute_best_path,
     brute_log_partition,
@@ -108,15 +109,15 @@ def test_c2_analytic_gradients_match_finite_differences():
 
             ids = rng.integers(vocab_size, size=n)
             gold = rng.integers(cfg.num_labels, size=n)
-            bits = rng.integers(2, size=n) if task == "scope" else None
-            _, _, grads = instance_loss_grads(tagger, ids, gold, bits)
+            bits = [rng.integers(2, size=n)] if task == "scope" else None
+            _, _, grads = instance_loss_grads(tagger, [ids], [gold], bits)
 
             for name, arr in tagger.trainable_parameters().items():
                 original = arr.copy()
 
                 def objective(value, _arr=arr):
                     _arr[:] = value
-                    loss, _, _ = instance_loss_grads(tagger, ids, gold, bits)
+                    loss, _, _ = instance_loss_grads(tagger, [ids], [gold], bits)
                     return loss
 
                 try:
@@ -144,25 +145,26 @@ def test_c3_two_input_cell_with_zero_aux_reduces_to_single_input():
             n = int(rng.integers(1, 8))
             two = init_lstm(units, in_dim, rng, two_input=True)
             single = LstmParams(two.w_in, two.w_rec, two.b, None)
-            inputs = rng.normal(size=(n, in_dim))
-            reverse = case % 2 == 1
-
-            with_aux, _ = lstm_forward(two, inputs, np.zeros((n, in_dim)), reverse)
-            without, _ = lstm_forward(single, inputs, None, reverse)
+            if case % 2 == 0:
+                # one padded batch, one direction
+                inputs = rng.normal(size=(n, int(rng.integers(1, 4)), in_dim))
+                with_aux, _ = lstm_forward(two, inputs, np.zeros_like(inputs))
+                without, _ = lstm_forward(single, inputs, None)
+            else:
+                # both directions over a ragged packed batch
+                lengths = rng.integers(1, 8, size=int(rng.integers(1, 4)))
+                inputs = rng.normal(size=(int(lengths.sum()), in_dim))
+                with_aux, _ = bilstm_forward(two, two, inputs, np.zeros_like(inputs), lengths)
+                without, _ = bilstm_forward(single, single, inputs, None, lengths)
             assert np.abs(with_aux - without).max() <= 1e-12
 
 
 def _token_accuracy(tagger, data) -> float:
+    ids, golds, bits = batch_inputs(tagger, data)
     hits = total = 0
-    for inst in data:
-        ids = inst.token_ids[:inst.n]
-        if tagger.config.task == "cue":
-            gold, bits = inst.cue_label_ids[:inst.n], None
-        else:
-            gold, bits = inst.scope_label_ids[:inst.n], inst.cue_bits[:inst.n]
-        pred = tagger.predict_ids(ids, bits)
+    for pred, gold in zip(tagger.predict_ids(ids, bits), golds):
         hits += sum(1 for p, g in zip(pred, gold) if p == g)
-        total += inst.n
+        total += len(gold)
     return 100.0 * hits / total
 
 

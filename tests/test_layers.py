@@ -13,6 +13,7 @@ from helpers import (
     brute_best_path,
     brute_log_partition,
     brute_path_scores,
+    scalar_lstm_states,
     scalar_lstm_step,
 )
 from negscope.layers import (
@@ -26,7 +27,6 @@ from negscope.layers import (
     crf_nll_grads,
     crf_score,
     crf_viterbi,
-    cue_embed,
     cue_embed_seq,
     dense_backward,
     dense_forward,
@@ -90,10 +90,8 @@ class TestEmbedding:
         assert_grad_close(f, params.weights, analytic)
 
     def test_cue_embed(self):
-        np.testing.assert_array_equal(cue_embed(1, 4), np.ones(4))
-        np.testing.assert_array_equal(cue_embed(0, 4), np.zeros(4))
         with pytest.raises(ValueError):
-            cue_embed(2, 4)
+            cue_embed_seq([0, 2], 4)
         seq = cue_embed_seq([0, 1, 0], 3)
         np.testing.assert_array_equal(seq, [[0, 0, 0], [1, 1, 1], [0, 0, 0]])
 
@@ -101,140 +99,148 @@ class TestEmbedding:
 class TestLstmForward:
     def test_zero_params_give_zero_states(self, rng):
         params = init_lstm(3, 2, rng)
-        for g in ("i", "f", "o", "g"):
-            params.w_in[g][:] = 0
-            params.w_rec[g][:] = 0
-        out, _ = lstm_forward(params, rng.normal(size=(5, 2)))
+        params.w_in[:] = 0
+        params.w_rec[:] = 0
+        out, _ = lstm_forward(params, rng.normal(size=(5, 2, 2)))
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_single_step_matches_scalar_reference(self, rng):
         params = init_lstm(2, 2, rng)
-        x = rng.normal(size=(1, 2))
+        x = rng.normal(size=(1, 1, 2))
         out, _ = lstm_forward(params, x)
-        w_in = {g: params.w_in[g].tolist() for g in "ifog"}
-        w_rec = {g: params.w_rec[g].tolist() for g in "ifog"}
-        b = {g: params.b[g].tolist() for g in "ifog"}
-        h, _ = scalar_lstm_step(w_in, w_rec, b, x[0].tolist(), [0.0, 0.0], [0.0, 0.0])
-        np.testing.assert_allclose(out[0], h, atol=1e-12)
+        h, _ = scalar_lstm_step(params.w_in.tolist(), params.w_rec.tolist(),
+                                params.b.tolist(), x[0, 0].tolist(), [0.0, 0.0], [0.0, 0.0])
+        np.testing.assert_allclose(out[0, 0], h, atol=1e-12)
 
     def test_two_steps_match_scalar_reference(self, rng):
         params = init_lstm(2, 3, rng)
-        x = rng.normal(size=(2, 3))
+        x = rng.normal(size=(2, 1, 3))
         out, _ = lstm_forward(params, x)
-        w_in = {g: params.w_in[g].tolist() for g in "ifog"}
-        w_rec = {g: params.w_rec[g].tolist() for g in "ifog"}
-        b = {g: params.b[g].tolist() for g in "ifog"}
-        h1, c1 = scalar_lstm_step(w_in, w_rec, b, x[0].tolist(), [0.0, 0.0], [0.0, 0.0])
-        h2, _ = scalar_lstm_step(w_in, w_rec, b, x[1].tolist(), h1, c1)
-        np.testing.assert_allclose(out[1], h2, atol=1e-12)
+        w_in, w_rec, b = params.w_in.tolist(), params.w_rec.tolist(), params.b.tolist()
+        h1, c1 = scalar_lstm_step(w_in, w_rec, b, x[0, 0].tolist(), [0.0, 0.0], [0.0, 0.0])
+        h2, _ = scalar_lstm_step(w_in, w_rec, b, x[1, 0].tolist(), h1, c1)
+        np.testing.assert_allclose(out[1, 0], h2, atol=1e-12)
+
+    def test_candidate_gate_is_the_last_block(self, rng):
+        """Only the g rows carry weight, so i = f = o = 1/2 and
+        h = tanh(tanh(w_g x) / 2) / 2."""
+        params = init_lstm(2, 2, rng)
+        params.w_in[:6] = 0
+        params.w_rec[:] = 0
+        x = rng.normal(size=(1, 1, 2))
+        out, _ = lstm_forward(params, x)
+        g = np.tanh(params.w_in[6:] @ x[0, 0])
+        np.testing.assert_allclose(out[0, 0], 0.5 * np.tanh(0.5 * g), atol=1e-15)
 
     def test_two_input_with_zero_aux_matches_single_input(self, rng):
         single = init_lstm(3, 2, rng)
         double = init_lstm(3, 2, rng, two_input=True)
         double.w_in, double.w_rec, double.b = single.w_in, single.w_rec, single.b
-        x = rng.normal(size=(6, 2))
+        x = rng.normal(size=(6, 2, 2))
         a, _ = lstm_forward(single, x)
         b, _ = lstm_forward(double, x, aux=np.zeros_like(x))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_two_input_matches_scalar_reference(self, rng):
         params = init_lstm(2, 2, rng, two_input=True)
-        x = rng.normal(size=(1, 2))
-        q = np.ones((1, 2))
+        x = rng.normal(size=(1, 1, 2))
+        q = np.ones((1, 1, 2))
         out, _ = lstm_forward(params, x, aux=q)
-        w_in = {g: params.w_in[g].tolist() for g in "ifog"}
-        w_rec = {g: params.w_rec[g].tolist() for g in "ifog"}
-        w_aux = {g: params.w_aux[g].tolist() for g in "ifog"}
-        b = {g: params.b[g].tolist() for g in "ifog"}
         h, _ = scalar_lstm_step(
-            w_in, w_rec, b, x[0].tolist(), [0.0, 0.0], [0.0, 0.0],
-            w_aux=w_aux, q=q[0].tolist(),
+            params.w_in.tolist(), params.w_rec.tolist(), params.b.tolist(),
+            x[0, 0].tolist(), [0.0, 0.0], [0.0, 0.0],
+            w_aux=params.w_aux.tolist(), q=q[0, 0].tolist(),
         )
-        np.testing.assert_allclose(out[0], h, atol=1e-12)
+        np.testing.assert_allclose(out[0, 0], h, atol=1e-12)
 
     def test_reverse_equals_flipped_forward(self, rng):
+        """The right-to-left half of a BiLSTM is the cell run over the
+        flipped sentence, flipped back."""
         params = init_lstm(3, 2, rng)
         x = rng.normal(size=(5, 2))
-        rev, _ = lstm_forward(params, x, reverse=True)
-        flipped, _ = lstm_forward(params, x[::-1].copy())
-        np.testing.assert_allclose(rev, flipped[::-1], atol=1e-14)
+        both, _ = bilstm_forward(params, params, x)
+        flipped, _ = lstm_forward(params, x[::-1, None, :].copy())
+        np.testing.assert_allclose(both[:, 3:], flipped[::-1, 0], atol=1e-14)
 
     def test_aux_presence_must_match_params(self, rng):
         single = init_lstm(2, 2, rng)
         double = init_lstm(2, 2, rng, two_input=True)
-        x = np.zeros((3, 2))
+        x = np.zeros((3, 1, 2))
         with pytest.raises(ValueError):
-            lstm_forward(single, x, aux=np.zeros((3, 2)))
+            lstm_forward(single, x, aux=np.zeros((3, 1, 2)))
         with pytest.raises(ValueError):
             lstm_forward(double, x)
         with pytest.raises(ValueError):
-            lstm_forward(double, x, aux=np.zeros((4, 2)))
+            lstm_forward(double, x, aux=np.zeros((4, 1, 2)))
+        with pytest.raises(ValueError):
+            lstm_forward(single, np.zeros((3, 2)))
+
+
+def _grad_check_blocks(params, grads, run):
+    """Finite differences on every fused block of one direction."""
+    for name, arr in params.arrays().items():
+        def f(v, arr=arr):
+            old = arr.copy()
+            arr[:] = v
+            try:
+                return run()
+            finally:
+                arr[:] = old
+
+        assert_grad_close(f, arr, grads.arrays()[name])
 
 
 class TestLstmBackward:
-    def _check_all(self, rng, two_input, reverse, n=4, units=2, dim=2):
+    def _check_all(self, rng, two_input, n=4, units=2, dim=2):
+        """A two-column batch whose second column ends after two steps; its
+        padded steps get zero upstream gradient."""
         params = init_lstm(units, dim, rng, two_input=two_input)
-        x = rng.normal(size=(n, dim))
-        q = rng.normal(size=(n, dim)) if two_input else None
-        proj = rng.normal(size=(n, units))
+        x = rng.normal(size=(n, 2, dim))
+        q = rng.normal(size=(n, 2, dim)) if two_input else None
+        proj = rng.normal(size=(n, 2, units))
+        proj[2:, 1] = 0.0
 
-        out, cache = lstm_forward(params, x, aux=q, reverse=reverse)
+        out, cache = lstm_forward(params, x, aux=q)
         grads, d_x, d_q = lstm_backward(params, cache, proj)
 
-        def run(p):
-            return float(np.sum(proj * lstm_forward(p, x, aux=q, reverse=reverse)[0]))
+        def run(x=x, q=q):
+            return float(np.sum(proj * lstm_forward(params, x, aux=q)[0]))
 
-        for gate in "ifog":
-            for name, arr in (("w_in", params.w_in), ("w_rec", params.w_rec),
-                              ("b", params.b)):
-                def f(v, arr=arr, gate=gate):
-                    old = arr[gate]
-                    arr[gate] = v
-                    try:
-                        return run(params)
-                    finally:
-                        arr[gate] = old
-
-                assert_grad_close(f, arr[gate], getattr(grads, name)[gate])
-            if two_input:
-                def f(v, gate=gate):
-                    old = params.w_aux[gate]
-                    params.w_aux[gate] = v
-                    try:
-                        return run(params)
-                    finally:
-                        params.w_aux[gate] = old
-
-                assert_grad_close(f, params.w_aux[gate], grads.w_aux[gate])
-
-        def f_x(v):
-            return float(np.sum(proj * lstm_forward(params, v, aux=q, reverse=reverse)[0]))
-
-        assert_grad_close(f_x, x, d_x)
+        _grad_check_blocks(params, grads, run)
+        assert_grad_close(lambda v: run(x=v), x, d_x)
+        np.testing.assert_array_equal(d_x[2:, 1], 0.0)
         if two_input:
-            def f_q(v):
-                return float(np.sum(proj * lstm_forward(params, x, aux=v, reverse=reverse)[0]))
-
-            assert_grad_close(f_q, q, d_q)
+            assert_grad_close(lambda v: run(q=v), q, d_q)
 
     def test_single_input_grads(self, rng):
-        self._check_all(rng, two_input=False, reverse=False)
+        self._check_all(rng, two_input=False)
 
     def test_two_input_grads(self, rng):
-        self._check_all(rng, two_input=True, reverse=False)
+        self._check_all(rng, two_input=True)
 
     def test_reverse_grads(self, rng):
-        self._check_all(rng, two_input=False, reverse=True)
+        """The right-to-left direction over a ragged packed batch."""
+        fwd, bwd = init_lstm(2, 2, rng), init_lstm(2, 2, rng)
+        lengths = [3, 1, 2]
+        x = rng.normal(size=(6, 2))
+        proj = rng.normal(size=(6, 4))
+        _, cache = bilstm_forward(fwd, bwd, x, lengths=lengths)
+        _, g_b, d_x, _ = bilstm_backward(fwd, bwd, cache, proj)
+
+        def run(x=x):
+            return float(np.sum(proj * bilstm_forward(fwd, bwd, x, lengths=lengths)[0]))
+
+        _grad_check_blocks(bwd, g_b, run)
+        assert_grad_close(lambda v: run(x=v), x, d_x)
 
     def test_zero_upstream_gives_zero_grads(self, rng):
         params = init_lstm(2, 2, rng)
-        x = rng.normal(size=(4, 2))
+        x = rng.normal(size=(4, 3, 2))
         _, cache = lstm_forward(params, x)
-        grads, d_x, _ = lstm_backward(params, cache, np.zeros((4, 2)))
+        grads, d_x, _ = lstm_backward(params, cache, np.zeros((4, 3, 2)))
         np.testing.assert_array_equal(d_x, 0.0)
-        for g in "ifog":
-            np.testing.assert_array_equal(grads.w_in[g], 0.0)
-            np.testing.assert_array_equal(grads.w_rec[g], 0.0)
+        np.testing.assert_array_equal(grads.w_in, 0.0)
+        np.testing.assert_array_equal(grads.w_rec, 0.0)
 
 
 class TestBilstm:
@@ -252,6 +258,29 @@ class TestBilstm:
         out, _ = bilstm_forward(params, params, x)
         swapped = np.hstack([out[:, 3:], out[:, :3]])
         np.testing.assert_allclose(out[::-1], swapped, atol=1e-12)
+
+    def test_ragged_batch_matches_scalar_reference(self, rng):
+        fwd = init_lstm(2, 3, rng, two_input=True)
+        bwd = init_lstm(2, 3, rng, two_input=True)
+        lengths = [4, 1, 3]
+        x = rng.normal(size=(8, 3))
+        q = rng.normal(size=(8, 3))
+        out, _ = bilstm_forward(fwd, bwd, x, q, lengths)
+        start = 0
+        for n in lengths:
+            xs, qs = x[start:start + n], q[start:start + n]
+            expect_f = scalar_lstm_states(fwd, xs, qs)
+            expect_b = scalar_lstm_states(bwd, xs[::-1], qs[::-1])[::-1]
+            np.testing.assert_allclose(out[start:start + n, :2], expect_f, atol=1e-12)
+            np.testing.assert_allclose(out[start:start + n, 2:], expect_b, atol=1e-12)
+            start += n
+
+    def test_lengths_must_cover_the_rows(self, rng):
+        fwd, bwd = init_lstm(2, 2, rng), init_lstm(2, 2, rng)
+        with pytest.raises(ValueError, match="lengths"):
+            bilstm_forward(fwd, bwd, np.zeros((5, 2)), lengths=[2, 2])
+        with pytest.raises(ValueError, match="lengths"):
+            bilstm_forward(fwd, bwd, np.zeros((2, 2)), lengths=[2, 0])
 
     def test_grads_match_finite_differences(self, rng):
         fwd = init_lstm(2, 2, rng, two_input=True)
@@ -272,14 +301,14 @@ class TestBilstm:
         assert_grad_close(f_q, q, d_q)
 
         def f_w(v):
-            old = fwd.w_rec["i"]
-            fwd.w_rec["i"] = v
+            old = fwd.w_rec.copy()
+            fwd.w_rec[:] = v
             try:
                 return float(np.sum(proj * bilstm_forward(fwd, bwd, x, q)[0]))
             finally:
-                fwd.w_rec["i"] = old
+                fwd.w_rec[:] = old
 
-        assert_grad_close(f_w, fwd.w_rec["i"], g_f.w_rec["i"])
+        assert_grad_close(f_w, fwd.w_rec, g_f.w_rec)
 
 
 class TestDense:

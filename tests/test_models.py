@@ -1,16 +1,23 @@
 """Variant assembly, prediction plumbing, and checkpoint round trips."""
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from negscope.models import (
+    CUE_VARIANTS,
+    SCOPE_VARIANTS,
     Tagger,
     cue_config,
     load_checkpoint,
     save_checkpoint,
     scope_config,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def build(config, seed=3, matrix=None):
@@ -27,14 +34,16 @@ class TestAssembly:
     def test_bilstm_crf_parameter_set(self):
         tagger = build(cue_config("bilstm-crf", vocab_size=7, embed_dim=4, units=3))
         names = set(tagger.parameters())
-        assert "crf.T" in names and "lstm.f.w_in.i" in names and "lstm.b.w_rec.g" in names
-        assert not any(".w_aux." in n for n in names)
+        assert "crf.T" in names and "lstm.f.w_in" in names and "lstm.b.w_rec" in names
+        assert not any(n.endswith(".w_aux") for n in names)
+        assert tagger.lstm_fwd.w_in.shape == (12, 4)  # 4 gates x 3 units, embed width
+        assert tagger.lstm_bwd.w_rec.shape == (12, 3)
         assert tagger.dense.weights.shape == (3, 6)  # 2 * units
         assert tagger.crf.trans.shape == (5, 5)  # 3 labels + start + end
 
     def test_scope_model_is_two_input(self):
         tagger = build(scope_config("bilstm", vocab_size=7, embed_dim=4, units=3))
-        assert any(".w_aux." in n for n in tagger.parameters())
+        assert any(n.endswith(".w_aux") for n in tagger.parameters())
         assert tagger.dense.weights.shape == (4, 6)  # 4 scope labels
 
     def test_scope_post_variant_smooths(self):
@@ -67,35 +76,63 @@ class TestAssembly:
             build(cue_config("bilstm", 7, 4, 3), matrix=np.zeros((3, 7)))
 
 
+def readme_variant_rows() -> dict[tuple[str, str], tuple[str, str, str]]:
+    """(task, variant) -> (embedding, encoder, decision layer) from the
+    README's model variant table."""
+    rows = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) >= 5 and cells[0] in ("cue", "scope"):
+            rows[(cells[0], cells[1].strip("`"))] = tuple(cells[2:5])
+    return rows
+
+
+class TestVariantTable:
+    def test_every_variant_matches_the_readme_table(self):
+        rows = readme_variant_rows()
+        ours = {("cue", v): o for v, o in CUE_VARIANTS.items()}
+        ours.update({("scope", v): o for v, o in SCOPE_VARIANTS.items()})
+        assert set(rows) == set(ours)
+        for key, (embedding, encoder, head) in rows.items():
+            opts = ours[key]
+            assert embedding == ("trainable" if opts["embeddings_trainable"] else "frozen"), key
+            assert encoder == ("BiLSTM" if opts["use_lstm"] else "none"), key
+            assert head == {"softmax": "softmax", "crf": "CRF"}[opts["head"]], key
+
+    def test_emb_crf_trains_its_embeddings(self):
+        tagger = build(cue_config("emb-crf", 7, 4, 3))
+        assert "emb.E" in tagger.trainable_parameters()
+
+
 class TestPrediction:
     def test_scores_shape(self):
         tagger = build(scope_config("bilstm", 9, 4, 3))
-        scores, _ = tagger.scores(np.array([1, 2, 3, 0, 5]), np.array([0, 1, 0, 0, 0]))
+        scores, _ = tagger.scores([np.array([1, 2, 3, 0, 5])], [np.array([0, 1, 0, 0, 0])])
         assert scores.shape == (4, 5)
 
     def test_two_input_model_requires_cue_bits(self):
         tagger = build(scope_config("bilstm", 9, 4, 3))
         with pytest.raises(ValueError, match="cue bits"):
-            tagger.scores(np.array([1, 2]))
+            tagger.scores([np.array([1, 2])])
 
     def test_softmax_ties_pick_lowest_label(self):
         tagger = build(cue_config("baseline", 6, 4, 3))
         tagger.dense.weights[:] = 0.0
         tagger.dense.bias[:] = 0.0
-        assert tagger.predict_tags(np.array([1, 2, 3])) == ["NC", "NC", "NC"]
+        assert tagger.predict_tags([np.array([1, 2, 3])]) == [["NC", "NC", "NC"]]
 
     def test_crf_ties_pick_lowest_label(self):
         tagger = build(cue_config("emb-crf", 6, 4, 3))
         tagger.dense.weights[:] = 0.0
         tagger.dense.bias[:] = 0.0
         tagger.crf.trans[:] = 0.0
-        assert tagger.predict_tags(np.array([1, 2, 3])) == ["NC", "NC", "NC"]
+        assert tagger.predict_tags([np.array([1, 2, 3])]) == [["NC", "NC", "NC"]]
 
     def test_predict_matches_scores_argmax(self):
         tagger = build(cue_config("bilstm", 9, 4, 3))
         ids = np.array([1, 5, 2, 8])
-        scores, _ = tagger.scores(ids)
-        assert tagger.predict_ids(ids) == list(scores.argmax(axis=0))
+        scores, _ = tagger.scores([ids])
+        assert tagger.predict_ids([ids]) == [list(scores.argmax(axis=0))]
 
 
 class TestCheckpoint:
@@ -114,11 +151,63 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         save_checkpoint(path, tagger, vocab_hash="x")
         again, _ = load_checkpoint(path)
-        ids = np.array([1, 7, 3, 2, 2])
+        ids = [np.array([1, 7, 3, 2, 2]), np.array([4])]
         assert tagger.predict_tags(ids) == again.predict_tags(ids)
 
     def test_non_checkpoint_file_is_an_error(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, data=np.zeros(3))
         with pytest.raises(ValueError, match="missing __meta__"):
+            load_checkpoint(path)
+
+    def test_format_1_asks_for_retraining(self, tmp_path):
+        path = tmp_path / "old.npz"
+        np.savez(path, __meta__=np.array(json.dumps({"format": 1})))
+        with pytest.raises(ValueError, match="format 1.*retrain"):
+            load_checkpoint(path)
+
+
+def rewrite_meta(path, **changes):
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(str(arrays.pop("__meta__")))
+    meta.update(changes)
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+
+
+class TestCheckpointCrossCheck:
+    @pytest.mark.parametrize("changes", [
+        {"head": "softmax"},
+        {"labels": ["O", "B", "C", "A"]},
+        {"use_lstm": False},
+        {"two_input": True},
+        {"variant": "emb-crf"},
+        {"task": "scope"},
+    ])
+    def test_metadata_must_match_the_variant_table(self, tmp_path, changes):
+        path = tmp_path / "cue.npz"
+        save_checkpoint(path, build(cue_config("bilstm-crf", 9, 4, 3)), vocab_hash="h")
+        rewrite_meta(path, **changes)
+        with pytest.raises(ValueError, match="does not match|unknown"):
+            load_checkpoint(path)
+
+    def test_unknown_task_is_an_error(self, tmp_path):
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, build(cue_config("bilstm", 9, 4, 3)), vocab_hash="h")
+        rewrite_meta(path, task="speculation")
+        with pytest.raises(ValueError, match="unknown task"):
+            load_checkpoint(path)
+
+    def test_trainable_flag_may_widen_a_frozen_variant(self, tmp_path):
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, build(cue_config("bilstm", 9, 4, 3)), vocab_hash="h")
+        rewrite_meta(path, embeddings_trainable=True)
+        tagger, _ = load_checkpoint(path)
+        assert tagger.config.embeddings_trainable
+
+    def test_trainable_variant_cannot_be_stored_frozen(self, tmp_path):
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, build(cue_config("emb-crf", 9, 4, 3)), vocab_hash="h")
+        rewrite_meta(path, embeddings_trainable=False)
+        with pytest.raises(ValueError, match="embeddings_trainable=False does not match"):
             load_checkpoint(path)

@@ -40,6 +40,17 @@ class TestActivations:
         x = rng.normal(size=200) * 5
         np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
 
+    def test_sigmoid_is_bitwise_the_masked_two_branch_form(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 38001), rng.normal(size=2000) * 10,
+                            [0.0, -0.0, -745.0, 745.0]])
+        ref = np.empty_like(x)
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        assert np.array_equal(sigmoid(x), ref)
+        assert np.array_equal(sigmoid(x.reshape(-1, 7)[:, 2:5]), ref.reshape(-1, 7)[:, 2:5])
+
     def test_tanh_frozen_values(self):
         assert tanh_act(0.0) == 0.0
         assert tanh_act(1.0) == pytest.approx(0.7615941559557649, abs=1e-12)

@@ -8,7 +8,9 @@ from types import SimpleNamespace
 
 import pytest
 
+import negscope.models as models
 from negscope.corpus import (
+    CorpusError,
     NegationInstance,
     Sentence,
     Vocabulary,
@@ -16,11 +18,10 @@ from negscope.corpus import (
     read_tag_blocks,
     write_column_file,
 )
-from negscope.labeling import NegationAnnotation, is_continuous
+from negscope.labeling import NegationAnnotation, cue_vector, is_continuous
 from negscope.pipeline import (
     UsageError,
     _difference,
-    cue_bits_from_tags,
     evaluate_files,
     main,
     parse_config_file,
@@ -112,8 +113,7 @@ class TestConfig:
 
 class TestSmallHelpers:
     def test_cue_bits(self):
-        bits = cue_bits_from_tags(["NC", "C", "MC", "NC"])
-        assert bits.tolist() == [0, 1, 1, 0]
+        assert cue_vector(["NC", "C", "MC", "NC"]) == [0, 1, 1, 0]
 
     def test_scope_base(self):
         assert scope_base("bilstm-post") == "bilstm"
@@ -141,6 +141,15 @@ class TestEvaluateFiles:
         result = evaluate_files(path, path)
         assert result.scope is None
         assert "scope." not in result.text
+
+    def test_mixed_scope_columns_are_an_error(self, tmp_path):
+        blocks = [("s1", ("no", "growth"), ("C", "NC"), ("C", "A")),
+                  ("s2", ("cells", "grew"), ("NC", "NC"), None)]
+        path = tmp_path / "mixed.col"
+        path.write_text(format_column_blocks(blocks))
+        with pytest.raises(CorpusError, match="1 of 2 instances lack the scope column"):
+            evaluate_files(path, path)
+        assert main(["evaluate", str(path), str(path)]) == 1
 
     def test_token_mismatch_names_first_divergent_instance(self, tmp_path):
         a = tmp_path / "a.col"
@@ -255,6 +264,32 @@ class TestPredict:
         for pred, gold in zip(read_tag_blocks(out_file), gold_blocks):
             assert pred.cue_tags == gold.cue_tags
 
+    @pytest.mark.parametrize("budget", [1, 9, 10**6])
+    def test_follow_up_predict_reproduces_the_experiment(self, experiment_run, tmp_path,
+                                                         monkeypatch, budget):
+        """Other chunk compositions (budget, input order, extra sentences)
+        give the experiment's own test-split tags."""
+        out = experiment_run.out
+        test = read_tag_blocks(out / "cue_test_pred.col")
+        scopes = {b.source_id: b.scope_tags
+                  for b in read_tag_blocks(out / "scope_bilstm-post_predcue_pred.col")}
+        extra = [(f"extra.{i}", inst.sentence.tokens, tuple(inst.cue_tags()), None)
+                 for i, inst in enumerate(synthetic_instances(7, seed=8))]
+        source = tmp_path / "input.col"
+        source.write_text(format_column_blocks(
+            extra[:3] + [(b.source_id, b.tokens, b.cue_tags, None) for b in test[::-1]]
+            + extra[3:]
+        ))
+        monkeypatch.setattr(models, "PREDICT_TOKEN_BUDGET", budget)
+        rc = main(["predict", "--out", str(out), "--variant", "bilstm", "--postprocess",
+                   str(source), str(tmp_path / "pred.col")])
+        assert rc == 0
+        tagged = {b.source_id: b for b in read_tag_blocks(tmp_path / "pred.col")}
+        for block in test:
+            assert tagged[block.source_id].cue_tags == block.cue_tags
+            if block.source_id in scopes:
+                assert tagged[block.source_id].scope_tags == scopes[block.source_id]
+
     def test_raw_text_is_tokenized(self, experiment_run, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
         raw.write_text("the cells showed no growth.\n\n")
@@ -276,6 +311,34 @@ class TestPredict:
 
 
 class TestTrainCommands:
+    def test_max_len_cuts_training_instances_only(self, tmp_path):
+        corpus = tmp_path / "corpus.col"
+        instances = synthetic_instances(40, seed=6)  # 5 to 8 tokens each
+        write_column_file(corpus, instances)
+        cfg = tmp_path / "c.txt"
+        write_config(cfg, corpus, max_len=4, **{"cue.epochs": 1})
+        out = tmp_path / "run"
+        assert main(["train-cue", "--config", str(cfg), "--out", str(out)]) == 0
+
+        log = (out / "run.log").read_text()
+        train_size = int(log.split("split.train=")[1].split()[0])
+        assert f"train.max_len=4 train.cut_instances={train_size}" in log
+        full = {inst.sentence.source_id: inst for inst in instances}
+        pred = read_tag_blocks(out / "cue_test_pred.col")
+        gold = read_tag_blocks(out / "cue_test_gold.col")
+        assert pred and [b.tokens for b in pred] == [b.tokens for b in gold]
+        gold_cues = 0
+        for block in gold:
+            inst = full[block.source_id]
+            assert block.tokens == inst.sentence.tokens
+            assert block.cue_tags == tuple(inst.cue_tags())
+            gold_cues += sum(t != "NC" for t in block.cue_tags)
+        assert any(t != "NC" for b in gold for t in b.cue_tags[4:])  # cues past the cut
+        report = (out / "cue_test_report.txt").read_text()
+        assert report == evaluate_files(out / "cue_test_pred.col", out / "cue_test_gold.col").text
+        counts = dict(line.split("=") for line in report.splitlines())
+        assert int(counts["cue.tp"]) + int(counts["cue.fn"]) == gold_cues
+
     def test_train_cue_crf_variant_logs_viterbi(self, tmp_path):
         corpus = tmp_path / "corpus.col"
         write_column_file(corpus, synthetic_instances(16, seed=4))

@@ -11,13 +11,14 @@ import pytest
 from negscope.corpus import build_vocab, encode_instances
 from negscope.layers import CrfParams
 from negscope.models import Tagger, cue_config, scope_config
+from negscope.numerics import logsumexp
 from negscope.training import (
     AdamState,
     TrainConfig,
     TrainingDiverged,
     adam_step,
-    crf_nll,
     instance_loss_grads,
+    crf_nll,
     model_inputs,
     softmax_seq_grads,
     step_decay,
@@ -70,6 +71,20 @@ class TestSoftmaxSeqGrads:
         probs /= probs.sum(axis=0)
         assert loss == pytest.approx(6 * token_nll(probs.T, gold))
 
+    def test_matches_a_per_column_loop(self):
+        rng = np.random.default_rng(3)
+        scores = rng.normal(size=(4, 9)) * 20
+        gold = rng.integers(4, size=9)
+        loss, d_scores = softmax_seq_grads(scores, gold)
+        ref_loss, ref = 0.0, np.empty_like(scores)
+        for k in range(scores.shape[1]):
+            lse = logsumexp(scores[:, k])
+            ref_loss += lse - scores[gold[k], k]
+            ref[:, k] = np.exp(scores[:, k] - lse)
+            ref[gold[k], k] -= 1.0
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        np.testing.assert_allclose(d_scores, ref, rtol=1e-12, atol=1e-15)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         scores = rng.normal(size=(3, 5))
@@ -105,6 +120,7 @@ class TestFullModelGradients:
 
     @staticmethod
     def _check_all(tagger, ids, gold, bits=None):
+        """ids, gold, bits: one array per sentence of a batch."""
         _, _, grads = instance_loss_grads(tagger, ids, gold, bits)
         params = tagger.trainable_parameters()
         assert set(grads) == set(params)
@@ -123,12 +139,14 @@ class TestFullModelGradients:
 
     def test_trainable_embedding_softmax_model(self):
         tagger = Tagger.build(cue_config("emb-train", 6, 3, 2), np.random.default_rng(4))
-        self._check_all(tagger, np.array([1, 4, 0, 2]), np.array([0, 1, 1, 2]))
+        self._check_all(tagger, [np.array([1, 4, 0, 2]), np.array([4, 3])],
+                        [np.array([0, 1, 1, 2]), np.array([1, 0])])
 
     def test_two_input_bilstm_crf_model(self):
         tagger = Tagger.build(scope_config("bilstm-crf", 6, 3, 2), np.random.default_rng(5))
-        ids = np.array([2, 5, 1, 3])
-        self._check_all(tagger, ids, np.array([1, 2, 3, 0]), np.array([0, 1, 0, 0]))
+        ids = [np.array([2, 5, 1, 3]), np.array([4])]
+        self._check_all(tagger, ids, [np.array([1, 2, 3, 0]), np.array([2])],
+                        [np.array([0, 1, 0, 0]), np.array([1])])
 
 
 class TestAdam:
@@ -163,6 +181,28 @@ class TestAdam:
         state = AdamState.init(params)
         with pytest.raises(ValueError, match="dense.W"):
             adam_step(params, {"dense.W": np.array([[1.0, np.nan], [0, 0]])}, state, 0.1)
+
+    def test_in_place_update_is_bitwise_the_closed_form(self):
+        rng = np.random.default_rng(7)
+        params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
+        state = AdamState.init(params)
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v2 = {k: np.zeros_like(v) for k, v in params.items()}
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.01
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
+                     for k, p in params.items()}
+            adam_step(params, grads, state, lr)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v2[k] = b2 * v2[k] + (1 - b2) * g * g
+                m_hat = m[k] / (1 - b1 ** t)
+                v_hat = v2[k] / (1 - b2 ** t)
+                ref[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert np.array_equal(params[k], ref[k])
+                assert np.array_equal(state.m[k], m[k])
+                assert np.array_equal(state.v[k], v2[k])
 
     def test_descends_random_convex_quadratics(self):
         rng = np.random.default_rng(6)
