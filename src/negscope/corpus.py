@@ -1,13 +1,13 @@
 """Corpus IO: the column format, tokenization, vocabulary, embeddings,
-padding, and dataset splits.
+encoding, and dataset splits.
 
 The canonical corpus is a vertical text format. One line per token:
 
     token<TAB>cue_tag<TAB>scope_tag
 
-A blank line ends an instance; a line starting with '#' carries the
-instance id. One instance holds exactly one negation (or none), so a
-sentence with m cues appears as m consecutive instances.
+A blank line ends an instance; a line starting with '#' and holding no
+tab carries the instance id. One instance holds exactly one negation (or
+none), so a sentence with m cues appears as m consecutive instances.
 """
 from __future__ import annotations
 
@@ -117,6 +117,31 @@ def _split_chunk(chunk: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # column format
 
+def _column_blocks(path):
+    """Yield (source_id, [(lineno, line), ...]) per blank-line-separated
+    block. A line starting with '#' is an id line only if it holds no tab:
+    the first one before a block names it and later ones are comments.
+    Token rows always carry a tab, so a token may itself start with '#'."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    block: list[tuple[int, str]] = []
+    source_id = ""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip()
+        if line.startswith("#") and "\t" not in line:
+            if not block and not source_id:
+                source_id = line.lstrip("#").strip()
+            continue
+        if not line:
+            if block:
+                yield source_id, block
+                block, source_id = [], ""
+            continue
+        block.append((lineno, line))
+    if block:
+        yield source_id, block
+
+
 def parse_column_file(path) -> list[NegationInstance]:
     """Read and validate a gold corpus file.
 
@@ -125,26 +150,10 @@ def parse_column_file(path) -> list[NegationInstance]:
     length one, a cue outside its scope, a non-canonical scope column)
     is an error naming the first offending line.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-
-    instances: list[NegationInstance] = []
-    block: list[tuple[int, str]] = []
-    source_id = ""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip()
-        if line.startswith("#"):
-            if not block and not source_id:
-                source_id = line.lstrip("#").strip()
-            continue
-        if not line:
-            if block:
-                instances.append(_decode_block(path, block, source_id))
-                block, source_id = [], ""
-            continue
-        block.append((lineno, line))
-    if block:
-        instances.append(_decode_block(path, block, source_id))
+    instances = [
+        _decode_block(path, block, source_id)
+        for source_id, block in _column_blocks(path)
+    ]
     if not instances:
         raise CorpusError(f"{path}: no instances found")
     return instances
@@ -233,48 +242,23 @@ def read_tag_blocks(path) -> list[TagBlock]:
     """Read a 2-column (token, cue) or 3-column (token, cue, scope) file
     without enforcing gold well-formedness. Tags must still come from the
     alphabets and the column count must be uniform per block."""
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-
     blocks: list[TagBlock] = []
-    rows: list[tuple[int, list[str]]] = []
-    source_id = ""
-
-    def flush():
-        nonlocal rows, source_id
-        if not rows:
-            return
+    for source_id, block in _column_blocks(path):
+        rows = [(lineno, line.split("\t")) for lineno, line in block]
         widths = {len(cols) for _, cols in rows}
         if widths not in ({2}, {3}):
-            lineno = rows[0][0]
-            raise CorpusError(f"{path}:{lineno}: ragged block, need 2 or 3 columns")
-        tokens, ctags, stags = [], [], []
+            raise CorpusError(f"{path}:{rows[0][0]}: ragged block, need 2 or 3 columns")
         for lineno, cols in rows:
             if cols[1] not in CUE_TAG_IDS:
                 raise CorpusError(f"{path}:{lineno}: unknown cue tag {cols[1]!r}")
             if len(cols) == 3 and cols[2] not in SCOPE_TAG_IDS:
                 raise CorpusError(f"{path}:{lineno}: unknown scope tag {cols[2]!r}")
-            tokens.append(cols[0])
-            ctags.append(cols[1])
-            if len(cols) == 3:
-                stags.append(cols[2])
         blocks.append(TagBlock(
-            source_id, tuple(tokens), tuple(ctags),
-            tuple(stags) if stags else None,
+            source_id,
+            tuple(cols[0] for _, cols in rows),
+            tuple(cols[1] for _, cols in rows),
+            tuple(cols[2] for _, cols in rows) if widths == {3} else None,
         ))
-        rows, source_id = [], ""
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip()
-        if line.startswith("#"):
-            if not rows and not source_id:
-                source_id = line.lstrip("#").strip()
-            continue
-        if not line:
-            flush()
-            continue
-        rows.append((lineno, line.split("\t")))
-    flush()
     if not blocks:
         raise CorpusError(f"{path}: no instances found")
     return blocks
@@ -392,20 +376,7 @@ def load_embedding_file(path, vocab: Vocabulary, expected_dim: int | None = None
 
 
 # ---------------------------------------------------------------------------
-# padding and encoding
-
-def pad_truncate(values, max_len: int, pad_value):
-    """Clamp a sequence to max_len and pad with pad_value.
-
-    Returns (padded list of length max_len, 0/1 mask). Positions below
-    min(len(values), max_len) are passed through untouched.
-    """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    kept = list(values[:max_len])
-    mask = [1] * len(kept) + [0] * (max_len - len(kept))
-    return kept + [pad_value] * (max_len - len(kept)), mask
-
+# encoding
 
 def clip_annotation(annotation: NegationAnnotation, max_len: int) -> NegationAnnotation:
     """Restrict an annotation to the first max_len tokens. If truncation
@@ -421,18 +392,15 @@ def clip_annotation(annotation: NegationAnnotation, max_len: int) -> NegationAnn
 
 @dataclass
 class EncodedInstance:
-    """Arrays the models consume, padded to max_len (the sentence length
-    when there is no cut) with a 0/1 mask. `n` is the real token count and
-    tag fields hold the clipped gold."""
+    """Arrays the models consume, one entry per token of `tokens`; the tag
+    fields hold the (clipped) gold."""
 
     source_id: str
     tokens: tuple[str, ...]
-    token_ids: np.ndarray  # (max_len,) int64
-    cue_label_ids: np.ndarray  # (max_len,) int64
-    scope_label_ids: np.ndarray  # (max_len,) int64
-    cue_bits: np.ndarray  # (max_len,) int64
-    mask: np.ndarray  # (max_len,) int64
-    n: int
+    token_ids: np.ndarray  # (len(tokens),) int64
+    cue_label_ids: np.ndarray  # (len(tokens),) int64
+    scope_label_ids: np.ndarray  # (len(tokens),) int64
+    cue_bits: np.ndarray  # (len(tokens),) int64
     cue_tags: tuple[str, ...]
     scope_tags: tuple[str, ...]
     annotation: NegationAnnotation
@@ -445,30 +413,21 @@ class EncodedInstance:
 def encode_instance(
     inst: NegationInstance, vocab: Vocabulary, max_len: int | None = None
 ) -> EncodedInstance:
-    """Cut to max_len tokens (clipping the annotation) and pad to it;
-    max_len=None keeps the whole sentence."""
-    if max_len is None:
-        max_len = len(inst.sentence.tokens)
+    """Cut to max_len tokens, clipping the annotation; max_len=None keeps
+    the whole sentence."""
+    if max_len is not None and max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     tokens = inst.sentence.tokens[:max_len]
-    n = len(tokens)
-    ann = clip_annotation(inst.annotation, max_len)
-    ctags = derive_cue_tags(ann, n)
-    stags = derive_scope_tags(ann, n)
-    ids = [vocab.lookup(t) for t in tokens]
-
-    token_ids, mask = pad_truncate(ids, max_len, vocab.oov_index)
-    cue_ids, _ = pad_truncate([CUE_TAG_IDS[t] for t in ctags], max_len, 0)
-    scope_ids, _ = pad_truncate([SCOPE_TAG_IDS[t] for t in stags], max_len, 0)
-    bits, _ = pad_truncate(cue_vector(ctags), max_len, 0)
+    ann = clip_annotation(inst.annotation, len(tokens))
+    ctags = derive_cue_tags(ann, len(tokens))
+    stags = derive_scope_tags(ann, len(tokens))
     return EncodedInstance(
         inst.sentence.source_id,
         tokens,
-        np.array(token_ids, dtype=np.int64),
-        np.array(cue_ids, dtype=np.int64),
-        np.array(scope_ids, dtype=np.int64),
-        np.array(bits, dtype=np.int64),
-        np.array(mask, dtype=np.int64),
-        n,
+        np.array([vocab.lookup(t) for t in tokens], dtype=np.int64),
+        np.array([CUE_TAG_IDS[t] for t in ctags], dtype=np.int64),
+        np.array([SCOPE_TAG_IDS[t] for t in stags], dtype=np.int64),
+        np.array(cue_vector(ctags), dtype=np.int64),
         tuple(ctags),
         tuple(stags),
         ann,
@@ -495,16 +454,14 @@ class DatasetSplit:
         return iter((self.train, self.validation, self.test))
 
 
-def split_dataset(instances, ratios=(0.70, 0.15, 0.15), seed: int = 0) -> DatasetSplit:
-    """Shuffle once with the seed, then slice contiguously. Counts follow
-    largest-remainder rounding so they always sum to the corpus size."""
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1) > 1e-9:
-        raise ValueError(f"ratios must be 3 non-negative values summing to 1: {ratios}")
+def split_dataset(instances, seed: int = 0) -> DatasetSplit:
+    """Shuffle once with the seed, then slice contiguously 70/15/15. Counts
+    follow largest-remainder rounding so they always sum to the corpus size."""
     total = len(instances)
     if total < 3:
         raise ValueError(f"need at least 3 instances to split, got {total}")
 
-    exact = [r * total for r in ratios]
+    exact = [r * total for r in (0.70, 0.15, 0.15)]
     counts = [int(np.floor(x)) for x in exact]
     leftover = total - sum(counts)
     by_fraction = sorted(range(3), key=lambda i: (-(exact[i] - counts[i]), i))
@@ -517,16 +474,15 @@ def split_dataset(instances, ratios=(0.70, 0.15, 0.15), seed: int = 0) -> Datase
     return DatasetSplit(shuffled[:a], shuffled[a:b], shuffled[b:], seed)
 
 
-def corpus_stats(instances, covered_tokens: set[str] | None = None) -> dict:
-    """Instance counts, negation fraction, and token-occurrence OOV rate
-    against an embedding vocabulary (when one is supplied)."""
+def corpus_stats(instances) -> dict:
+    """Instance, sentence and token counts and the negation fraction."""
     negation = sum(1 for inst in instances if inst.is_negation)
     tokens = [t for inst in instances for t in inst.sentence.tokens]
     # a sentence with several negations appears as several instances
     sentences = len({
         inst.sentence.source_id or inst.sentence.tokens for inst in instances
     })
-    stats = {
+    return {
         "instances": len(instances),
         "sentences": sentences,
         "negation_instances": negation,
@@ -534,7 +490,3 @@ def corpus_stats(instances, covered_tokens: set[str] | None = None) -> dict:
         "tokens": len(tokens),
         "distinct_tokens": len(set(tokens)),
     }
-    if covered_tokens is not None:
-        oov = sum(1 for t in tokens if t not in covered_tokens)
-        stats["oov_rate"] = oov / len(tokens) if tokens else 0.0
-    return stats

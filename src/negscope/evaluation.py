@@ -44,20 +44,15 @@ def _finish(tp: int, fp: int, fn: int, tn: int) -> TokenMetrics:
     return TokenMetrics(tp, fp, fn, tn, precision, recall, f1)
 
 
-def _token_confusion(preds, golds, positive, masks=None) -> TokenMetrics:
+def _token_confusion(preds, golds, positive) -> TokenMetrics:
     if len(preds) != len(golds):
         raise ValueError(f"{len(preds)} predictions vs {len(golds)} gold sequences")
-    if masks is not None and len(masks) != len(preds):
-        raise ValueError("masks must align with predictions")
     tp = fp = fn = tn = 0
     for i, (pred, gold) in enumerate(zip(preds, golds)):
         if len(pred) != len(gold):
             raise ValueError(f"instance {i}: {len(pred)} predicted tags vs {len(gold)} gold")
-        mask = None if masks is None else masks[i]
-        for k in range(len(pred)):
-            if mask is not None and not mask[k]:
-                continue
-            p, g = pred[k] in positive, gold[k] in positive
+        for pred_tag, gold_tag in zip(pred, gold):
+            p, g = pred_tag in positive, gold_tag in positive
             if p and g:
                 tp += 1
             elif p:
@@ -69,14 +64,14 @@ def _token_confusion(preds, golds, positive, masks=None) -> TokenMetrics:
     return _finish(tp, fp, fn, tn)
 
 
-def cue_token_metrics(preds, golds, masks=None) -> TokenMetrics:
+def cue_token_metrics(preds, golds) -> TokenMetrics:
     """Binary token metrics with {C, MC} as the positive class."""
-    return _token_confusion(preds, golds, ("C", "MC"), masks)
+    return _token_confusion(preds, golds, ("C", "MC"))
 
 
-def scope_token_metrics(preds, golds, masks=None) -> TokenMetrics:
+def scope_token_metrics(preds, golds) -> TokenMetrics:
     """Binary token metrics with in-scope {B, C, A} as the positive class."""
-    return _token_confusion(preds, golds, ("B", "C", "A"), masks)
+    return _token_confusion(preds, golds, ("B", "C", "A"))
 
 
 def pecm(preds, golds) -> float:
@@ -164,12 +159,12 @@ class ScopeReport:
         ]
 
 
-def evaluate_cue(preds, golds, masks=None) -> CueReport:
-    return CueReport(cue_token_metrics(preds, golds, masks), pecm(preds, golds))
+def evaluate_cue(preds, golds) -> CueReport:
+    return CueReport(cue_token_metrics(preds, golds), pecm(preds, golds))
 
 
-def evaluate_scope(preds, golds, masks=None) -> ScopeReport:
-    return ScopeReport(scope_token_metrics(preds, golds, masks), pcs(preds, golds), pcp(preds))
+def evaluate_scope(preds, golds) -> ScopeReport:
+    return ScopeReport(scope_token_metrics(preds, golds), pcs(preds, golds), pcp(preds))
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,6 @@ import numpy as np
 Array = np.ndarray
 
 
-def as_matrix(a, rows: int | None = None, cols: int | None = None) -> Array:
-    """Validate and return `a` as a 2-d float64 array."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if rows is not None and m.shape[0] != rows:
-        raise ValueError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ValueError(f"expected {cols} cols, got {m.shape[1]}")
-    return np.ascontiguousarray(m)
-
-
 def as_vector(a, length: int | None = None) -> Array:
     """Validate and return `a` as a 1-d float64 array."""
     v = np.asarray(a, dtype=np.float64)
@@ -35,15 +23,6 @@ def as_vector(a, length: int | None = None) -> Array:
     return v
 
 
-def matvec(m: Array, v: Array) -> Array:
-    """m (r, c) @ v (c,) -> (r,). Shape mismatch is a hard error."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ValueError(f"matvec shape mismatch: {m.shape} @ {v.shape}")
-    return m @ v
-
-
 def sigmoid(x):
     """Elementwise 1 / (1 + e^-x). With e = e^-|x| this is 1 / (1 + e) for
     x >= 0 and e / (1 + e) below, so exp never overflows."""
@@ -51,21 +30,6 @@ def sigmoid(x):
     e = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
-
-
-def tanh_act(x):
-    """Elementwise tanh."""
-    out = np.tanh(np.asarray(x, dtype=np.float64))
-    return out if out.ndim else float(out)
-
-
-def softmax_probs(scores: Array) -> Array:
-    """Softmax over a 1-d score vector, max-subtracted for stability."""
-    s = as_vector(scores)
-    if s.size == 0:
-        raise ValueError("softmax of an empty vector")
-    e = np.exp(s - np.max(s))
-    return e / np.sum(e)
 
 
 def logsumexp(scores: Array) -> float:

@@ -420,7 +420,7 @@ def build_scope_tagger(config: ExperimentConfig, variant: str, vocab_size: int,
 
 
 def predict_cues(tagger: Tagger, data) -> list[list[str]]:
-    return tagger.predict_tags([inst.token_ids[:inst.n] for inst in data])
+    return tagger.predict_tags([inst.token_ids for inst in data])
 
 
 def predict_scopes(tagger: Tagger, token_ids, cue_tags, smooth: bool) -> list[list[str]]:
@@ -541,7 +541,7 @@ def cmd_train_scope(args) -> int:
                 emit(f"pred_cues id={inst.source_id} "
                      f"bits={''.join(str(b) for b in cue_vector(ctags))}")
         scope_rows = predict_scopes(
-            tagger, [inst.token_ids[:inst.n] for inst in subset], cue_rows, smooth
+            tagger, [inst.token_ids for inst in subset], cue_rows, smooth
         )
         gold_path = out / f"scope_{name}_gold.col"
         write_blocks(gold_path, [
@@ -616,7 +616,7 @@ def cmd_experiment(args) -> int:
             cue_rows = [list(test[i].cue_tags) if condition == "gold" else pred_tags[i]
                         for i in indices]
             scope_rows = predict_scopes(
-                tagger, [test[i].token_ids[:test[i].n] for i in indices], cue_rows, smooth
+                tagger, [test[i].token_ids for i in indices], cue_rows, smooth
             )
             result = write_and_score(out, f"scope_{variant}_{condition}cue", [
                 (test[i].source_id, test[i].tokens, ctags, stags)
@@ -695,6 +695,8 @@ def cmd_predict(args) -> int:
     if args.raw:
         text = Path(args.input).read_text(encoding="utf-8")
         sentences = [tokenize(line) for line in text.splitlines() if line.strip()]
+        if not sentences:
+            raise CorpusError(f"{args.input}: no sentences found")
         log.info("tokenized %d raw sentences from %s", len(sentences), args.input)
         blocks_in = [("", tuple(tokens), None) for tokens in sentences]
     else:

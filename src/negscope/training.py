@@ -2,7 +2,7 @@
 
 Loss is the per-token mean NLL within a batch: the softmax head sums
 per-token cross-entropy, the CRF head contributes its sequence NLL, and
-either sum is divided by the batch's real (unmasked) token count. Runs
+either sum is divided by the batch's token count. Runs
 are deterministic given the seed: init, shuffles, and updates all flow
 from it.
 """
@@ -23,12 +23,11 @@ log = logging.getLogger("negscope.training")
 # ---------------------------------------------------------------------------
 # losses
 
-def token_nll(probs, gold, mask=None) -> float:
-    """Mean negative log probability of the gold label per real token.
+def token_nll(probs, gold) -> float:
+    """Mean negative log probability of the gold label per token.
 
-    probs is (n, L) with rows summing to 1; mask (0/1, length n) drops
-    padded positions. Probabilities are clamped at 1e-12 before the log
-    and a clamp is reported as a warning.
+    probs is (n, L) with rows summing to 1. Probabilities are clamped at
+    1e-12 before the log and a clamp is reported as a warning.
     """
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(gold)
@@ -36,21 +35,13 @@ def token_nll(probs, gold, mask=None) -> float:
         raise ValueError(f"probs {p.shape} do not match {y.shape} gold labels")
     if not np.allclose(p.sum(axis=1), 1.0, atol=1e-6):
         raise ValueError("probability rows must sum to 1")
-    keep = np.ones(p.shape[0], dtype=bool) if mask is None else np.asarray(mask) == 1
-    if not keep.any():
-        raise ValueError("mask keeps no positions")
-    picked = p[np.arange(p.shape[0]), y][keep]
+    if not p.shape[0]:
+        raise ValueError("no tokens to score")
+    picked = p[np.arange(p.shape[0]), y]
     if (picked < 1e-12).any():
         log.warning("clamped %d gold probabilities below 1e-12", int((picked < 1e-12).sum()))
         picked = np.maximum(picked, 1e-12)
     return float(-np.log(picked).mean())
-
-
-def crf_nll(emissions, crf, gold) -> float:
-    """Sequence-level CRF negative log likelihood, always >= 0."""
-    from .layers import crf_log_partition, crf_score
-
-    return crf_log_partition(emissions, crf) - crf_score(emissions, crf, gold)
 
 
 def softmax_seq_grads(scores, gold) -> tuple[float, np.ndarray]:
@@ -215,22 +206,13 @@ class TrainingDiverged(RuntimeError):
         self.history = history
 
 
-def model_inputs(tagger: Tagger, inst) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(token ids, gold label ids, cue bits or None) for one encoded instance,
-    sliced to the real length."""
-    n = inst.n
-    ids = inst.token_ids[:n]
-    if tagger.config.task == "cue":
-        return ids, inst.cue_label_ids[:n], None
-    return ids, inst.scope_label_ids[:n], inst.cue_bits[:n]
-
-
 def batch_inputs(tagger: Tagger, data) -> tuple[list, list, list | None]:
-    """model_inputs over encoded instances, as per-sentence lists; the cue
-    bits are None for the cue task."""
-    rows = [model_inputs(tagger, inst) for inst in data]
-    ids, gold, bits = ([row[k] for row in rows] for k in range(3))
-    return ids, gold, None if tagger.config.task == "cue" else bits
+    """(token ids, gold label ids, cue bits) of encoded instances, as
+    per-sentence lists; the cue bits are None for the cue task."""
+    ids = [inst.token_ids for inst in data]
+    if tagger.config.task == "cue":
+        return ids, [inst.cue_label_ids for inst in data], None
+    return ids, [inst.scope_label_ids for inst in data], [inst.cue_bits for inst in data]
 
 
 def token_f1_score(tagger: Tagger, data) -> float:
@@ -246,13 +228,12 @@ def token_f1_score(tagger: Tagger, data) -> float:
 
 
 def train(tagger: Tagger, train_data, val_data, config: TrainConfig,
-          log_line=None, on_best=None, val_scorer=None) -> TrainHistory:
+          log_line=None, val_scorer=None) -> TrainHistory:
     """Adam over shuffled mini-batches with step-decayed learning rate.
 
     Validation token F1 is scored each epoch; with early stopping on,
     `patience` epochs without improvement stop the run and the best
     epoch's parameters are restored (a NaN score never improves).
-    `on_best(tagger)` fires whenever a new best epoch is recorded.
     """
     if not train_data:
         raise ValueError("empty training set")
@@ -299,8 +280,6 @@ def train(tagger: Tagger, train_data, val_data, config: TrainConfig,
                 best_snapshot = tagger.snapshot()
                 history.best_epoch = epoch
                 since_best = 0
-                if on_best is not None:
-                    on_best(tagger)
             else:
                 since_best += 1
                 if since_best >= config.patience:

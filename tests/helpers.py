@@ -1,15 +1,16 @@
 """Shared test oracles: brute-force CRF enumeration, a scalar LSTM cell
-written without numpy, gradient-check plumbing, and a synthetic corpus
-builder. Everything here recomputes results independently of the package
-code under test."""
+written without numpy, gradient-check plumbing, a synthetic corpus
+builder, and hypothesis strategies for column-file contents. Everything
+here recomputes results independently of the package code under test."""
 from __future__ import annotations
 
 import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
-from negscope.labeling import NegationAnnotation
+from negscope.labeling import CUE_TAGS, SCOPE_TAGS, NegationAnnotation
 from negscope.numerics import finite_diff_grad
 
 # ---------------------------------------------------------------------------
@@ -156,3 +157,51 @@ def synthetic_instances(count: int, seed: int = 0):
             ann = NegationAnnotation((0, 2), (0, 5))
         out.append(NegationInstance(Sentence(tuple(tokens), f"synth.{idx}"), ann))
     return out
+
+
+# ---------------------------------------------------------------------------
+# hypothesis strategies for column files
+
+def _no_space(text: str) -> bool:
+    return not any(c.isspace() for c in text)
+
+
+# any whitespace-free text; a leading '#' must not turn a row into an id
+_WORDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                 max_size=5).filter(_no_space)
+_TOKENS = st.one_of(_WORDS, _WORDS.map(lambda t: "#" + t), st.just("#"))
+_SOURCE_IDS = st.one_of(st.just(""), _WORDS.filter(lambda t: not t.startswith("#")))
+
+
+@st.composite
+def gold_instances(draw):
+    """A NegationInstance with arbitrary tokens and a well-formed
+    annotation: an assertion, a cue without scope, or a cue inside its
+    scope."""
+    from negscope.corpus import NegationInstance, Sentence
+
+    tokens = tuple(draw(st.lists(_TOKENS, min_size=1, max_size=8)))
+    n = len(tokens)
+    shape = draw(st.sampled_from(("assertion", "cue", "scope")))
+    ann = NegationAnnotation()
+    if shape != "assertion":
+        left = draw(st.integers(0, n - 1))
+        right = draw(st.integers(left, n - 1))
+        cues = draw(st.lists(st.integers(left, right), min_size=1, unique=True))
+        ann = NegationAnnotation(tuple(cues), (left, right) if shape == "scope" else None)
+    return NegationInstance(Sentence(tokens, draw(_SOURCE_IDS)), ann)
+
+
+@st.composite
+def tag_rows(draw, with_scope: bool, tokens=None):
+    """(source_id, tokens, cue_tags, scope_tags or None) with arbitrary,
+    possibly ill-formed tags, as prediction files may hold; `tokens`
+    fixes the sentence."""
+    if tokens is None:
+        tokens = tuple(draw(st.lists(_TOKENS, min_size=1, max_size=8)))
+    n = len(tokens)
+    ctags = tuple(draw(st.lists(st.sampled_from(CUE_TAGS), min_size=n, max_size=n)))
+    stags = None
+    if with_scope:
+        stags = tuple(draw(st.lists(st.sampled_from(SCOPE_TAGS), min_size=n, max_size=n)))
+    return draw(_SOURCE_IDS), tokens, ctags, stags

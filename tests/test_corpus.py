@@ -1,23 +1,27 @@
-"""Column-format IO, tokenizer, vocabulary, embeddings, padding, splits."""
+"""Column-format IO, tokenizer, vocabulary, embeddings, encoding, splits."""
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import synthetic_instances
+from helpers import gold_instances, synthetic_instances, tag_rows
 from negscope.corpus import (
     CorpusError,
     NegationInstance,
     Sentence,
+    TagBlock,
     Vocabulary,
     build_vocab,
     clip_annotation,
     corpus_stats,
     encode_instance,
+    format_column_blocks,
     load_embedding_file,
-    pad_truncate,
     parse_column_file,
     read_tag_blocks,
     split_dataset,
@@ -70,6 +74,13 @@ class TestTokenize:
         assert tokenize("IL-2, IL-10; p53.") == [
             "IL-2", ",", "IL-10", ";", "p53", ".",
         ]
+
+    @given(st.text(st.sampled_from(" \t\n.,;:!?()[]{}\"'#-+<>aZ0")))
+    @settings(max_examples=300)
+    def test_never_yields_an_empty_or_spaced_token(self, text):
+        tokens = tokenize(text)
+        assert all(t and not any(c.isspace() for c in t) for t in tokens)
+        assert "".join(tokens) == "".join(text.split())
 
 
 class TestParse:
@@ -164,6 +175,58 @@ class TestParse:
         assert block.scope_tags is None
         assert block.cue_tags == ("C", "NC")
 
+    def test_read_tag_blocks_errors_name_the_line(self, tmp_path):
+        path = tmp_path / "pred.tsv"
+        cases = [
+            ("a\tC\n\nb\tNC\tO\nc\tNC\n", r":3: ragged block, need 2 or 3 columns"),
+            ("a\tC\tO\nb\tX\tO\n", r":2: unknown cue tag 'X'"),
+            ("# s\na\tC\tZ\n", r":2: unknown scope tag 'Z'"),
+            ("# only an id\n\n", r"no instances found"),
+        ]
+        for text, message in cases:
+            path.write_text(text)
+            with pytest.raises(CorpusError, match=message):
+                read_tag_blocks(path)
+
+    def test_hash_tokens_are_rows_not_ids(self, tmp_path):
+        # a '#' line with a tab is a token row, inside a block or opening one
+        path = tmp_path / "corpus.tsv"
+        path.write_text("# s1\npatient\tNC\tO\n#3\tNC\tO\nhad\tNC\tO\n\n"
+                        "#3\tNC\tO\nhad\tNC\tO\n\n# s3\n# a comment\nno\tC\tC\n")
+        sentences = [inst.sentence for inst in parse_column_file(path)]
+        assert sentences == [Sentence(("patient", "#3", "had"), "s1"),
+                             Sentence(("#3", "had"), ""), Sentence(("no",), "s3")]
+        assert [(b.source_id, b.tokens) for b in read_tag_blocks(path)] == \
+            [(s.source_id, s.tokens) for s in sentences]
+
+
+class TestRoundTrip:
+    """format -> parse through both readers on arbitrary whitespace-free
+    tokens, '#'-prefixed ones included."""
+
+    @given(st.lists(gold_instances(), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_gold_file_round_trips_through_both_readers(self, instances):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.col"
+            write_column_file(path, instances)
+            assert parse_column_file(path) == instances
+            assert read_tag_blocks(path) == [
+                TagBlock(i.sentence.source_id, i.sentence.tokens,
+                         tuple(i.cue_tags()), tuple(i.scope_tags()))
+                for i in instances
+            ]
+
+    @given(st.booleans().flatmap(
+        lambda scope: st.lists(tag_rows(scope), min_size=1, max_size=4)
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_prediction_file_round_trips(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pred.col"
+            path.write_text(format_column_blocks(rows), encoding="utf-8")
+            assert read_tag_blocks(path) == [TagBlock(*row) for row in rows]
+
 
 class TestVocabulary:
     def test_reference_sentence_size(self, tmp_path):
@@ -233,28 +296,7 @@ class TestEmbeddingFile:
 
 
 class TestPadTruncate:
-    def test_pads_short_sequence(self):
-        padded, mask = pad_truncate([5, 6, 7], 6, 0)
-        assert padded == [5, 6, 7, 0, 0, 0]
-        assert mask == [1, 1, 1, 0, 0, 0]
-
-    def test_truncates_long_sequence(self):
-        padded, mask = pad_truncate(list(range(10)), 4, -1)
-        assert padded == [0, 1, 2, 3]
-        assert mask == [1, 1, 1, 1]
-
-    def test_exact_length(self):
-        padded, mask = pad_truncate([1, 2], 2, 0)
-        assert padded == [1, 2] and mask == [1, 1]
-
-    @given(st.lists(st.integers(0, 9), min_size=1, max_size=40), st.integers(1, 30))
-    @settings(max_examples=150)
-    def test_kept_positions_are_untouched(self, values, max_len):
-        padded, mask = pad_truncate(values, max_len, -7)
-        keep = min(len(values), max_len)
-        assert padded[:keep] == values[:keep]
-        assert sum(mask) == keep
-        assert len(padded) == len(mask) == max_len
+    """Cutting to max_len: the annotation is clipped with the tokens."""
 
     def test_clip_annotation_trims_scope(self):
         ann = NegationAnnotation((96,), (95, 102))
@@ -272,19 +314,25 @@ class TestPadTruncate:
 
 
 class TestEncode:
-    def test_arrays_and_mask(self):
+    def test_arrays_are_unpadded(self):
         inst = NegationInstance(
             Sentence(("a", "b", "no", "c"), "s"), NegationAnnotation((2,), (2, 3))
         )
         vocab = build_vocab([inst])
         enc = encode_instance(inst, vocab, max_len=6)
-        assert enc.n == 4
-        assert enc.mask.tolist() == [1, 1, 1, 1, 0, 0]
-        assert enc.token_ids.tolist() == [1, 2, 3, 4, 0, 0]
-        assert enc.cue_bits.tolist() == [0, 0, 1, 0, 0, 0]
+        assert enc.tokens == ("a", "b", "no", "c")
+        assert enc.token_ids.tolist() == [1, 2, 3, 4]
+        assert enc.cue_label_ids.tolist() == [0, 0, 1, 0]
+        assert enc.cue_bits.tolist() == [0, 0, 1, 0]
         assert enc.cue_tags == ("NC", "NC", "C", "NC")
         assert enc.scope_tags == ("O", "O", "C", "A")
-        assert enc.scope_label_ids.tolist()[:4] == [0, 0, 2, 3]
+        assert enc.scope_label_ids.tolist() == [0, 0, 2, 3]
+        assert encode_instance(inst, vocab).token_ids.tolist() == [1, 2, 3, 4]
+
+    def test_max_len_below_one_is_an_error(self):
+        inst = NegationInstance(Sentence(("a", "b"), "s"))
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            encode_instance(inst, build_vocab([inst]), max_len=0)
 
     def test_truncation_clips_gold(self):
         tokens = tuple(f"t{i}" for i in range(8))
@@ -293,7 +341,7 @@ class TestEncode:
         )
         vocab = build_vocab([inst])
         enc = encode_instance(inst, vocab, max_len=6)
-        assert enc.n == 6
+        assert enc.tokens == tokens[:6] and len(enc.token_ids) == 6
         assert enc.annotation.scope == (3, 5)
         assert enc.scope_tags == ("O", "O", "O", "C", "A", "A")
 
@@ -326,22 +374,14 @@ class TestSplit:
         with pytest.raises(ValueError, match="at least 3"):
             split_dataset([1, 2], seed=0)
 
-    def test_bad_ratios_are_an_error(self):
-        with pytest.raises(ValueError):
-            split_dataset(list(range(10)), ratios=(0.5, 0.5, 0.5), seed=0)
-
 
 class TestStats:
-    def test_negation_fraction_and_oov(self):
+    def test_negation_fraction_and_counts(self):
         instances = synthetic_instances(8, seed=0)  # kinds cycle, 2 assertions
-        stats = corpus_stats(instances, covered_tokens={"the", "no", "."})
+        stats = corpus_stats(instances)
         assert stats["instances"] == 8
         assert stats["negation_instances"] == 6
         assert stats["negation_fraction"] == pytest.approx(0.75)
-        assert 0.0 < stats["oov_rate"] < 1.0
-
-    def test_oov_rate_zero_when_fully_covered(self):
-        instances = synthetic_instances(4, seed=0)
-        all_tokens = {t for i in instances for t in i.sentence.tokens}
-        stats = corpus_stats(instances, covered_tokens=all_tokens)
-        assert stats["oov_rate"] == 0.0
+        tokens = [t for i in instances for t in i.sentence.tokens]
+        assert stats["tokens"] == len(tokens)
+        assert stats["distinct_tokens"] == len(set(tokens))

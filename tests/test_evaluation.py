@@ -55,14 +55,6 @@ class TestTokenMetrics:
         m = cue_token_metrics([["C", "NC"]], [["NC", "C"]])
         assert m.precision == 0.0 and m.recall == 0.0 and m.f1 == 0.0
 
-    def test_mask_excludes_padding(self):
-        preds = [["C", "C", "C"]]
-        golds = [["C", "NC", "C"]]
-        full = cue_token_metrics(preds, golds)
-        masked = cue_token_metrics(preds, golds, masks=[[1, 1, 0]])
-        assert (full.tp, full.fp) == (2, 1)
-        assert (masked.tp, masked.fp) == (1, 1)
-
     def test_misaligned_inputs_are_errors(self):
         with pytest.raises(ValueError, match="predictions vs"):
             cue_token_metrics([["C"]], [["C"], ["NC"]])

@@ -10,16 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negscope.numerics import (
-    as_matrix,
-    as_vector,
-    finite_diff_grad,
-    logsumexp,
-    matvec,
-    sigmoid,
-    softmax_probs,
-    tanh_act,
-)
+from negscope.numerics import as_vector, finite_diff_grad, logsumexp, sigmoid
 
 rng = np.random.default_rng(42)
 
@@ -51,51 +42,6 @@ class TestActivations:
         assert np.array_equal(sigmoid(x), ref)
         assert np.array_equal(sigmoid(x.reshape(-1, 7)[:, 2:5]), ref.reshape(-1, 7)[:, 2:5])
 
-    def test_tanh_frozen_values(self):
-        assert tanh_act(0.0) == 0.0
-        assert tanh_act(1.0) == pytest.approx(0.7615941559557649, abs=1e-12)
-
-    def test_tanh_relates_to_sigmoid(self):
-        # tanh(x) = 2 sigmoid(2x) - 1
-        x = rng.normal(size=200) * 3
-        np.testing.assert_allclose(tanh_act(x), 2 * sigmoid(2 * x) - 1, atol=1e-12)
-
-
-class TestSoftmax:
-    def test_frozen_values(self):
-        p = softmax_probs(np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(
-            p, [0.09003057317038046, 0.24472847105479767, 0.6652409557748219], atol=1e-10
-        )
-
-    def test_uniform_on_equal_scores(self):
-        np.testing.assert_allclose(softmax_probs(np.zeros(4)), 0.25, atol=1e-15)
-
-    def test_sums_to_one(self):
-        for _ in range(50):
-            p = softmax_probs(rng.normal(size=rng.integers(1, 12)) * 10)
-            assert abs(p.sum() - 1.0) <= 1e-12
-            assert np.all(p >= 0)
-
-    @given(
-        st.lists(st.floats(-50, 50), min_size=1, max_size=8),
-        st.floats(-100, 100),
-    )
-    @settings(max_examples=100)
-    def test_shift_invariance(self, scores, shift):
-        a = softmax_probs(np.array(scores))
-        b = softmax_probs(np.array(scores) + shift)
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_no_overflow_on_large_scores(self):
-        p = softmax_probs(np.array([1000.0, 1001.0, 999.0]))
-        assert np.all(np.isfinite(p))
-        assert abs(p.sum() - 1.0) <= 1e-12
-
-    def test_empty_is_an_error(self):
-        with pytest.raises(ValueError):
-            softmax_probs(np.array([]))
-
 
 class TestLogsumexp:
     def test_frozen_value(self):
@@ -126,41 +72,7 @@ class TestLogsumexp:
         )
 
 
-class TestMatvec:
-    def test_hand_case(self):
-        out = matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
-        np.testing.assert_allclose(out, [3.0, 7.0], atol=0)
-
-    def test_identity(self):
-        v = rng.normal(size=6)
-        np.testing.assert_allclose(matvec(np.eye(6), v), v, atol=0)
-
-    def test_zero_matrix(self):
-        np.testing.assert_allclose(matvec(np.zeros((3, 5)), rng.normal(size=5)), 0.0)
-
-    def test_linearity(self):
-        m = rng.normal(size=(4, 7))
-        u, v = rng.normal(size=7), rng.normal(size=7)
-        np.testing.assert_allclose(
-            matvec(m, 2 * u + v), 2 * matvec(m, u) + matvec(m, v), atol=1e-12
-        )
-
-    def test_shape_mismatch_is_an_error(self):
-        with pytest.raises(ValueError):
-            matvec(np.zeros((3, 4)), np.zeros(5))
-        with pytest.raises(ValueError):
-            matvec(np.zeros(4), np.zeros(4))
-
-
 class TestValidators:
-    def test_as_matrix_enforces_shape(self):
-        m = as_matrix([[1, 2], [3, 4]], rows=2, cols=2)
-        assert m.dtype == np.float64 and m.flags["C_CONTIGUOUS"]
-        with pytest.raises(ValueError):
-            as_matrix([1.0, 2.0])
-        with pytest.raises(ValueError):
-            as_matrix([[1.0, 2.0]], rows=2)
-
     def test_as_vector_enforces_shape(self):
         v = as_vector([1, 2, 3], length=3)
         assert v.dtype == np.float64

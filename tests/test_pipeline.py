@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import math
 import shutil
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import negscope.models as models
 from negscope.corpus import (
@@ -18,6 +22,7 @@ from negscope.corpus import (
     read_tag_blocks,
     write_column_file,
 )
+from negscope.evaluation import evaluate_cue, evaluate_scope
 from negscope.labeling import NegationAnnotation, cue_vector, is_continuous
 from negscope.pipeline import (
     UsageError,
@@ -28,7 +33,7 @@ from negscope.pipeline import (
     resolve_config,
     scope_base,
 )
-from helpers import synthetic_instances
+from helpers import synthetic_instances, tag_rows
 
 
 def write_config(path, corpus, **overrides):
@@ -158,6 +163,26 @@ class TestEvaluateFiles:
         b.write_text(format_column_blocks([("s1", ("x", "z"), ("NC", "NC"), None)]))
         with pytest.raises(Exception, match="instance 0 .s1."):
             evaluate_files(a, b)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_written_files_score_like_the_in_memory_metrics(self, data):
+        gold = data.draw(st.lists(tag_rows(True), min_size=1, max_size=5))
+        pred3 = [data.draw(tag_rows(True, tokens=g[1])) for g in gold]
+        pred2 = [(sid, tokens, ctags, None) for sid, tokens, ctags, _ in pred3]
+        cue = evaluate_cue([p[2] for p in pred3], [g[2] for g in gold])
+        scope = evaluate_scope([p[3] for p in pred3], [g[3] for g in gold])
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: Path(tmp) / f"{name}.col" for name in ("gold", "pred2", "pred3")}
+            for name, rows in (("gold", gold), ("pred2", pred2), ("pred3", pred3)):
+                paths[name].write_text(format_column_blocks(rows), encoding="utf-8")
+            cue_only = evaluate_files(paths["pred2"], paths["gold"])
+            full = evaluate_files(paths["pred3"], paths["gold"])
+        assert cue_only.instances == full.instances == len(gold)
+        # repr, because NaN metrics never compare equal
+        assert repr(cue_only.cue) == repr(full.cue) == repr(cue)
+        assert cue_only.scope is None
+        assert repr(full.scope) == repr(scope)
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +323,17 @@ class TestPredict:
         tagged = capsys.readouterr().out.strip().splitlines()
         assert [line.split("\t")[0] for line in tagged] == \
             ["the", "cells", "showed", "no", "growth", "."]
+
+    def test_raw_text_without_sentences_is_an_error(self, experiment_run, tmp_path,
+                                                     capsys):
+        raw = tmp_path / "blank.txt"
+        raw.write_text("\n  \n\t\n")
+        output = tmp_path / "pred.col"
+        rc = main(["predict", "--out", str(experiment_run.out), "--raw", str(raw),
+                   str(output)])
+        assert rc == 1
+        assert "no sentences found" in capsys.readouterr().err
+        assert not output.exists()
 
     def test_vocabulary_mismatch_is_an_error(self, experiment_run, tmp_path, capsys):
         stale = tmp_path / "stale"

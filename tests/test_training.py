@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from negscope.corpus import build_vocab, encode_instances
-from negscope.layers import CrfParams
+from negscope.layers import CrfParams, crf_nll_grads
 from negscope.models import Tagger, cue_config, scope_config
 from negscope.numerics import logsumexp
 from negscope.training import (
@@ -17,9 +17,8 @@ from negscope.training import (
     TrainConfig,
     TrainingDiverged,
     adam_step,
+    batch_inputs,
     instance_loss_grads,
-    crf_nll,
-    model_inputs,
     softmax_seq_grads,
     step_decay,
     token_nll,
@@ -42,11 +41,6 @@ class TestTokenNll:
         expected = (math.log(2) + math.log(4)) / 2
         assert token_nll(probs, [0, 0]) == pytest.approx(expected)
 
-    def test_mask_drops_padded_positions(self):
-        probs = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
-        with_pad = token_nll(probs, [0, 0, 1], mask=[1, 1, 0])
-        assert with_pad == pytest.approx((math.log(2) + math.log(4)) / 2)
-
     def test_zero_probability_is_clamped_with_warning(self, caplog):
         probs = np.array([[1.0, 0.0]])
         with caplog.at_level("WARNING", logger="negscope.training"):
@@ -57,8 +51,8 @@ class TestTokenNll:
     def test_bad_rows_are_an_error(self):
         with pytest.raises(ValueError, match="sum to 1"):
             token_nll(np.array([[0.7, 0.7]]), [0])
-        with pytest.raises(ValueError, match="keeps no positions"):
-            token_nll(np.array([[0.5, 0.5]]), [0], mask=[0])
+        with pytest.raises(ValueError, match="no tokens"):
+            token_nll(np.empty((0, 2)), np.empty(0, dtype=np.int64))
 
 
 class TestSoftmaxSeqGrads:
@@ -94,15 +88,18 @@ class TestSoftmaxSeqGrads:
 
 
 class TestCrfNll:
+    """The sequence NLL that crf_nll_grads returns for training."""
+
     def test_uniform_scores_cost_n_log_num_labels(self):
         # every labeling ties, so the gold path holds 1/L^n of the mass
         crf = CrfParams(np.zeros((5, 5)))
-        nll = crf_nll(np.zeros((3, 2)), crf, [1, 2])
+        nll, _, _ = crf_nll_grads(np.zeros((3, 2)), crf, [1, 2])
         assert nll == pytest.approx(2 * math.log(3))
 
     def test_single_label_chain_is_certain(self):
         crf = CrfParams(np.zeros((3, 3)))
-        assert crf_nll(np.array([[1.0, -2.0, 0.5]]), crf, [0, 0, 0]) == pytest.approx(0.0)
+        nll, _, _ = crf_nll_grads(np.array([[1.0, -2.0, 0.5]]), crf, [0, 0, 0])
+        assert nll == pytest.approx(0.0)
 
     def test_never_negative(self):
         rng = np.random.default_rng(2)
@@ -110,7 +107,7 @@ class TestCrfNll:
             crf = CrfParams(rng.normal(size=(6, 6)))
             emissions = rng.normal(size=(4, 5))
             gold = rng.integers(4, size=5)
-            assert crf_nll(emissions, crf, gold) >= -1e-12
+            assert crf_nll_grads(emissions, crf, gold)[0] >= -1e-12
 
 
 class TestFullModelGradients:
@@ -249,15 +246,18 @@ class TestModelInputs:
     def test_cue_task_slices_to_real_length(self):
         data, _ = encoded_corpus(4)
         tagger = Tagger.build(cue_config("baseline", 40, 4, 2), np.random.default_rng(0))
-        ids, gold, bits = model_inputs(tagger, data[1])
+        ids, gold, bits = batch_inputs(tagger, data)
         assert bits is None
-        assert len(ids) == data[1].n == len(gold)
+        assert [len(x) for x in ids] == [len(inst.tokens) for inst in data]
+        assert [len(y) for y in gold] == [len(inst.tokens) for inst in data]
+        np.testing.assert_array_equal(gold[1], data[1].cue_label_ids)
 
     def test_scope_task_provides_cue_bits(self):
         data, _ = encoded_corpus(4)
         tagger = Tagger.build(scope_config("bilstm", 40, 4, 2), np.random.default_rng(0))
-        _, gold, bits = model_inputs(tagger, data[1])
-        assert bits is not None and bits.sum() == 1  # pattern 1 has one cue token
+        _, gold, bits = batch_inputs(tagger, data)
+        np.testing.assert_array_equal(gold[1], data[1].scope_label_ids)
+        assert bits is not None and bits[1].sum() == 1  # pattern 1 has one cue token
 
 
 class TestTrainLoop:
@@ -289,24 +289,22 @@ class TestTrainLoop:
 
     def test_early_stopping_restores_best_epoch(self):
         data, vocab = encoded_corpus(8)
-        config = small_config(epochs=10, early_stopping=True)
-        tagger = Tagger.build(
-            cue_config("bilstm", vocab.size, 8, 8), np.random.default_rng(1)
-        )
+        taggers = [
+            Tagger.build(cue_config("bilstm", vocab.size, 8, 8), np.random.default_rng(1))
+            for _ in range(2)
+        ]
         falling = iter([50.0, 40.0, 30.0, 20.0, 10.0, 5.0])
-        best_params = {}
-
-        def on_best(t):
-            best_params.update(t.snapshot())
-
         history = train(
-            tagger, data, data[:4], config,
-            on_best=on_best, val_scorer=lambda t, d: next(falling),
+            taggers[0], data, data[:4], small_config(epochs=10, early_stopping=True),
+            val_scorer=lambda t, d: next(falling),
         )
         assert history.stopped_early
         assert history.best_epoch == 0
         assert history.epochs_run == 3  # best, then patience-2 worth of misses
-        for name, arr in tagger.parameters().items():
+        # the same seed stopped after one epoch holds the best epoch's weights
+        train(taggers[1], data, data[:4], small_config(epochs=1))
+        best_params = taggers[1].parameters()
+        for name, arr in taggers[0].parameters().items():
             np.testing.assert_array_equal(arr, best_params[name])
 
     def test_nan_validation_never_counts_as_improvement(self):
@@ -341,7 +339,6 @@ class TestTrainLoop:
         tagger = Tagger.build(cue_config("emb-crf", 5, 4, 2), np.random.default_rng(0))
         tagger.crf.trans[tagger.crf.start, 0] = -1.7e308
         inst = SimpleNamespace(
-            n=2,
             token_ids=np.array([1, 2]),
             cue_label_ids=np.array([0, 0]),
             scope_label_ids=np.array([0, 0]),
