@@ -1,0 +1,158 @@
+#!/usr/bin/env python3
+"""Digest every artifact of a fixed set of negscope commands.
+
+Usage::
+
+    python3 scripts/artifact_digest.py <checkout> <workdir>
+
+Imports negscope from `<checkout>/src` and the synthetic corpus builder
+from `<checkout>/tests/helpers.py`, writes
+`synthetic_instances(200, seed=21)` as a corpus, and runs thirteen
+commands in process:
+
+  experiment                      run dir exp/ (three scope variants)
+  train-cue                       run dir cue/
+  train-scope --cue-input pred    run dir cue/, on the cue model above
+  train-scope --cue-input gold    run dir scope/ (bilstm-crf)
+  train-cue with max_len=4        run dir cut/ (every training instance cut)
+  predict                         exp/, column input
+  predict --raw                   exp/, raw text input
+  predict --cue-input gold        exp/
+  predict --postprocess           exp/
+  predict                         cue/, its cue and scope models
+  predict --cue-input gold        scope/
+  evaluate --out                  an experiment prediction file
+  evaluate --out                  a predict output
+
+After writing the inputs and after each command it prints a header line
+with the command's exit code, then `<sha256>  <path>` for every file
+under the workdir that is new or changed since the last header, sorted by
+path; so a file a later command overwrites (train-scope rewrites cue/'s
+config.txt and run.log) is digested in both versions. The training
+settings are kept loose, so the predicted-cue condition differs from the
+gold one.
+
+The config snapshots hold the corpus and run paths, so give both runs
+the same workdir to compare two checkouts:
+
+    python3 scripts/artifact_digest.py /path/to/parent /tmp/digest > a.txt
+    python3 scripts/artifact_digest.py . /tmp/digest > b.txt
+    diff a.txt b.txt
+
+The workdir is emptied first; a non-empty directory this script did not
+create is refused.
+"""
+from __future__ import annotations
+
+import hashlib
+import logging
+import shutil
+import sys
+from pathlib import Path
+
+MARKER = ".artifact_digest"
+
+CONFIG = {
+    "seed": 5,
+    "max_len": 20,
+    "embed_dim": 8,
+    "units": 6,
+    "embeddings_trainable": "true",
+    "cue.variant": "bilstm",
+    "scope.variants": "bilstm,bilstm-crf,bilstm-post",
+    "cue.epochs": 3, "cue.batch_size": 16, "cue.lr0": 0.01,
+    "cue.decay_every": 0, "cue.early_stopping": "false",
+    "scope.epochs": 2, "scope.batch_size": 8, "scope.lr0": 0.01,
+    "scope.decay_every": 0, "scope.early_stopping": "false",
+}
+
+RAW_TEXT = "the cells showed no growth.\nneither mice nor samples expressed it.\n"
+
+
+def _import_from(checkout: Path):
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "tests")]
+    import helpers
+    import negscope.corpus as corpus
+    import negscope.pipeline as pipeline
+
+    origin = Path(pipeline.__file__).resolve()
+    if (checkout / "src").resolve() not in origin.parents:
+        raise SystemExit(f"negscope imported from {origin}, not from {checkout}/src")
+    return corpus, pipeline, helpers
+
+
+def _fresh_workdir(work: Path) -> None:
+    if work.exists():
+        if any(work.iterdir()) and not (work / MARKER).is_file():
+            raise SystemExit(f"{work} is not empty and was not made by this script")
+        shutil.rmtree(work)
+    work.mkdir(parents=True)
+    (work / MARKER).write_text("", encoding="utf-8")
+
+
+def _write_config(path: Path, **overrides) -> Path:
+    values = {**CONFIG, **overrides}
+    path.write_text("".join(f"{k}={v}\n" for k, v in values.items()), encoding="utf-8")
+    return path
+
+
+def commands(work: Path) -> list[list[str]]:
+    config = str(work / "config.txt")
+    cut = str(work / "config_cut.txt")
+    exp, cue, scope = (str(work / name) for name in ("exp", "cue", "scope"))
+    gold = str(work / "exp" / "scope_test_gold.col")
+    return [
+        ["experiment", "--config", config, "--out", exp],
+        ["train-cue", "--config", config, "--out", cue],
+        ["train-scope", "--config", config, "--out", cue, "--variant", "bilstm",
+         "--cue-input", "pred"],
+        ["train-scope", "--config", config, "--out", scope, "--variant", "bilstm-crf"],
+        ["train-cue", "--config", cut, "--out", str(work / "cut")],
+        ["predict", "--out", exp, "--variant", "bilstm", gold, str(work / "p_column.col")],
+        ["predict", "--out", exp, "--variant", "bilstm", "--raw", str(work / "raw.txt"),
+         str(work / "p_raw.col")],
+        ["predict", "--out", exp, "--variant", "bilstm-crf", "--cue-input", "gold", gold,
+         str(work / "p_goldcue.col")],
+        ["predict", "--out", exp, "--variant", "bilstm", "--postprocess", gold,
+         str(work / "p_post.col")],
+        ["predict", "--out", cue, gold, str(work / "p_cue_run.col")],
+        ["predict", "--out", scope, "--cue-input", "gold", gold, str(work / "p_scope_run.col")],
+        ["evaluate", str(work / "exp" / "scope_bilstm_predcue_pred.col"), gold,
+         "--out", str(work / "e_exp.txt")],
+        ["evaluate", str(work / "p_column.col"), gold, "--out", str(work / "e_column.txt")],
+    ]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    checkout, work = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    corpus_io, pipeline, helpers = _import_from(checkout)
+    _fresh_workdir(work)
+
+    corpus = work / "corpus.col"
+    corpus_io.write_column_file(corpus, helpers.synthetic_instances(200, seed=21))
+    _write_config(work / "config.txt", corpus=corpus)
+    _write_config(work / "config_cut.txt", corpus=corpus, max_len=4)
+    (work / "raw.txt").write_text(RAW_TEXT, encoding="utf-8")
+
+    # the commands' INFO lines would drown the digests
+    logging.basicConfig(level=logging.WARNING)
+    seen: dict[str, str] = {}
+    for number, command in enumerate([None] + commands(work)):
+        if command is None:
+            print("command 0: inputs")
+        else:
+            print(f"command {number}: {command[0]} rc={pipeline.main(command)}")
+        for path in sorted(p for p in work.rglob("*") if p.is_file() and p.name != MARKER):
+            name = str(path.relative_to(work))
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            if seen.get(name) != digest:
+                seen[name] = digest
+                print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

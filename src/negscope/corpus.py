@@ -49,6 +49,12 @@ class Sentence:
             raise ValueError("a sentence needs at least one token")
         if any(not t or any(c.isspace() for c in t) for t in self.tokens):
             raise ValueError("tokens must be non-empty and whitespace-free")
+        # the column format writes the id verbatim on its own line; the
+        # readers split lines at \n and \r and strip whitespace from ids
+        sid = self.source_id
+        if sid != sid.strip() or any(c in sid for c in "\t\n\r"):
+            raise ValueError(f"source id {sid!r} holds a tab, a line break, "
+                             "or leading or trailing whitespace")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .labeling import is_continuous
+from .labeling import cue_vector, is_continuous
 
 
 def metric_str(value: float) -> str:
@@ -81,7 +81,7 @@ def pecm(preds, golds) -> float:
         raise ValueError(f"{len(preds)} predictions vs {len(golds)} gold sequences")
     hits = total = 0
     for pred, gold in zip(preds, golds):
-        if not any(t in ("C", "MC") for t in gold):
+        if not any(cue_vector(gold)):
             continue
         total += 1
         if list(pred) == list(gold):

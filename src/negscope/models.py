@@ -5,10 +5,10 @@ labels {NC, C, MC}; the scope task labels {O, B, C, A} and feeds the cue
 indicator in as a second, constant embedding. The head is a per-token
 softmax or a linear-chain CRF.
 
-Cue variants: baseline (embeddings -> dense), emb-train (the same with
-trainable embeddings), bilstm, emb-crf, bilstm-crf.
-Scope variants: bilstm, bilstm-crf, bilstm-post (bilstm plus smoothing
-at prediction time).
+VARIANTS holds one variant table per task. Cue variants: baseline
+(embeddings -> dense), emb-train (the same with trainable embeddings),
+bilstm, emb-crf, bilstm-crf. Scope variants: bilstm, bilstm-crf,
+bilstm-post (the bilstm model plus smoothing at prediction time).
 """
 from __future__ import annotations
 
@@ -39,18 +39,19 @@ CHECKPOINT_FORMAT = 2
 # padded tokens (sentences x longest length) per prediction chunk
 PREDICT_TOKEN_BUDGET = 256
 
-CUE_VARIANTS = {
-    "baseline": dict(use_lstm=False, head="softmax", embeddings_trainable=False),
-    "emb-train": dict(use_lstm=False, head="softmax", embeddings_trainable=True),
-    "bilstm": dict(use_lstm=True, head="softmax", embeddings_trainable=False),
-    "emb-crf": dict(use_lstm=False, head="crf", embeddings_trainable=True),
-    "bilstm-crf": dict(use_lstm=True, head="crf", embeddings_trainable=False),
-}
-
-SCOPE_VARIANTS = {
-    "bilstm": dict(use_lstm=True, head="softmax", embeddings_trainable=False),
-    "bilstm-crf": dict(use_lstm=True, head="crf", embeddings_trainable=False),
-    "bilstm-post": dict(use_lstm=True, head="softmax", embeddings_trainable=False),
+VARIANTS = {
+    "cue": {
+        "baseline": dict(use_lstm=False, head="softmax", embeddings_trainable=False),
+        "emb-train": dict(use_lstm=False, head="softmax", embeddings_trainable=True),
+        "bilstm": dict(use_lstm=True, head="softmax", embeddings_trainable=False),
+        "emb-crf": dict(use_lstm=False, head="crf", embeddings_trainable=True),
+        "bilstm-crf": dict(use_lstm=True, head="crf", embeddings_trainable=False),
+    },
+    "scope": {
+        "bilstm": dict(use_lstm=True, head="softmax", embeddings_trainable=False),
+        "bilstm-crf": dict(use_lstm=True, head="crf", embeddings_trainable=False),
+        "bilstm-post": dict(use_lstm=True, head="softmax", embeddings_trainable=False),
+    },
 }
 
 
@@ -77,28 +78,29 @@ class TaggerConfig:
         return self.variant.endswith("-post")
 
 
-def cue_config(variant: str, vocab_size: int, embed_dim: int, units: int) -> TaggerConfig:
-    if variant not in CUE_VARIANTS:
-        raise ValueError(f"unknown cue variant {variant!r}; pick from {sorted(CUE_VARIANTS)}")
-    opts = CUE_VARIANTS[variant]
-    return TaggerConfig(
-        task="cue", variant=variant, vocab_size=vocab_size, embed_dim=embed_dim,
-        units=units, head=opts["head"], use_lstm=opts["use_lstm"], two_input=False,
-        embeddings_trainable=opts["embeddings_trainable"], labels=CUE_TAGS,
-    )
-
-
-def scope_config(variant: str, vocab_size: int, embed_dim: int, units: int) -> TaggerConfig:
-    if variant not in SCOPE_VARIANTS:
+def tagger_config(task: str, variant: str, vocab_size: int, embed_dim: int,
+                  units: int) -> TaggerConfig:
+    """The variant table's architecture; the scope task reads cue bits as
+    its second input."""
+    if task not in VARIANTS:
+        raise ValueError(f"unknown task {task!r}")
+    if variant not in VARIANTS[task]:
         raise ValueError(
-            f"unknown scope variant {variant!r}; pick from {sorted(SCOPE_VARIANTS)}"
+            f"unknown {task} variant {variant!r}; pick from {sorted(VARIANTS[task])}"
         )
-    opts = SCOPE_VARIANTS[variant]
+    opts = VARIANTS[task][variant]
     return TaggerConfig(
-        task="scope", variant=variant, vocab_size=vocab_size, embed_dim=embed_dim,
-        units=units, head=opts["head"], use_lstm=opts["use_lstm"], two_input=True,
-        embeddings_trainable=opts["embeddings_trainable"], labels=SCOPE_TAGS,
+        task=task, variant=variant, vocab_size=vocab_size, embed_dim=embed_dim,
+        units=units, head=opts["head"], use_lstm=opts["use_lstm"],
+        two_input=task == "scope", embeddings_trainable=opts["embeddings_trainable"],
+        labels=CUE_TAGS if task == "cue" else SCOPE_TAGS,
     )
+
+
+def scope_base(variant: str) -> str:
+    """The trained architecture behind a scope variant; -post adds only the
+    prediction-time smoother, so it shares its base model's weights."""
+    return variant.removesuffix("-post")
 
 
 class Tagger:
@@ -307,10 +309,11 @@ def _checked_config(path, meta: dict) -> TaggerConfig:
     """The config a checkpoint's task and variant imply, after checking the
     stored architecture against it. Stored trainable embeddings may widen a
     frozen variant (the embeddings_trainable flag), never the reverse."""
-    make = {"cue": cue_config, "scope": scope_config}.get(meta["task"])
-    if make is None:
-        raise ValueError(f"{path}: unknown task {meta['task']!r}")
-    expected = make(meta["variant"], meta["vocab_size"], meta["embed_dim"], meta["units"])
+    try:
+        expected = tagger_config(meta["task"], meta["variant"], meta["vocab_size"],
+                                 meta["embed_dim"], meta["units"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for key in ("labels", "head", "use_lstm", "two_input", "embeddings_trainable"):
         stored = tuple(meta[key]) if key == "labels" else meta[key]
         want = getattr(expected, key)

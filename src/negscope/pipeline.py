@@ -18,13 +18,14 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import (
     CorpusError,
+    Sentence,
     Vocabulary,
     build_vocab,
     corpus_stats,
@@ -46,13 +47,12 @@ from .evaluation import (
 )
 from .labeling import cue_vector, postprocess
 from .models import (
-    CUE_VARIANTS,
-    SCOPE_VARIANTS,
+    VARIANTS,
     Tagger,
-    cue_config,
     load_checkpoint,
     save_checkpoint,
-    scope_config,
+    scope_base,
+    tagger_config,
 )
 from .training import TrainConfig, train
 
@@ -84,6 +84,15 @@ def _variant_list(text: str) -> tuple[str, ...]:
     return items
 
 
+# ExperimentConfig fields stored under their own config key
+SHARED_KEYS = ("corpus", "embeddings", "out", "seed", "max_len", "embed_dim", "units",
+               "embeddings_trainable")
+# the per-task keys, `cue.<key>` and `scope.<key>`: every TrainConfig field
+# but the shared seed, parsed as its default's type; the defaults are
+# TrainConfig's, except that the CLI stops early
+TASK_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
+_TASK_DEFAULTS = {name: getattr(TrainConfig(early_stopping=True), name) for name in TASK_KEYS}
+
 # the full key set; a config file may set any subset and nothing else
 CONFIG_KEYS = {
     "corpus": str,
@@ -96,12 +105,8 @@ CONFIG_KEYS = {
     "embeddings_trainable": _bool,
     "cue.variant": str,
     "scope.variants": _variant_list,
-    "cue.epochs": int, "cue.batch_size": int, "cue.lr0": float,
-    "cue.decay_every": int, "cue.decay_factor": float,
-    "cue.patience": int, "cue.early_stopping": _bool,
-    "scope.epochs": int, "scope.batch_size": int, "scope.lr0": float,
-    "scope.decay_every": int, "scope.decay_factor": float,
-    "scope.patience": int, "scope.early_stopping": _bool,
+    **{f"{task}.{name}": _bool if isinstance(value, bool) else type(value)
+       for task in ("cue", "scope") for name, value in _TASK_DEFAULTS.items()},
 }
 
 DEFAULTS = {
@@ -112,12 +117,8 @@ DEFAULTS = {
     "embeddings_trainable": False,
     "cue.variant": "bilstm-crf",
     "scope.variants": ("bilstm",),
-    "cue.epochs": 30, "cue.batch_size": 32, "cue.lr0": 0.001,
-    "cue.decay_every": 10, "cue.decay_factor": 0.5,
-    "cue.patience": 2, "cue.early_stopping": True,
-    "scope.epochs": 30, "scope.batch_size": 32, "scope.lr0": 0.001,
-    "scope.decay_every": 10, "scope.decay_factor": 0.5,
-    "scope.patience": 2, "scope.early_stopping": True,
+    **{f"{task}.{name}": value
+       for task in ("cue", "scope") for name, value in _TASK_DEFAULTS.items()},
 }
 
 
@@ -144,65 +145,47 @@ def parse_config_file(path) -> dict:
     return values
 
 
+def _config_text(value) -> str:
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 @dataclass
 class ExperimentConfig:
     corpus: str | None
     embeddings: str | None
     out: str | None
     seed: int
+    max_len: int
+    embed_dim: int
+    units: int
+    embeddings_trainable: bool
     cue_variant: str
     scope_variants: tuple[str, ...]
     cue_train: TrainConfig
     scope_train: TrainConfig
 
     def snapshot_lines(self) -> list[str]:
-        lines = [
-            f"corpus={self.corpus or ''}",
-            f"embeddings={self.embeddings or ''}",
-            f"out={self.out or ''}",
-            f"seed={self.seed}",
-            f"max_len={self.cue_train.max_len}",
-            f"embed_dim={self.cue_train.embed_dim}",
-            f"units={self.cue_train.units}",
-            f"embeddings_trainable={str(self.cue_train.embeddings_trainable).lower()}",
-            f"cue.variant={self.cue_variant}",
-            f"scope.variants={','.join(self.scope_variants)}",
-        ]
+        """Every config key as a sorted key=value line: a config file that
+        reproduces the run."""
+        values = {key: getattr(self, key) for key in SHARED_KEYS}
+        values["cue.variant"] = self.cue_variant
+        values["scope.variants"] = ",".join(self.scope_variants)
         for task, tc in (("cue", self.cue_train), ("scope", self.scope_train)):
-            lines += [
-                f"{task}.epochs={tc.epochs}",
-                f"{task}.batch_size={tc.batch_size}",
-                f"{task}.lr0={tc.lr0}",
-                f"{task}.decay_every={tc.decay_every}",
-                f"{task}.decay_factor={tc.decay_factor}",
-                f"{task}.patience={tc.patience}",
-                f"{task}.early_stopping={str(tc.early_stopping).lower()}",
-            ]
-        return sorted(lines)
+            values.update({f"{task}.{name}": getattr(tc, name) for name in TASK_KEYS})
+        return sorted(f"{key}={_config_text(value)}" for key, value in values.items())
 
 
 def _task_train_config(values: dict, task: str, seed: int) -> TrainConfig:
     try:
-        return TrainConfig(
-            epochs=values[f"{task}.epochs"],
-            batch_size=values[f"{task}.batch_size"],
-            lr0=values[f"{task}.lr0"],
-            decay_every=values[f"{task}.decay_every"],
-            decay_factor=values[f"{task}.decay_factor"],
-            early_stopping=values[f"{task}.early_stopping"],
-            patience=values[f"{task}.patience"],
-            seed=seed,
-            embed_dim=values["embed_dim"],
-            units=values["units"],
-            embeddings_trainable=values["embeddings_trainable"],
-            max_len=values["max_len"],
-        )
+        return TrainConfig(seed=seed, **{name: values[f"{task}.{name}"] for name in TASK_KEYS})
     except ValueError as exc:
         raise UsageError(f"{task} training settings: {exc}") from None
 
 
 def _known(variant: str, task: str) -> str:
-    table = CUE_VARIANTS if task == "cue" else SCOPE_VARIANTS
+    table = VARIANTS[task]
     if variant not in table:
         raise UsageError(f"unknown {task} variant {variant!r}; pick from {sorted(table)}")
     return variant
@@ -222,12 +205,12 @@ def resolve_config(args, need_corpus: bool = False, need_out: bool = False) -> E
             values[key] = flag
     if getattr(args, "seed", None) is not None:
         values["seed"] = args.seed
+    for key in ("max_len", "embed_dim", "units"):
+        if values[key] < 1:
+            raise UsageError(f"{key} must be >= 1, got {values[key]}")
 
     config = ExperimentConfig(
-        corpus=values.get("corpus"),
-        embeddings=values.get("embeddings"),
-        out=values.get("out"),
-        seed=values["seed"],
+        **{key: values.get(key) for key in SHARED_KEYS},
         cue_variant=values["cue.variant"],
         scope_variants=values["scope.variants"],
         cue_train=_task_train_config(values, "cue", values["seed"]),
@@ -293,18 +276,17 @@ def load_corpus(config: ExperimentConfig, emit) -> LoadedCorpus:
     matrix = None
     if config.embeddings:
         matrix, coverage = load_embedding_file(
-            config.embeddings, vocab, expected_dim=config.cue_train.embed_dim
+            config.embeddings, vocab, expected_dim=config.embed_dim
         )
         emit(f"embeddings.covered={len(coverage.covered)} "
              f"embeddings.missing={len(coverage.missing)} "
              f"embeddings.type_oov_rate={coverage.type_oov_rate:.4f}")
 
     # only training instances are cut; validation and test are scored whole
-    max_len = config.cue_train.max_len
-    cut = sum(1 for inst in split.train if len(inst.sentence.tokens) > max_len)
-    emit(f"train.max_len={max_len} train.cut_instances={cut}")
+    cut = sum(1 for inst in split.train if len(inst.sentence.tokens) > config.max_len)
+    emit(f"train.max_len={config.max_len} train.cut_instances={cut}")
     return LoadedCorpus(
-        encode_instances(split.train, vocab, max_len),
+        encode_instances(split.train, vocab, config.max_len),
         encode_instances(split.validation, vocab),
         encode_instances(split.test, vocab),
         vocab,
@@ -312,17 +294,42 @@ def load_corpus(config: ExperimentConfig, emit) -> LoadedCorpus:
     )
 
 
-def prepare_run_dir(config: ExperimentConfig) -> Path:
+def start_run(config: ExperimentConfig,
+              first_line: str | None = None) -> tuple[Path, RunLog, LoadedCorpus]:
+    """Create the run directory with its config snapshot, start the run log
+    (with `first_line`, if given), load the corpus and save its vocabulary."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(
         "\n".join(config.snapshot_lines()) + "\n", encoding="utf-8"
     )
-    return out
+    emit = RunLog()
+    if first_line:
+        emit(first_line)
+    corpus = load_corpus(config, emit)
+    corpus.vocab.save(out / "vocab.json")
+    return out, emit, corpus
+
+
+def column_blocks(data, cue_rows, scope_rows=None) -> list[tuple]:
+    """Column-file blocks of instances (anything with a source_id and
+    tokens) with the given tag rows; without scope rows they are cue-only."""
+    if scope_rows is None:
+        scope_rows = [None] * len(data)
+    return [(inst.source_id, inst.tokens, ctags, stags)
+            for inst, ctags, stags in zip(data, cue_rows, scope_rows)]
 
 
 def write_blocks(path, blocks) -> None:
     Path(path).write_text(format_column_blocks(blocks), encoding="utf-8")
+
+
+def write_gold(path: Path, data, with_scope: bool) -> Path:
+    write_blocks(path, column_blocks(
+        data, [inst.cue_tags for inst in data],
+        [inst.scope_tags for inst in data] if with_scope else None,
+    ))
+    return path
 
 
 def write_and_score(out: Path, stem: str, rows, gold_path) -> EvaluationResult:
@@ -392,31 +399,19 @@ def evaluate_files(pred_path, gold_path) -> EvaluationResult:
 # ---------------------------------------------------------------------------
 # model stages shared by the commands
 
-def build_cue_tagger(config: ExperimentConfig, vocab_size: int, matrix) -> Tagger:
-    cfg = cue_config(config.cue_variant, vocab_size,
-                     config.cue_train.embed_dim, config.cue_train.units)
-    if config.cue_train.embeddings_trainable and not cfg.embeddings_trainable:
+# seed stream of each trained architecture's initial weights
+_STREAMS = {"cue": 2, "bilstm": 3, "bilstm-crf": 4}
+
+
+def build_tagger(config: ExperimentConfig, task: str, variant: str,
+                 corpus: LoadedCorpus) -> Tagger:
+    """A freshly initialized tagger for the corpus; the run's
+    embeddings_trainable may widen a variant's frozen embeddings."""
+    cfg = tagger_config(task, variant, corpus.vocab.size, config.embed_dim, config.units)
+    if config.embeddings_trainable:
         cfg = replace(cfg, embeddings_trainable=True)
-    return Tagger.build(cfg, np.random.default_rng([config.seed, 2]), matrix)
-
-
-def scope_base(variant: str) -> str:
-    """The trained architecture behind a scope variant; -post adds only the
-    prediction-time smoother, so it shares its base model's weights."""
-    return variant[:-5] if variant.endswith("-post") else variant
-
-
-_SCOPE_STREAMS = {"bilstm": 3, "bilstm-crf": 4}
-
-
-def build_scope_tagger(config: ExperimentConfig, variant: str, vocab_size: int,
-                       matrix) -> Tagger:
-    cfg = scope_config(variant, vocab_size,
-                       config.scope_train.embed_dim, config.scope_train.units)
-    if config.scope_train.embeddings_trainable:
-        cfg = replace(cfg, embeddings_trainable=True)
-    rng = np.random.default_rng([config.seed, _SCOPE_STREAMS[scope_base(variant)]])
-    return Tagger.build(cfg, rng, matrix)
+    stream = _STREAMS["cue" if task == "cue" else scope_base(variant)]
+    return Tagger.build(cfg, np.random.default_rng([config.seed, stream]), corpus.matrix)
 
 
 def predict_cues(tagger: Tagger, data) -> list[list[str]]:
@@ -436,11 +431,20 @@ def predict_scopes(tagger: Tagger, token_ids, cue_tags, smooth: bool) -> list[li
     return out
 
 
+def score_scopes(out: Path, stem: str, tagger: Tagger, data, cue_rows, smooth: bool,
+                 gold_path) -> ScopeReport:
+    """Tag the scopes of encoded instances under the given cue rows, then
+    write and score them (`write_and_score`)."""
+    scope_rows = predict_scopes(tagger, [inst.token_ids for inst in data], cue_rows, smooth)
+    blocks = column_blocks(data, cue_rows, scope_rows)
+    return write_and_score(out, stem, blocks, gold_path).scope
+
+
 def run_cue_stage(config: ExperimentConfig, corpus: LoadedCorpus, out: Path,
                   emit) -> Tagger:
     """Train the cue tagger, checkpoint it, and score it on the validation
     and test splits with all artifacts persisted."""
-    tagger = build_cue_tagger(config, corpus.vocab.size, corpus.matrix)
+    tagger = build_tagger(config, "cue", config.cue_variant, corpus)
     decoder = "viterbi" if tagger.crf is not None else "argmax"
     emit(f"task=cue variant={config.cue_variant} decoder={decoder}")
     history = train(tagger, corpus.train, corpus.validation, config.cue_train,
@@ -449,14 +453,9 @@ def run_cue_stage(config: ExperimentConfig, corpus: LoadedCorpus, out: Path,
     save_checkpoint(out / "cue.npz", tagger, corpus.vocab.content_hash())
 
     for name, data in (("val", corpus.validation), ("test", corpus.test)):
-        gold_path = out / f"cue_{name}_gold.col"
-        write_blocks(gold_path, [
-            (inst.source_id, inst.tokens, inst.cue_tags, None) for inst in data
-        ])
-        result = write_and_score(out, f"cue_{name}", [
-            (inst.source_id, inst.tokens, tags, None)
-            for inst, tags in zip(data, predict_cues(tagger, data))
-        ], gold_path)
+        gold_path = write_gold(out / f"cue_{name}_gold.col", data, with_scope=False)
+        blocks = column_blocks(data, predict_cues(tagger, data))
+        result = write_and_score(out, f"cue_{name}", blocks, gold_path)
         emit(f"cue.{name}.f1={metric_str(result.cue.token.f1)} "
              f"cue.{name}.pecm={metric_str(result.cue.pecm)}")
     return tagger
@@ -470,16 +469,17 @@ def negation_subset(data, what: str):
 
 
 def run_scope_training(config: ExperimentConfig, corpus: LoadedCorpus, variant: str,
-                       emit) -> Tagger:
-    """Train one scope architecture on gold cue inputs."""
+                       out: Path, emit) -> Tagger:
+    """Train one scope architecture on gold cue inputs and checkpoint it."""
     train_data = negation_subset(corpus.train, "training")
     val_data = [inst for inst in corpus.validation if inst.is_negation]
-    tagger = build_scope_tagger(config, variant, corpus.vocab.size, corpus.matrix)
+    tagger = build_tagger(config, "scope", variant, corpus)
     decoder = "viterbi" if tagger.crf is not None else "argmax"
     emit(f"task=scope variant={variant} decoder={decoder} cue_inputs=gold")
     history = train(tagger, train_data, val_data, config.scope_train,
                     log_line=lambda msg: emit(f"scope {msg}"))
     emit(f"scope best_epoch={history.best_epoch} stopped_early={history.stopped_early}")
+    save_checkpoint(out / f"scope_{variant}.npz", tagger, corpus.vocab.content_hash())
     return tagger
 
 
@@ -490,10 +490,7 @@ def cmd_train_cue(args) -> int:
     config = resolve_config(args, need_corpus=True, need_out=True)
     if args.variant:
         config.cue_variant = _known(args.variant, "cue")
-    out = prepare_run_dir(config)
-    emit = RunLog()
-    corpus = load_corpus(config, emit)
-    corpus.vocab.save(out / "vocab.json")
+    out, emit, corpus = start_run(config)
     run_cue_stage(config, corpus, out, emit)
     emit.write(out / "run.log")
     return 0
@@ -511,50 +508,31 @@ def cmd_train_scope(args) -> int:
             "pick one with --variant"
         )
     config.scope_variants = (_known(variant, "scope"),)
-    out = prepare_run_dir(config)
-    cue_tagger = cue_meta = None
-    if args.cue_input == "pred":
-        checkpoint = out / "cue.npz"
-        if not checkpoint.is_file():
-            raise UsageError(
-                f"--cue-input pred needs a trained cue model at {checkpoint}"
-            )
-        cue_tagger, cue_meta = load_checkpoint(checkpoint)
+    checkpoint = Path(config.out) / "cue.npz"
+    if args.cue_input == "pred" and not checkpoint.is_file():
+        raise UsageError(f"--cue-input pred needs a trained cue model at {checkpoint}")
 
-    emit = RunLog()
-    emit(f"cue_input={args.cue_input}")
-    corpus = load_corpus(config, emit)
-    corpus.vocab.save(out / "vocab.json")
-    if cue_meta is not None:
-        _check_vocab_hash(out / "cue.npz", cue_meta, corpus.vocab)
-    tagger = run_scope_training(config, corpus, variant, emit)
-    save_checkpoint(out / f"scope_{variant}.npz", tagger, corpus.vocab.content_hash())
-    smooth = tagger.config.smooth_predictions
+    out, emit, corpus = start_run(config, f"cue_input={args.cue_input}")
+    cue_tagger = None
+    if args.cue_input == "pred":
+        cue_tagger = _load_checked(checkpoint, corpus.vocab)
+    tagger = run_scope_training(config, corpus, variant, out, emit)
 
     for name, data in (("val", corpus.validation), ("test", corpus.test)):
         subset = negation_subset(data, name)
         if cue_tagger is None:
-            cue_rows = [list(inst.cue_tags) for inst in subset]
+            cue_rows = [inst.cue_tags for inst in subset]
         else:
             cue_rows = predict_cues(cue_tagger, subset)
             for inst, ctags in zip(subset, cue_rows):
                 emit(f"pred_cues id={inst.source_id} "
                      f"bits={''.join(str(b) for b in cue_vector(ctags))}")
-        scope_rows = predict_scopes(
-            tagger, [inst.token_ids for inst in subset], cue_rows, smooth
-        )
-        gold_path = out / f"scope_{name}_gold.col"
-        write_blocks(gold_path, [
-            (inst.source_id, inst.tokens, inst.cue_tags, inst.scope_tags)
-            for inst in subset
-        ])
-        result = write_and_score(out, f"scope_{name}", [
-            (inst.source_id, inst.tokens, ctags, stags)
-            for inst, ctags, stags in zip(subset, cue_rows, scope_rows)
-        ], gold_path)
-        emit(f"scope.{name}.f1={metric_str(result.scope.token.f1)} "
-             f"scope.{name}.pcs={metric_str(result.scope.pcs)} "
-             f"scope.{name}.pcp={metric_str(result.scope.pcp)}")
+        gold_path = write_gold(out / f"scope_{name}_gold.col", subset, with_scope=True)
+        scope = score_scopes(out, f"scope_{name}", tagger, subset, cue_rows,
+                             tagger.config.smooth_predictions, gold_path)
+        emit(f"scope.{name}.f1={metric_str(scope.token.f1)} "
+             f"scope.{name}.pcs={metric_str(scope.pcs)} "
+             f"scope.{name}.pcp={metric_str(scope.pcp)}")
     emit.write(out / "run.log")
     return 0
 
@@ -567,19 +545,14 @@ def _difference(gold_value: float, pred_value: float) -> float:
 
 def cmd_experiment(args) -> int:
     config = resolve_config(args, need_corpus=True, need_out=True)
-    out = prepare_run_dir(config)
-    emit = RunLog()
-    corpus = load_corpus(config, emit)
-    corpus.vocab.save(out / "vocab.json")
-
+    out, emit, corpus = start_run(config)
     cue_tagger = run_cue_stage(config, corpus, out, emit)
 
     # one trained model per distinct base; -post reuses its base's weights
-    scope_models = {}
-    for base in dict.fromkeys(scope_base(v) for v in config.scope_variants):
-        scope_models[base] = run_scope_training(config, corpus, base, emit)
-        save_checkpoint(out / f"scope_{base}.npz", scope_models[base],
-                        corpus.vocab.content_hash())
+    scope_models = {
+        base: run_scope_training(config, corpus, base, out, emit)
+        for base in dict.fromkeys(scope_base(v) for v in config.scope_variants)
+    }
 
     # both conditions are evaluated on tp + fn + fp, fixed by the cue model
     test = corpus.test
@@ -597,36 +570,28 @@ def cmd_experiment(args) -> int:
         if not identical:
             raise RuntimeError(f"{condition} condition does not cover the test set")
 
-    indices = testset.test_indices
-    gold_path = out / "scope_test_gold.col"
-    write_blocks(gold_path, [
-        (test[i].source_id, test[i].tokens, test[i].cue_tags, test[i].scope_tags)
-        for i in indices
-    ])
+    data = [test[i] for i in testset.test_indices]
+    gold_path = write_gold(out / "scope_test_gold.col", data, with_scope=True)
+    # the model runs on exactly the sentences with a cue under each
+    # condition; the rest (fp under gold, fn under pred) get all O
+    cue_rows = {"gold": [inst.cue_tags for inst in data],
+                "pred": [pred_tags[i] for i in testset.test_indices]}
 
     summary = [l for l in emit.lines if l.startswith("testset.")]
     table_rows = []
     for variant in config.scope_variants:
-        tagger = scope_models[scope_base(variant)]
-        smooth = variant.endswith("-post")
+        base = scope_base(variant)
+        smooth = base != variant  # a -post variant smooths its base model's tags
         scores = {}
         for condition in ("gold", "pred"):
-            # the model runs on exactly the sentences with a cue under this
-            # condition; the rest (fp under gold, fn under pred) get all O
-            cue_rows = [list(test[i].cue_tags) if condition == "gold" else pred_tags[i]
-                        for i in indices]
-            scope_rows = predict_scopes(
-                tagger, [test[i].token_ids for i in indices], cue_rows, smooth
+            scope = scores[condition] = score_scopes(
+                out, f"scope_{variant}_{condition}cue", scope_models[base], data,
+                cue_rows[condition], smooth, gold_path,
             )
-            result = write_and_score(out, f"scope_{variant}_{condition}cue", [
-                (test[i].source_id, test[i].tokens, ctags, stags)
-                for i, ctags, stags in zip(indices, cue_rows, scope_rows)
-            ], gold_path)
-            scores[condition] = result.scope
             summary += [
-                f"scope.{variant}.{condition}cue.f1={metric_str(result.scope.token.f1)}",
-                f"scope.{variant}.{condition}cue.pcs={metric_str(result.scope.pcs)}",
-                f"scope.{variant}.{condition}cue.pcp={metric_str(result.scope.pcp)}",
+                f"scope.{variant}.{condition}cue.f1={metric_str(scope.token.f1)}",
+                f"scope.{variant}.{condition}cue.pcs={metric_str(scope.pcs)}",
+                f"scope.{variant}.{condition}cue.pcp={metric_str(scope.pcp)}",
             ]
         diff = _difference(scores["gold"].token.f1, scores["pred"].token.f1)
         summary.append(f"scope.{variant}.difference={metric_str(diff)}")
@@ -657,8 +622,7 @@ def _load_run_models(run_dir: Path, variant: str | None):
 
     cue_tagger = None
     if (run_dir / "cue.npz").is_file():
-        cue_tagger, meta = load_checkpoint(run_dir / "cue.npz")
-        _check_vocab_hash(run_dir / "cue.npz", meta, vocab)
+        cue_tagger = _load_checked(run_dir / "cue.npz", vocab)
 
     scope_paths = sorted(run_dir.glob("scope_*.npz"))
     scope_tagger = None
@@ -671,16 +635,16 @@ def _load_run_models(run_dir: Path, variant: str | None):
         names = [p.stem.removeprefix("scope_") for p in scope_paths]
         raise UsageError(f"several scope checkpoints {names}; pick one with --variant")
     if scope_paths:
-        scope_tagger, meta = load_checkpoint(scope_paths[0])
-        _check_vocab_hash(scope_paths[0], meta, vocab)
+        scope_tagger = _load_checked(scope_paths[0], vocab)
     return vocab, cue_tagger, scope_tagger
 
 
-def _check_vocab_hash(path, meta: dict, vocab: Vocabulary) -> None:
+def _load_checked(path: Path, vocab: Vocabulary) -> Tagger:
+    """A checkpoint's tagger, after checking it was trained on `vocab`."""
+    tagger, meta = load_checkpoint(path)
     if meta["vocab_sha256"] != vocab.content_hash():
-        raise RuntimeError(
-            f"{path}: checkpoint was trained with a different vocabulary"
-        )
+        raise RuntimeError(f"{path}: checkpoint was trained with a different vocabulary")
+    return tagger
 
 
 def cmd_predict(args) -> int:
@@ -698,30 +662,23 @@ def cmd_predict(args) -> int:
         if not sentences:
             raise CorpusError(f"{args.input}: no sentences found")
         log.info("tokenized %d raw sentences from %s", len(sentences), args.input)
-        blocks_in = [("", tuple(tokens), None) for tokens in sentences]
+        blocks = [Sentence(tuple(tokens)) for tokens in sentences]
     else:
-        blocks_in = [
-            (b.source_id, b.tokens, b.cue_tags) for b in read_tag_blocks(args.input)
-        ]
+        blocks = read_tag_blocks(args.input)
 
-    smooth = args.postprocess or (
-        scope_tagger is not None and scope_tagger.config.smooth_predictions
-    )
-    ids = [np.array([vocab.lookup(t) for t in tokens], dtype=np.int64)
-           for _, tokens, _ in blocks_in]
+    ids = [np.array([vocab.lookup(t) for t in b.tokens], dtype=np.int64) for b in blocks]
     if args.cue_input == "gold":
-        if any(ctags is None for _, _, ctags in blocks_in):
+        if args.raw:
             raise UsageError("--cue-input gold needs a cue column in the input")
-        cue_rows = [list(ctags) for _, _, ctags in blocks_in]
+        cue_rows = [b.cue_tags for b in blocks]
     else:
         cue_rows = cue_tagger.predict_tags(ids)
-    scope_rows = [None] * len(blocks_in)
+    scope_rows = None
     if scope_tagger is not None:
+        smooth = args.postprocess or scope_tagger.config.smooth_predictions
         scope_rows = predict_scopes(scope_tagger, ids, cue_rows, smooth)
-    out_blocks = [(source_id, tokens, ctags, stags) for (source_id, tokens, _), ctags, stags
-                  in zip(blocks_in, cue_rows, scope_rows)]
 
-    text = format_column_blocks(out_blocks)
+    text = format_column_blocks(column_blocks(blocks, cue_rows, scope_rows))
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -757,12 +714,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-cue", help="train and score a cue tagger")
     _add_common(p)
-    p.add_argument("--variant", help=f"one of {sorted(CUE_VARIANTS)}")
+    p.add_argument("--variant", help=f"one of {sorted(VARIANTS['cue'])}")
     p.set_defaults(func=cmd_train_cue)
 
     p = sub.add_parser("train-scope", help="train and score a scope tagger (gold cue inputs)")
     _add_common(p)
-    p.add_argument("--variant", help=f"one of {sorted(SCOPE_VARIANTS)}")
+    p.add_argument("--variant", help=f"one of {sorted(VARIANTS['scope'])}")
     p.add_argument("--cue-input", choices=("gold", "pred"), default="gold",
                    help="cue source for test-time inputs (pred needs cue.npz in --out)")
     p.set_defaults(func=cmd_train_scope)

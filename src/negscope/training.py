@@ -175,16 +175,12 @@ class TrainConfig:
     early_stopping: bool = False
     patience: int = 2
     seed: int = 0
-    embed_dim: int = 200
-    units: int = 200
-    embeddings_trainable: bool = False
-    max_len: int = 100
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.lr0 <= 0:
             raise ValueError("epochs and batch_size must be >= 1 and lr0 > 0")
-        if self.patience < 1 or self.max_len < 1:
-            raise ValueError("patience and max_len must be >= 1")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
 
 
 @dataclass

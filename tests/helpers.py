@@ -170,7 +170,13 @@ def _no_space(text: str) -> bool:
 _WORDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
                  max_size=5).filter(_no_space)
 _TOKENS = st.one_of(_WORDS, _WORDS.map(lambda t: "#" + t), st.just("#"))
-_SOURCE_IDS = st.one_of(st.just(""), _WORDS.filter(lambda t: not t.startswith("#")))
+# any text, '#'-prefixed included; Sentence must reject the ids a column
+# file cannot carry, which CARRIED_IDS leaves out
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_SOURCE_IDS = st.one_of(_TEXT, _TEXT.map(lambda t: "#" + t))
+CARRIED_IDS = _SOURCE_IDS.filter(
+    lambda t: t == t.strip() and not any(c in t for c in "\t\n\r")
+)
 
 
 @st.composite
@@ -189,7 +195,7 @@ def gold_instances(draw):
         right = draw(st.integers(left, n - 1))
         cues = draw(st.lists(st.integers(left, right), min_size=1, unique=True))
         ann = NegationAnnotation(tuple(cues), (left, right) if shape == "scope" else None)
-    return NegationInstance(Sentence(tokens, draw(_SOURCE_IDS)), ann)
+    return NegationInstance(Sentence(tokens, draw(CARRIED_IDS)), ann)
 
 
 @st.composite
@@ -204,4 +210,4 @@ def tag_rows(draw, with_scope: bool, tokens=None):
     stags = None
     if with_scope:
         stags = tuple(draw(st.lists(st.sampled_from(SCOPE_TAGS), min_size=n, max_size=n)))
-    return draw(_SOURCE_IDS), tokens, ctags, stags
+    return draw(CARRIED_IDS), tokens, ctags, stags

@@ -34,7 +34,7 @@ from negscope.layers import (
     init_lstm,
     lstm_forward,
 )
-from negscope.models import Tagger, cue_config, scope_config
+from negscope.models import Tagger, tagger_config
 from negscope.numerics import finite_diff_grad
 from negscope.pipeline import main
 from negscope.training import TrainConfig, batch_inputs, instance_loss_grads, train
@@ -95,12 +95,8 @@ def test_c2_analytic_gradients_match_finite_differences():
             units = int(rng.integers(1, 4))
             n = int(rng.integers(1, 5))
             vocab_size = 5
-            if task == "cue":
-                cfg = cue_config("bilstm-crf" if head_crf else "bilstm",
-                                 vocab_size, embed_dim, units)
-            else:
-                cfg = scope_config("bilstm-crf" if head_crf else "bilstm",
-                                   vocab_size, embed_dim, units)
+            cfg = tagger_config(task, "bilstm-crf" if head_crf else "bilstm",
+                                vocab_size, embed_dim, units)
             from dataclasses import replace
             cfg = replace(cfg, embeddings_trainable=True)
             tagger = Tagger.build(cfg, np.random.default_rng(int(rng.integers(1 << 30))))
@@ -177,18 +173,18 @@ def test_c4_both_taggers_overfit_a_tiny_corpus():
         data = encode_instances(instances, vocab, 20)
         config = TrainConfig(
             epochs=200, batch_size=2, lr0=0.001, decay_every=0,
-            early_stopping=False, seed=11, embed_dim=24, units=24, max_len=20,
+            early_stopping=False, seed=11,
         )
 
         cue_tagger = Tagger.build(
-            cue_config("bilstm", vocab.size, 24, 24), np.random.default_rng(12)
+            tagger_config("cue", "bilstm", vocab.size, 24, 24), np.random.default_rng(12)
         )
         train(cue_tagger, data, [], config)
         cue_acc = _token_accuracy(cue_tagger, data)
 
         scope_data = [inst for inst in data if inst.is_negation]
         scope_tagger = Tagger.build(
-            scope_config("bilstm-crf", vocab.size, 24, 24), np.random.default_rng(13)
+            tagger_config("scope", "bilstm-crf", vocab.size, 24, 24), np.random.default_rng(13)
         )
         train(scope_tagger, scope_data, [], config)
         scope_acc = _token_accuracy(scope_tagger, scope_data)

@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 
 import negscope.models as models
 from helpers import rel_err
-from negscope.models import Tagger, cue_config, scope_config, split_columns
+from negscope.models import Tagger, split_columns, tagger_config
 from negscope.training import instance_loss_grads
 
 VOCAB = 11
 
 
 def build(task, variant, seed=0, embed_dim=5, units=4):
-    make = cue_config if task == "cue" else scope_config
-    cfg = replace(make(variant, VOCAB, embed_dim, units), embeddings_trainable=True)
+    cfg = replace(tagger_config(task, variant, VOCAB, embed_dim, units),
+                  embeddings_trainable=True)
     tagger = Tagger.build(cfg, np.random.default_rng(seed))
     if tagger.crf is not None:
         tagger.crf.trans[:] = 0.5 * np.random.default_rng(seed + 1).normal(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gold_instances, synthetic_instances, tag_rows
+from helpers import _SOURCE_IDS, gold_instances, synthetic_instances, tag_rows
 from negscope.corpus import (
     CorpusError,
     NegationInstance,
@@ -202,7 +202,7 @@ class TestParse:
 
 class TestRoundTrip:
     """format -> parse through both readers on arbitrary whitespace-free
-    tokens, '#'-prefixed ones included."""
+    tokens and arbitrary source ids, '#'-prefixed ones included."""
 
     @given(st.lists(gold_instances(), min_size=1, max_size=4))
     @settings(max_examples=150, deadline=None)
@@ -216,6 +216,26 @@ class TestRoundTrip:
                          tuple(i.cue_tags()), tuple(i.scope_tags()))
                 for i in instances
             ]
+
+    def test_ids_the_format_cannot_carry_are_rejected(self):
+        for bad in ("x\ty", "x\ny", "x\ry", " x", "x\r", "\u2028x", "\x85"):
+            with pytest.raises(ValueError, match="source id"):
+                Sentence(("no",), bad)
+        for good in ("", "#x", "##", "a b", "S1.4"):
+            assert Sentence(("no",), good).source_id == good
+
+    @given(_SOURCE_IDS)
+    @settings(max_examples=300, deadline=None)
+    def test_source_id_is_rejected_or_survives_both_readers(self, source_id):
+        try:
+            sentence = Sentence(("no", "#3"), source_id)
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.col"
+            write_column_file(path, [NegationInstance(sentence)])
+            assert [inst.sentence.source_id for inst in parse_column_file(path)] == [source_id]
+            assert [block.source_id for block in read_tag_blocks(path)] == [source_id]
 
     @given(st.booleans().flatmap(
         lambda scope: st.lists(tag_rows(scope), min_size=1, max_size=4)

@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 
 from negscope.models import (
-    CUE_VARIANTS,
-    SCOPE_VARIANTS,
+    VARIANTS,
     Tagger,
-    cue_config,
     load_checkpoint,
     save_checkpoint,
-    scope_config,
+    tagger_config,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -26,13 +24,13 @@ def build(config, seed=3, matrix=None):
 
 class TestAssembly:
     def test_baseline_has_no_lstm_or_crf(self):
-        tagger = build(cue_config("baseline", vocab_size=7, embed_dim=4, units=3))
+        tagger = build(tagger_config("cue", "baseline", vocab_size=7, embed_dim=4, units=3))
         names = set(tagger.parameters())
         assert names == {"emb.E", "dense.W", "dense.b"}
         assert tagger.dense.weights.shape == (3, 4)  # 3 cue labels, embed width
 
     def test_bilstm_crf_parameter_set(self):
-        tagger = build(cue_config("bilstm-crf", vocab_size=7, embed_dim=4, units=3))
+        tagger = build(tagger_config("cue", "bilstm-crf", vocab_size=7, embed_dim=4, units=3))
         names = set(tagger.parameters())
         assert "crf.T" in names and "lstm.f.w_in" in names and "lstm.b.w_rec" in names
         assert not any(n.endswith(".w_aux") for n in names)
@@ -42,38 +40,38 @@ class TestAssembly:
         assert tagger.crf.trans.shape == (5, 5)  # 3 labels + start + end
 
     def test_scope_model_is_two_input(self):
-        tagger = build(scope_config("bilstm", vocab_size=7, embed_dim=4, units=3))
+        tagger = build(tagger_config("scope", "bilstm", vocab_size=7, embed_dim=4, units=3))
         assert any(n.endswith(".w_aux") for n in tagger.parameters())
         assert tagger.dense.weights.shape == (4, 6)  # 4 scope labels
 
     def test_scope_post_variant_smooths(self):
-        assert scope_config("bilstm-post", 7, 4, 3).smooth_predictions
-        assert not scope_config("bilstm", 7, 4, 3).smooth_predictions
+        assert tagger_config("scope", "bilstm-post", 7, 4, 3).smooth_predictions
+        assert not tagger_config("scope", "bilstm", 7, 4, 3).smooth_predictions
 
     def test_unknown_variants_are_errors(self):
         with pytest.raises(ValueError, match="unknown cue variant"):
-            cue_config("transformer", 7, 4, 3)
+            tagger_config("cue", "transformer", 7, 4, 3)
         with pytest.raises(ValueError, match="unknown scope variant"):
-            scope_config("baseline", 7, 4, 3)
+            tagger_config("scope", "baseline", 7, 4, 3)
 
     def test_frozen_embeddings_are_not_trainable_params(self):
-        frozen = build(cue_config("bilstm", 7, 4, 3))
+        frozen = build(tagger_config("cue", "bilstm", 7, 4, 3))
         assert "emb.E" not in frozen.trainable_parameters()
-        trained = build(cue_config("emb-train", 7, 4, 3))
+        trained = build(tagger_config("cue", "emb-train", 7, 4, 3))
         assert "emb.E" in trained.trainable_parameters()
 
     def test_build_is_deterministic_per_seed(self):
-        cfg = cue_config("bilstm-crf", 7, 4, 3)
+        cfg = tagger_config("cue", "bilstm-crf", 7, 4, 3)
         a, b = build(cfg, seed=11), build(cfg, seed=11)
         for name, arr in a.parameters().items():
             np.testing.assert_array_equal(arr, b.parameters()[name])
 
     def test_pretrained_matrix_is_adopted(self):
         matrix = np.arange(28, dtype=np.float64).reshape(4, 7)
-        tagger = build(cue_config("bilstm", 7, 4, 3), matrix=matrix)
+        tagger = build(tagger_config("cue", "bilstm", 7, 4, 3), matrix=matrix)
         np.testing.assert_array_equal(tagger.embedding.weights, matrix)
         with pytest.raises(ValueError, match="shape"):
-            build(cue_config("bilstm", 7, 4, 3), matrix=np.zeros((3, 7)))
+            build(tagger_config("cue", "bilstm", 7, 4, 3), matrix=np.zeros((3, 7)))
 
 
 def readme_variant_rows() -> dict[tuple[str, str], tuple[str, str, str]]:
@@ -90,8 +88,7 @@ def readme_variant_rows() -> dict[tuple[str, str], tuple[str, str, str]]:
 class TestVariantTable:
     def test_every_variant_matches_the_readme_table(self):
         rows = readme_variant_rows()
-        ours = {("cue", v): o for v, o in CUE_VARIANTS.items()}
-        ours.update({("scope", v): o for v, o in SCOPE_VARIANTS.items()})
+        ours = {(task, v): o for task, table in VARIANTS.items() for v, o in table.items()}
         assert set(rows) == set(ours)
         for key, (embedding, encoder, head) in rows.items():
             opts = ours[key]
@@ -100,36 +97,36 @@ class TestVariantTable:
             assert head == {"softmax": "softmax", "crf": "CRF"}[opts["head"]], key
 
     def test_emb_crf_trains_its_embeddings(self):
-        tagger = build(cue_config("emb-crf", 7, 4, 3))
+        tagger = build(tagger_config("cue", "emb-crf", 7, 4, 3))
         assert "emb.E" in tagger.trainable_parameters()
 
 
 class TestPrediction:
     def test_scores_shape(self):
-        tagger = build(scope_config("bilstm", 9, 4, 3))
+        tagger = build(tagger_config("scope", "bilstm", 9, 4, 3))
         scores, _ = tagger.scores([np.array([1, 2, 3, 0, 5])], [np.array([0, 1, 0, 0, 0])])
         assert scores.shape == (4, 5)
 
     def test_two_input_model_requires_cue_bits(self):
-        tagger = build(scope_config("bilstm", 9, 4, 3))
+        tagger = build(tagger_config("scope", "bilstm", 9, 4, 3))
         with pytest.raises(ValueError, match="cue bits"):
             tagger.scores([np.array([1, 2])])
 
     def test_softmax_ties_pick_lowest_label(self):
-        tagger = build(cue_config("baseline", 6, 4, 3))
+        tagger = build(tagger_config("cue", "baseline", 6, 4, 3))
         tagger.dense.weights[:] = 0.0
         tagger.dense.bias[:] = 0.0
         assert tagger.predict_tags([np.array([1, 2, 3])]) == [["NC", "NC", "NC"]]
 
     def test_crf_ties_pick_lowest_label(self):
-        tagger = build(cue_config("emb-crf", 6, 4, 3))
+        tagger = build(tagger_config("cue", "emb-crf", 6, 4, 3))
         tagger.dense.weights[:] = 0.0
         tagger.dense.bias[:] = 0.0
         tagger.crf.trans[:] = 0.0
         assert tagger.predict_tags([np.array([1, 2, 3])]) == [["NC", "NC", "NC"]]
 
     def test_predict_matches_scores_argmax(self):
-        tagger = build(cue_config("bilstm", 9, 4, 3))
+        tagger = build(tagger_config("cue", "bilstm", 9, 4, 3))
         ids = np.array([1, 5, 2, 8])
         scores, _ = tagger.scores([ids])
         assert tagger.predict_ids([ids]) == [list(scores.argmax(axis=0))]
@@ -137,7 +134,7 @@ class TestPrediction:
 
 class TestCheckpoint:
     def test_round_trip_is_bit_identical(self, tmp_path):
-        tagger = build(scope_config("bilstm-crf", 9, 4, 3), seed=5)
+        tagger = build(tagger_config("scope", "bilstm-crf", 9, 4, 3), seed=5)
         path = tmp_path / "model.npz"
         save_checkpoint(path, tagger, vocab_hash="abc123")
         again, meta = load_checkpoint(path)
@@ -147,7 +144,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(arr, again.parameters()[name])
 
     def test_round_trip_preserves_predictions(self, tmp_path):
-        tagger = build(cue_config("bilstm-crf", 9, 4, 3), seed=6)
+        tagger = build(tagger_config("cue", "bilstm-crf", 9, 4, 3), seed=6)
         path = tmp_path / "model.npz"
         save_checkpoint(path, tagger, vocab_hash="x")
         again, _ = load_checkpoint(path)
@@ -186,28 +183,28 @@ class TestCheckpointCrossCheck:
     ])
     def test_metadata_must_match_the_variant_table(self, tmp_path, changes):
         path = tmp_path / "cue.npz"
-        save_checkpoint(path, build(cue_config("bilstm-crf", 9, 4, 3)), vocab_hash="h")
+        save_checkpoint(path, build(tagger_config("cue", "bilstm-crf", 9, 4, 3)), vocab_hash="h")
         rewrite_meta(path, **changes)
         with pytest.raises(ValueError, match="does not match|unknown"):
             load_checkpoint(path)
 
     def test_unknown_task_is_an_error(self, tmp_path):
         path = tmp_path / "m.npz"
-        save_checkpoint(path, build(cue_config("bilstm", 9, 4, 3)), vocab_hash="h")
+        save_checkpoint(path, build(tagger_config("cue", "bilstm", 9, 4, 3)), vocab_hash="h")
         rewrite_meta(path, task="speculation")
         with pytest.raises(ValueError, match="unknown task"):
             load_checkpoint(path)
 
     def test_trainable_flag_may_widen_a_frozen_variant(self, tmp_path):
         path = tmp_path / "m.npz"
-        save_checkpoint(path, build(cue_config("bilstm", 9, 4, 3)), vocab_hash="h")
+        save_checkpoint(path, build(tagger_config("cue", "bilstm", 9, 4, 3)), vocab_hash="h")
         rewrite_meta(path, embeddings_trainable=True)
         tagger, _ = load_checkpoint(path)
         assert tagger.config.embeddings_trainable
 
     def test_trainable_variant_cannot_be_stored_frozen(self, tmp_path):
         path = tmp_path / "m.npz"
-        save_checkpoint(path, build(cue_config("emb-crf", 9, 4, 3)), vocab_hash="h")
+        save_checkpoint(path, build(tagger_config("cue", "emb-crf", 9, 4, 3)), vocab_hash="h")
         rewrite_meta(path, embeddings_trainable=False)
         with pytest.raises(ValueError, match="embeddings_trainable=False does not match"):
             load_checkpoint(path)

@@ -25,14 +25,15 @@ from negscope.corpus import (
 from negscope.evaluation import evaluate_cue, evaluate_scope
 from negscope.labeling import NegationAnnotation, cue_vector, is_continuous
 from negscope.pipeline import (
+    CONFIG_KEYS,
     UsageError,
     _difference,
     evaluate_files,
     main,
     parse_config_file,
     resolve_config,
-    scope_base,
 )
+from negscope.models import scope_base
 from helpers import synthetic_instances, tag_rows
 
 
@@ -114,6 +115,16 @@ class TestConfig:
         cfg.write_text("cue.epochs=0\n")
         with pytest.raises(UsageError, match="cue training settings"):
             resolve_config(plain_args(config=str(cfg)))
+
+    @pytest.mark.parametrize("key", ["max_len", "embed_dim", "units"])
+    def test_size_below_one_exits_two(self, tmp_path, capsys, key):
+        corpus = tmp_path / "corpus.col"
+        write_column_file(corpus, synthetic_instances(8, seed=7))
+        cfg = tmp_path / "c.txt"
+        write_config(cfg, corpus, **{key: 0})
+        rc = main(["train-cue", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"{key} must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestSmallHelpers:
@@ -247,6 +258,13 @@ class TestExperiment:
             rc = main(["evaluate", str(out / pred), str(out / gold)])
             assert rc == 0
             assert capsys.readouterr().out == (out / report).read_text()
+
+    def test_config_snapshot_resolves_to_itself(self, experiment_run, monkeypatch):
+        monkeypatch.delenv("NEGSCOPE_OUT", raising=False)
+        snapshot = experiment_run.out / "config.txt"
+        lines = snapshot.read_text().splitlines()
+        assert {line.split("=")[0] for line in lines} == set(CONFIG_KEYS)
+        assert resolve_config(plain_args(config=str(snapshot))).snapshot_lines() == lines
 
     def test_same_seed_run_is_byte_identical(self, experiment_run, tmp_path):
         again = tmp_path / "again"

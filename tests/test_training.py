@@ -10,7 +10,7 @@ import pytest
 
 from negscope.corpus import build_vocab, encode_instances
 from negscope.layers import CrfParams, crf_nll_grads
-from negscope.models import Tagger, cue_config, scope_config
+from negscope.models import Tagger, tagger_config
 from negscope.numerics import logsumexp
 from negscope.training import (
     AdamState,
@@ -135,12 +135,13 @@ class TestFullModelGradients:
                 arr[:] = original
 
     def test_trainable_embedding_softmax_model(self):
-        tagger = Tagger.build(cue_config("emb-train", 6, 3, 2), np.random.default_rng(4))
+        tagger = Tagger.build(tagger_config("cue", "emb-train", 6, 3, 2), np.random.default_rng(4))
         self._check_all(tagger, [np.array([1, 4, 0, 2]), np.array([4, 3])],
                         [np.array([0, 1, 1, 2]), np.array([1, 0])])
 
     def test_two_input_bilstm_crf_model(self):
-        tagger = Tagger.build(scope_config("bilstm-crf", 6, 3, 2), np.random.default_rng(5))
+        tagger = Tagger.build(tagger_config("scope", "bilstm-crf", 6, 3, 2),
+                              np.random.default_rng(5))
         ids = [np.array([2, 5, 1, 3]), np.array([4])]
         self._check_all(tagger, ids, [np.array([1, 2, 3, 0]), np.array([2])],
                         [np.array([0, 1, 0, 0]), np.array([1])])
@@ -236,8 +237,7 @@ def encoded_corpus(count=12, seed=0, max_len=12):
 
 
 def small_config(**overrides):
-    base = dict(epochs=6, batch_size=4, lr0=0.01, decay_every=0, seed=3,
-                embed_dim=8, units=8)
+    base = dict(epochs=6, batch_size=4, lr0=0.01, decay_every=0, seed=3)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -245,7 +245,7 @@ def small_config(**overrides):
 class TestModelInputs:
     def test_cue_task_slices_to_real_length(self):
         data, _ = encoded_corpus(4)
-        tagger = Tagger.build(cue_config("baseline", 40, 4, 2), np.random.default_rng(0))
+        tagger = Tagger.build(tagger_config("cue", "baseline", 40, 4, 2), np.random.default_rng(0))
         ids, gold, bits = batch_inputs(tagger, data)
         assert bits is None
         assert [len(x) for x in ids] == [len(inst.tokens) for inst in data]
@@ -254,7 +254,7 @@ class TestModelInputs:
 
     def test_scope_task_provides_cue_bits(self):
         data, _ = encoded_corpus(4)
-        tagger = Tagger.build(scope_config("bilstm", 40, 4, 2), np.random.default_rng(0))
+        tagger = Tagger.build(tagger_config("scope", "bilstm", 40, 4, 2), np.random.default_rng(0))
         _, gold, bits = batch_inputs(tagger, data)
         np.testing.assert_array_equal(gold[1], data[1].scope_label_ids)
         assert bits is not None and bits[1].sum() == 1  # pattern 1 has one cue token
@@ -265,7 +265,7 @@ class TestTrainLoop:
         data, vocab = encoded_corpus()
         config = small_config()
         tagger = Tagger.build(
-            cue_config("emb-train", vocab.size, 8, 8), np.random.default_rng(config.seed)
+            tagger_config("cue", "emb-train", vocab.size, 8, 8), np.random.default_rng(config.seed)
         )
         history = train(tagger, data, [], config)
         assert history.epochs_run == 6
@@ -277,9 +277,8 @@ class TestTrainLoop:
         config = small_config(epochs=3)
         runs = []
         for _ in range(2):
-            tagger = Tagger.build(
-                scope_config("bilstm", vocab.size, 8, 8), np.random.default_rng(config.seed)
-            )
+            tagger = Tagger.build(tagger_config("scope", "bilstm", vocab.size, 8, 8),
+                                  np.random.default_rng(config.seed))
             history = train(tagger, data, data[:4], config)
             runs.append((history, tagger.snapshot()))
         assert runs[0][0].train_loss == runs[1][0].train_loss
@@ -290,7 +289,8 @@ class TestTrainLoop:
     def test_early_stopping_restores_best_epoch(self):
         data, vocab = encoded_corpus(8)
         taggers = [
-            Tagger.build(cue_config("bilstm", vocab.size, 8, 8), np.random.default_rng(1))
+            Tagger.build(tagger_config("cue", "bilstm", vocab.size, 8, 8),
+                         np.random.default_rng(1))
             for _ in range(2)
         ]
         falling = iter([50.0, 40.0, 30.0, 20.0, 10.0, 5.0])
@@ -311,7 +311,7 @@ class TestTrainLoop:
         data, vocab = encoded_corpus(8)
         config = small_config(epochs=10, early_stopping=True)
         tagger = Tagger.build(
-            cue_config("bilstm", vocab.size, 8, 8), np.random.default_rng(1)
+            tagger_config("cue", "bilstm", vocab.size, 8, 8), np.random.default_rng(1)
         )
         history = train(tagger, data, data[:4], config,
                         val_scorer=lambda t, d: math.nan)
@@ -322,21 +322,21 @@ class TestTrainLoop:
     def test_frozen_embeddings_stay_bit_identical(self):
         data, vocab = encoded_corpus()
         tagger = Tagger.build(
-            cue_config("bilstm", vocab.size, 8, 8), np.random.default_rng(2)
+            tagger_config("cue", "bilstm", vocab.size, 8, 8), np.random.default_rng(2)
         )
         before = tagger.embedding.weights.copy()
         train(tagger, data, [], small_config(epochs=2))
         np.testing.assert_array_equal(tagger.embedding.weights, before)
 
     def test_empty_training_set_rejected(self):
-        tagger = Tagger.build(cue_config("baseline", 5, 4, 2), np.random.default_rng(0))
+        tagger = Tagger.build(tagger_config("cue", "baseline", 5, 4, 2), np.random.default_rng(0))
         with pytest.raises(ValueError, match="empty training set"):
             train(tagger, [], [], small_config())
 
     def test_overflowing_loss_raises_diverged(self):
         # a pathological start transition makes each sequence NLL ~1e308,
         # so a two-instance batch overflows to inf
-        tagger = Tagger.build(cue_config("emb-crf", 5, 4, 2), np.random.default_rng(0))
+        tagger = Tagger.build(tagger_config("cue", "emb-crf", 5, 4, 2), np.random.default_rng(0))
         tagger.crf.trans[tagger.crf.start, 0] = -1.7e308
         inst = SimpleNamespace(
             token_ids=np.array([1, 2]),
