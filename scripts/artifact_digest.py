@@ -7,7 +7,7 @@ Usage::
 
 Imports negscope from `<checkout>/src` and the synthetic corpus builder
 from `<checkout>/tests/helpers.py`, writes
-`synthetic_instances(200, seed=21)` as a corpus, and runs thirteen
+`synthetic_instances(200, seed=21)` as a corpus, and runs fourteen
 commands in process:
 
   experiment                      run dir exp/ (three scope variants)
@@ -15,6 +15,8 @@ commands in process:
   train-scope --cue-input pred    run dir cue/, on the cue model above
   train-scope --cue-input gold    run dir scope/ (bilstm-crf)
   train-cue with max_len=4        run dir cut/ (every training instance cut)
+  train-cue, embed_dim=200        run dir wide/ (units 48: the LSTM w_in,
+                                  38,400 elements, spans two Adam chunks)
   predict                         exp/, column input
   predict --raw                   exp/, raw text input
   predict --cue-input gold        exp/
@@ -99,6 +101,7 @@ def _write_config(path: Path, **overrides) -> Path:
 def commands(work: Path) -> list[list[str]]:
     config = str(work / "config.txt")
     cut = str(work / "config_cut.txt")
+    wide = str(work / "config_wide.txt")
     exp, cue, scope = (str(work / name) for name in ("exp", "cue", "scope"))
     gold = str(work / "exp" / "scope_test_gold.col")
     return [
@@ -108,6 +111,7 @@ def commands(work: Path) -> list[list[str]]:
          "--cue-input", "pred"],
         ["train-scope", "--config", config, "--out", scope, "--variant", "bilstm-crf"],
         ["train-cue", "--config", cut, "--out", str(work / "cut")],
+        ["train-cue", "--config", wide, "--out", str(work / "wide")],
         ["predict", "--out", exp, "--variant", "bilstm", gold, str(work / "p_column.col")],
         ["predict", "--out", exp, "--variant", "bilstm", "--raw", str(work / "raw.txt"),
          str(work / "p_raw.col")],
@@ -135,6 +139,7 @@ def main(argv: list[str]) -> int:
     corpus_io.write_column_file(corpus, helpers.synthetic_instances(200, seed=21))
     _write_config(work / "config.txt", corpus=corpus)
     _write_config(work / "config_cut.txt", corpus=corpus, max_len=4)
+    _write_config(work / "config_wide.txt", corpus=corpus, embed_dim=200, units=48)
     (work / "raw.txt").write_text(RAW_TEXT, encoding="utf-8")
 
     # the commands' INFO lines would drown the digests

@@ -17,8 +17,8 @@ Usage::
     python3 scripts/bioscope_to_columns.py abstracts.xml abstracts.col
 
 BioScope is distributed under its own license and is not part of this
-repository, so this converter has no fixture corpus and sits outside the
-tested surface. Inspect a sample of the output before training on it.
+repository; tests/test_bioscope.py converts a snippet written inside the
+test. Inspect a sample of the output before training on it.
 Annotations the package's stricter data model rejects (for example a
 scope that does not contain its cue) are reported and skipped, keeping
 the sentence as an assertion rather than dropping it.
@@ -35,8 +35,7 @@ sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent.par
 from negscope.corpus import (
     NegationInstance,
     Sentence,
-    corpus_stats,
-    format_stats,
+    corpus_stat_lines,
     tokenize,
     write_column_file,
 )
@@ -142,7 +141,7 @@ def main(argv=None) -> int:
             print(f"warning: {msg}", file=sys.stderr)
 
     instances = convert(args.xml, args.out, warn)
-    print(format_stats(corpus_stats(instances)))
+    print("\n".join(corpus_stat_lines(instances)))
     if warnings:
         print(f"{len(warnings)} annotation(s) skipped", file=sys.stderr)
     return 0

@@ -496,3 +496,11 @@ def corpus_stats(instances) -> dict:
         "tokens": len(tokens),
         "distinct_tokens": len(set(tokens)),
     }
+
+
+def corpus_stat_lines(instances) -> list[str]:
+    """corpus_stats as sorted `corpus.<key>=<value>` lines, fractions to four
+    decimals: the form a run log records them in."""
+    stats = corpus_stats(instances)
+    return [f"corpus.{key}={stats[key]:.4f}" if isinstance(stats[key], float)
+            else f"corpus.{key}={stats[key]}" for key in sorted(stats)]

@@ -9,7 +9,6 @@ matches O* B* C A* O*, so every gold scope is one contiguous block.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 CUE_TAGS = ("NC", "C", "MC")
@@ -17,8 +16,6 @@ SCOPE_TAGS = ("O", "B", "C", "A")
 
 CUE_TAG_IDS = {t: i for i, t in enumerate(CUE_TAGS)}
 SCOPE_TAG_IDS = {t: i for i, t in enumerate(SCOPE_TAGS)}
-
-_GOLD_PATTERN = re.compile(r"O*(B*CA*)?O*")
 
 
 @dataclass(frozen=True)
@@ -108,13 +105,6 @@ def is_continuous(scope_tags: list[str]) -> bool:
         return True
     left, right = bounds
     return all(scope_tags[k] != "O" for k in range(left, right + 1))
-
-
-def valid_gold_pattern(scope_tags: list[str]) -> bool:
-    """True iff the sequence matches O* B* C A* O* or is all O."""
-    if any(t not in SCOPE_TAG_IDS for t in scope_tags):
-        return False
-    return _GOLD_PATTERN.fullmatch("".join(scope_tags)) is not None
 
 
 def postprocess(scope_tags: list[str], cue_bits: list[int]) -> list[str]:

@@ -427,13 +427,6 @@ def _backward_lattice(e: np.ndarray, crf: CrfParams) -> np.ndarray:
     return beta
 
 
-def crf_log_partition(emissions: np.ndarray, crf: CrfParams) -> float:
-    """log of the summed exp path score over all labelings."""
-    e = _check_emissions(emissions, crf)
-    alpha = _forward_lattice(e, crf)
-    return logsumexp(alpha[-1] + crf.trans[: crf.num_labels, crf.end])
-
-
 def crf_viterbi(emissions: np.ndarray, crf: CrfParams) -> tuple[list[int], float]:
     """Best-scoring labeling and its score; ties pick the lowest label index
     at every backtrack step."""

@@ -6,8 +6,6 @@ these helpers, so double precision is locked in here once.
 """
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 Array = np.ndarray
@@ -41,22 +39,3 @@ def logsumexp(scores: Array) -> float:
     if not np.isfinite(m):
         raise ValueError("logsumexp of non-finite scores")
     return float(m + np.log(np.sum(np.exp(s - m))))
-
-
-def finite_diff_grad(f: Callable[[Array], float], at: Array, eps: float = 1e-5) -> Array:
-    """Central-difference gradient of scalar f at a point, one coordinate at a time."""
-    x = np.array(at, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(x)
-        flat[i] = orig - eps
-        lo = f(x)
-        flat[i] = orig
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError(f"objective non-finite near coordinate {i}")
-        gflat[i] = (hi - lo) / (2.0 * eps)
-    return grad

@@ -28,7 +28,7 @@ from .corpus import (
     Sentence,
     Vocabulary,
     build_vocab,
-    corpus_stats,
+    corpus_stat_lines,
     encode_instances,
     format_column_blocks,
     load_embedding_file,
@@ -263,10 +263,8 @@ class LoadedCorpus:
 
 def load_corpus(config: ExperimentConfig, emit) -> LoadedCorpus:
     instances = parse_column_file(config.corpus)
-    stats = corpus_stats(instances)
-    for key in sorted(stats):
-        value = stats[key]
-        emit(f"corpus.{key}={value:.4f}" if isinstance(value, float) else f"corpus.{key}={value}")
+    for line in corpus_stat_lines(instances):
+        emit(line)
 
     split = split_dataset(instances, seed=config.seed)
     vocab = build_vocab(split.train)

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 from hypothesis import strategies as st
 
-from negscope.labeling import CUE_TAGS, SCOPE_TAGS, NegationAnnotation
-from negscope.numerics import finite_diff_grad
+from negscope.labeling import CUE_TAGS, SCOPE_TAG_IDS, SCOPE_TAGS, NegationAnnotation
 
 # ---------------------------------------------------------------------------
 # CRF enumeration oracle
@@ -102,6 +102,25 @@ def scalar_lstm_states(params, x, q=None):
 # ---------------------------------------------------------------------------
 # gradient checking
 
+def finite_diff_grad(f, at, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of scalar f at a point, one coordinate at a time."""
+    x = np.array(at, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = f(x)
+        flat[i] = orig - eps
+        lo = f(x)
+        flat[i] = orig
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise ValueError(f"objective non-finite near coordinate {i}")
+        gflat[i] = (hi - lo) / (2.0 * eps)
+    return grad
+
+
 def rel_err(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -113,6 +132,19 @@ def assert_grad_close(f, value, analytic, tol=1e-4, eps=1e-5):
     numeric = finite_diff_grad(f, np.asarray(value, dtype=np.float64), eps=eps)
     worst = rel_err(numeric, analytic).max() if numeric.size else 0.0
     assert worst <= tol, f"gradient mismatch: worst rel err {worst:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# gold scope shape
+
+_GOLD_PATTERN = re.compile(r"O*(B*CA*)?O*")
+
+
+def valid_gold_pattern(scope_tags: list[str]) -> bool:
+    """True iff the sequence matches O* B* C A* O* or is all O."""
+    if any(t not in SCOPE_TAG_IDS for t in scope_tags):
+        return False
+    return _GOLD_PATTERN.fullmatch("".join(scope_tags)) is not None
 
 
 # ---------------------------------------------------------------------------

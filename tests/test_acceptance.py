@@ -24,25 +24,26 @@ from negscope.corpus import (
     write_column_file,
 )
 from negscope.evaluation import evaluate_cue, evaluate_scope, pcp
-from negscope.labeling import is_continuous, postprocess, valid_gold_pattern
+from negscope.labeling import is_continuous, postprocess
 from negscope.layers import (
     CrfParams,
     LstmParams,
     bilstm_forward,
-    crf_log_partition,
+    crf_marginals,
     crf_viterbi,
     init_lstm,
     lstm_forward,
 )
 from negscope.models import Tagger, tagger_config
-from negscope.numerics import finite_diff_grad
 from negscope.pipeline import main
 from negscope.training import TrainConfig, batch_inputs, instance_loss_grads, train
 from helpers import (
     brute_best_path,
     brute_log_partition,
+    finite_diff_grad,
     rel_err,
     synthetic_instances,
+    valid_gold_pattern,
 )
 
 
@@ -72,7 +73,7 @@ def test_c1_crf_matches_brute_force_enumeration():
                 trans = np.round(trans)
             crf = CrfParams(trans)
 
-            log_z = crf_log_partition(emissions, crf)
+            _, _, log_z = crf_marginals(emissions, crf)
             expected = brute_log_partition(emissions, trans, crf.start, crf.end)
             assert abs(log_z - expected) <= 1e-9, f"case {case}: logZ off"
 

@@ -13,8 +13,8 @@ from negscope.labeling import (
     is_continuous,
     postprocess,
     scope_bounds,
-    valid_gold_pattern,
 )
+from helpers import valid_gold_pattern
 
 
 @st.composite

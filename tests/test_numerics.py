@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negscope.numerics import as_vector, finite_diff_grad, logsumexp, sigmoid
+from helpers import finite_diff_grad
+from negscope.numerics import as_vector, logsumexp, sigmoid
 
 rng = np.random.default_rng(42)
 

@@ -11,6 +11,7 @@ import pytest
 from negscope.corpus import build_vocab, encode_instances
 from negscope.layers import CrfParams, crf_nll_grads
 from negscope.models import Tagger, tagger_config
+from negscope import training
 from negscope.numerics import logsumexp
 from negscope.training import (
     AdamState,
@@ -21,38 +22,38 @@ from negscope.training import (
     instance_loss_grads,
     softmax_seq_grads,
     step_decay,
-    token_nll,
     train,
 )
 from helpers import assert_grad_close, synthetic_instances
 
 
 class TestTokenNll:
+    """The softmax head's per-token NLL: softmax_seq_grads's loss over n
+    tokens, given scores whose column softmax is `probs`."""
+
+    @staticmethod
+    def token_nll(probs, gold):
+        with np.errstate(divide="ignore"):
+            scores = np.log(np.asarray(probs, dtype=np.float64)).T
+        return softmax_seq_grads(scores, gold)[0] / len(gold)
+
     def test_perfect_prediction_costs_nothing(self):
         probs = np.eye(4)[[2, 0, 3]]
-        assert token_nll(probs, [2, 0, 3]) == 0.0
+        assert self.token_nll(probs, [2, 0, 3]) == 0.0
 
     def test_uniform_prediction_costs_log_num_labels(self):
         probs = np.full((5, 4), 0.25)
-        assert token_nll(probs, [0, 1, 2, 3, 0]) == pytest.approx(math.log(4))
+        assert self.token_nll(probs, [0, 1, 2, 3, 0]) == pytest.approx(math.log(4))
 
     def test_hand_mixed_case(self):
         probs = np.array([[0.5, 0.5], [0.25, 0.75]])
         expected = (math.log(2) + math.log(4)) / 2
-        assert token_nll(probs, [0, 0]) == pytest.approx(expected)
+        assert self.token_nll(probs, [0, 0]) == pytest.approx(expected)
 
-    def test_zero_probability_is_clamped_with_warning(self, caplog):
-        probs = np.array([[1.0, 0.0]])
-        with caplog.at_level("WARNING", logger="negscope.training"):
-            loss = token_nll(probs, [1])
-        assert loss == pytest.approx(-math.log(1e-12))
-        assert "clamped" in caplog.text
-
-    def test_bad_rows_are_an_error(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            token_nll(np.array([[0.7, 0.7]]), [0])
-        with pytest.raises(ValueError, match="no tokens"):
-            token_nll(np.empty((0, 2)), np.empty(0, dtype=np.int64))
+    def test_vanishing_gold_probability_is_not_clamped(self):
+        # P(gold) = e^-1000 costs its full score gap, not -log(1e-12)
+        loss, _ = softmax_seq_grads(np.array([[0.0], [-1000.0]]), [1])
+        assert loss == 1000.0
 
 
 class TestSoftmaxSeqGrads:
@@ -63,7 +64,7 @@ class TestSoftmaxSeqGrads:
         loss, _ = softmax_seq_grads(scores, gold)
         probs = np.exp(scores - scores.max(axis=0))
         probs /= probs.sum(axis=0)
-        assert loss == pytest.approx(6 * token_nll(probs.T, gold))
+        assert loss == pytest.approx(-sum(math.log(probs[g, k]) for k, g in enumerate(gold)))
 
     def test_matches_a_per_column_loop(self):
         rng = np.random.default_rng(3)
@@ -147,6 +148,29 @@ class TestFullModelGradients:
                         [np.array([0, 1, 0, 0]), np.array([1])])
 
 
+def assert_adam_is_the_closed_form(params, rng, steps=5):
+    """Run adam_step beside Adam's textbook formula and require every
+    parameter and moment to match bit for bit after each step."""
+    state = AdamState.init(params)
+    ref = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v2 = {k: np.zeros_like(v) for k, v in params.items()}
+    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.01
+    for t in range(1, steps + 1):
+        grads = {k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
+                 for k, p in params.items()}
+        adam_step(params, grads, state, lr)
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v2[k] = b2 * v2[k] + (1 - b2) * g * g
+            m_hat = m[k] / (1 - b1 ** t)
+            v_hat = v2[k] / (1 - b2 ** t)
+            ref[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert np.array_equal(params[k], ref[k])
+            assert np.array_equal(state.m[k], m[k])
+            assert np.array_equal(state.v[k], v2[k])
+
+
 class TestAdam:
     def test_first_step_matches_closed_form(self):
         params = {"w": np.array([1.0, -2.0])}
@@ -182,25 +206,47 @@ class TestAdam:
 
     def test_in_place_update_is_bitwise_the_closed_form(self):
         rng = np.random.default_rng(7)
-        params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
+        assert_adam_is_the_closed_form({"w": rng.normal(size=(3, 4)),
+                                        "b": rng.normal(size=5)}, rng)
+
+    @pytest.mark.parametrize("shapes", [[(1,)], [(7,)], [(8,)], [(20,)], [(3, 5), (1,), (20,)]],
+                             ids=["1", "7", "8", "20", "3x5+1+20"])
+    def test_chunked_update_is_bitwise_the_closed_form(self, monkeypatch, shapes):
+        # a prime chunk puts boundaries inside rows and inside every array
+        # longer than it
+        monkeypatch.setattr(training, "ADAM_CHUNK", 7)
+        rng = np.random.default_rng(11)
+        assert_adam_is_the_closed_form(
+            {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}, rng
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "transposed"])
+    def test_bad_gradient_changes_nothing(self, monkeypatch, bad):
+        monkeypatch.setattr(training, "ADAM_CHUNK", 7)
+        rng = np.random.default_rng(4)
+        params = {"a": rng.normal(size=(4, 5)), "b": rng.normal(size=(3, 7))}
         state = AdamState.init(params)
-        ref = {k: v.copy() for k, v in params.items()}
-        m = {k: np.zeros_like(v) for k, v in params.items()}
-        v2 = {k: np.zeros_like(v) for k, v in params.items()}
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.01
-        for t in range(1, 6):
-            grads = {k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
-                     for k, p in params.items()}
-            adam_step(params, grads, state, lr)
-            for k, g in grads.items():
-                m[k] = b1 * m[k] + (1 - b1) * g
-                v2[k] = b2 * v2[k] + (1 - b2) * g * g
-                m_hat = m[k] / (1 - b1 ** t)
-                v_hat = v2[k] / (1 - b2 ** t)
-                ref[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-                assert np.array_equal(params[k], ref[k])
-                assert np.array_equal(state.m[k], m[k])
-                assert np.array_equal(state.v[k], v2[k])
+        adam_step(params, {k: rng.normal(size=p.shape) for k, p in params.items()}, state, 0.1)
+        before = [{k: a.copy() for k, a in d.items()} for d in (params, state.m, state.v)]
+        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+        if bad == "transposed":
+            grads["b"] = grads["b"].T.copy()
+        else:
+            grads["b"][-1, -1] = bad  # the last chunk of the last parameter
+        with pytest.raises(ValueError, match="gradient for b"):
+            adam_step(params, grads, state, 0.1)
+        assert state.step == 1
+        for old, new in zip(before, (params, state.m, state.v)):
+            for k in old:
+                assert np.array_equal(old[k], new[k])
+
+    def test_parameter_that_cannot_be_flattened_in_place_is_an_error(self):
+        params = {"w": np.ones((4, 3)).T}  # a transposed view: not C-contiguous
+        state = AdamState.init(params)
+        with pytest.raises(ValueError, match="w .*in place"):
+            adam_step(params, {"w": np.ones((3, 4))}, state, 0.1)
+        assert np.array_equal(params["w"], np.ones((3, 4)))
+        assert state.step == 0
 
     def test_descends_random_convex_quadratics(self):
         rng = np.random.default_rng(6)
@@ -318,6 +364,18 @@ class TestTrainLoop:
         assert history.stopped_early
         assert history.best_epoch is None
         assert history.epochs_run == 2
+
+    def test_chunk_size_does_not_change_training(self, monkeypatch):
+        data, vocab = encoded_corpus()
+        runs = []
+        for chunk in (training.ADAM_CHUNK, 7):
+            monkeypatch.setattr(training, "ADAM_CHUNK", chunk)
+            tagger = Tagger.build(tagger_config("scope", "bilstm-crf", vocab.size, 8, 8),
+                                  np.random.default_rng(3))
+            train(tagger, data, [], small_config(epochs=2))
+            runs.append(tagger.parameters())
+        for name, arr in runs[0].items():
+            assert np.array_equal(arr, runs[1][name]), name
 
     def test_frozen_embeddings_stay_bit_identical(self):
         data, vocab = encoded_corpus()
