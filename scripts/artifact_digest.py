@@ -7,7 +7,7 @@ Usage::
 
 Imports negscope from `<checkout>/src` and the synthetic corpus builder
 from `<checkout>/tests/helpers.py`, writes
-`synthetic_instances(200, seed=21)` as a corpus, and runs fourteen
+`synthetic_instances(200, seed=21)` as a corpus, and runs fifteen
 commands in process:
 
   experiment                      run dir exp/ (three scope variants)
@@ -17,6 +17,8 @@ commands in process:
   train-cue with max_len=4        run dir cut/ (every training instance cut)
   train-cue, embed_dim=200        run dir wide/ (units 48: the LSTM w_in,
                                   38,400 elements, spans two Adam chunks)
+  train-scope, embed_dim=200      run dir wide/ (bilstm: the cue-bit input
+                                  sums 200-wide w_aux rows)
   predict                         exp/, column input
   predict --raw                   exp/, raw text input
   predict --cue-input gold        exp/
@@ -112,6 +114,7 @@ def commands(work: Path) -> list[list[str]]:
         ["train-scope", "--config", config, "--out", scope, "--variant", "bilstm-crf"],
         ["train-cue", "--config", cut, "--out", str(work / "cut")],
         ["train-cue", "--config", wide, "--out", str(work / "wide")],
+        ["train-scope", "--config", wide, "--out", str(work / "wide"), "--variant", "bilstm"],
         ["predict", "--out", exp, "--variant", "bilstm", gold, str(work / "p_column.col")],
         ["predict", "--out", exp, "--variant", "bilstm", "--raw", str(work / "raw.txt"),
          str(work / "p_raw.col")],

@@ -5,7 +5,7 @@ single- and two-input BiLSTMs, a dense projection, and either a per-token
 softmax or a linear-chain CRF on top. Training, evaluation, and the command
 line live in their own modules:
 
-    numerics    float64 kernels (sigmoid, logsumexp, finite diffs)
+    numerics    float64 kernels (sigmoid, logsumexp)
     layers      embedding / LSTM / dense / CRF forward and backward passes
     labeling    tag alphabets, gold tag derivation, scope smoother
     corpus      column-format corpus IO, tokenizer, vocabulary, splits

@@ -454,7 +454,6 @@ class DatasetSplit:
     train: list
     validation: list
     test: list
-    seed: int
 
     def __iter__(self):
         return iter((self.train, self.validation, self.test))
@@ -477,7 +476,7 @@ def split_dataset(instances, seed: int = 0) -> DatasetSplit:
     order = np.random.default_rng(seed).permutation(total)
     shuffled = [instances[i] for i in order]
     a, b = counts[0], counts[0] + counts[1]
-    return DatasetSplit(shuffled[:a], shuffled[a:b], shuffled[b:], seed)
+    return DatasetSplit(shuffled[:a], shuffled[a:b], shuffled[b:])
 
 
 def corpus_stats(instances) -> dict:

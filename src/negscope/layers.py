@@ -34,10 +34,6 @@ class EmbeddingParams:
     trainable: bool = False
 
     @property
-    def embed_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def vocab_size(self) -> int:
         return self.weights.shape[1]
 
@@ -74,14 +70,6 @@ def embed_backward(
     return grad
 
 
-def cue_embed_seq(cue_bits, embed_dim: int) -> np.ndarray:
-    """bits (n,) -> (n, d): all ones on a cue token, all zeros elsewhere."""
-    bits = np.asarray(cue_bits, dtype=np.float64)
-    if bits.ndim != 1 or not np.all((bits == 0) | (bits == 1)):
-        raise ValueError("cue bits must be a 1-d 0/1 vector")
-    return np.repeat(bits[:, None], embed_dim, axis=1)
-
-
 # ---------------------------------------------------------------------------
 # LSTM
 #
@@ -95,12 +83,14 @@ def cue_embed_seq(cue_bits, embed_dim: int) -> np.ndarray:
 class LstmParams:
     """One direction's weights, fused over the gates: rows [k*U, (k+1)*U)
     of every block belong to gate GATES[k]. `w_aux` is present only for the
-    two-input cell, which adds w_aux @ aux_k to the gate preactivations."""
+    two-input cell, whose second input is one scalar a_k per step, read as
+    the d-wide vector a_k * 1_d: the cell adds w_aux @ (a_k * 1_d), which is
+    a_k times the row sums of w_aux, to the gate preactivations."""
 
     w_in: np.ndarray  # (4U, d)
     w_rec: np.ndarray  # (4U, U)
     b: np.ndarray  # (4U,)
-    w_aux: np.ndarray | None = None  # (4U, d)
+    w_aux: np.ndarray | None = None  # (4U, d); only its row sums are read
 
     @property
     def units(self) -> int:
@@ -135,7 +125,7 @@ def init_lstm(
 @dataclass
 class LstmCache:
     inputs: np.ndarray  # (n, B, d), in recurrence order
-    aux: np.ndarray | None
+    aux: np.ndarray | None  # (n, B)
     gates: np.ndarray  # (n, B, 4U): sigmoid of i, f, o and tanh of g
     cell: np.ndarray  # (n, B, U)
     hidden: np.ndarray  # (n, B, U)
@@ -144,7 +134,7 @@ class LstmCache:
 def lstm_forward(
     params: LstmParams, inputs: np.ndarray, aux: np.ndarray | None = None
 ) -> tuple[np.ndarray, LstmCache]:
-    """Padded batch inputs (n, B, d) [, aux (n, B, d)] -> hidden (n, B, U).
+    """Padded batch inputs (n, B, d) [, aux (n, B)] -> hidden (n, B, U).
 
     State starts at zero in every column, and each step is one
     (B, U) @ (U, 4U) product. Aux inputs must be supplied iff the params
@@ -158,8 +148,8 @@ def lstm_forward(
     q = None
     if aux is not None:
         q = np.asarray(aux, dtype=np.float64)
-        if q.shape != x.shape:
-            raise ValueError(f"aux shape {q.shape} != input shape {x.shape}")
+        if q.shape != x.shape[:2]:
+            raise ValueError(f"aux shape {q.shape} != input steps {x.shape[:2]}")
 
     n, batch, dim = x.shape
     units = params.units
@@ -168,7 +158,7 @@ def lstm_forward(
     gates = (x.reshape(-1, dim) @ params.w_in.T).reshape(n, batch, 4 * units)
     gates += params.b
     if q is not None:
-        gates += (q.reshape(-1, dim) @ params.w_aux.T).reshape(gates.shape)
+        gates += q[..., None] * params.w_aux.sum(axis=1)
     cell = np.empty((n, batch, units))
     hidden = np.empty((n, batch, units))
     w_rec_t = params.w_rec.T
@@ -191,8 +181,10 @@ def lstm_forward(
 def lstm_backward(
     params: LstmParams, cache: LstmCache, d_hidden: np.ndarray
 ) -> tuple[LstmParams, np.ndarray, np.ndarray | None]:
-    """d_hidden (n, B, U), zero on padding -> (param grads, d_inputs, d_aux),
-    the latter two (n, B, d) in recurrence order."""
+    """d_hidden (n, B, U), zero on padding -> (param grads, d_inputs
+    (n, B, d), d_aux (n, B)), both in recurrence order. Every column of
+    the w_aux gradient is the same, since every column of w_aux meets the
+    same scalar aux input."""
     dh_out = np.asarray(d_hidden, dtype=np.float64)
     if dh_out.shape != cache.hidden.shape:
         raise ValueError(f"expected d_hidden {cache.hidden.shape}, got {dh_out.shape}")
@@ -226,15 +218,13 @@ def lstm_backward(
     h_prev = np.concatenate([zero, cache.hidden[:-1]]).reshape(n * batch, units)
     dim = cache.inputs.shape[2]
     grads = LstmParams(
-        flat.T @ cache.inputs.reshape(-1, dim),
-        flat.T @ h_prev,
-        flat.sum(axis=0),
-        None if cache.aux is None else flat.T @ cache.aux.reshape(-1, dim),
+        flat.T @ cache.inputs.reshape(-1, dim), flat.T @ h_prev, flat.sum(axis=0)
     )
     d_inputs = (flat @ params.w_in).reshape(n, batch, dim)
     d_aux = None
     if cache.aux is not None:
-        d_aux = (flat @ params.w_aux).reshape(n, batch, dim)
+        grads.w_aux = np.repeat((flat.T @ cache.aux.ravel())[:, None], dim, axis=1)
+        d_aux = (flat @ params.w_aux.sum(axis=1)).reshape(n, batch)
     return grads, d_inputs, d_aux
 
 
@@ -249,7 +239,7 @@ def step_rows(lengths: np.ndarray, reverse: bool) -> np.ndarray:
 
 
 def _to_steps(packed: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Packed (T, w) -> padded (n_max, B, w), zero on padding."""
+    """Packed (T, ...) -> padded (n_max, B, ...), zero on padding."""
     out = np.take(packed, rows, axis=0, mode="clip")
     out[rows == len(packed)] = 0.0
     return out
@@ -259,19 +249,19 @@ def bilstm_forward(
     fwd: LstmParams,
     bwd: LstmParams,
     inputs: np.ndarray,
-    aux: np.ndarray | None = None,
-    lengths=None,
+    aux: np.ndarray | None,
+    lengths,
     keep_cache: bool = True,
 ) -> tuple[np.ndarray, tuple | None]:
-    """Packed inputs (T, d) [+ aux (T, d)] -> states (T, 2U): the sentences
-    of the given lengths (default: one sentence) lie one after another, and
-    each row holds its token's left-to-right then right-to-left state.
+    """Packed inputs (T, d) [+ aux (T,)] -> states (T, 2U): the sentences
+    of the given lengths lie one after another, and each row holds its
+    token's left-to-right then right-to-left state.
 
     The cache is (LstmCache, step_rows) per direction; keep_cache=False
     frees each direction as soon as its states are read, for callers that
     run no backward pass."""
     x = np.asarray(inputs, dtype=np.float64)
-    lengths = np.array([len(x)] if lengths is None else lengths, dtype=np.int64)
+    lengths = np.array(lengths, dtype=np.int64)
     if lengths.sum() != len(x) or (lengths < 1).any():
         raise ValueError(f"lengths {lengths.tolist()} do not split {len(x)} rows")
     units = fwd.units
@@ -295,21 +285,19 @@ def bilstm_backward(
     bwd: LstmParams,
     caches: tuple,
     d_hidden: np.ndarray,
-) -> tuple[LstmParams, LstmParams, np.ndarray, np.ndarray | None]:
-    """d_states (T, 2U) -> (fwd grads, bwd grads, d_inputs (T, d), d_aux)."""
+) -> tuple[LstmParams, LstmParams, np.ndarray]:
+    """d_states (T, 2U) -> (fwd grads, bwd grads, d_inputs (T, d)); the aux
+    input is data, so its gradient is not gathered."""
     units = fwd.units
     d_inputs = np.zeros((len(d_hidden), fwd.in_dim))
-    d_aux = None if caches[0][0].aux is None else np.zeros_like(d_inputs)
     grads = []
     for params, (cache, rows), half in ((fwd, caches[0], slice(0, units)),
                                         (bwd, caches[1], slice(units, 2 * units))):
-        g, dx, dq = lstm_backward(params, cache, _to_steps(d_hidden[:, half], rows))
+        g, dx, _ = lstm_backward(params, cache, _to_steps(d_hidden[:, half], rows))
         real = rows < len(d_hidden)
         d_inputs[rows[real]] += dx[real]
-        if d_aux is not None:
-            d_aux[rows[real]] += dq[real]
         grads.append(g)
-    return grads[0], grads[1], d_inputs, d_aux
+    return grads[0], grads[1], d_inputs
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Model assembly for both tasks.
 
 A tagger is embedding -> optional BiLSTM -> dense -> head. The cue task
-labels {NC, C, MC}; the scope task labels {O, B, C, A} and feeds the cue
-indicator in as a second, constant embedding. The head is a per-token
-softmax or a linear-chain CRF.
+labels {NC, C, MC}; the scope task labels {O, B, C, A} and feeds each
+token's 0/1 cue bit to the BiLSTM as a second input. The head is a
+per-token softmax or a linear-chain CRF.
 
 VARIANTS holds one variant table per task. Cue variants: baseline
 (embeddings -> dense), emb-train (the same with trainable embeddings),
@@ -24,7 +24,6 @@ from .layers import (
     EmbeddingParams,
     bilstm_forward,
     crf_viterbi,
-    cue_embed_seq,
     dense_forward,
     embed,
     init_crf,
@@ -174,7 +173,8 @@ class Tagger:
     # -- forward ----------------------------------------------------------
 
     def scores(self, token_ids, cue_bits=None, keep_cache: bool = True):
-        """A batch of sentences' ids [+ cue bits] -> (scores (L, T), cache).
+        """A batch of sentences' ids [+ one 0/1 cue bit row per sentence]
+        -> (scores (L, T), cache).
 
         The sentences' columns lie one after another, T being their total
         length; `split_columns` cuts them apart again. keep_cache=False
@@ -182,12 +182,16 @@ class Tagger:
         """
         lengths = np.array([len(ids) for ids in token_ids], dtype=np.int64)
         ids = np.concatenate(token_ids).astype(np.int64)
+        aux = None
         if self.config.two_input:
-            if cue_bits is None:
-                raise ValueError(f"{self.config.task} model needs cue bits")
-            aux = cue_embed_seq(np.concatenate(cue_bits), self.config.embed_dim)
-        else:
-            aux = None
+            if cue_bits is None or len(cue_bits) != len(lengths):
+                raise ValueError(f"{self.config.task} model needs cue bits, one row per sentence")
+            for row, n in zip(cue_bits, lengths):
+                if len(row) != n:
+                    raise ValueError(f"a cue bit row has {len(row)} entries for {n} tokens")
+            aux = np.concatenate(cue_bits).astype(np.float64)
+            if not np.all((aux == 0) | (aux == 1)):
+                raise ValueError("cue bits must be 0 or 1")
         embedded = embed(self.embedding, ids)
         if self.config.use_lstm:
             states, lstm_cache = bilstm_forward(
@@ -207,6 +211,8 @@ class Tagger:
         token, so labels do not depend on the chunk a sentence lands in.
         """
         lengths = [len(ids) for ids in token_ids]
+        if cue_bits is not None and len(cue_bits) != len(lengths):
+            raise ValueError(f"{len(cue_bits)} cue bit rows for {len(lengths)} sentences")
         out: list = [None] * len(lengths)
         for chunk in length_chunks(lengths, PREDICT_TOKEN_BUDGET):
             bits = None if cue_bits is None else [cue_bits[i] for i in chunk]
@@ -254,8 +260,9 @@ def split_columns(scores: np.ndarray, lengths) -> list[np.ndarray]:
 # Tagger.parameters() uses: emb.E, dense.W, dense.b, crf.T and, per LSTM
 # direction (f, b), the fused blocks lstm.f.w_in (4U, d), lstm.f.w_rec
 # (4U, U), lstm.f.b (4U,) and, for the scope model, lstm.f.w_aux (4U, d),
-# gates stacked in the order i, f, o, g. Format 1 stored per-gate arrays
-# and is rejected.
+# gates stacked in the order i, f, o, g. The scope cell reads only the row
+# sums of w_aux (see LstmParams) but stores and trains the full block.
+# Format 1 stored per-gate arrays and is rejected.
 
 def save_checkpoint(path, tagger: Tagger, vocab_hash: str) -> None:
     cfg = tagger.config

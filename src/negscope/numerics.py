@@ -11,16 +11,6 @@ import numpy as np
 Array = np.ndarray
 
 
-def as_vector(a, length: int | None = None) -> Array:
-    """Validate and return `a` as a 1-d float64 array."""
-    v = np.asarray(a, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got ndim={v.ndim}")
-    if length is not None and v.shape[0] != length:
-        raise ValueError(f"expected length {length}, got {v.shape[0]}")
-    return v
-
-
 def sigmoid(x):
     """Elementwise 1 / (1 + e^-x). With e = e^-|x| this is 1 / (1 + e) for
     x >= 0 and e / (1 + e) below, so exp never overflows."""
@@ -32,7 +22,9 @@ def sigmoid(x):
 
 def logsumexp(scores: Array) -> float:
     """log sum exp of a 1-d score vector, max-subtracted for stability."""
-    s = as_vector(scores)
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1:
+        raise ValueError(f"expected a vector, got ndim={s.ndim}")
     if s.size == 0:
         raise ValueError("logsumexp of an empty vector")
     m = np.max(s)

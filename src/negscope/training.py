@@ -70,7 +70,7 @@ def instance_loss_grads(tagger: Tagger, token_ids, gold, cue_bits=None):
         tagger.dense, cache["states"], d_scores
     )
     if tagger.config.use_lstm:
-        g_f, g_b, d_embedded, _ = bilstm_backward(
+        g_f, g_b, d_embedded = bilstm_backward(
             tagger.lstm_fwd, tagger.lstm_bwd, cache["lstm"], d_states
         )
         for tag, g in (("f", g_f), ("b", g_b)):

@@ -145,13 +145,13 @@ def test_c3_two_input_cell_with_zero_aux_reduces_to_single_input():
             if case % 2 == 0:
                 # one padded batch, one direction
                 inputs = rng.normal(size=(n, int(rng.integers(1, 4)), in_dim))
-                with_aux, _ = lstm_forward(two, inputs, np.zeros_like(inputs))
+                with_aux, _ = lstm_forward(two, inputs, np.zeros(inputs.shape[:2]))
                 without, _ = lstm_forward(single, inputs, None)
             else:
                 # both directions over a ragged packed batch
                 lengths = rng.integers(1, 8, size=int(rng.integers(1, 4)))
                 inputs = rng.normal(size=(int(lengths.sum()), in_dim))
-                with_aux, _ = bilstm_forward(two, two, inputs, np.zeros_like(inputs), lengths)
+                with_aux, _ = bilstm_forward(two, two, inputs, np.zeros(len(inputs)), lengths)
                 without, _ = bilstm_forward(single, single, inputs, None, lengths)
             assert np.abs(with_aux - without).max() <= 1e-12
 

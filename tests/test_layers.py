@@ -26,7 +26,6 @@ from negscope.layers import (
     crf_nll_grads,
     crf_score,
     crf_viterbi,
-    cue_embed_seq,
     dense_backward,
     dense_forward,
     embed,
@@ -88,12 +87,6 @@ class TestEmbedding:
         analytic = embed_backward(params, ids, proj)
         assert_grad_close(f, params.weights, analytic)
 
-    def test_cue_embed(self):
-        with pytest.raises(ValueError):
-            cue_embed_seq([0, 2], 4)
-        seq = cue_embed_seq([0, 1, 0], 3)
-        np.testing.assert_array_equal(seq, [[0, 0, 0], [1, 1, 1], [0, 0, 0]])
-
 
 class TestLstmForward:
     def test_zero_params_give_zero_states(self, rng):
@@ -137,18 +130,18 @@ class TestLstmForward:
         double.w_in, double.w_rec, double.b = single.w_in, single.w_rec, single.b
         x = rng.normal(size=(6, 2, 2))
         a, _ = lstm_forward(single, x)
-        b, _ = lstm_forward(double, x, aux=np.zeros_like(x))
+        b, _ = lstm_forward(double, x, aux=np.zeros(x.shape[:2]))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_two_input_matches_scalar_reference(self, rng):
+        """A scalar aux input of 1 is the d-wide aux vector of ones."""
         params = init_lstm(2, 2, rng, two_input=True)
         x = rng.normal(size=(1, 1, 2))
-        q = np.ones((1, 1, 2))
-        out, _ = lstm_forward(params, x, aux=q)
+        out, _ = lstm_forward(params, x, aux=np.ones((1, 1)))
         h, _ = scalar_lstm_step(
             params.w_in.tolist(), params.w_rec.tolist(), params.b.tolist(),
             x[0, 0].tolist(), [0.0, 0.0], [0.0, 0.0],
-            w_aux=params.w_aux.tolist(), q=q[0, 0].tolist(),
+            w_aux=params.w_aux.tolist(), q=[1.0, 1.0],
         )
         np.testing.assert_allclose(out[0, 0], h, atol=1e-12)
 
@@ -157,7 +150,7 @@ class TestLstmForward:
         flipped sentence, flipped back."""
         params = init_lstm(3, 2, rng)
         x = rng.normal(size=(5, 2))
-        both, _ = bilstm_forward(params, params, x)
+        both, _ = bilstm_forward(params, params, x, None, [len(x)])
         flipped, _ = lstm_forward(params, x[::-1, None, :].copy())
         np.testing.assert_allclose(both[:, 3:], flipped[::-1, 0], atol=1e-14)
 
@@ -166,11 +159,13 @@ class TestLstmForward:
         double = init_lstm(2, 2, rng, two_input=True)
         x = np.zeros((3, 1, 2))
         with pytest.raises(ValueError):
-            lstm_forward(single, x, aux=np.zeros((3, 1, 2)))
+            lstm_forward(single, x, aux=np.zeros((3, 1)))
         with pytest.raises(ValueError):
             lstm_forward(double, x)
         with pytest.raises(ValueError):
-            lstm_forward(double, x, aux=np.zeros((4, 1, 2)))
+            lstm_forward(double, x, aux=np.zeros((4, 1)))
+        with pytest.raises(ValueError):
+            lstm_forward(double, x, aux=np.zeros((3, 1, 2)))
         with pytest.raises(ValueError):
             lstm_forward(single, np.zeros((3, 2)))
 
@@ -192,10 +187,11 @@ def _grad_check_blocks(params, grads, run):
 class TestLstmBackward:
     def _check_all(self, rng, two_input, n=4, units=2, dim=2):
         """A two-column batch whose second column ends after two steps; its
-        padded steps get zero upstream gradient."""
+        padded steps get zero upstream gradient. The aux input, one scalar
+        per step, is real-valued here, not only 0/1."""
         params = init_lstm(units, dim, rng, two_input=two_input)
         x = rng.normal(size=(n, 2, dim))
-        q = rng.normal(size=(n, 2, dim)) if two_input else None
+        q = rng.normal(size=(n, 2)) if two_input else None
         proj = rng.normal(size=(n, 2, units))
         proj[2:, 1] = 0.0
 
@@ -223,11 +219,11 @@ class TestLstmBackward:
         lengths = [3, 1, 2]
         x = rng.normal(size=(6, 2))
         proj = rng.normal(size=(6, 4))
-        _, cache = bilstm_forward(fwd, bwd, x, lengths=lengths)
-        _, g_b, d_x, _ = bilstm_backward(fwd, bwd, cache, proj)
+        _, cache = bilstm_forward(fwd, bwd, x, None, lengths)
+        _, g_b, d_x = bilstm_backward(fwd, bwd, cache, proj)
 
         def run(x=x):
-            return float(np.sum(proj * bilstm_forward(fwd, bwd, x, lengths=lengths)[0]))
+            return float(np.sum(proj * bilstm_forward(fwd, bwd, x, None, lengths)[0]))
 
         _grad_check_blocks(bwd, g_b, run)
         assert_grad_close(lambda v: run(x=v), x, d_x)
@@ -245,7 +241,7 @@ class TestLstmBackward:
 class TestBilstm:
     def test_output_width(self, rng):
         fwd, bwd = init_lstm(3, 2, rng), init_lstm(3, 2, rng)
-        out, _ = bilstm_forward(fwd, bwd, rng.normal(size=(5, 2)))
+        out, _ = bilstm_forward(fwd, bwd, rng.normal(size=(5, 2)), None, [5])
         assert out.shape == (5, 6)
 
     def test_palindrome_swaps_halves(self, rng):
@@ -254,17 +250,20 @@ class TestBilstm:
         params = init_lstm(3, 2, rng)
         half = rng.normal(size=(3, 2))
         x = np.vstack([half, half[::-1]])  # palindrome of length 6
-        out, _ = bilstm_forward(params, params, x)
+        out, _ = bilstm_forward(params, params, x, None, [6])
         swapped = np.hstack([out[:, 3:], out[:, :3]])
         np.testing.assert_allclose(out[::-1], swapped, atol=1e-12)
 
     def test_ragged_batch_matches_scalar_reference(self, rng):
+        """Cue bits go in as one scalar per token; the oracle reads each
+        bit as the d-wide row bit * 1_d."""
         fwd = init_lstm(2, 3, rng, two_input=True)
         bwd = init_lstm(2, 3, rng, two_input=True)
         lengths = [4, 1, 3]
         x = rng.normal(size=(8, 3))
-        q = rng.normal(size=(8, 3))
-        out, _ = bilstm_forward(fwd, bwd, x, q, lengths)
+        bits = rng.integers(0, 2, size=8).astype(np.float64)
+        q = np.repeat(bits[:, None], 3, axis=1)
+        out, _ = bilstm_forward(fwd, bwd, x, bits, lengths)
         start = 0
         for n in lengths:
             xs, qs = x[start:start + n], q[start:start + n]
@@ -277,33 +276,29 @@ class TestBilstm:
     def test_lengths_must_cover_the_rows(self, rng):
         fwd, bwd = init_lstm(2, 2, rng), init_lstm(2, 2, rng)
         with pytest.raises(ValueError, match="lengths"):
-            bilstm_forward(fwd, bwd, np.zeros((5, 2)), lengths=[2, 2])
+            bilstm_forward(fwd, bwd, np.zeros((5, 2)), None, [2, 2])
         with pytest.raises(ValueError, match="lengths"):
-            bilstm_forward(fwd, bwd, np.zeros((2, 2)), lengths=[2, 0])
+            bilstm_forward(fwd, bwd, np.zeros((2, 2)), None, [2, 0])
 
     def test_grads_match_finite_differences(self, rng):
         fwd = init_lstm(2, 2, rng, two_input=True)
         bwd = init_lstm(2, 2, rng, two_input=True)
         x = rng.normal(size=(3, 2))
-        q = rng.normal(size=(3, 2))
+        q = rng.normal(size=3)
         proj = rng.normal(size=(3, 4))
-        out, caches = bilstm_forward(fwd, bwd, x, q)
-        g_f, g_b, d_x, d_q = bilstm_backward(fwd, bwd, caches, proj)
+        out, caches = bilstm_forward(fwd, bwd, x, q, [3])
+        g_f, g_b, d_x = bilstm_backward(fwd, bwd, caches, proj)
 
         def f_x(v):
-            return float(np.sum(proj * bilstm_forward(fwd, bwd, v, q)[0]))
-
-        def f_q(v):
-            return float(np.sum(proj * bilstm_forward(fwd, bwd, x, v)[0]))
+            return float(np.sum(proj * bilstm_forward(fwd, bwd, v, q, [3])[0]))
 
         assert_grad_close(f_x, x, d_x)
-        assert_grad_close(f_q, q, d_q)
 
         def f_w(v):
             old = fwd.w_rec.copy()
             fwd.w_rec[:] = v
             try:
-                return float(np.sum(proj * bilstm_forward(fwd, bwd, x, q)[0]))
+                return float(np.sum(proj * bilstm_forward(fwd, bwd, x, q, [3])[0]))
             finally:
                 fwd.w_rec[:] = old
 

@@ -111,6 +111,22 @@ class TestPrediction:
         tagger = build(tagger_config("scope", "bilstm", 9, 4, 3))
         with pytest.raises(ValueError, match="cue bits"):
             tagger.scores([np.array([1, 2])])
+        with pytest.raises(ValueError, match="one row per sentence"):
+            tagger.scores([np.array([1, 2]), np.array([3])], [[0, 1]])
+
+    @pytest.mark.parametrize("bits, match", [
+        ([[0, 1, 0], [0, 0]], "row has 3 entries for 4 tokens"),
+        ([[0, 1, 0, 0, 0], [0, 0]], "row has 5 entries for 4 tokens"),
+        ([[0, 1, 0, 0]], "1 cue bit rows for 2 sentences"),
+        ([[0, 1, 0, 0], [0, 0], [1]], "3 cue bit rows for 2 sentences"),
+        ([[0, 2, 0, 0], [0, 0]], "0 or 1"),
+    ], ids=["short-row", "long-row", "too-few-rows", "too-many-rows", "bit-2"])
+    def test_cue_bits_must_be_one_0_1_row_per_sentence(self, bits, match):
+        tagger = build(tagger_config("scope", "bilstm", 9, 4, 3))
+        ids = [np.array([1, 2, 3, 4]), np.array([5, 6])]
+        assert len(tagger.predict_tags(ids, [[0, 1, 0, 0], [0, 0]])[0]) == 4
+        with pytest.raises(ValueError, match=match):
+            tagger.predict_tags(ids, bits)
 
     def test_softmax_ties_pick_lowest_label(self):
         tagger = build(tagger_config("cue", "baseline", 6, 4, 3))

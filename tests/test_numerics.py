@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import finite_diff_grad
-from negscope.numerics import as_vector, logsumexp, sigmoid
+from negscope.numerics import logsumexp, sigmoid
 
 rng = np.random.default_rng(42)
 
@@ -75,12 +75,10 @@ class TestLogsumexp:
 
 class TestValidators:
     def test_as_vector_enforces_shape(self):
-        v = as_vector([1, 2, 3], length=3)
-        assert v.dtype == np.float64
-        with pytest.raises(ValueError):
-            as_vector([[1.0]])
-        with pytest.raises(ValueError):
-            as_vector([1.0], length=2)
+        """logsumexp takes only a vector; a matrix is an error."""
+        assert logsumexp([0, 0]) == pytest.approx(math.log(2), rel=1e-12)
+        with pytest.raises(ValueError, match="ndim=2"):
+            logsumexp([[1.0]])
 
 
 class TestFiniteDiff:
