@@ -4,7 +4,7 @@ Shapes: a batch of sentences, T tokens in all, flows through packed, one
 sentence after another:
     token ids (T,) -> embedded (T, d) -> BiLSTM (T, 2U) -> scores (L, T)
 and each sentence's score columns feed either a per-token softmax or a
-linear-chain CRF. Only the LSTM recurrence pads, to (n_max, B, d).
+linear-chain CRF. The LSTM reorders the rows step-major and pads nothing.
 Gradients mirror each forward exactly; nothing here depends on autodiff.
 """
 from __future__ import annotations
@@ -73,11 +73,11 @@ def embed_backward(
 # ---------------------------------------------------------------------------
 # LSTM
 #
-# The recurrence runs time-major over a padded batch (n_max, B, d): column b
-# holds one sentence's tokens in the order its recurrence visits them,
-# left-aligned, and the steps after its end are padding. State only flows
-# forward, so padding never reaches a real output; given a zero upstream
-# gradient on padding, it never reaches a real gradient either.
+# The recurrence runs step-major over a packed batch (T, d): sentences are
+# ordered longest first, and step k is one block of rows holding the k-th
+# token, in recurrence order, of each of the batch_sizes[k] sentences still
+# running. Each block's rows continue the first rows of the block before
+# it, so step k updates only that active prefix and nothing is padded.
 
 @dataclass
 class LstmParams:
@@ -124,125 +124,128 @@ def init_lstm(
 
 @dataclass
 class LstmCache:
-    inputs: np.ndarray  # (n, B, d), in recurrence order
-    aux: np.ndarray | None  # (n, B)
-    gates: np.ndarray  # (n, B, 4U): sigmoid of i, f, o and tanh of g
-    cell: np.ndarray  # (n, B, U)
-    hidden: np.ndarray  # (n, B, U)
+    inputs: np.ndarray  # (T, d), step-major
+    aux: np.ndarray | None  # (T,)
+    gates: np.ndarray  # (T, 4U): sigmoid of i, f, o and tanh of g
+    cell: np.ndarray  # (T, U)
+    hidden: np.ndarray  # (T, U)
+    batch_sizes: np.ndarray  # (n_max,)
 
 
 def lstm_forward(
-    params: LstmParams, inputs: np.ndarray, aux: np.ndarray | None = None
+    params: LstmParams, inputs: np.ndarray, aux: np.ndarray | None, batch_sizes
 ) -> tuple[np.ndarray, LstmCache]:
-    """Padded batch inputs (n, B, d) [, aux (n, B)] -> hidden (n, B, U).
+    """Step-major inputs (T, d) [, aux (T,)] -> hidden (T, U).
 
-    State starts at zero in every column, and each step is one
-    (B, U) @ (U, 4U) product. Aux inputs must be supplied iff the params
-    carry aux weights.
+    State starts at zero for every sentence, and step k is one
+    (b_k, U) @ (U, 4U) product over its b_k = batch_sizes[k] rows. Aux
+    inputs must be supplied iff the params carry aux weights.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != params.in_dim:
-        raise ValueError(f"expected inputs (n, B, {params.in_dim}), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != params.in_dim:
+        raise ValueError(f"expected inputs (T, {params.in_dim}), got {x.shape}")
     if (aux is None) != (params.w_aux is None):
         raise ValueError("aux inputs must be present iff params has aux weights")
     q = None
     if aux is not None:
         q = np.asarray(aux, dtype=np.float64)
-        if q.shape != x.shape[:2]:
-            raise ValueError(f"aux shape {q.shape} != input steps {x.shape[:2]}")
+        if q.shape != x.shape[:1]:
+            raise ValueError(f"aux shape {q.shape} != input rows {x.shape[:1]}")
+    sizes = np.asarray(batch_sizes)
+    if (sizes.ndim != 1 or not len(sizes) or sizes.dtype.kind not in "iu"
+            or sizes.min() < 1 or (np.diff(sizes) > 0).any() or sizes.sum() != len(x)):
+        raise ValueError(f"batch_sizes {sizes.tolist()} not >= 1, non-increasing, sum {len(x)}")
 
-    n, batch, dim = x.shape
     units = params.units
-    # input-side preactivations for every step at once; each step then adds
-    # its recurrent term and overwrites its slice with the activations
-    gates = (x.reshape(-1, dim) @ params.w_in.T).reshape(n, batch, 4 * units)
+    # input-side preactivations for every row at once; each step then adds
+    # its recurrent term and overwrites its rows with the activations
+    gates = x @ params.w_in.T
     gates += params.b
     if q is not None:
-        gates += q[..., None] * params.w_aux.sum(axis=1)
-    cell = np.empty((n, batch, units))
-    hidden = np.empty((n, batch, units))
+        gates += q[:, None] * params.w_aux.sum(axis=1)
+    cell = np.empty((len(x), units))
+    hidden = np.empty((len(x), units))
     w_rec_t = params.w_rec.T
     u2, u3 = 2 * units, 3 * units
-    h = np.zeros((batch, units))
-    c = np.zeros((batch, units))
-    for k in range(n):
-        z = gates[k]
-        z += h @ w_rec_t
+    h = c = np.zeros((sizes[0], units))  # rebound each step, never written
+    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+        step = slice(start, start + size)
+        z = gates[step]
+        z += h[:size] @ w_rec_t
         z[:, :u3] = sigmoid(z[:, :u3])
         np.tanh(z[:, u3:], out=z[:, u3:])
-        c = z[:, units:u2] * c + z[:, :units] * z[:, u3:]
+        c = z[:, units:u2] * c[:size] + z[:, :units] * z[:, u3:]
         h = z[:, u2:u3] * np.tanh(c)
-        cell[k] = c
-        hidden[k] = h
+        cell[step] = c
+        hidden[step] = h
 
-    return hidden, LstmCache(x, q, gates, cell, hidden)
+    return hidden, LstmCache(x, q, gates, cell, hidden, sizes)
 
 
 def lstm_backward(
     params: LstmParams, cache: LstmCache, d_hidden: np.ndarray
 ) -> tuple[LstmParams, np.ndarray, np.ndarray | None]:
-    """d_hidden (n, B, U), zero on padding -> (param grads, d_inputs
-    (n, B, d), d_aux (n, B)), both in recurrence order. Every column of
-    the w_aux gradient is the same, since every column of w_aux meets the
-    same scalar aux input."""
+    """d_hidden (T, U) -> (param grads, d_inputs (T, d), d_aux (T,)), all in
+    the cache's step-major layout. Every column of the w_aux gradient is
+    the same, since every column of w_aux meets the same scalar aux input."""
     dh_out = np.asarray(d_hidden, dtype=np.float64)
     if dh_out.shape != cache.hidden.shape:
         raise ValueError(f"expected d_hidden {cache.hidden.shape}, got {dh_out.shape}")
 
-    n, batch, units = cache.hidden.shape
-    zero = np.zeros((1, batch, units))
-    i, f, o, g = np.split(cache.gates, 4, axis=2)
+    sizes = cache.batch_sizes
+    total, units = cache.hidden.shape
+    first = sizes[0]
+    # row r of step k >= 1 continues row r - batch_sizes[k-1] of step k-1
+    prev = np.arange(first, total) - np.repeat(sizes[:-1], sizes[1:])
+    i, f, o, g = np.split(cache.gates, 4, axis=1)
     tc = np.tanh(cache.cell)
-    c_prev = np.concatenate([zero, cache.cell[:-1]])
+    c_prev = np.concatenate([np.zeros((first, units)), cache.cell[prev]])
     # d(gate output)/d(preactivation) times the factor each gate meets in
     # c = f*c_prev + i*g and h = o*tanh(c); the loop scales the o slot by
     # dh and the rest by dc in place, which leaves d(preactivation)
     dpre = np.concatenate(
-        [g * i * (1 - i), c_prev * f * (1 - f), tc * o * (1 - o), i * (1 - g * g)], axis=2
-    ).reshape(n, batch, 4, units)
+        [g * i * (1 - i), c_prev * f * (1 - f), tc * o * (1 - o), i * (1 - g * g)], axis=1
+    ).reshape(total, 4, units)
     dc_dh = o * (1 - tc * tc)
     del tc, c_prev
 
-    dh_rec = np.zeros((batch, units))
-    dc_rec = np.zeros((batch, units))
-    for k in range(n - 1, -1, -1):
-        dh = dh_out[k] + dh_rec
-        dc = dh * dc_dh[k] + dc_rec
-        dpre[k, :, :2] *= dc[:, None, :]
-        dpre[k, :, 2] *= dh
-        dpre[k, :, 3] *= dc
-        dh_rec = dpre[k].reshape(batch, 4 * units) @ params.w_rec
-        dc_rec = dc * f[k]
+    # gradients flowing into step k-1 from step k; rows past batch_sizes[k]
+    # belong to sentences that end at step k-1 and keep their zero
+    dh_rec = np.zeros((first, units))
+    dc_rec = np.zeros((first, units))
+    for start, size in zip((np.cumsum(sizes) - sizes)[::-1], sizes[::-1]):
+        step = slice(start, start + size)
+        dh = dh_out[step] + dh_rec[:size]
+        dc = dh * dc_dh[step] + dc_rec[:size]
+        dpre[step, :2] *= dc[:, None, :]
+        dpre[step, 2] *= dh
+        dpre[step, 3] *= dc
+        np.matmul(dpre[step].reshape(size, 4 * units), params.w_rec, out=dh_rec[:size])
+        np.multiply(dc, f[step], out=dc_rec[:size])
 
-    flat = dpre.reshape(n * batch, 4 * units)
-    h_prev = np.concatenate([zero, cache.hidden[:-1]]).reshape(n * batch, units)
-    dim = cache.inputs.shape[2]
+    flat = dpre.reshape(total, 4 * units)
     grads = LstmParams(
-        flat.T @ cache.inputs.reshape(-1, dim), flat.T @ h_prev, flat.sum(axis=0)
+        flat.T @ cache.inputs, flat[first:].T @ cache.hidden[prev], flat.sum(axis=0)
     )
-    d_inputs = (flat @ params.w_in).reshape(n, batch, dim)
+    d_inputs = flat @ params.w_in
     d_aux = None
     if cache.aux is not None:
-        grads.w_aux = np.repeat((flat.T @ cache.aux.ravel())[:, None], dim, axis=1)
-        d_aux = (flat @ params.w_aux.sum(axis=1)).reshape(n, batch)
+        grads.w_aux = np.repeat((flat.T @ cache.aux)[:, None], params.in_dim, axis=1)
+        d_aux = flat @ params.w_aux.sum(axis=1)
     return grads, d_inputs, d_aux
 
 
-def step_rows(lengths: np.ndarray, reverse: bool) -> np.ndarray:
-    """(n_max, B): the packed row that step k of sentence b's recurrence
-    reads, right to left with reverse=True. Padded steps get row T, one
-    past the last."""
-    steps = np.arange(lengths.max())[:, None]
-    offsets = np.cumsum(lengths) - lengths
-    rows = offsets + (lengths - 1 - steps if reverse else steps)
-    return np.where(steps < lengths, rows, lengths.sum())
-
-
-def _to_steps(packed: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Packed (T, ...) -> padded (n_max, B, ...), zero on padding."""
-    out = np.take(packed, rows, axis=0, mode="clip")
-    out[rows == len(packed)] = 0.0
-    return out
+def packed_steps(lengths: np.ndarray, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(rows (T,), batch_sizes (n_max,)): row r of the step-major layout
+    reads input row rows[r], right to left with reverse=True. Sentences run
+    stably longest first, so batch_sizes[k], the count still running, never grows."""
+    order = np.argsort(-lengths, kind="stable")
+    batch_sizes = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]
+    starts = np.cumsum(batch_sizes) - batch_sizes
+    steps = np.repeat(np.arange(len(batch_sizes)), batch_sizes)
+    sentence = order[np.arange(len(steps)) - starts[steps]]
+    pos = lengths[sentence] - 1 - steps if reverse else steps
+    return np.cumsum(lengths)[sentence] - lengths[sentence] + pos, batch_sizes
 
 
 def bilstm_forward(
@@ -257,9 +260,8 @@ def bilstm_forward(
     of the given lengths lie one after another, and each row holds its
     token's left-to-right then right-to-left state.
 
-    The cache is (LstmCache, step_rows) per direction; keep_cache=False
-    frees each direction as soon as its states are read, for callers that
-    run no backward pass."""
+    The cache is (LstmCache, rows) per direction; keep_cache=False frees
+    each direction once its states are read, for callers with no backward."""
     x = np.asarray(inputs, dtype=np.float64)
     lengths = np.array(lengths, dtype=np.int64)
     if lengths.sum() != len(x) or (lengths < 1).any():
@@ -269,11 +271,10 @@ def bilstm_forward(
     caches = []
     for params, reverse, half in ((fwd, False, slice(0, units)),
                                   (bwd, True, slice(units, 2 * units))):
-        rows = step_rows(lengths, reverse)
-        q = None if aux is None else _to_steps(np.asarray(aux, dtype=np.float64), rows)
-        hidden, cache = lstm_forward(params, _to_steps(x, rows), q)
-        real = rows < len(x)
-        states[rows[real], half] = hidden[real]
+        rows, batch_sizes = packed_steps(lengths, reverse)
+        q = None if aux is None else np.asarray(aux, dtype=np.float64)[rows]
+        hidden, cache = lstm_forward(params, x[rows], q, batch_sizes)
+        states[rows, half] = hidden
         if keep_cache:
             caches.append((cache, rows))
         del hidden, cache, q  # else this direction stays alive during the next
@@ -293,9 +294,8 @@ def bilstm_backward(
     grads = []
     for params, (cache, rows), half in ((fwd, caches[0], slice(0, units)),
                                         (bwd, caches[1], slice(units, 2 * units))):
-        g, dx, _ = lstm_backward(params, cache, _to_steps(d_hidden[:, half], rows))
-        real = rows < len(d_hidden)
-        d_inputs[rows[real]] += dx[real]
+        g, dx, _ = lstm_backward(params, cache, d_hidden[rows, half])
+        d_inputs[rows] += dx
         grads.append(g)
     return grads[0], grads[1], d_inputs
 

@@ -35,7 +35,7 @@ from .layers import (
 
 CHECKPOINT_FORMAT = 2
 
-# padded tokens (sentences x longest length) per prediction chunk
+# bound on sentences x longest length per prediction chunk (nothing is padded)
 PREDICT_TOKEN_BUDGET = 256
 
 VARIANTS = {
@@ -206,9 +206,9 @@ class Tagger:
     def predict_ids(self, token_ids, cue_bits=None) -> list[list[int]]:
         """Label ids per sentence, in input order: the argmax per token
         (softmax head) or the Viterbi path (CRF head), ties resolving to the
-        lowest label index either way. Sentences run in length_chunks of
-        PREDICT_TOKEN_BUDGET padded tokens; padding never reaches a real
-        token, so labels do not depend on the chunk a sentence lands in.
+        lowest label index either way. Sentences run in length_chunks
+        within PREDICT_TOKEN_BUDGET; each sentence's recurrence reads only
+        its own tokens, so labels do not depend on the chunk it lands in.
         """
         lengths = [len(ids) for ids in token_ids]
         if cue_bits is not None and len(cue_bits) != len(lengths):
@@ -232,8 +232,8 @@ class Tagger:
 
 def length_chunks(lengths, budget: int):
     """Sentence indices, stably sorted by length, cut into chunks whose
-    padded size (count x longest) stays within budget; a sentence longer
-    than the budget runs alone."""
+    count x longest length stays within budget; a sentence longer than the
+    budget runs alone."""
     chunk: list[int] = []
     for i in sorted(range(len(lengths)), key=lengths.__getitem__):
         if chunk and (len(chunk) + 1) * lengths[i] > budget:

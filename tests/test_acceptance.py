@@ -143,10 +143,11 @@ def test_c3_two_input_cell_with_zero_aux_reduces_to_single_input():
             two = init_lstm(units, in_dim, rng, two_input=True)
             single = LstmParams(two.w_in, two.w_rec, two.b, None)
             if case % 2 == 0:
-                # one padded batch, one direction
-                inputs = rng.normal(size=(n, int(rng.integers(1, 4)), in_dim))
-                with_aux, _ = lstm_forward(two, inputs, np.zeros(inputs.shape[:2]))
-                without, _ = lstm_forward(single, inputs, None)
+                # one packed batch of n steps, one direction
+                sizes = np.sort(rng.integers(1, 4, size=n))[::-1]
+                inputs = rng.normal(size=(int(sizes.sum()), in_dim))
+                with_aux, _ = lstm_forward(two, inputs, np.zeros(len(inputs)), sizes)
+                without, _ = lstm_forward(single, inputs, None, sizes)
             else:
                 # both directions over a ragged packed batch
                 lengths = rng.integers(1, 8, size=int(rng.integers(1, 4)))

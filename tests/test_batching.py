@@ -1,5 +1,5 @@
 """Batched computation against per-sentence computation: the loss and every
-gradient of a padded minibatch equal the sums over its sentences run one at
+gradient of a packed minibatch equal the sums over its sentences run one at
 a time, and a sentence's predicted tags and scores do not depend on which
 other sentences share its chunk or on the input order."""
 from __future__ import annotations

@@ -93,25 +93,25 @@ class TestLstmForward:
         params = init_lstm(3, 2, rng)
         params.w_in[:] = 0
         params.w_rec[:] = 0
-        out, _ = lstm_forward(params, rng.normal(size=(5, 2, 2)))
+        out, _ = lstm_forward(params, rng.normal(size=(10, 2)), None, [2] * 5)
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_single_step_matches_scalar_reference(self, rng):
         params = init_lstm(2, 2, rng)
-        x = rng.normal(size=(1, 1, 2))
-        out, _ = lstm_forward(params, x)
+        x = rng.normal(size=(1, 2))
+        out, _ = lstm_forward(params, x, None, [1])
         h, _ = scalar_lstm_step(params.w_in.tolist(), params.w_rec.tolist(),
-                                params.b.tolist(), x[0, 0].tolist(), [0.0, 0.0], [0.0, 0.0])
-        np.testing.assert_allclose(out[0, 0], h, atol=1e-12)
+                                params.b.tolist(), x[0].tolist(), [0.0, 0.0], [0.0, 0.0])
+        np.testing.assert_allclose(out[0], h, atol=1e-12)
 
     def test_two_steps_match_scalar_reference(self, rng):
         params = init_lstm(2, 3, rng)
-        x = rng.normal(size=(2, 1, 3))
-        out, _ = lstm_forward(params, x)
+        x = rng.normal(size=(2, 3))
+        out, _ = lstm_forward(params, x, None, [1, 1])
         w_in, w_rec, b = params.w_in.tolist(), params.w_rec.tolist(), params.b.tolist()
-        h1, c1 = scalar_lstm_step(w_in, w_rec, b, x[0, 0].tolist(), [0.0, 0.0], [0.0, 0.0])
-        h2, _ = scalar_lstm_step(w_in, w_rec, b, x[1, 0].tolist(), h1, c1)
-        np.testing.assert_allclose(out[1, 0], h2, atol=1e-12)
+        h1, c1 = scalar_lstm_step(w_in, w_rec, b, x[0].tolist(), [0.0, 0.0], [0.0, 0.0])
+        h2, _ = scalar_lstm_step(w_in, w_rec, b, x[1].tolist(), h1, c1)
+        np.testing.assert_allclose(out[1], h2, atol=1e-12)
 
     def test_candidate_gate_is_the_last_block(self, rng):
         """Only the g rows carry weight, so i = f = o = 1/2 and
@@ -119,31 +119,32 @@ class TestLstmForward:
         params = init_lstm(2, 2, rng)
         params.w_in[:6] = 0
         params.w_rec[:] = 0
-        x = rng.normal(size=(1, 1, 2))
-        out, _ = lstm_forward(params, x)
-        g = np.tanh(params.w_in[6:] @ x[0, 0])
-        np.testing.assert_allclose(out[0, 0], 0.5 * np.tanh(0.5 * g), atol=1e-15)
+        x = rng.normal(size=(1, 2))
+        out, _ = lstm_forward(params, x, None, [1])
+        g = np.tanh(params.w_in[6:] @ x[0])
+        np.testing.assert_allclose(out[0], 0.5 * np.tanh(0.5 * g), atol=1e-15)
 
     def test_two_input_with_zero_aux_matches_single_input(self, rng):
         single = init_lstm(3, 2, rng)
         double = init_lstm(3, 2, rng, two_input=True)
         double.w_in, double.w_rec, double.b = single.w_in, single.w_rec, single.b
-        x = rng.normal(size=(6, 2, 2))
-        a, _ = lstm_forward(single, x)
-        b, _ = lstm_forward(double, x, aux=np.zeros(x.shape[:2]))
+        sizes = [3, 3, 2, 2, 1, 1]
+        x = rng.normal(size=(sum(sizes), 2))
+        a, _ = lstm_forward(single, x, None, sizes)
+        b, _ = lstm_forward(double, x, np.zeros(len(x)), sizes)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_two_input_matches_scalar_reference(self, rng):
         """A scalar aux input of 1 is the d-wide aux vector of ones."""
         params = init_lstm(2, 2, rng, two_input=True)
-        x = rng.normal(size=(1, 1, 2))
-        out, _ = lstm_forward(params, x, aux=np.ones((1, 1)))
+        x = rng.normal(size=(1, 2))
+        out, _ = lstm_forward(params, x, np.ones(1), [1])
         h, _ = scalar_lstm_step(
             params.w_in.tolist(), params.w_rec.tolist(), params.b.tolist(),
-            x[0, 0].tolist(), [0.0, 0.0], [0.0, 0.0],
+            x[0].tolist(), [0.0, 0.0], [0.0, 0.0],
             w_aux=params.w_aux.tolist(), q=[1.0, 1.0],
         )
-        np.testing.assert_allclose(out[0, 0], h, atol=1e-12)
+        np.testing.assert_allclose(out[0], h, atol=1e-12)
 
     def test_reverse_equals_flipped_forward(self, rng):
         """The right-to-left half of a BiLSTM is the cell run over the
@@ -151,23 +152,34 @@ class TestLstmForward:
         params = init_lstm(3, 2, rng)
         x = rng.normal(size=(5, 2))
         both, _ = bilstm_forward(params, params, x, None, [len(x)])
-        flipped, _ = lstm_forward(params, x[::-1, None, :].copy())
-        np.testing.assert_allclose(both[:, 3:], flipped[::-1, 0], atol=1e-14)
+        flipped, _ = lstm_forward(params, x[::-1].copy(), None, [1] * len(x))
+        np.testing.assert_allclose(both[:, 3:], flipped[::-1], atol=1e-14)
 
     def test_aux_presence_must_match_params(self, rng):
         single = init_lstm(2, 2, rng)
         double = init_lstm(2, 2, rng, two_input=True)
-        x = np.zeros((3, 1, 2))
+        x = np.zeros((3, 2))
+        sizes = [1, 1, 1]
         with pytest.raises(ValueError):
-            lstm_forward(single, x, aux=np.zeros((3, 1)))
+            lstm_forward(single, x, np.zeros(3), sizes)
         with pytest.raises(ValueError):
-            lstm_forward(double, x)
+            lstm_forward(double, x, None, sizes)
         with pytest.raises(ValueError):
-            lstm_forward(double, x, aux=np.zeros((4, 1)))
+            lstm_forward(double, x, np.zeros(4), sizes)
         with pytest.raises(ValueError):
-            lstm_forward(double, x, aux=np.zeros((3, 1, 2)))
+            lstm_forward(double, x, np.zeros((3, 1)), sizes)
         with pytest.raises(ValueError):
-            lstm_forward(single, np.zeros((3, 2)))
+            lstm_forward(single, np.zeros((3, 1, 2)), None, sizes)
+
+    @pytest.mark.parametrize("sizes", [
+        [1, 2], [2, 0, 1], [1, 1], [2, 1, 1], [], [[3]], [1.0, 1.0, 1.0], [-1, 4],
+    ])
+    def test_bad_batch_sizes_are_an_error(self, rng, sizes):
+        """Sizes that grow, hold a zero or a negative, do not sum to the
+        3 input rows, or are not a 1-D integer run fail loudly."""
+        params = init_lstm(2, 2, rng)
+        with pytest.raises(ValueError, match="batch_sizes"):
+            lstm_forward(params, rng.normal(size=(3, 2)), None, np.array(sizes))
 
 
 def _grad_check_blocks(params, grads, run):
@@ -186,24 +198,23 @@ def _grad_check_blocks(params, grads, run):
 
 class TestLstmBackward:
     def _check_all(self, rng, two_input, n=4, units=2, dim=2):
-        """A two-column batch whose second column ends after two steps; its
-        padded steps get zero upstream gradient. The aux input, one scalar
-        per step, is real-valued here, not only 0/1."""
+        """Two sentences, of n and 2 steps, packed step-major: steps 2..n-1
+        run the longer one alone. The aux input, one scalar per step, is
+        real-valued here, not only 0/1."""
         params = init_lstm(units, dim, rng, two_input=two_input)
-        x = rng.normal(size=(n, 2, dim))
-        q = rng.normal(size=(n, 2)) if two_input else None
-        proj = rng.normal(size=(n, 2, units))
-        proj[2:, 1] = 0.0
+        sizes = [2, 2] + [1] * (n - 2)
+        x = rng.normal(size=(n + 2, dim))
+        q = rng.normal(size=n + 2) if two_input else None
+        proj = rng.normal(size=(n + 2, units))
 
-        out, cache = lstm_forward(params, x, aux=q)
+        out, cache = lstm_forward(params, x, q, sizes)
         grads, d_x, d_q = lstm_backward(params, cache, proj)
 
         def run(x=x, q=q):
-            return float(np.sum(proj * lstm_forward(params, x, aux=q)[0]))
+            return float(np.sum(proj * lstm_forward(params, x, q, sizes)[0]))
 
         _grad_check_blocks(params, grads, run)
         assert_grad_close(lambda v: run(x=v), x, d_x)
-        np.testing.assert_array_equal(d_x[2:, 1], 0.0)
         if two_input:
             assert_grad_close(lambda v: run(q=v), q, d_q)
 
@@ -230,9 +241,9 @@ class TestLstmBackward:
 
     def test_zero_upstream_gives_zero_grads(self, rng):
         params = init_lstm(2, 2, rng)
-        x = rng.normal(size=(4, 3, 2))
-        _, cache = lstm_forward(params, x)
-        grads, d_x, _ = lstm_backward(params, cache, np.zeros((4, 3, 2)))
+        x = rng.normal(size=(12, 2))
+        _, cache = lstm_forward(params, x, None, [3] * 4)
+        grads, d_x, _ = lstm_backward(params, cache, np.zeros((12, 2)))
         np.testing.assert_array_equal(d_x, 0.0)
         np.testing.assert_array_equal(grads.w_in, 0.0)
         np.testing.assert_array_equal(grads.w_rec, 0.0)
@@ -272,6 +283,37 @@ class TestBilstm:
             np.testing.assert_allclose(out[start:start + n, :2], expect_f, atol=1e-12)
             np.testing.assert_allclose(out[start:start + n, 2:], expect_b, atol=1e-12)
             start += n
+
+    def test_packed_order_matches_scalar_reference(self, rng):
+        """Unsorted lengths with ties and a length-1 sentence, plus cue
+        bits: each sentence's states equal the scalar oracle run on it
+        alone, and every block's gradient, and the inputs', matches finite
+        differences."""
+        fwd = init_lstm(2, 3, rng, two_input=True)
+        bwd = init_lstm(2, 3, rng, two_input=True)
+        lengths = [3, 5, 1, 3, 5, 2]
+        x = rng.normal(size=(sum(lengths), 3))
+        bits = rng.integers(0, 2, size=len(x)).astype(np.float64)
+        proj = rng.normal(size=(len(x), 4))
+        out, caches = bilstm_forward(fwd, bwd, x, bits, lengths)
+        start = 0
+        for n in lengths:
+            xs = x[start:start + n]
+            qs = np.repeat(bits[start:start + n, None], 3, axis=1)
+            expect_f = scalar_lstm_states(fwd, xs, qs)
+            expect_b = scalar_lstm_states(bwd, xs[::-1], qs[::-1])[::-1]
+            np.testing.assert_allclose(out[start:start + n, :2], expect_f, atol=1e-12)
+            np.testing.assert_allclose(out[start:start + n, 2:], expect_b, atol=1e-12)
+            start += n
+
+        g_f, g_b, d_x = bilstm_backward(fwd, bwd, caches, proj)
+
+        def run(x=x):
+            return float(np.sum(proj * bilstm_forward(fwd, bwd, x, bits, lengths)[0]))
+
+        _grad_check_blocks(fwd, g_f, run)
+        _grad_check_blocks(bwd, g_b, run)
+        assert_grad_close(lambda v: run(x=v), x, d_x)
 
     def test_lengths_must_cover_the_rows(self, rng):
         fwd, bwd = init_lstm(2, 2, rng), init_lstm(2, 2, rng)
