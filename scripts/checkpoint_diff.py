@@ -3,7 +3,7 @@
 
 Usage::
 
-    python3 scripts/checkpoint_diff.py <dirA> <dirB>
+    python3 scripts/checkpoint_diff.py [--max-rel R] <dirA> <dirB>
 
 For every `.npz` file under dirA (by path relative to it) and its
 counterpart under dirB, prints one line per array:
@@ -17,12 +17,14 @@ line prints the largest relative error seen.
 
 Exits 1, after printing every line it can, if a file is present on one
 side only, the two files hold different array names, a pair of arrays
-differs in shape or dtype, or a non-numeric pair differs. The workdirs
+differs in shape or dtype, a non-numeric pair differs, or, with
+`--max-rel R`, the largest relative error exceeds R. The workdirs
 are typically two runs of `scripts/artifact_digest.py` on different
 checkouts, copied aside after each run.
 """
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -63,10 +65,18 @@ def compare(path_a: Path, path_b: Path, label: str) -> tuple[list[str], list[str
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    dir_a, dir_b = (Path(arg) for arg in argv)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--max-rel", type=float, default=None, metavar="R",
+                        help="also exit 1 when the largest relative error exceeds R")
+    parser.add_argument("dirs", nargs=2, type=Path, metavar="DIR")
+    try:
+        args = parser.parse_args(argv)
+        if args.max_rel is not None and not args.max_rel >= 0.0:
+            parser.error(f"--max-rel must be a number >= 0, got {args.max_rel}")
+    except SystemExit as exit_:
+        return int(exit_.code or 0)
+    dir_a, dir_b = args.dirs
     for directory in (dir_a, dir_b):
         if not directory.is_dir():
             print(f"error: {directory}: not a directory", file=sys.stderr)
@@ -85,6 +95,9 @@ def main(argv: list[str]) -> int:
     for message in mismatches:
         print(f"MISMATCH {message}")
     print(f"max relative error {worst:.3e} over {len(files_a & files_b)} file pairs")
+    if args.max_rel is not None and not worst <= args.max_rel:
+        print(f"FAIL max relative error {worst:.3e} exceeds {args.max_rel:.3e}")
+        return 1
     return 1 if mismatches else 0
 
 

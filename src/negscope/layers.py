@@ -78,6 +78,9 @@ def embed_backward(
 # token, in recurrence order, of each of the batch_sizes[k] sentences still
 # running. Each block's rows continue the first rows of the block before
 # it, so step k updates only that active prefix and nothing is padded.
+# The step product reads a per-call C-contiguous copy of w_rec.T: on the
+# transposed view OpenBLAS's small-M kernels ran up to 1.8x slower at
+# U=200 (b = 2..85 rows), and the copy costs about one step.
 
 @dataclass
 class LstmParams:
@@ -165,19 +168,22 @@ def lstm_forward(
         gates += q[:, None] * params.w_aux.sum(axis=1)
     cell = np.empty((len(x), units))
     hidden = np.empty((len(x), units))
-    w_rec_t = params.w_rec.T
+    w_rec_t = np.ascontiguousarray(params.w_rec.T)
+    rec = np.empty((sizes[0], 4 * units))
+    tmp = np.empty((sizes[0], units))
     u2, u3 = 2 * units, 3 * units
-    h = c = np.zeros((sizes[0], units))  # rebound each step, never written
+    h = c = np.zeros((sizes[0], units))  # then views of the previous step's rows
     for start, size in zip(np.cumsum(sizes) - sizes, sizes):
         step = slice(start, start + size)
-        z = gates[step]
-        z += h[:size] @ w_rec_t
+        z, t = gates[step], tmp[:size]
+        z += np.matmul(h[:size], w_rec_t, out=rec[:size])
         z[:, :u3] = sigmoid(z[:, :u3])
         np.tanh(z[:, u3:], out=z[:, u3:])
-        c = z[:, units:u2] * c[:size] + z[:, :units] * z[:, u3:]
-        h = z[:, u2:u3] * np.tanh(c)
-        cell[step] = c
-        hidden[step] = h
+        # c = f*c_prev + i*g and h = o*tanh(c), written straight into the cache
+        c_prev, c, h = c[:size], cell[step], hidden[step]
+        np.multiply(z[:, units:u2], c_prev, out=c)
+        c += np.multiply(z[:, :units], z[:, u3:], out=t)
+        np.multiply(z[:, u2:u3], np.tanh(c, out=t), out=h)
 
     return hidden, LstmCache(x, q, gates, cell, hidden, sizes)
 

@@ -13,10 +13,13 @@ Array = np.ndarray
 
 def sigmoid(x):
     """Elementwise 1 / (1 + e^-x). With e = e^-|x| this is 1 / (1 + e) for
-    x >= 0 and e / (1 + e) below, so exp never overflows."""
+    x >= 0 and e / (1 + e) below, so exp never overflows. The numerator is
+    max(e, [x >= 0]): e lies in [0, 1], so max(e, 1) = 1 and max(e, 0) = e,
+    which is bitwise the two-branch form (a NaN stays NaN) without a
+    branchy select over the mask."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    out = np.maximum(e, x >= 0) / (1.0 + e)
     return out if out.ndim else float(out)
 
 

@@ -1,6 +1,6 @@
 """scripts/checkpoint_diff.py on checkpoints written here: per-array
 relative errors, and exit 1 on a missing file, a missing array, a shape
-change or a changed metadata string."""
+change, a changed metadata string, or a worst error above --max-rel."""
 from __future__ import annotations
 
 import importlib.util
@@ -51,3 +51,18 @@ def test_mismatches_exit_one(tmp_path, capsys):
     (tmp_path / "a" / "only.npz").unlink()
     assert script.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert "MISMATCH m.npz:__meta__: values differ" in capsys.readouterr().out
+
+
+def test_max_rel_gates_the_worst_relative_error(tmp_path, capsys):
+    w = np.array([[2.0, -4.0], [1.0, 0.5]])
+    _write(tmp_path / "a" / "m.npz", w=w)
+    _write(tmp_path / "b" / "m.npz", w=w + [[0.0, 0.0], [1e-12, 0.0]])
+    script = _script()
+    dirs = [str(tmp_path / "a"), str(tmp_path / "b")]
+    assert script.main(["--max-rel", "3e-13", *dirs]) == 0
+    assert script.main(["--max-rel", "1e-13", *dirs]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "FAIL max relative error 2.500e-13 exceeds 1.000e-13"
+    assert script.main(dirs) == 0
+    assert script.main(["--max-rel", "-1", *dirs]) == 2
+    assert script.main(["--max-rel", "nan", *dirs]) == 2

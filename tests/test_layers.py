@@ -36,6 +36,7 @@ from negscope.layers import (
     init_lstm,
     lstm_backward,
     lstm_forward,
+    packed_steps,
 )
 
 
@@ -239,6 +240,20 @@ class TestLstmBackward:
         _grad_check_blocks(bwd, g_b, run)
         assert_grad_close(lambda v: run(x=v), x, d_x)
 
+    def test_grads_are_c_contiguous_and_params_untouched(self, rng):
+        """Adam flattens each gradient without a copy only if it is
+        C-contiguous; the forward's contiguous copy of w_rec.T and its
+        reused step buffers must not write through to the params."""
+        params = init_lstm(3, 2, rng, two_input=True)
+        before = {name: arr.tobytes() for name, arr in params.arrays().items()}
+        sizes = [3, 3, 2, 1]
+        x = rng.normal(size=(sum(sizes), 2))
+        out, cache = lstm_forward(params, x, rng.normal(size=len(x)), sizes)
+        grads, _, _ = lstm_backward(params, cache, rng.normal(size=out.shape))
+        assert all(g.flags.c_contiguous for g in grads.arrays().values())
+        assert grads.arrays().keys() == before.keys()
+        assert {name: arr.tobytes() for name, arr in params.arrays().items()} == before
+
     def test_zero_upstream_gives_zero_grads(self, rng):
         params = init_lstm(2, 2, rng)
         x = rng.normal(size=(12, 2))
@@ -314,6 +329,24 @@ class TestBilstm:
         _grad_check_blocks(fwd, g_f, run)
         _grad_check_blocks(bwd, g_b, run)
         assert_grad_close(lambda v: run(x=v), x, d_x)
+
+    def test_shrinking_tail_to_one_row_matches_scalar_reference(self, rng):
+        """One strictly longest sentence: the step batch sizes end
+        3, 3, 2, 1, so the last step is a one-row product (BLAS's
+        matrix-vector kernel)."""
+        fwd, bwd = init_lstm(3, 4, rng), init_lstm(3, 4, rng)
+        lengths = [3, 7, 5, 3, 6]
+        x = rng.normal(size=(sum(lengths), 4))
+        assert packed_steps(np.array(lengths), False)[1].tolist() == [5, 5, 5, 3, 3, 2, 1]
+        out, _ = bilstm_forward(fwd, bwd, x, None, lengths, keep_cache=False)
+        start = 0
+        for n in lengths:
+            xs = x[start:start + n]
+            np.testing.assert_allclose(out[start:start + n, :3],
+                                       scalar_lstm_states(fwd, xs), atol=1e-12)
+            np.testing.assert_allclose(out[start:start + n, 3:],
+                                       scalar_lstm_states(bwd, xs[::-1])[::-1], atol=1e-12)
+            start += n
 
     def test_lengths_must_cover_the_rows(self, rng):
         fwd, bwd = init_lstm(2, 2, rng), init_lstm(2, 2, rng)

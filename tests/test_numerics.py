@@ -33,15 +33,34 @@ class TestActivations:
         np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
 
     def test_sigmoid_is_bitwise_the_masked_two_branch_form(self):
+        def two_branch(x):
+            """1 / (1 + e) where x >= 0, else e / (1 + e), with e = exp(-|x|)
+            (which is exp(x) below zero, and carries a NaN through)."""
+            e = np.exp(-np.abs(x))
+            ref = np.empty_like(x)
+            pos = x >= 0
+            ref[pos] = 1.0 / (1.0 + e[pos])
+            ref[~pos] = e[~pos] / (1.0 + e[~pos])
+            return ref
+
         x = np.concatenate([np.linspace(-40.0, 40.0, 38001), rng.normal(size=2000) * 10,
                             [0.0, -0.0, -745.0, 745.0]])
-        ref = np.empty_like(x)
-        pos = x >= 0
-        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        ref[~pos] = ex / (1.0 + ex)
+        ref = two_branch(x)
         assert np.array_equal(sigmoid(x), ref)
         assert np.array_equal(sigmoid(x.reshape(-1, 7)[:, 2:5]), ref.reshape(-1, 7)[:, 2:5])
+
+        # the edges, compared bit for bit so that NaN and the sign of zero count
+        edges = np.array([np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+                          1e-320, -1e-320, 0.0, -0.0])
+        assert np.array_equal(sigmoid(edges).view(np.int64), two_branch(edges).view(np.int64))
+        assert [type(sigmoid(v)) for v in (-0.0, np.nan, 800.0)] == [float] * 3
+
+        # lstm_forward passes the strided (b, 3U) gate slice of a (b, 4U) block
+        z = np.concatenate([edges, x])[:40 * 1000].reshape(-1, 40)
+        gates = z[:, :30]
+        assert not gates.flags.c_contiguous
+        assert np.array_equal(sigmoid(gates).view(np.int64),
+                              two_branch(gates.copy()).view(np.int64))
 
 
 class TestLogsumexp:
