@@ -123,14 +123,18 @@ def _split_chunk(chunk: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # column format
 
-def _column_blocks(path):
-    """Yield (source_id, [(lineno, line), ...]) per blank-line-separated
+def _column_blocks(path, widths):
+    """Yield (source_id, [(lineno, columns), ...]) per blank-line-separated
     block. A line starting with '#' is an id line only if it holds no tab:
     the first one before a block names it and later ones are comments.
-    Token rows always carry a tab, so a token may itself start with '#'."""
+    Token rows always carry a tab, so a token may itself start with '#'.
+
+    Every row is checked here, so both readers reject the same rows: a
+    column count in `widths`, a non-empty whitespace-free token, a cue tag
+    and, in a third column, a scope tag from the alphabets."""
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().split("\n")
-    block: list[tuple[int, str]] = []
+    block: list[tuple[int, list[str]]] = []
     source_id = ""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip()
@@ -143,7 +147,18 @@ def _column_blocks(path):
                 yield source_id, block
                 block, source_id = [], ""
             continue
-        block.append((lineno, line))
+        cols = line.split("\t")
+        if len(cols) not in widths:
+            raise CorpusError(f"{path}:{lineno}: expected "
+                              f"{' or '.join(map(str, widths))} tab-separated columns")
+        if cols[0].split() != [cols[0]]:  # empty, or holds whitespace
+            raise CorpusError(f"{path}:{lineno}: empty token" if not cols[0] else
+                              f"{path}:{lineno}: token {cols[0]!r} holds whitespace")
+        if cols[1] not in CUE_TAG_IDS:
+            raise CorpusError(f"{path}:{lineno}: unknown cue tag {cols[1]!r}")
+        if len(cols) == 3 and cols[2] not in SCOPE_TAG_IDS:
+            raise CorpusError(f"{path}:{lineno}: unknown scope tag {cols[2]!r}")
+        block.append((lineno, cols))
     if block:
         yield source_id, block
 
@@ -158,7 +173,7 @@ def parse_column_file(path) -> list[NegationInstance]:
     """
     instances = [
         _decode_block(path, block, source_id)
-        for source_id, block in _column_blocks(path)
+        for source_id, block in _column_blocks(path, (3,))
     ]
     if not instances:
         raise CorpusError(f"{path}: no instances found")
@@ -166,22 +181,10 @@ def parse_column_file(path) -> list[NegationInstance]:
 
 
 def _decode_block(path, block, source_id) -> NegationInstance:
-    tokens, ctags, stags, linenos = [], [], [], []
-    for lineno, line in block:
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise CorpusError(f"{path}:{lineno}: expected 3 tab-separated columns")
-        token, cue, scope = cols
-        if not token:
-            raise CorpusError(f"{path}:{lineno}: empty token")
-        if cue not in CUE_TAG_IDS:
-            raise CorpusError(f"{path}:{lineno}: unknown cue tag {cue!r}")
-        if scope not in SCOPE_TAG_IDS:
-            raise CorpusError(f"{path}:{lineno}: unknown scope tag {scope!r}")
-        tokens.append(token)
-        ctags.append(cue)
-        stags.append(scope)
-        linenos.append(lineno)
+    linenos = [lineno for lineno, _ in block]
+    tokens = tuple(cols[0] for _, cols in block)
+    ctags = [cols[1] for _, cols in block]
+    stags = [cols[2] for _, cols in block]
 
     cues = tuple(k for k, b in enumerate(cue_vector(ctags)) if b)
     span = scope_bounds(stags)
@@ -205,7 +208,7 @@ def _decode_block(path, block, source_id) -> NegationInstance:
                 f"{path}:{linenos[k]}: scope tag {got!r} breaks the "
                 f"O* B* C A* O* shape (expected {want!r})"
             )
-    return NegationInstance(Sentence(tuple(tokens), source_id), ann)
+    return NegationInstance(Sentence(tokens, source_id), ann)
 
 
 def write_column_file(path, instances) -> None:
@@ -249,16 +252,10 @@ def read_tag_blocks(path) -> list[TagBlock]:
     without enforcing gold well-formedness. Tags must still come from the
     alphabets and the column count must be uniform per block."""
     blocks: list[TagBlock] = []
-    for source_id, block in _column_blocks(path):
-        rows = [(lineno, line.split("\t")) for lineno, line in block]
+    for source_id, rows in _column_blocks(path, (2, 3)):
         widths = {len(cols) for _, cols in rows}
-        if widths not in ({2}, {3}):
+        if len(widths) > 1:
             raise CorpusError(f"{path}:{rows[0][0]}: ragged block, need 2 or 3 columns")
-        for lineno, cols in rows:
-            if cols[1] not in CUE_TAG_IDS:
-                raise CorpusError(f"{path}:{lineno}: unknown cue tag {cols[1]!r}")
-            if len(cols) == 3 and cols[2] not in SCOPE_TAG_IDS:
-                raise CorpusError(f"{path}:{lineno}: unknown scope tag {cols[2]!r}")
         blocks.append(TagBlock(
             source_id,
             tuple(cols[0] for _, cols in rows),
@@ -340,7 +337,8 @@ def load_embedding_file(path, vocab: Vocabulary, expected_dim: int | None = None
     """Read a text embedding file: header '<count> <dim>', then one token
     and dim reals per line. Returns a (dim, vocab.size) matrix with one
     column per vocabulary index; tokens absent from the file, and the
-    reserved unknown index, stay at the zero vector.
+    reserved unknown index, stay at the zero vector. A vocabulary token's
+    row must hold finite values and appear only once.
     """
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().split()
@@ -370,10 +368,14 @@ def load_embedding_file(path, vocab: Vocabulary, expected_dim: int | None = None
             token = parts[0]
             idx = vocab.index.get(token)
             if idx is not None:
+                if token in covered:
+                    raise CorpusError(f"{path}:{lineno}: second vector for {token!r}")
                 try:
                     matrix[:, idx] = [float(v) for v in parts[1:]]
                 except ValueError:
                     raise CorpusError(f"{path}:{lineno}: non-numeric value") from None
+                if not np.isfinite(matrix[:, idx]).all():
+                    raise CorpusError(f"{path}:{lineno}: non-finite value")
                 covered.add(token)
     if seen != declared:
         log.warning("%s: header declares %d vectors, file has %d", path, declared, seen)

@@ -50,6 +50,18 @@ class NegationAnnotation:
         return bool(self.cue_indices)
 
 
+def _runs(positions) -> list[tuple[int, int]]:
+    """(first, last) of each maximal run of consecutive integers in an
+    increasing sequence."""
+    runs: list[tuple[int, int]] = []
+    for k in positions:
+        if runs and k == runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], k)
+        else:
+            runs.append((k, k))
+    return runs
+
+
 def derive_cue_tags(annotation: NegationAnnotation, n: int) -> list[str]:
     """Cue tag per token: maximal runs of >= 2 adjacent cue indices become MC,
     isolated cue tokens (including parts of discontinuous cues) become C."""
@@ -57,15 +69,8 @@ def derive_cue_tags(annotation: NegationAnnotation, n: int) -> list[str]:
     if cues and cues[-1] >= n:
         raise ValueError(f"cue index {cues[-1]} out of bounds for length {n}")
     tags = ["NC"] * n
-    run: list[int] = []
-    for idx in list(cues) + [-2]:
-        if run and idx != run[-1] + 1:
-            tag = "MC" if len(run) >= 2 else "C"
-            for j in run:
-                tags[j] = tag
-            run = []
-        if idx >= 0:
-            run.append(idx)
+    for first, last in _runs(cues):
+        tags[first:last + 1] = ["MC" if last > first else "C"] * (last + 1 - first)
     return tags
 
 
@@ -100,11 +105,7 @@ def scope_bounds(scope_tags: list[str]) -> tuple[int, int] | None:
 def is_continuous(scope_tags: list[str]) -> bool:
     """True when every position between the scope bounds is in scope.
     An all-O sequence counts as continuous."""
-    bounds = scope_bounds(scope_tags)
-    if bounds is None:
-        return True
-    left, right = bounds
-    return all(scope_tags[k] != "O" for k in range(left, right + 1))
+    return len(_runs([k for k, t in enumerate(scope_tags) if t != "O"])) <= 1
 
 
 def postprocess(scope_tags: list[str], cue_bits: list[int]) -> list[str]:
@@ -133,51 +134,16 @@ def postprocess(scope_tags: list[str], cue_bits: list[int]) -> list[str]:
     if not cue_pos:
         raise ValueError("postprocess needs at least one cue position")
     first, last = cue_pos[0], cue_pos[-1]
-
-    in_scope = [t != "O" for t in scope_tags]
-    for k in range(first, last + 1):
-        in_scope[k] = True
-
-    lo = first
-    while lo > 0 and in_scope[lo - 1]:
-        lo -= 1
-    hi = last
-    while hi < n - 1 and in_scope[hi + 1]:
-        hi += 1
-
-    # leftward merges
-    while lo > 0:
-        j = lo - 1
-        while j >= 0 and not in_scope[j]:
-            j -= 1
-        if j < 0:
+    runs = _runs([k for k, t in enumerate(scope_tags)
+                  if t != "O" or first <= k <= last])
+    anchor = next(i for i, (_, right) in enumerate(runs) if right >= first)
+    lo, hi = runs[anchor]
+    for left, right in reversed(runs[:anchor]):
+        if lo - right - 1 > right - left + 1:
             break
-        gap = lo - 1 - j
-        i = j
-        while i > 0 and in_scope[i - 1]:
-            i -= 1
-        if gap <= j - i + 1:
-            lo = i
-        else:
+        lo = left
+    for left, right in runs[anchor + 1:]:
+        if left - hi - 1 > right - left + 1:
             break
-
-    # rightward merges
-    while hi < n - 1:
-        i = hi + 1
-        while i < n and not in_scope[i]:
-            i += 1
-        if i >= n:
-            break
-        gap = i - hi - 1
-        j = i
-        while j < n - 1 and in_scope[j + 1]:
-            j += 1
-        if gap <= j - i + 1:
-            hi = j
-        else:
-            break
-
-    out = ["O"] * n
-    for k in range(lo, hi + 1):
-        out[k] = "B" if k < first else ("C" if k == first else "A")
-    return out
+        hi = right
+    return derive_scope_tags(NegationAnnotation(tuple(cue_pos), (lo, hi)), n)

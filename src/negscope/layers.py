@@ -457,11 +457,9 @@ def crf_marginals(
     log_z = logsumexp(alpha[-1] + crf.trans[:num_labels, crf.end])
     unary = np.exp(alpha + beta - log_z)
     t = crf.trans[:num_labels, :num_labels]
-    pairwise = np.empty((n - 1, num_labels, num_labels))
-    for k in range(n - 1):
-        pairwise[k] = np.exp(
-            alpha[k][:, None] + t + (e[:, k + 1] + beta[k + 1])[None, :] - log_z
-        )
+    pairwise = np.exp(
+        alpha[:-1, :, None] + t + (e[:, 1:].T + beta[1:])[:, None, :] - log_z
+    )
     return unary, pairwise, log_z
 
 

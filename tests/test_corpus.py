@@ -143,6 +143,12 @@ class TestParse:
         with pytest.raises(CorpusError, match=":1: expected 3"):
             parse_column_file(path)
 
+    def test_whitespace_token_is_an_error(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("a\tNC\tO\nb c\tNC\tO\n")
+        with pytest.raises(CorpusError, match=r":2: token 'b c' holds whitespace"):
+            parse_column_file(path)
+
     def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         path.write_text("\n\n")
@@ -181,6 +187,9 @@ class TestParse:
             ("a\tC\n\nb\tNC\tO\nc\tNC\n", r":3: ragged block, need 2 or 3 columns"),
             ("a\tC\tO\nb\tX\tO\n", r":2: unknown cue tag 'X'"),
             ("# s\na\tC\tZ\n", r":2: unknown scope tag 'Z'"),
+            ("a\tC\tO\n\tNC\tO\n", r":2: empty token"),
+            ("a b\tC\n", r":1: token 'a b' holds whitespace"),
+            ("a\tC\tO\tx\n", r":1: expected 2 or 3 tab-separated columns"),
             ("# only an id\n\n", r"no instances found"),
         ]
         for text, message in cases:
@@ -313,6 +322,23 @@ class TestEmbeddingFile:
         path.write_text("1 3\nno 1.0 2.0\n")
         with pytest.raises(CorpusError, match=":2"):
             load_embedding_file(path, self._vocab())
+
+    def test_non_finite_value_is_an_error(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        for bad in ("nan", "inf", "-inf"):
+            path.write_text(f"2 2\nno 1.0 2.0\neffect 3.0 {bad}\n")
+            with pytest.raises(CorpusError, match=":3: non-finite value"):
+                load_embedding_file(path, self._vocab())
+
+    def test_second_vector_for_a_token_is_an_error(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\nno 0.1 0.2\nother 9.0 9.0\nno 0.5 0.6\n")
+        with pytest.raises(CorpusError, match=":4: second vector for 'no'"):
+            load_embedding_file(path, self._vocab())
+        # rows for tokens outside the vocabulary are not read
+        path.write_text("3 2\nno 0.1 0.2\nother 9.0 9.0\nother nan 9.0\n")
+        matrix, _ = load_embedding_file(path, self._vocab())
+        np.testing.assert_array_equal(matrix[:, 1], [0.1, 0.2])
 
 
 class TestPadTruncate:

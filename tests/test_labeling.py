@@ -174,6 +174,34 @@ class TestPostprocess:
         # block is {3} alone; gap to {0,1} is position 2, g=1 <= 2: merged.
         assert postprocess(pred, cue) == ["B", "B", "B", "C", "O", "O"]
 
+    # (predicted scope, cue bits, smoothed scope), one character per token
+    MERGE_RULE_EDGES = [
+        # a gap as long as the run is bridged, on either side
+        ("OCOOAA", "010000", "OCAAAA"),
+        ("AAOOCO", "000010", "BBBBCO"),
+        # a gap one longer than the run is not
+        ("OCOOOAA", "0100000", "OCOOOOO"),
+        ("AAOOOCO", "0000010", "OOOOOCO"),
+        # chained merges on both sides: each gap is measured from the
+        # enlarged block, not from the anchor run
+        ("AOAAOCOAAOA", "00000100000", "BBBBBCAAAAA"),
+        # the first failing run stops the scan, though the farther run's
+        # gap to the block (4) would not exceed its length (4)
+        ("OCOOAOAAAA", "0100000000", "OCOOOOOOOO"),
+        ("AAAAOAOOCO", "0000000010", "OOOOOOOOCO"),
+        # a cue inside its run, not at its start: the whole run is the anchor
+        ("OAACAO", "000100", "OBBCAO"),
+        ("AOBBCAO", "0000100", "BBBBCAO"),
+        # a discontinuous cue: every position between its parts is forced
+        # in, and the scan starts from that whole block
+        ("OCOAOOCO", "01000010", "OCAAAAAO"),
+        ("OCOAOOCOAA", "0100001000", "OCAAAAAAAA"),
+    ]
+
+    @pytest.mark.parametrize("pred, cue, want", MERGE_RULE_EDGES)
+    def test_merge_rule_edges(self, pred, cue, want):
+        assert postprocess(list(pred), [int(b) for b in cue]) == list(want)
+
     def test_no_cue_is_an_error(self):
         with pytest.raises(ValueError):
             postprocess(["O", "C", "A"], [0, 0, 0])
