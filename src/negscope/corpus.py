@@ -131,18 +131,21 @@ def _column_blocks(path, widths):
 
     Every row is checked here, so both readers reject the same rows: a
     column count in `widths`, a non-empty whitespace-free token, a cue tag
-    and, in a third column, a scope tag from the alphabets."""
+    and, in a third column, a scope tag from the alphabets. Only a trailing
+    '\r' or space is cut from a row, so a trailing tab still delimits an
+    empty last column, which is rejected; a whitespace-only line ends a
+    block like an empty one."""
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().split("\n")
     block: list[tuple[int, list[str]]] = []
     source_id = ""
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip()
+        line = raw.rstrip("\r ")
         if line.startswith("#") and "\t" not in line:
             if not block and not source_id:
                 source_id = line.lstrip("#").strip()
             continue
-        if not line:
+        if not line.strip():
             if block:
                 yield source_id, block
                 block, source_id = [], ""
@@ -154,10 +157,10 @@ def _column_blocks(path, widths):
         if cols[0].split() != [cols[0]]:  # empty, or holds whitespace
             raise CorpusError(f"{path}:{lineno}: empty token" if not cols[0] else
                               f"{path}:{lineno}: token {cols[0]!r} holds whitespace")
-        if cols[1] not in CUE_TAG_IDS:
-            raise CorpusError(f"{path}:{lineno}: unknown cue tag {cols[1]!r}")
-        if len(cols) == 3 and cols[2] not in SCOPE_TAG_IDS:
-            raise CorpusError(f"{path}:{lineno}: unknown scope tag {cols[2]!r}")
+        for tag, kind, alphabet in zip(cols[1:], ("cue", "scope"), (CUE_TAG_IDS, SCOPE_TAG_IDS)):
+            if tag not in alphabet:
+                raise CorpusError(f"{path}:{lineno}: " + (
+                    f"unknown {kind} tag {tag!r}" if tag else f"empty {kind} tag"))
         block.append((lineno, cols))
     if block:
         yield source_id, block

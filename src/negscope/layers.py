@@ -9,6 +9,7 @@ Gradients mirror each forward exactly; nothing here depends on autodiff.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,22 @@ def embed_backward(
 # it, so step k updates only that active prefix and nothing is padded.
 # The step product reads a per-call C-contiguous copy of w_rec.T: on the
 # transposed view OpenBLAS's small-M kernels ran up to 1.8x slower at
-# U=200 (b = 2..85 rows), and the copy costs about one step.
+# U=200 (b = 2..85 rows), and the copy costs about one step. Step 0 starts
+# from the zero state, so it runs no recurrent product forward and sends
+# no gradient to a step before it backward.
+#
+# A BiLSTM's two directions share nothing until their states are joined,
+# so they run at once: left to right on the calling thread, right to left
+# on the one worker thread below. numpy releases the interpreter lock in
+# BLAS and in ufunc loops over large arrays, which is where a step spends
+# its time; each BLAS call keeps the thread count its caller set. Each
+# direction writes only its own arrays (the forward's two halves of the
+# states are disjoint columns) and the caller sums d_inputs after both
+# finish, so every result is bitwise the one a sequential run gives.
+# Holding both directions' working arrays at once costs about 5 MB more
+# peak memory at d = U = 200.
+_RIGHT_TO_LEFT = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bilstm-rtl")
+
 
 @dataclass
 class LstmParams:
@@ -176,7 +192,8 @@ def lstm_forward(
     for start, size in zip(np.cumsum(sizes) - sizes, sizes):
         step = slice(start, start + size)
         z, t = gates[step], tmp[:size]
-        z += np.matmul(h[:size], w_rec_t, out=rec[:size])
+        if start:
+            z += np.matmul(h[:size], w_rec_t, out=rec[:size])
         z[:, :u3] = sigmoid(z[:, :u3])
         np.tanh(z[:, u3:], out=z[:, u3:])
         # c = f*c_prev + i*g and h = o*tanh(c), written straight into the cache
@@ -226,8 +243,9 @@ def lstm_backward(
         dpre[step, :2] *= dc[:, None, :]
         dpre[step, 2] *= dh
         dpre[step, 3] *= dc
-        np.matmul(dpre[step].reshape(size, 4 * units), params.w_rec, out=dh_rec[:size])
-        np.multiply(dc, f[step], out=dc_rec[:size])
+        if start:
+            np.matmul(dpre[step].reshape(size, 4 * units), params.w_rec, out=dh_rec[:size])
+            np.multiply(dc, f[step], out=dc_rec[:size])
 
     flat = dpre.reshape(total, 4 * units)
     grads = LstmParams(
@@ -254,6 +272,18 @@ def packed_steps(lengths: np.ndarray, reverse: bool) -> tuple[np.ndarray, np.nda
     return np.cumsum(lengths)[sentence] - lengths[sentence] + pos, batch_sizes
 
 
+def _both_directions(run, left_to_right: tuple, right_to_left: tuple) -> tuple:
+    """(run(*left_to_right), run(*right_to_left)), the second on the worker
+    thread. The worker is always waited for, so no direction outlives the
+    call, and an exception from either direction propagates."""
+    future = _RIGHT_TO_LEFT.submit(run, *right_to_left)
+    try:
+        first = run(*left_to_right)
+    finally:
+        wait((future,))
+    return first, future.result()
+
+
 def bilstm_forward(
     fwd: LstmParams,
     bwd: LstmParams,
@@ -274,17 +304,17 @@ def bilstm_forward(
         raise ValueError(f"lengths {lengths.tolist()} do not split {len(x)} rows")
     units = fwd.units
     states = np.empty((len(x), 2 * units))
-    caches = []
-    for params, reverse, half in ((fwd, False, slice(0, units)),
-                                  (bwd, True, slice(units, 2 * units))):
+
+    def direction(params, reverse, half):
         rows, batch_sizes = packed_steps(lengths, reverse)
         q = None if aux is None else np.asarray(aux, dtype=np.float64)[rows]
         hidden, cache = lstm_forward(params, x[rows], q, batch_sizes)
         states[rows, half] = hidden
-        if keep_cache:
-            caches.append((cache, rows))
-        del hidden, cache, q  # else this direction stays alive during the next
-    return states, tuple(caches) if keep_cache else None
+        return (cache, rows) if keep_cache else None
+
+    caches = _both_directions(direction, (fwd, False, slice(0, units)),
+                              (bwd, True, slice(units, 2 * units)))
+    return states, caches if keep_cache else None
 
 
 def bilstm_backward(
@@ -296,14 +326,19 @@ def bilstm_backward(
     """d_states (T, 2U) -> (fwd grads, bwd grads, d_inputs (T, d)); the aux
     input is data, so its gradient is not gathered."""
     units = fwd.units
+
+    def direction(params, cache_rows, half):
+        cache, rows = cache_rows
+        return lstm_backward(params, cache, d_hidden[rows, half])[:2]
+
+    (g_fwd, dx_fwd), (g_bwd, dx_bwd) = _both_directions(
+        direction, (fwd, caches[0], slice(0, units)), (bwd, caches[1], slice(units, 2 * units))
+    )
+    # summed on this thread after the join: the directions never write one array
     d_inputs = np.zeros((len(d_hidden), fwd.in_dim))
-    grads = []
-    for params, (cache, rows), half in ((fwd, caches[0], slice(0, units)),
-                                        (bwd, caches[1], slice(units, 2 * units))):
-        g, dx, _ = lstm_backward(params, cache, d_hidden[rows, half])
-        d_inputs[rows] += dx
-        grads.append(g)
-    return grads[0], grads[1], d_inputs
+    d_inputs[caches[0][1]] += dx_fwd
+    d_inputs[caches[1][1]] += dx_bwd
+    return g_fwd, g_bwd, d_inputs
 
 
 # ---------------------------------------------------------------------------

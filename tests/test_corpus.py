@@ -190,12 +190,31 @@ class TestParse:
             ("a\tC\tO\n\tNC\tO\n", r":2: empty token"),
             ("a b\tC\n", r":1: token 'a b' holds whitespace"),
             ("a\tC\tO\tx\n", r":1: expected 2 or 3 tab-separated columns"),
+            # a trailing tab is an empty last column, not a shorter row
+            ("a\tC\t\nb\tNC\t\n", r":1: empty scope tag"),
+            ("a\tC\tC\nb\tNC\t\n", r":2: empty scope tag"),
+            ("a\t\n", r":1: empty cue tag"),
             ("# only an id\n\n", r"no instances found"),
         ]
         for text, message in cases:
             path.write_text(text)
             with pytest.raises(CorpusError, match=message):
                 read_tag_blocks(path)
+
+    def test_trailing_tab_is_an_empty_scope_tag(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("a\tNC\tO\nb\tNC\t\n")
+        with pytest.raises(CorpusError, match=r"corpus\.tsv:2: empty scope tag"):
+            parse_column_file(path)
+
+    def test_whitespace_only_line_ends_a_block(self, tmp_path):
+        # trailing spaces and CRLF line ends are cut; a line of only
+        # spaces and tabs separates blocks
+        path = tmp_path / "pred.tsv"
+        path.write_text("a\tC \r\n \t \r\nb\tNC\tO\r\n")
+        first, second = read_tag_blocks(path)
+        assert (first.tokens, first.cue_tags, first.scope_tags) == (("a",), ("C",), None)
+        assert (second.tokens, second.cue_tags, second.scope_tags) == (("b",), ("NC",), ("O",))
 
     def test_hash_tokens_are_rows_not_ids(self, tmp_path):
         # a '#' line with a tab is a token row, inside a block or opening one

@@ -4,6 +4,7 @@ against a scalar reference implementation."""
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -378,6 +379,85 @@ class TestBilstm:
                 fwd.w_rec[:] = old
 
         assert_grad_close(f_w, fwd.w_rec, g_f.w_rec)
+
+
+def sequential_bilstm(fwd, bwd, x, aux, lengths, d_states):
+    """The reference for the concurrent BiLSTM: lstm_forward and
+    lstm_backward per direction, left to right first, on this thread and
+    the same packed rows, with d_inputs summed in the same order."""
+    units = fwd.units
+    states = np.empty((len(x), 2 * units))
+    d_inputs = np.zeros_like(x)
+    grads = []
+    for params, reverse, half in ((fwd, False, slice(0, units)),
+                                  (bwd, True, slice(units, 2 * units))):
+        rows, sizes = packed_steps(np.array(lengths), reverse)
+        hidden, cache = lstm_forward(params, x[rows], None if aux is None else aux[rows], sizes)
+        states[rows, half] = hidden
+        g, dx, _ = lstm_backward(params, cache, d_states[rows, half])
+        d_inputs[rows] += dx
+        grads.append(g)
+    return states, grads, d_inputs
+
+
+class TestBilstmDirectionsConcurrent:
+    """The right-to-left direction runs on a worker thread. The widths are
+    large enough for numpy to release the interpreter lock, so the two
+    directions really overlap, and the results must still be bitwise those
+    of running them one after the other."""
+
+    DIM, UNITS = 48, 64
+
+    def _setup(self, rng, lengths, two_input):
+        fwd = init_lstm(self.UNITS, self.DIM, rng, two_input=two_input)
+        bwd = init_lstm(self.UNITS, self.DIM, rng, two_input=two_input)
+        x = rng.normal(size=(sum(lengths), self.DIM))
+        aux = rng.integers(0, 2, size=len(x)).astype(np.float64) if two_input else None
+        return fwd, bwd, x, aux
+
+    @pytest.mark.parametrize("lengths, two_input", [
+        ([23, 5, 31, 1, 17, 31, 9], True),  # ragged, ties, a length-1 sentence
+        ([40], False),  # a single sentence: every step has one row
+        ([12, 30, 21, 12, 26], False),  # one strictly longest: a one-row tail
+    ])
+    def test_bitwise_equal_to_sequential_directions(self, rng, lengths, two_input):
+        fwd, bwd, x, aux = self._setup(rng, lengths, two_input)
+        d_states = rng.normal(size=(len(x), 2 * self.UNITS))
+        want_states, want_grads, want_dx = sequential_bilstm(fwd, bwd, x, aux, lengths, d_states)
+
+        states, caches = bilstm_forward(fwd, bwd, x, aux, lengths)
+        assert np.array_equal(states, want_states)
+        *grads, d_x = bilstm_backward(fwd, bwd, caches, d_states)
+        assert np.array_equal(d_x, want_dx)
+        for got, want in zip(grads, want_grads):
+            assert got.arrays().keys() == want.arrays().keys()
+            for name, block in want.arrays().items():
+                assert np.array_equal(got.arrays()[name], block), name
+
+        states, caches = bilstm_forward(fwd, bwd, x, aux, lengths, keep_cache=False)
+        assert caches is None
+        assert np.array_equal(states, want_states)
+
+    def test_error_in_the_worker_direction_propagates(self, rng):
+        lengths = [9, 4, 12]
+        fwd, bwd, x, _ = self._setup(rng, lengths, two_input=False)
+        wrong = init_lstm(self.UNITS, self.DIM + 1, rng)
+        with pytest.raises(ValueError, match=rf"expected inputs \(T, {self.DIM + 1}\)"):
+            bilstm_forward(fwd, wrong, x, None, lengths)
+        states, _ = bilstm_forward(fwd, bwd, x, None, lengths)
+        want = sequential_bilstm(fwd, bwd, x, None, lengths, np.zeros_like(states))[0]
+        assert np.array_equal(states, want)
+
+    def test_thread_count_does_not_grow(self, rng):
+        lengths = [7, 3, 5]
+        fwd, bwd, x, _ = self._setup(rng, lengths, two_input=False)
+        d_states = rng.normal(size=(len(x), 2 * self.UNITS))
+        bilstm_backward(fwd, bwd, bilstm_forward(fwd, bwd, x, None, lengths)[1], d_states)
+        before = threading.active_count()
+        for _ in range(50):
+            _, caches = bilstm_forward(fwd, bwd, x, None, lengths)
+            bilstm_backward(fwd, bwd, caches, d_states)
+        assert threading.active_count() == before
 
 
 class TestDense:

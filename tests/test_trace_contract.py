@@ -1,7 +1,9 @@
 """The benchmark tracer wraps negscope functions by name and reads their
 arguments and results by position. A traced training step and a traced
-prediction must find every target, run every hook without error, and
-count LSTM multiply-adds over real tokens only."""
+prediction must find every target, run every hook without error, close
+every span it opens, and count LSTM multiply-adds over real tokens only.
+The BiLSTM runs its right-to-left direction on a worker thread, so the
+tracer's span stack is pushed and popped from two threads."""
 from __future__ import annotations
 
 import importlib.util
@@ -55,6 +57,8 @@ def test_traced_train_step_and_prediction_count_real_rows(tracer):
     predict_lengths = [1, 7, 3, 3]
     cue.predict_tags([rng.integers(VOCAB, size=n) for n in predict_lengths])
 
+    assert tracer.stack == []
+    assert all(span is not None and span[1] <= span[2] for span in tracer.spans)
     metrics = tracer.summary()
     assert tracer.absent == []
     assert tracer.hook_errors == {}
