@@ -11,7 +11,7 @@ line live in their own modules:
     corpus      column-format corpus IO, tokenizer, vocabulary, splits
     models      model assembly per variant, checkpoints
     training    losses, Adam, step decay, the training loop
-    evaluation  token metrics, exact-match metrics, two-condition test sets
+    evaluation  token metrics, exact-match metrics, the Task-2 index groups
     pipeline    the `negscope` command line
 """
 

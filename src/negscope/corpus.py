@@ -361,7 +361,8 @@ def load_embedding_file(path, vocab: Vocabulary, expected_dim: int | None = None
         for lineno, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            parts = line.rstrip("\n").split(" ")
+            # word2vec's text writer ends each vector line with a space
+            parts = line.rstrip(" \n").split(" ")
             if len(parts) != dim + 1:
                 raise CorpusError(
                     f"{path}:{lineno}: expected a token and {dim} values, "

@@ -1,5 +1,5 @@
 """Evaluation: token-level P/R/F1, exact-match percentages, and the
-construction of the scope test set that makes gold-cue and predicted-cue
+index groups that make the scope test set of gold-cue and predicted-cue
 runs comparable.
 
 Conventions: metrics are percentages in [0, 100]; precision is NaN when
@@ -119,23 +119,24 @@ def pcp(preds) -> float:
     return math.nan if total == 0 else 100.0 * hits / total
 
 
+def _kv_lines(prefix: str, token: TokenMetrics, exact: dict) -> list[str]:
+    """`<prefix>.<name>=<value>` lines: precision, recall and F1, the exact
+    match percentages in `exact`'s order, then the confusion counts."""
+    rates = {"precision": token.precision, "recall": token.recall, "f1": token.f1, **exact}
+    lines = [f"{prefix}.{name}={metric_str(value)}" for name, value in rates.items()]
+    return lines + [f"{prefix}.{name}={getattr(token, name)}" for name in ("tp", "fp", "fn", "tn")]
+
+
 @dataclass(frozen=True)
 class CueReport:
     token: TokenMetrics
     pecm: float
 
-    def kv_lines(self, prefix: str = "cue") -> list[str]:
-        t = self.token
-        return [
-            f"{prefix}.precision={metric_str(t.precision)}",
-            f"{prefix}.recall={metric_str(t.recall)}",
-            f"{prefix}.f1={metric_str(t.f1)}",
-            f"{prefix}.pecm={metric_str(self.pecm)}",
-            f"{prefix}.tp={t.tp}",
-            f"{prefix}.fp={t.fp}",
-            f"{prefix}.fn={t.fn}",
-            f"{prefix}.tn={t.tn}",
-        ]
+    def headline(self) -> dict[str, float]:
+        return {"f1": self.token.f1, "pecm": self.pecm}
+
+    def kv_lines(self) -> list[str]:
+        return _kv_lines("cue", self.token, {"pecm": self.pecm})
 
 
 @dataclass(frozen=True)
@@ -144,19 +145,11 @@ class ScopeReport:
     pcs: float
     pcp: float
 
-    def kv_lines(self, prefix: str = "scope") -> list[str]:
-        t = self.token
-        return [
-            f"{prefix}.precision={metric_str(t.precision)}",
-            f"{prefix}.recall={metric_str(t.recall)}",
-            f"{prefix}.f1={metric_str(t.f1)}",
-            f"{prefix}.pcs={metric_str(self.pcs)}",
-            f"{prefix}.pcp={metric_str(self.pcp)}",
-            f"{prefix}.tp={t.tp}",
-            f"{prefix}.fp={t.fp}",
-            f"{prefix}.fn={t.fn}",
-            f"{prefix}.tn={t.tn}",
-        ]
+    def headline(self) -> dict[str, float]:
+        return {"f1": self.token.f1, "pcs": self.pcs, "pcp": self.pcp}
+
+    def kv_lines(self) -> list[str]:
+        return _kv_lines("scope", self.token, {"pcs": self.pcs, "pcp": self.pcp})
 
 
 def evaluate_cue(preds, golds) -> CueReport:
@@ -168,53 +161,24 @@ def evaluate_scope(preds, golds) -> ScopeReport:
 
 
 # ---------------------------------------------------------------------------
-# comparable test sets for the second task
+# the comparable test set of the second task
 
-@dataclass(frozen=True)
-class Task2TestSet:
-    """Sentence indices grouped by (gold cue present, predicted cue present).
+def task2_groups(gold_has_cue, pred_has_cue) -> dict[str, tuple[int, ...]]:
+    """Sentence indices grouped by (gold cue present, predicted cue present):
+    "tp" both, "fn" gold only, "fp" predicted only, "tn" neither; each
+    group in input order. A missing prediction is an error.
 
-    The evaluation set is tp + fn + fp: it covers everything either cue
+    The scope test set is tp + fn + fp: it covers everything either cue
     source marks as negation, so both input conditions are scored on the
     identical sentence list. True negatives never enter. Where a condition
     has no cue to feed in (fp under gold inputs, fn under predicted inputs)
     the scope prediction is fixed to all O.
     """
-
-    tp: tuple[int, ...]
-    fn: tuple[int, ...]
-    fp: tuple[int, ...]
-    tn: tuple[int, ...]
-
-    @property
-    def test_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.tp + self.fn + self.fp))
-
-    def model_indices(self, condition: str) -> frozenset[int]:
-        """Indices whose scope comes from the model under this cue input."""
-        if condition == "gold":
-            return frozenset(self.tp + self.fn)
-        if condition == "pred":
-            return frozenset(self.tp + self.fp)
-        raise ValueError(f"condition must be 'gold' or 'pred', got {condition!r}")
-
-    def empty_indices(self, condition: str) -> frozenset[int]:
-        """Indices forced to an all-O prediction under this cue input."""
-        return frozenset(self.test_indices) - self.model_indices(condition)
-
-
-def build_task2_testset(gold_has_cue, pred_has_cue, instances) -> Task2TestSet:
-    """Classify instances by sentence-level cue presence in gold vs the cue
-    model's output. Lengths must line up; a missing prediction is an error."""
-    if not (len(gold_has_cue) == len(pred_has_cue) == len(instances)):
+    if len(gold_has_cue) != len(pred_has_cue):
         raise ValueError(
-            f"got {len(gold_has_cue)} gold flags, {len(pred_has_cue)} predicted "
-            f"flags, {len(instances)} instances"
+            f"got {len(gold_has_cue)} gold flags, {len(pred_has_cue)} predicted flags"
         )
     groups = {"tp": [], "fn": [], "fp": [], "tn": []}
     for idx, (g, p) in enumerate(zip(gold_has_cue, pred_has_cue)):
-        key = ("tp" if p else "fn") if g else ("fp" if p else "tn")
-        groups[key].append(idx)
-    return Task2TestSet(
-        tuple(groups["tp"]), tuple(groups["fn"]), tuple(groups["fp"]), tuple(groups["tn"])
-    )
+        groups[("tp" if p else "fn") if g else ("fp" if p else "tn")].append(idx)
+    return {key: tuple(indices) for key, indices in groups.items()}

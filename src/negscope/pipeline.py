@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -40,10 +39,10 @@ from .corpus import (
 from .evaluation import (
     CueReport,
     ScopeReport,
-    build_task2_testset,
     evaluate_cue,
     evaluate_scope,
     metric_str,
+    task2_groups,
 )
 from .labeling import cue_vector, postprocess
 from .models import (
@@ -81,6 +80,9 @@ def _variant_list(text: str) -> tuple[str, ...]:
     items = tuple(v.strip() for v in text.split(",") if v.strip())
     if not items:
         raise ValueError("expected at least one variant")
+    repeated = [v for i, v in enumerate(items) if v in items[:i]]
+    if repeated:
+        raise ValueError(f"variant {repeated[0]!r} listed twice")
     return items
 
 
@@ -127,7 +129,7 @@ def parse_config_file(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
-    values = {}
+    values, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -138,6 +140,9 @@ def parse_config_file(path) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         if key not in CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise UsageError(f"{path}:{lineno}: {key} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = CONFIG_KEYS[key](value)
         except ValueError as exc:
@@ -372,7 +377,7 @@ def evaluate_files(pred_path, gold_path) -> EvaluationResult:
     cue_report = evaluate_cue(
         [p.cue_tags for p in pred_blocks], [g.cue_tags for g in gold_blocks]
     )
-    lines += cue_report.kv_lines("cue")
+    lines += cue_report.kv_lines()
 
     scope_report = None
     with_scope = sum(1 for p in pred_blocks if p.scope_tags)
@@ -387,11 +392,16 @@ def evaluate_files(pred_path, gold_path) -> EvaluationResult:
         scope_report = evaluate_scope(
             [p.scope_tags for p in pred_blocks], [g.scope_tags for g in gold_blocks]
         )
-        lines += scope_report.kv_lines("scope")
+        lines += scope_report.kv_lines()
 
     return EvaluationResult(
         "\n".join(lines) + "\n", len(pred_blocks), cue_report, scope_report
     )
+
+
+def headline_items(prefix: str, report: CueReport | ScopeReport) -> list[str]:
+    """`<prefix>.<metric>=<value>` for each of the report's headline metrics."""
+    return [f"{prefix}.{name}={metric_str(value)}" for name, value in report.headline().items()]
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +464,7 @@ def run_cue_stage(config: ExperimentConfig, corpus: LoadedCorpus, out: Path,
         gold_path = write_gold(out / f"cue_{name}_gold.col", data, with_scope=False)
         blocks = column_blocks(data, predict_cues(tagger, data))
         result = write_and_score(out, f"cue_{name}", blocks, gold_path)
-        emit(f"cue.{name}.f1={metric_str(result.cue.token.f1)} "
-             f"cue.{name}.pecm={metric_str(result.cue.pecm)}")
+        emit(" ".join(headline_items(f"cue.{name}", result.cue)))
     return tagger
 
 
@@ -528,17 +537,9 @@ def cmd_train_scope(args) -> int:
         gold_path = write_gold(out / f"scope_{name}_gold.col", subset, with_scope=True)
         scope = score_scopes(out, f"scope_{name}", tagger, subset, cue_rows,
                              tagger.config.smooth_predictions, gold_path)
-        emit(f"scope.{name}.f1={metric_str(scope.token.f1)} "
-             f"scope.{name}.pcs={metric_str(scope.pcs)} "
-             f"scope.{name}.pcp={metric_str(scope.pcp)}")
+        emit(" ".join(headline_items(f"scope.{name}", scope)))
     emit.write(out / "run.log")
     return 0
-
-
-def _difference(gold_value: float, pred_value: float) -> float:
-    if math.isnan(gold_value) or math.isnan(pred_value):
-        return math.nan
-    return gold_value - pred_value
 
 
 def cmd_experiment(args) -> int:
@@ -557,50 +558,38 @@ def cmd_experiment(args) -> int:
     pred_tags = predict_cues(cue_tagger, test)
     gold_flags = [inst.is_negation for inst in test]
     pred_flags = [any(cue_vector(tags)) for tags in pred_tags]
-    testset = build_task2_testset(gold_flags, pred_flags, test)
-    emit(f"testset.tp={len(testset.tp)} testset.fn={len(testset.fn)} "
-         f"testset.fp={len(testset.fp)} testset.tn={len(testset.tn)} "
-         f"testset.size={len(testset.test_indices)}")
-    for condition in ("gold", "pred"):
-        covered = testset.model_indices(condition) | testset.empty_indices(condition)
-        identical = covered == set(testset.test_indices)
-        emit(f"condition={condition} covers_identical_test_set={str(identical).lower()}")
-        if not identical:
-            raise RuntimeError(f"{condition} condition does not cover the test set")
+    groups = task2_groups(gold_flags, pred_flags)
+    test_indices = sorted(groups["tp"] + groups["fn"] + groups["fp"])
+    summary = [" ".join(f"testset.{key}={len(group)}" for key, group in groups.items())
+               + f" testset.size={len(test_indices)}"]
+    emit(summary[0])
 
-    data = [test[i] for i in testset.test_indices]
+    data = [test[i] for i in test_indices]
     gold_path = write_gold(out / "scope_test_gold.col", data, with_scope=True)
     # the model runs on exactly the sentences with a cue under each
     # condition; the rest (fp under gold, fn under pred) get all O
     cue_rows = {"gold": [inst.cue_tags for inst in data],
-                "pred": [pred_tags[i] for i in testset.test_indices]}
+                "pred": [pred_tags[i] for i in test_indices]}
 
-    summary = [l for l in emit.lines if l.startswith("testset.")]
     table_rows = []
     for variant in config.scope_variants:
         base = scope_base(variant)
         smooth = base != variant  # a -post variant smooths its base model's tags
         scores = {}
         for condition in ("gold", "pred"):
-            scope = scores[condition] = score_scopes(
+            scope = score_scopes(
                 out, f"scope_{variant}_{condition}cue", scope_models[base], data,
                 cue_rows[condition], smooth, gold_path,
             )
-            summary += [
-                f"scope.{variant}.{condition}cue.f1={metric_str(scope.token.f1)}",
-                f"scope.{variant}.{condition}cue.pcs={metric_str(scope.pcs)}",
-                f"scope.{variant}.{condition}cue.pcp={metric_str(scope.pcp)}",
-            ]
-        diff = _difference(scores["gold"].token.f1, scores["pred"].token.f1)
+            summary += headline_items(f"scope.{variant}.{condition}cue", scope)
+            scores[condition] = scope.headline()
+        gold, pred = scores["gold"], scores["pred"]
+        # NaN on either side stays NaN
+        diff = gold["f1"] - pred["f1"]
         summary.append(f"scope.{variant}.difference={metric_str(diff)}")
-        table_rows.append("\t".join([
-            variant,
-            metric_str(scores["gold"].token.f1), metric_str(scores["pred"].token.f1),
-            metric_str(diff),
-            metric_str(scores["gold"].pcs), metric_str(scores["pred"].pcs),
-            metric_str(scores["gold"].pcp), metric_str(scores["pred"].pcp),
-        ]))
-        emit(f"scope.{variant}.difference={metric_str(diff)}")
+        emit(summary[-1])
+        cells = [gold["f1"], pred["f1"], diff, gold["pcs"], pred["pcs"], gold["pcp"], pred["pcp"]]
+        table_rows.append("\t".join([variant] + [metric_str(v) for v in cells]))
 
     header = "variant\tgold_f1\tpred_f1\tdifference\tgold_pcs\tpred_pcs\tgold_pcp\tpred_pcp"
     (out / "comparison.tsv").write_text(

@@ -188,6 +188,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1 and lr0 > 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.decay_every < 0 or not 0 < self.decay_factor <= 1:
+            raise ValueError("decay_every must be >= 0 and decay_factor in (0, 1]")
 
 
 @dataclass

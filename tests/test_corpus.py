@@ -342,6 +342,24 @@ class TestEmbeddingFile:
         with pytest.raises(CorpusError, match=":2"):
             load_embedding_file(path, self._vocab())
 
+    def test_trailing_space_is_not_a_value_and_tabs_do_not_separate(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("1 3\nno 1.0 2.0 \n")
+        with pytest.raises(CorpusError, match=":2: expected a token and 3 values, got 3"):
+            load_embedding_file(path, self._vocab())
+        path.write_text("1 2\nno\t1.0\t2.0\n")
+        with pytest.raises(CorpusError, match=":2: expected a token and 2 values, got 1"):
+            load_embedding_file(path, self._vocab())
+
+    def test_word2vec_trailing_spaces_load_like_the_plain_file(self, tmp_path):
+        plain, padded = tmp_path / "plain.txt", tmp_path / "padded.txt"
+        plain.write_text("2 3\nno 0.1 0.2 0.3\neffect 1 2 3\n")
+        padded.write_text("2 3\nno 0.1 0.2 0.3 \r\neffect 1 2 3 \n")
+        expected, _ = load_embedding_file(plain, self._vocab())
+        matrix, coverage = load_embedding_file(padded, self._vocab())
+        np.testing.assert_array_equal(matrix, expected)
+        assert coverage.missing == ["cells"]
+
     def test_non_finite_value_is_an_error(self, tmp_path):
         path = tmp_path / "emb.txt"
         for bad in ("nan", "inf", "-inf"):

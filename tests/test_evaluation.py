@@ -1,5 +1,5 @@
 """Metric fixtures with hand-counted confusions, the NaN edge policy, and
-the two-condition test set construction."""
+the Task-2 index groups."""
 from __future__ import annotations
 
 import math
@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from negscope.evaluation import (
-    build_task2_testset,
     cue_token_metrics,
     evaluate_cue,
     evaluate_scope,
@@ -18,6 +17,7 @@ from negscope.evaluation import (
     pcs,
     pecm,
     scope_token_metrics,
+    task2_groups,
 )
 
 
@@ -107,48 +107,39 @@ class TestReports:
         assert lines[0] == "cue.precision=100.00"
         assert "cue.pecm=100.00" in lines
         assert "cue.tp=1" in lines
+        assert report.headline() == {"f1": 100.0, "pecm": 100.0}
 
     def test_scope_report_prints_nan_fields(self):
         report = evaluate_scope([["O", "O"]], [["O", "O"]])
-        lines = report.kv_lines("scope")
+        lines = report.kv_lines()
         assert "scope.precision=NaN" in lines
         assert "scope.pcs=NaN" in lines
         assert "scope.pcp=NaN" in lines
+        assert list(report.headline()) == ["f1", "pcs", "pcp"]
 
     def test_metric_str_formats(self):
         assert metric_str(66.666666) == "66.67"
         assert metric_str(math.nan) == "NaN"
+        assert metric_str(math.nan - 84.0) == "NaN"
 
 
-class TestTask2TestSet:
-    def test_classification_and_conditions(self):
+class TestTask2Groups:
+    def test_classification(self):
         gold = [True, True, False, False, True]
         pred = [True, False, True, False, False]
-        ts = build_task2_testset(gold, pred, list(range(5)))
-        assert ts.tp == (0,) and ts.fn == (1, 4) and ts.fp == (2,) and ts.tn == (3,)
-        assert ts.test_indices == (0, 1, 2, 4)
-        assert ts.model_indices("gold") == {0, 1, 4}
-        assert ts.empty_indices("gold") == {2}
-        assert ts.model_indices("pred") == {0, 2}
-        assert ts.empty_indices("pred") == {1, 4}
+        groups = task2_groups(gold, pred)
+        assert groups == {"tp": (0,), "fn": (1, 4), "fp": (2,), "tn": (3,)}
 
-    def test_test_set_is_identical_across_conditions(self):
+    def test_groups_partition_the_indices(self):
         rng = np.random.default_rng(3)
         gold = rng.random(40) < 0.5
         pred = rng.random(40) < 0.5
-        ts = build_task2_testset(list(gold), list(pred), list(range(40)))
-        for condition in ("gold", "pred"):
-            covered = ts.model_indices(condition) | ts.empty_indices(condition)
-            assert covered == set(ts.test_indices)
-        groups = (set(ts.tp), set(ts.fn), set(ts.fp), set(ts.tn))
-        assert set().union(*groups) == set(range(40))
-        assert sum(len(g) for g in groups) == 40
-
-    def test_unknown_condition_rejected(self):
-        ts = build_task2_testset([True], [True], [0])
-        with pytest.raises(ValueError, match="condition"):
-            ts.model_indices("oracle")
+        groups = task2_groups(list(gold), list(pred))
+        assert sorted(sum(groups.values(), ())) == list(range(40))
+        for key, g, p in (("tp", 1, 1), ("fn", 1, 0), ("fp", 0, 1), ("tn", 0, 0)):
+            assert list(groups[key]) == sorted(groups[key])
+            assert all(gold[i] == g and pred[i] == p for i in groups[key])
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="flags"):
-            build_task2_testset([True], [True, False], [0, 1])
+        with pytest.raises(ValueError, match="1 gold flags, 2 predicted flags"):
+            task2_groups([True], [True, False])

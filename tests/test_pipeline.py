@@ -2,7 +2,6 @@
 reports, and the end-to-end experiment on a synthetic corpus."""
 from __future__ import annotations
 
-import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -13,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import negscope.models as models
+import negscope.pipeline as pipeline
 from negscope.corpus import (
     CorpusError,
     NegationInstance,
@@ -27,7 +27,6 @@ from negscope.labeling import NegationAnnotation, cue_vector, is_continuous
 from negscope.pipeline import (
     CONFIG_KEYS,
     UsageError,
-    _difference,
     evaluate_files,
     main,
     parse_config_file,
@@ -80,6 +79,18 @@ class TestConfig:
         with pytest.raises(UsageError, match=r"c.txt:2: unknown config key 'bogus'"):
             parse_config_file(cfg)
 
+    def test_repeated_key_is_usage_error_naming_both_lines(self, tmp_path):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("seed=1\n# comment\nseed=2\n")
+        with pytest.raises(UsageError, match=r"c.txt:3: seed already set on line 1"):
+            parse_config_file(cfg)
+
+    def test_repeated_scope_variant_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("scope.variants=bilstm,bilstm-post,bilstm\n")
+        with pytest.raises(UsageError, match="c.txt:1: scope.variants: variant 'bilstm' listed twice"):
+            parse_config_file(cfg)
+
     def test_bad_value_is_usage_error(self, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text("seed=fast\n")
@@ -116,6 +127,19 @@ class TestConfig:
         with pytest.raises(UsageError, match="cue training settings"):
             resolve_config(plain_args(config=str(cfg)))
 
+    @pytest.mark.parametrize("setting", ["decay_every=-1", "decay_factor=-0.5",
+                                         "decay_factor=0", "decay_factor=1.5"])
+    def test_bad_decay_settings_exit_two(self, tmp_path, capsys, setting):
+        corpus = tmp_path / "corpus.col"
+        write_column_file(corpus, synthetic_instances(8, seed=7))
+        cfg = tmp_path / "c.txt"
+        key, value = setting.split("=")
+        write_config(cfg, corpus, **{f"cue.{key}": value})
+        rc = main(["train-cue", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "cue training settings: decay_every must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("key", ["max_len", "embed_dim", "units"])
     def test_size_below_one_exits_two(self, tmp_path, capsys, key):
         corpus = tmp_path / "corpus.col"
@@ -134,10 +158,6 @@ class TestSmallHelpers:
     def test_scope_base(self):
         assert scope_base("bilstm-post") == "bilstm"
         assert scope_base("bilstm-crf") == "bilstm-crf"
-
-    def test_difference_propagates_nan(self):
-        assert _difference(90.0, 84.0) == pytest.approx(6.0)
-        assert math.isnan(_difference(math.nan, 84.0))
 
 
 class TestEvaluateFiles:
@@ -211,6 +231,29 @@ def experiment_run(tmp_path_factory):
     return SimpleNamespace(root=root, corpus=corpus, config=cfg, out=out)
 
 
+def assert_scope_test_set_recounts(out) -> dict:
+    """Recount the scope test set from the cue files: `scope_test_gold.col`
+    holds exactly the sentences either cue source marks, in split order, and
+    report.txt's testset line has the same counts. Returns the counts."""
+    gold = read_tag_blocks(out / "cue_test_gold.col")
+    pred = read_tag_blocks(out / "cue_test_pred.col")
+    counts = dict.fromkeys(("tp", "fn", "fp", "tn"), 0)
+    expected = []
+    for g, p in zip(gold, pred, strict=True):
+        g_cue, p_cue = any(cue_vector(g.cue_tags)), any(cue_vector(p.cue_tags))
+        counts[("tp" if p_cue else "fn") if g_cue else ("fp" if p_cue else "tn")] += 1
+        if g_cue or p_cue:
+            expected.append((g.source_id, g.tokens))
+    scope_gold = read_tag_blocks(out / "scope_test_gold.col")
+    assert [(b.source_id, b.tokens) for b in scope_gold] == expected
+    report = (out / "report.txt").read_text().splitlines()
+    assert report[0] == " ".join(
+        [f"testset.{key}={n}" for key, n in counts.items()]
+        + [f"testset.size={len(expected)}"]
+    )
+    return counts
+
+
 class TestExperiment:
     def test_artifacts_are_self_contained(self, experiment_run):
         out = experiment_run.out
@@ -230,8 +273,30 @@ class TestExperiment:
         text = (experiment_run.out / "run.log").read_text()
         assert "task=cue variant=bilstm decoder=argmax" in text
         assert "cue_inputs=gold" in text
-        assert "condition=gold covers_identical_test_set=true" in text
-        assert "condition=pred covers_identical_test_set=true" in text
+
+    def test_scope_test_set_is_every_sentence_either_cue_source_marks(self, experiment_run):
+        assert_scope_test_set_recounts(experiment_run.out)
+
+    def test_scope_test_set_with_all_four_groups(self, experiment_run, tmp_path,
+                                                 monkeypatch):
+        # the trained cue model marks no test sentence, so predict gold cue
+        # presence instead, flipped on the first negation and the first
+        # non-negation sentence: every group gets a member
+        def flipped_cues(tagger, data):
+            rows, flipped = [], set()
+            for inst in data:
+                has_cue = inst.is_negation != (inst.is_negation not in flipped)
+                flipped.add(inst.is_negation)
+                rows.append(["C" if has_cue and k == 0 else "NC" for k in range(len(inst.tokens))])
+            return rows
+
+        monkeypatch.setattr(pipeline, "predict_cues", flipped_cues)
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(experiment_run.config),
+                     "--out", str(out)]) == 0
+        counts = assert_scope_test_set_recounts(out)
+        assert all(counts.values()), counts
+
 
     def test_comparison_table_has_a_row_per_variant(self, experiment_run):
         lines = (experiment_run.out / "comparison.tsv").read_text().splitlines()

@@ -414,3 +414,13 @@ class TestConfigValidation:
             TrainConfig(lr0=0.0)
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
+
+    @pytest.mark.parametrize("decay", [dict(decay_every=-1), dict(decay_factor=-0.5),
+                                       dict(decay_factor=0.0), dict(decay_factor=1.5)])
+    def test_rejects_growing_or_negative_decay(self, decay):
+        with pytest.raises(ValueError, match="decay_factor in \\(0, 1\\]"):
+            TrainConfig(**decay)
+
+    def test_decay_bounds_are_inclusive(self):
+        assert TrainConfig(decay_every=0).decay_every == 0
+        assert TrainConfig(decay_factor=1.0).decay_factor == 1.0
