@@ -273,27 +273,30 @@ def read_tag_blocks(path) -> list[TagBlock]:
 # ---------------------------------------------------------------------------
 # vocabulary and embeddings
 
+# the index every unknown token maps to; known tokens count from 1
+OOV_INDEX = 0
+
+
 @dataclass
 class Vocabulary:
     """Token -> dense index, case-sensitive, ordered by first occurrence.
-    Index 0 is reserved for unknown tokens."""
+    Index OOV_INDEX is reserved for unknown tokens."""
 
     index: dict[str, int]
-    oov_index: int = 0
 
     @property
     def size(self) -> int:
         return len(self.index) + 1
 
     def lookup(self, token: str) -> int:
-        return self.index.get(token, self.oov_index)
+        return self.index.get(token, OOV_INDEX)
 
     def tokens_in_order(self) -> list[str]:
         return sorted(self.index, key=self.index.get)
 
     def content_hash(self) -> str:
         payload = json.dumps(
-            {"oov_index": self.oov_index, "tokens": self.tokens_in_order()},
+            {"oov_index": OOV_INDEX, "tokens": self.tokens_in_order()},
             ensure_ascii=False,
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -301,7 +304,7 @@ class Vocabulary:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(
-                {"oov_index": self.oov_index, "tokens": self.tokens_in_order()},
+                {"oov_index": OOV_INDEX, "tokens": self.tokens_in_order()},
                 handle, ensure_ascii=False, indent=0,
             )
 
@@ -309,9 +312,9 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-        if data["oov_index"] != 0:
+        if data["oov_index"] != OOV_INDEX:
             raise CorpusError(f"{path}: unsupported oov index {data['oov_index']}")
-        return cls({tok: i + 1 for i, tok in enumerate(data["tokens"])}, 0)
+        return cls({tok: i + 1 for i, tok in enumerate(data["tokens"])})
 
 
 def build_vocab(instances) -> Vocabulary:

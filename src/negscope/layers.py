@@ -31,8 +31,6 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 @dataclass
 class EmbeddingParams:
     weights: np.ndarray  # (d, v), one column per token index
-    oov_index: int
-    trainable: bool = False
 
     @property
     def vocab_size(self) -> int:
@@ -40,15 +38,11 @@ class EmbeddingParams:
 
 
 def init_embedding(
-    embed_dim: int,
-    vocab_size: int,
-    oov_index: int,
-    rng: np.random.Generator,
-    trainable: bool = False,
+    embed_dim: int, vocab_size: int, oov_index: int, rng: np.random.Generator
 ) -> EmbeddingParams:
     w = glorot(rng, embed_dim, vocab_size)
     w[:, oov_index] = 0.0  # unknown tokens start as the zero vector
-    return EmbeddingParams(w, oov_index, trainable)
+    return EmbeddingParams(w)
 
 
 def embed(params: EmbeddingParams, token_ids: np.ndarray) -> np.ndarray:

@@ -13,10 +13,11 @@ bilstm-post (the bilstm model plus smoothing at prediction time).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import OOV_INDEX
 from .labeling import CUE_TAGS, SCOPE_TAGS
 from .layers import (
     CrfParams,
@@ -56,50 +57,72 @@ VARIANTS = {
 
 @dataclass(frozen=True)
 class TaggerConfig:
+    """What varies between taggers; the rest follows from task and variant
+    through VARIANTS, and the scope task reads cue bits as its second input."""
+
     task: str  # "cue" | "scope"
     variant: str
     vocab_size: int
     embed_dim: int
     units: int
-    head: str  # "softmax" | "crf"
-    use_lstm: bool
-    two_input: bool
-    embeddings_trainable: bool
-    labels: tuple[str, ...]
-    oov_index: int = 0
+    widen_embeddings: bool = False  # train the embeddings even where the variant freezes them
+
+    def __post_init__(self):
+        if self.task not in VARIANTS:
+            raise ValueError(f"unknown task {self.task!r}")
+        if self.variant not in VARIANTS[self.task]:
+            raise ValueError(f"unknown {self.task} variant {self.variant!r}; "
+                             f"pick from {sorted(VARIANTS[self.task])}")
+
+    @property
+    def head(self) -> str:  # "softmax" | "crf"
+        return VARIANTS[self.task][self.variant]["head"]
+
+    @property
+    def use_lstm(self) -> bool:
+        return VARIANTS[self.task][self.variant]["use_lstm"]
+
+    @property
+    def two_input(self) -> bool:
+        return self.task == "scope"
+
+    @property
+    def embeddings_trainable(self) -> bool:
+        return self.widen_embeddings or VARIANTS[self.task][self.variant]["embeddings_trainable"]
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return CUE_TAGS if self.task == "cue" else SCOPE_TAGS
 
     @property
     def num_labels(self) -> int:
         return len(self.labels)
-
-    @property
-    def smooth_predictions(self) -> bool:
-        return self.variant.endswith("-post")
-
-
-def tagger_config(task: str, variant: str, vocab_size: int, embed_dim: int,
-                  units: int) -> TaggerConfig:
-    """The variant table's architecture; the scope task reads cue bits as
-    its second input."""
-    if task not in VARIANTS:
-        raise ValueError(f"unknown task {task!r}")
-    if variant not in VARIANTS[task]:
-        raise ValueError(
-            f"unknown {task} variant {variant!r}; pick from {sorted(VARIANTS[task])}"
-        )
-    opts = VARIANTS[task][variant]
-    return TaggerConfig(
-        task=task, variant=variant, vocab_size=vocab_size, embed_dim=embed_dim,
-        units=units, head=opts["head"], use_lstm=opts["use_lstm"],
-        two_input=task == "scope", embeddings_trainable=opts["embeddings_trainable"],
-        labels=CUE_TAGS if task == "cue" else SCOPE_TAGS,
-    )
 
 
 def scope_base(variant: str) -> str:
     """The trained architecture behind a scope variant; -post adds only the
     prediction-time smoother, so it shares its base model's weights."""
     return variant.removesuffix("-post")
+
+
+def smooth_predictions(variant: str) -> bool:
+    """Whether a scope variant smooths its model's tags at prediction time."""
+    return scope_base(variant) != variant
+
+
+def named_arrays(emb, lstm_fwd, lstm_bwd, dense_w, dense_b, crf) -> dict[str, np.ndarray]:
+    """Parameter name -> array, in a stable order, for a tagger's parameters
+    or their gradients (the LSTM parts being LstmParams); a None part gets
+    no entry."""
+    out: dict[str, np.ndarray] = {} if emb is None else {"emb.E": emb}
+    for tag, lstm in (("f", lstm_fwd), ("b", lstm_bwd)):
+        if lstm is not None:
+            out.update({f"lstm.{tag}.{k}": v for k, v in lstm.arrays().items()})
+    out["dense.W"] = dense_w
+    out["dense.b"] = dense_b
+    if crf is not None:
+        out["crf.T"] = crf
+    return out
 
 
 class Tagger:
@@ -124,15 +147,9 @@ class Tagger:
                 raise ValueError(
                     f"embedding matrix shape {embedding_matrix.shape} != {want}"
                 )
-            embedding = EmbeddingParams(
-                np.array(embedding_matrix, dtype=np.float64),
-                config.oov_index, config.embeddings_trainable,
-            )
+            embedding = EmbeddingParams(np.array(embedding_matrix, dtype=np.float64))
         else:
-            embedding = init_embedding(
-                config.embed_dim, config.vocab_size, config.oov_index, rng,
-                config.embeddings_trainable,
-            )
+            embedding = init_embedding(config.embed_dim, config.vocab_size, OOV_INDEX, rng)
         lstm_fwd = lstm_bwd = None
         width = config.embed_dim
         if config.use_lstm:
@@ -147,19 +164,13 @@ class Tagger:
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Name -> live array, in a stable order."""
-        out: dict[str, np.ndarray] = {"emb.E": self.embedding.weights}
-        for tag, lstm in (("f", self.lstm_fwd), ("b", self.lstm_bwd)):
-            if lstm is not None:
-                out.update({f"lstm.{tag}.{k}": v for k, v in lstm.arrays().items()})
-        out["dense.W"] = self.dense.weights
-        out["dense.b"] = self.dense.bias
-        if self.crf is not None:
-            out["crf.T"] = self.crf.trans
-        return out
+        return named_arrays(self.embedding.weights, self.lstm_fwd, self.lstm_bwd,
+                            self.dense.weights, self.dense.bias,
+                            None if self.crf is None else self.crf.trans)
 
     def trainable_parameters(self) -> dict[str, np.ndarray]:
         params = self.parameters()
-        if not self.embedding.trainable:
+        if not self.config.embeddings_trainable:
             params.pop("emb.E")
         return params
 
@@ -252,33 +263,26 @@ def split_columns(scores: np.ndarray, lengths) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # checkpoints
 #
-# A checkpoint is a numpy .npz archive. Entry "__meta__" is a JSON string:
-#   {"format": 2, "task", "variant", "labels", "vocab_size", "embed_dim",
-#    "units", "head", "use_lstm", "two_input", "embeddings_trainable",
-#    "oov_index", "vocab_sha256"}
-# Every other entry is one float64 parameter array stored under the names
-# Tagger.parameters() uses: emb.E, dense.W, dense.b, crf.T and, per LSTM
-# direction (f, b), the fused blocks lstm.f.w_in (4U, d), lstm.f.w_rec
-# (4U, U), lstm.f.b (4U,) and, for the scope model, lstm.f.w_aux (4U, d),
-# gates stacked in the order i, f, o, g. The scope cell reads only the row
-# sums of w_aux (see LstmParams) but stores and trains the full block.
-# Format 1 stored per-gate arrays and is rejected.
+# A checkpoint is a numpy .npz archive. Entry "__meta__" is a JSON object
+# of "format" (2), the META_KEYS, "oov_index" (always OOV_INDEX) and
+# "vocab_sha256". Every other entry is one float64 parameter array stored
+# under the names named_arrays gives: emb.E, dense.W, dense.b, crf.T and,
+# per LSTM direction (f, b), the fused blocks lstm.f.w_in (4U, d),
+# lstm.f.w_rec (4U, U), lstm.f.b (4U,) and, for the scope model,
+# lstm.f.w_aux (4U, d), gates stacked in the order i, f, o, g. The scope
+# cell reads only the row sums of w_aux (see LstmParams) but stores and
+# trains the full block. Format 1 stored per-gate arrays and is rejected.
+
+# the TaggerConfig attributes __meta__ stores, in its order
+META_KEYS = ("task", "variant", "labels", "vocab_size", "embed_dim", "units", "head",
+             "use_lstm", "two_input", "embeddings_trainable")
+
 
 def save_checkpoint(path, tagger: Tagger, vocab_hash: str) -> None:
-    cfg = tagger.config
     meta = {
         "format": CHECKPOINT_FORMAT,
-        "task": cfg.task,
-        "variant": cfg.variant,
-        "labels": list(cfg.labels),
-        "vocab_size": cfg.vocab_size,
-        "embed_dim": cfg.embed_dim,
-        "units": cfg.units,
-        "head": cfg.head,
-        "use_lstm": cfg.use_lstm,
-        "two_input": cfg.two_input,
-        "embeddings_trainable": cfg.embeddings_trainable,
-        "oov_index": cfg.oov_index,
+        **{key: getattr(tagger.config, key) for key in META_KEYS},
+        "oov_index": OOV_INDEX,
         "vocab_sha256": vocab_hash,
     }
     arrays = {name: arr.astype(np.float64) for name, arr in tagger.parameters().items()}
@@ -315,17 +319,18 @@ def load_checkpoint(path) -> tuple[Tagger, dict]:
 def _checked_config(path, meta: dict) -> TaggerConfig:
     """The config a checkpoint's task and variant imply, after checking the
     stored architecture against it. Stored trainable embeddings may widen a
-    frozen variant (the embeddings_trainable flag), never the reverse."""
+    frozen variant (as widen_embeddings), never the reverse."""
     try:
-        expected = tagger_config(meta["task"], meta["variant"], meta["vocab_size"],
-                                 meta["embed_dim"], meta["units"])
+        config = TaggerConfig(meta["task"], meta["variant"], meta["vocab_size"],
+                              meta["embed_dim"], meta["units"], meta["embeddings_trainable"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    for key in ("labels", "head", "use_lstm", "two_input", "embeddings_trainable"):
+    for key in META_KEYS:
         stored = tuple(meta[key]) if key == "labels" else meta[key]
-        want = getattr(expected, key)
-        if stored != want and not (key == "embeddings_trainable" and stored):
+        want = getattr(config, key)
+        if stored != want:
             raise ValueError(f"{path}: {key}={stored!r} does not match {meta['task']} "
                              f"variant {meta['variant']!r}, which has {want!r}")
-    return replace(expected, embeddings_trainable=meta["embeddings_trainable"],
-                   oov_index=meta["oov_index"])
+    if meta["oov_index"] != OOV_INDEX:
+        raise ValueError(f"{path}: unsupported oov index {meta['oov_index']}")
+    return config

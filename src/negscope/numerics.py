@@ -1,14 +1,10 @@
-"""Small float64 kernels shared by every layer.
-
-Matrices are 2-d C-contiguous float64 arrays (row-major), vectors are 1-d
-float64 arrays. Everything downstream (layers, losses, the CRF) goes through
-these helpers, so double precision is locked in here once.
+"""Two overflow-safe float64 kernels: the sigmoid of the LSTM gates and the
+log-sum-exp of the CRF's log partition. Both cast their input to float64;
+the other layers and the losses do their own arithmetic in numpy.
 """
 from __future__ import annotations
 
 import numpy as np
-
-Array = np.ndarray
 
 
 def sigmoid(x):
@@ -23,7 +19,7 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
-def logsumexp(scores: Array) -> float:
+def logsumexp(scores: np.ndarray) -> float:
     """log sum exp of a 1-d score vector, max-subtracted for stability."""
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:

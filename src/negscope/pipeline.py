@@ -17,7 +17,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +48,11 @@ from .labeling import cue_vector, postprocess
 from .models import (
     VARIANTS,
     Tagger,
+    TaggerConfig,
     load_checkpoint,
     save_checkpoint,
     scope_base,
-    tagger_config,
+    smooth_predictions,
 )
 from .training import TrainConfig, train
 
@@ -213,6 +214,8 @@ def resolve_config(args, need_corpus: bool = False, need_out: bool = False) -> E
     for key in ("max_len", "embed_dim", "units"):
         if values[key] < 1:
             raise UsageError(f"{key} must be >= 1, got {values[key]}")
+    if values["seed"] < 0:
+        raise UsageError(f"seed must be >= 0, got {values['seed']}")
 
     config = ExperimentConfig(
         **{key: values.get(key) for key in SHARED_KEYS},
@@ -415,9 +418,8 @@ def build_tagger(config: ExperimentConfig, task: str, variant: str,
                  corpus: LoadedCorpus) -> Tagger:
     """A freshly initialized tagger for the corpus; the run's
     embeddings_trainable may widen a variant's frozen embeddings."""
-    cfg = tagger_config(task, variant, corpus.vocab.size, config.embed_dim, config.units)
-    if config.embeddings_trainable:
-        cfg = replace(cfg, embeddings_trainable=True)
+    cfg = TaggerConfig(task, variant, corpus.vocab.size, config.embed_dim, config.units,
+                       config.embeddings_trainable)
     stream = _STREAMS["cue" if task == "cue" else scope_base(variant)]
     return Tagger.build(cfg, np.random.default_rng([config.seed, stream]), corpus.matrix)
 
@@ -449,9 +451,10 @@ def score_scopes(out: Path, stem: str, tagger: Tagger, data, cue_rows, smooth: b
 
 
 def run_cue_stage(config: ExperimentConfig, corpus: LoadedCorpus, out: Path,
-                  emit) -> Tagger:
+                  emit) -> list[list[str]]:
     """Train the cue tagger, checkpoint it, and score it on the validation
-    and test splits with all artifacts persisted."""
+    and test splits with all artifacts persisted. Returns the cue tags it
+    predicts for the test split."""
     tagger = build_tagger(config, "cue", config.cue_variant, corpus)
     decoder = "viterbi" if tagger.crf is not None else "argmax"
     emit(f"task=cue variant={config.cue_variant} decoder={decoder}")
@@ -462,10 +465,10 @@ def run_cue_stage(config: ExperimentConfig, corpus: LoadedCorpus, out: Path,
 
     for name, data in (("val", corpus.validation), ("test", corpus.test)):
         gold_path = write_gold(out / f"cue_{name}_gold.col", data, with_scope=False)
-        blocks = column_blocks(data, predict_cues(tagger, data))
-        result = write_and_score(out, f"cue_{name}", blocks, gold_path)
+        cue_rows = predict_cues(tagger, data)
+        result = write_and_score(out, f"cue_{name}", column_blocks(data, cue_rows), gold_path)
         emit(" ".join(headline_items(f"cue.{name}", result.cue)))
-    return tagger
+    return cue_rows
 
 
 def negation_subset(data, what: str):
@@ -536,7 +539,7 @@ def cmd_train_scope(args) -> int:
                      f"bits={''.join(str(b) for b in cue_vector(ctags))}")
         gold_path = write_gold(out / f"scope_{name}_gold.col", subset, with_scope=True)
         scope = score_scopes(out, f"scope_{name}", tagger, subset, cue_rows,
-                             tagger.config.smooth_predictions, gold_path)
+                             smooth_predictions(variant), gold_path)
         emit(" ".join(headline_items(f"scope.{name}", scope)))
     emit.write(out / "run.log")
     return 0
@@ -545,7 +548,7 @@ def cmd_train_scope(args) -> int:
 def cmd_experiment(args) -> int:
     config = resolve_config(args, need_corpus=True, need_out=True)
     out, emit, corpus = start_run(config)
-    cue_tagger = run_cue_stage(config, corpus, out, emit)
+    pred_tags = run_cue_stage(config, corpus, out, emit)
 
     # one trained model per distinct base; -post reuses its base's weights
     scope_models = {
@@ -555,7 +558,6 @@ def cmd_experiment(args) -> int:
 
     # both conditions are evaluated on tp + fn + fp, fixed by the cue model
     test = corpus.test
-    pred_tags = predict_cues(cue_tagger, test)
     gold_flags = [inst.is_negation for inst in test]
     pred_flags = [any(cue_vector(tags)) for tags in pred_tags]
     groups = task2_groups(gold_flags, pred_flags)
@@ -574,12 +576,11 @@ def cmd_experiment(args) -> int:
     table_rows = []
     for variant in config.scope_variants:
         base = scope_base(variant)
-        smooth = base != variant  # a -post variant smooths its base model's tags
         scores = {}
         for condition in ("gold", "pred"):
             scope = score_scopes(
                 out, f"scope_{variant}_{condition}cue", scope_models[base], data,
-                cue_rows[condition], smooth, gold_path,
+                cue_rows[condition], smooth_predictions(variant), gold_path,
             )
             summary += headline_items(f"scope.{variant}.{condition}cue", scope)
             scores[condition] = scope.headline()
@@ -662,7 +663,7 @@ def cmd_predict(args) -> int:
         cue_rows = cue_tagger.predict_tags(ids)
     scope_rows = None
     if scope_tagger is not None:
-        smooth = args.postprocess or scope_tagger.config.smooth_predictions
+        smooth = args.postprocess or smooth_predictions(scope_tagger.config.variant)
         scope_rows = predict_scopes(scope_tagger, ids, cue_rows, smooth)
 
     text = format_column_blocks(column_blocks(blocks, cue_rows, scope_rows))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import bilstm_backward, crf_nll_grads, dense_backward, embed_backward
-from .models import Tagger
+from .models import Tagger, named_arrays
 
 log = logging.getLogger("negscope.training")
 
@@ -50,7 +50,7 @@ def instance_loss_grads(tagger: Tagger, token_ids, gold, cue_bits=None):
     """
     scores, cache = tagger.scores(token_ids, cue_bits)
     y = np.concatenate(gold)
-    grads: dict[str, np.ndarray] = {}
+    d_trans = None
     if tagger.crf is not None:
         loss_sum = 0.0
         d_scores = np.empty_like(scores)
@@ -62,24 +62,20 @@ def instance_loss_grads(tagger: Tagger, token_ids, gold, cue_bits=None):
             )
             loss_sum += nll
             d_trans += d_t
-        grads["crf.T"] = d_trans
     else:
         loss_sum, d_scores = softmax_seq_grads(scores, y)
 
-    grads["dense.W"], grads["dense.b"], d_states = dense_backward(
-        tagger.dense, cache["states"], d_scores
-    )
+    d_w, d_b, d_states = dense_backward(tagger.dense, cache["states"], d_scores)
+    g_f = g_b = None
+    d_embedded = d_states
     if tagger.config.use_lstm:
         g_f, g_b, d_embedded = bilstm_backward(
             tagger.lstm_fwd, tagger.lstm_bwd, cache["lstm"], d_states
         )
-        for tag, g in (("f", g_f), ("b", g_b)):
-            grads.update({f"lstm.{tag}.{k}": v for k, v in g.arrays().items()})
-    else:
-        d_embedded = d_states
 
-    if tagger.embedding.trainable:
-        grads["emb.E"] = embed_backward(tagger.embedding, cache["ids"], d_embedded)
+    d_emb = (embed_backward(tagger.embedding, cache["ids"], d_embedded)
+             if tagger.config.embeddings_trainable else None)
+    grads = named_arrays(d_emb, g_f, g_b, d_w, d_b, d_trans)
     return loss_sum, len(y), grads
 
 
@@ -184,8 +180,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.lr0 <= 0:
-            raise ValueError("epochs and batch_size must be >= 1 and lr0 > 0")
+        if self.epochs < 1 or self.batch_size < 1 or not 0 < self.lr0 < math.inf:
+            raise ValueError("epochs and batch_size must be >= 1 and lr0 finite and > 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.decay_every < 0 or not 0 < self.decay_factor <= 1:
@@ -199,10 +195,6 @@ class TrainHistory:
     lr: list[float] = field(default_factory=list)
     stopped_early: bool = False
     best_epoch: int | None = None
-
-    @property
-    def epochs_run(self) -> int:
-        return len(self.train_loss)
 
 
 class TrainingDiverged(RuntimeError):

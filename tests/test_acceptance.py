@@ -34,7 +34,7 @@ from negscope.layers import (
     init_lstm,
     lstm_forward,
 )
-from negscope.models import Tagger, tagger_config
+from negscope.models import Tagger, TaggerConfig
 from negscope.pipeline import main
 from negscope.training import TrainConfig, batch_inputs, instance_loss_grads, train
 from helpers import (
@@ -96,10 +96,8 @@ def test_c2_analytic_gradients_match_finite_differences():
             units = int(rng.integers(1, 4))
             n = int(rng.integers(1, 5))
             vocab_size = 5
-            cfg = tagger_config(task, "bilstm-crf" if head_crf else "bilstm",
-                                vocab_size, embed_dim, units)
-            from dataclasses import replace
-            cfg = replace(cfg, embeddings_trainable=True)
+            cfg = TaggerConfig(task, "bilstm-crf" if head_crf else "bilstm",
+                               vocab_size, embed_dim, units, widen_embeddings=True)
             tagger = Tagger.build(cfg, np.random.default_rng(int(rng.integers(1 << 30))))
             if tagger.crf is not None:
                 tagger.crf.trans[:] = 0.5 * rng.normal(size=tagger.crf.trans.shape)
@@ -179,14 +177,14 @@ def test_c4_both_taggers_overfit_a_tiny_corpus():
         )
 
         cue_tagger = Tagger.build(
-            tagger_config("cue", "bilstm", vocab.size, 24, 24), np.random.default_rng(12)
+            TaggerConfig("cue", "bilstm", vocab.size, 24, 24), np.random.default_rng(12)
         )
         train(cue_tagger, data, [], config)
         cue_acc = _token_accuracy(cue_tagger, data)
 
         scope_data = [inst for inst in data if inst.is_negation]
         scope_tagger = Tagger.build(
-            tagger_config("scope", "bilstm-crf", vocab.size, 24, 24), np.random.default_rng(13)
+            TaggerConfig("scope", "bilstm-crf", vocab.size, 24, 24), np.random.default_rng(13)
         )
         train(scope_tagger, scope_data, [], config)
         scope_acc = _token_accuracy(scope_tagger, scope_data)

@@ -4,8 +4,6 @@ a time, and a sentence's predicted tags and scores do not depend on which
 other sentences share its chunk or on the input order."""
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,15 +11,14 @@ from hypothesis import strategies as st
 
 import negscope.models as models
 from helpers import rel_err
-from negscope.models import Tagger, split_columns, tagger_config
+from negscope.models import Tagger, TaggerConfig, split_columns
 from negscope.training import instance_loss_grads
 
 VOCAB = 11
 
 
-def build(task, variant, seed=0, embed_dim=5, units=4):
-    cfg = replace(tagger_config(task, variant, VOCAB, embed_dim, units),
-                  embeddings_trainable=True)
+def build(task, variant, seed=0, embed_dim=5, units=4, widen=True):
+    cfg = TaggerConfig(task, variant, VOCAB, embed_dim, units, widen_embeddings=widen)
     tagger = Tagger.build(cfg, np.random.default_rng(seed))
     if tagger.crf is not None:
         tagger.crf.trans[:] = 0.5 * np.random.default_rng(seed + 1).normal(
@@ -39,15 +36,20 @@ def random_batch(rng, tagger, lengths):
     return ids, gold, bits
 
 
+# the FROZEN taggers keep their variant's frozen embeddings, so baseline
+# has no LSTM, CRF or embedding gradient; the rest train theirs, so the
+# embedding gradient is summed through every architecture
 MODELS = [("cue", "bilstm"), ("cue", "bilstm-crf"), ("cue", "emb-train"),
-          ("cue", "emb-crf"), ("scope", "bilstm"), ("scope", "bilstm-crf")]
+          ("cue", "emb-crf"), ("scope", "bilstm"), ("scope", "bilstm-crf"),
+          ("cue", "baseline"), ("scope", "bilstm-post")]
+FROZEN = MODELS[-2:]
 
 
 class TestBatchedGradients:
     @pytest.mark.parametrize("task,variant", MODELS)
     @pytest.mark.parametrize("lengths", [[5, 1, 3, 7, 2], [4], [1], [1, 1, 6]])
     def test_batch_equals_sum_of_sentences(self, task, variant, lengths):
-        tagger = build(task, variant)
+        tagger = build(task, variant, widen=(task, variant) not in FROZEN)
         ids, gold, bits = random_batch(np.random.default_rng(len(lengths)), tagger, lengths)
         loss, tokens, grads = instance_loss_grads(tagger, ids, gold, bits)
         assert tokens == sum(lengths)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import _SOURCE_IDS, gold_instances, synthetic_instances, tag_rows
 from negscope.corpus import (
+    OOV_INDEX,
     CorpusError,
     NegationInstance,
     Sentence,
@@ -291,7 +292,7 @@ class TestVocabulary:
         vocab = build_vocab(insts)
         assert vocab.tokens_in_order() == ["It", "it", "new"]
         assert vocab.lookup("It") == 1
-        assert vocab.lookup("unseen") == vocab.oov_index == 0
+        assert vocab.lookup("unseen") == OOV_INDEX == 0
 
     def test_duplicate_instances_do_not_grow_vocab(self):
         insts = [NegationInstance(Sentence(("a", "b"), "x"))] * 3

@@ -60,7 +60,7 @@ class TestEmbedding:
         np.testing.assert_array_equal(embed(params, np.array([0])), 0.0)
 
     def test_one_hot_matrix_gives_basis_vectors(self):
-        params = EmbeddingParams(np.eye(4), oov_index=0)
+        params = EmbeddingParams(np.eye(4))
         out = embed(params, np.array([3]))
         np.testing.assert_array_equal(out[0], [0, 0, 0, 1])
 
@@ -84,7 +84,7 @@ class TestEmbedding:
         proj = rng.normal(size=(3, 3))
 
         def f(w):
-            return float(np.sum(proj * embed(EmbeddingParams(w, 0), ids)))
+            return float(np.sum(proj * embed(EmbeddingParams(w), ids)))
 
         analytic = embed_backward(params, ids, proj)
         assert_grad_close(f, params.weights, analytic)

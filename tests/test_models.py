@@ -10,9 +10,10 @@ import pytest
 from negscope.models import (
     VARIANTS,
     Tagger,
+    TaggerConfig,
     load_checkpoint,
     save_checkpoint,
-    tagger_config,
+    smooth_predictions,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -24,13 +25,13 @@ def build(config, seed=3, matrix=None):
 
 class TestAssembly:
     def test_baseline_has_no_lstm_or_crf(self):
-        tagger = build(tagger_config("cue", "baseline", vocab_size=7, embed_dim=4, units=3))
+        tagger = build(TaggerConfig("cue", "baseline", vocab_size=7, embed_dim=4, units=3))
         names = set(tagger.parameters())
         assert names == {"emb.E", "dense.W", "dense.b"}
         assert tagger.dense.weights.shape == (3, 4)  # 3 cue labels, embed width
 
     def test_bilstm_crf_parameter_set(self):
-        tagger = build(tagger_config("cue", "bilstm-crf", vocab_size=7, embed_dim=4, units=3))
+        tagger = build(TaggerConfig("cue", "bilstm-crf", vocab_size=7, embed_dim=4, units=3))
         names = set(tagger.parameters())
         assert "crf.T" in names and "lstm.f.w_in" in names and "lstm.b.w_rec" in names
         assert not any(n.endswith(".w_aux") for n in names)
@@ -40,38 +41,38 @@ class TestAssembly:
         assert tagger.crf.trans.shape == (5, 5)  # 3 labels + start + end
 
     def test_scope_model_is_two_input(self):
-        tagger = build(tagger_config("scope", "bilstm", vocab_size=7, embed_dim=4, units=3))
+        tagger = build(TaggerConfig("scope", "bilstm", vocab_size=7, embed_dim=4, units=3))
         assert any(n.endswith(".w_aux") for n in tagger.parameters())
         assert tagger.dense.weights.shape == (4, 6)  # 4 scope labels
 
     def test_scope_post_variant_smooths(self):
-        assert tagger_config("scope", "bilstm-post", 7, 4, 3).smooth_predictions
-        assert not tagger_config("scope", "bilstm", 7, 4, 3).smooth_predictions
+        assert smooth_predictions("bilstm-post")
+        assert not smooth_predictions("bilstm")
 
     def test_unknown_variants_are_errors(self):
         with pytest.raises(ValueError, match="unknown cue variant"):
-            tagger_config("cue", "transformer", 7, 4, 3)
+            TaggerConfig("cue", "transformer", 7, 4, 3)
         with pytest.raises(ValueError, match="unknown scope variant"):
-            tagger_config("scope", "baseline", 7, 4, 3)
+            TaggerConfig("scope", "baseline", 7, 4, 3)
 
     def test_frozen_embeddings_are_not_trainable_params(self):
-        frozen = build(tagger_config("cue", "bilstm", 7, 4, 3))
+        frozen = build(TaggerConfig("cue", "bilstm", 7, 4, 3))
         assert "emb.E" not in frozen.trainable_parameters()
-        trained = build(tagger_config("cue", "emb-train", 7, 4, 3))
+        trained = build(TaggerConfig("cue", "emb-train", 7, 4, 3))
         assert "emb.E" in trained.trainable_parameters()
 
     def test_build_is_deterministic_per_seed(self):
-        cfg = tagger_config("cue", "bilstm-crf", 7, 4, 3)
+        cfg = TaggerConfig("cue", "bilstm-crf", 7, 4, 3)
         a, b = build(cfg, seed=11), build(cfg, seed=11)
         for name, arr in a.parameters().items():
             np.testing.assert_array_equal(arr, b.parameters()[name])
 
     def test_pretrained_matrix_is_adopted(self):
         matrix = np.arange(28, dtype=np.float64).reshape(4, 7)
-        tagger = build(tagger_config("cue", "bilstm", 7, 4, 3), matrix=matrix)
+        tagger = build(TaggerConfig("cue", "bilstm", 7, 4, 3), matrix=matrix)
         np.testing.assert_array_equal(tagger.embedding.weights, matrix)
         with pytest.raises(ValueError, match="shape"):
-            build(tagger_config("cue", "bilstm", 7, 4, 3), matrix=np.zeros((3, 7)))
+            build(TaggerConfig("cue", "bilstm", 7, 4, 3), matrix=np.zeros((3, 7)))
 
 
 def readme_variant_rows() -> dict[tuple[str, str], tuple[str, str, str]]:
@@ -97,18 +98,18 @@ class TestVariantTable:
             assert head == {"softmax": "softmax", "crf": "CRF"}[opts["head"]], key
 
     def test_emb_crf_trains_its_embeddings(self):
-        tagger = build(tagger_config("cue", "emb-crf", 7, 4, 3))
+        tagger = build(TaggerConfig("cue", "emb-crf", 7, 4, 3))
         assert "emb.E" in tagger.trainable_parameters()
 
 
 class TestPrediction:
     def test_scores_shape(self):
-        tagger = build(tagger_config("scope", "bilstm", 9, 4, 3))
+        tagger = build(TaggerConfig("scope", "bilstm", 9, 4, 3))
         scores, _ = tagger.scores([np.array([1, 2, 3, 0, 5])], [np.array([0, 1, 0, 0, 0])])
         assert scores.shape == (4, 5)
 
     def test_two_input_model_requires_cue_bits(self):
-        tagger = build(tagger_config("scope", "bilstm", 9, 4, 3))
+        tagger = build(TaggerConfig("scope", "bilstm", 9, 4, 3))
         with pytest.raises(ValueError, match="cue bits"):
             tagger.scores([np.array([1, 2])])
         with pytest.raises(ValueError, match="one row per sentence"):
@@ -122,27 +123,27 @@ class TestPrediction:
         ([[0, 2, 0, 0], [0, 0]], "0 or 1"),
     ], ids=["short-row", "long-row", "too-few-rows", "too-many-rows", "bit-2"])
     def test_cue_bits_must_be_one_0_1_row_per_sentence(self, bits, match):
-        tagger = build(tagger_config("scope", "bilstm", 9, 4, 3))
+        tagger = build(TaggerConfig("scope", "bilstm", 9, 4, 3))
         ids = [np.array([1, 2, 3, 4]), np.array([5, 6])]
         assert len(tagger.predict_tags(ids, [[0, 1, 0, 0], [0, 0]])[0]) == 4
         with pytest.raises(ValueError, match=match):
             tagger.predict_tags(ids, bits)
 
     def test_softmax_ties_pick_lowest_label(self):
-        tagger = build(tagger_config("cue", "baseline", 6, 4, 3))
+        tagger = build(TaggerConfig("cue", "baseline", 6, 4, 3))
         tagger.dense.weights[:] = 0.0
         tagger.dense.bias[:] = 0.0
         assert tagger.predict_tags([np.array([1, 2, 3])]) == [["NC", "NC", "NC"]]
 
     def test_crf_ties_pick_lowest_label(self):
-        tagger = build(tagger_config("cue", "emb-crf", 6, 4, 3))
+        tagger = build(TaggerConfig("cue", "emb-crf", 6, 4, 3))
         tagger.dense.weights[:] = 0.0
         tagger.dense.bias[:] = 0.0
         tagger.crf.trans[:] = 0.0
         assert tagger.predict_tags([np.array([1, 2, 3])]) == [["NC", "NC", "NC"]]
 
     def test_predict_matches_scores_argmax(self):
-        tagger = build(tagger_config("cue", "bilstm", 9, 4, 3))
+        tagger = build(TaggerConfig("cue", "bilstm", 9, 4, 3))
         ids = np.array([1, 5, 2, 8])
         scores, _ = tagger.scores([ids])
         assert tagger.predict_ids([ids]) == [list(scores.argmax(axis=0))]
@@ -150,7 +151,7 @@ class TestPrediction:
 
 class TestCheckpoint:
     def test_round_trip_is_bit_identical(self, tmp_path):
-        tagger = build(tagger_config("scope", "bilstm-crf", 9, 4, 3), seed=5)
+        tagger = build(TaggerConfig("scope", "bilstm-crf", 9, 4, 3), seed=5)
         path = tmp_path / "model.npz"
         save_checkpoint(path, tagger, vocab_hash="abc123")
         again, meta = load_checkpoint(path)
@@ -160,12 +161,25 @@ class TestCheckpoint:
             np.testing.assert_array_equal(arr, again.parameters()[name])
 
     def test_round_trip_preserves_predictions(self, tmp_path):
-        tagger = build(tagger_config("cue", "bilstm-crf", 9, 4, 3), seed=6)
+        tagger = build(TaggerConfig("cue", "bilstm-crf", 9, 4, 3), seed=6)
         path = tmp_path / "model.npz"
         save_checkpoint(path, tagger, vocab_hash="x")
         again, _ = load_checkpoint(path)
         ids = [np.array([1, 7, 3, 2, 2]), np.array([4])]
         assert tagger.predict_tags(ids) == again.predict_tags(ids)
+
+    def test_format_2_meta_is_pinned(self, tmp_path):
+        """The exact __meta__ string, keys in order: format 2 checkpoints
+        written before and after a refactor must be byte-identical."""
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, build(TaggerConfig("cue", "bilstm-crf", 9, 4, 3)), vocab_hash="h")
+        with np.load(path) as data:
+            assert str(data["__meta__"]) == (
+                '{"format": 2, "task": "cue", "variant": "bilstm-crf", '
+                '"labels": ["NC", "C", "MC"], "vocab_size": 9, "embed_dim": 4, "units": 3, '
+                '"head": "crf", "use_lstm": true, "two_input": false, '
+                '"embeddings_trainable": false, "oov_index": 0, "vocab_sha256": "h"}'
+            )
 
     def test_non_checkpoint_file_is_an_error(self, tmp_path):
         path = tmp_path / "junk.npz"
@@ -196,31 +210,32 @@ class TestCheckpointCrossCheck:
         {"two_input": True},
         {"variant": "emb-crf"},
         {"task": "scope"},
+        {"oov_index": 3},
     ])
     def test_metadata_must_match_the_variant_table(self, tmp_path, changes):
         path = tmp_path / "cue.npz"
-        save_checkpoint(path, build(tagger_config("cue", "bilstm-crf", 9, 4, 3)), vocab_hash="h")
+        save_checkpoint(path, build(TaggerConfig("cue", "bilstm-crf", 9, 4, 3)), vocab_hash="h")
         rewrite_meta(path, **changes)
-        with pytest.raises(ValueError, match="does not match|unknown"):
+        with pytest.raises(ValueError, match="does not match|unknown|unsupported oov index 3"):
             load_checkpoint(path)
 
     def test_unknown_task_is_an_error(self, tmp_path):
         path = tmp_path / "m.npz"
-        save_checkpoint(path, build(tagger_config("cue", "bilstm", 9, 4, 3)), vocab_hash="h")
+        save_checkpoint(path, build(TaggerConfig("cue", "bilstm", 9, 4, 3)), vocab_hash="h")
         rewrite_meta(path, task="speculation")
         with pytest.raises(ValueError, match="unknown task"):
             load_checkpoint(path)
 
     def test_trainable_flag_may_widen_a_frozen_variant(self, tmp_path):
         path = tmp_path / "m.npz"
-        save_checkpoint(path, build(tagger_config("cue", "bilstm", 9, 4, 3)), vocab_hash="h")
+        save_checkpoint(path, build(TaggerConfig("cue", "bilstm", 9, 4, 3)), vocab_hash="h")
         rewrite_meta(path, embeddings_trainable=True)
         tagger, _ = load_checkpoint(path)
         assert tagger.config.embeddings_trainable
 
     def test_trainable_variant_cannot_be_stored_frozen(self, tmp_path):
         path = tmp_path / "m.npz"
-        save_checkpoint(path, build(tagger_config("cue", "emb-crf", 9, 4, 3)), vocab_hash="h")
+        save_checkpoint(path, build(TaggerConfig("cue", "emb-crf", 9, 4, 3)), vocab_hash="h")
         rewrite_meta(path, embeddings_trainable=False)
         with pytest.raises(ValueError, match="embeddings_trainable=False does not match"):
             load_checkpoint(path)

@@ -140,6 +140,30 @@ class TestConfig:
         assert "cue training settings: decay_every must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("lr0", ["inf", "nan"])
+    def test_non_finite_lr0_exits_two_before_the_run_starts(self, tmp_path, capsys, lr0):
+        corpus = tmp_path / "corpus.col"
+        write_column_file(corpus, synthetic_instances(8, seed=7))
+        cfg = tmp_path / "c.txt"
+        write_config(cfg, corpus, **{"cue.lr0": lr0})
+        rc = main(["train-cue", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "cue training settings: epochs and batch_size must be >= 1 and lr0 finite" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_two_before_the_run_starts(self, tmp_path, capsys, where):
+        corpus = tmp_path / "corpus.col"
+        write_column_file(corpus, synthetic_instances(8, seed=7))
+        cfg = tmp_path / "c.txt"
+        write_config(cfg, corpus, **({"seed": -1} if where == "config" else {}))
+        argv = ["train-cue", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        rc = main(argv + (["--seed", "-1"] if where == "flag" else []))
+        assert rc == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("key", ["max_len", "embed_dim", "units"])
     def test_size_below_one_exits_two(self, tmp_path, capsys, key):
         corpus = tmp_path / "corpus.col"

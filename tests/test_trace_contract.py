@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from negscope.models import Tagger, tagger_config
+from negscope.models import Tagger, TaggerConfig
 from negscope.training import instance_loss_grads
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
@@ -47,8 +47,8 @@ def tracer():
 
 def test_traced_train_step_and_prediction_count_real_rows(tracer):
     rng = np.random.default_rng(3)
-    scope = Tagger.build(tagger_config("scope", "bilstm-crf", VOCAB, EMBED, UNITS), rng)
-    cue = Tagger.build(tagger_config("cue", "bilstm", VOCAB, EMBED, UNITS), rng)
+    scope = Tagger.build(TaggerConfig("scope", "bilstm-crf", VOCAB, EMBED, UNITS), rng)
+    cue = Tagger.build(TaggerConfig("cue", "bilstm", VOCAB, EMBED, UNITS), rng)
     train_lengths = [6, 2, 4]
     ids = [rng.integers(VOCAB, size=n) for n in train_lengths]
     gold = [rng.integers(scope.config.num_labels, size=n) for n in train_lengths]

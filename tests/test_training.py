@@ -10,7 +10,7 @@ import pytest
 
 from negscope.corpus import build_vocab, encode_instances
 from negscope.layers import CrfParams, crf_nll_grads
-from negscope.models import Tagger, tagger_config
+from negscope.models import Tagger, TaggerConfig
 from negscope import training
 from negscope.numerics import logsumexp
 from negscope.training import (
@@ -136,12 +136,12 @@ class TestFullModelGradients:
                 arr[:] = original
 
     def test_trainable_embedding_softmax_model(self):
-        tagger = Tagger.build(tagger_config("cue", "emb-train", 6, 3, 2), np.random.default_rng(4))
+        tagger = Tagger.build(TaggerConfig("cue", "emb-train", 6, 3, 2), np.random.default_rng(4))
         self._check_all(tagger, [np.array([1, 4, 0, 2]), np.array([4, 3])],
                         [np.array([0, 1, 1, 2]), np.array([1, 0])])
 
     def test_two_input_bilstm_crf_model(self):
-        tagger = Tagger.build(tagger_config("scope", "bilstm-crf", 6, 3, 2),
+        tagger = Tagger.build(TaggerConfig("scope", "bilstm-crf", 6, 3, 2),
                               np.random.default_rng(5))
         ids = [np.array([2, 5, 1, 3]), np.array([4])]
         self._check_all(tagger, ids, [np.array([1, 2, 3, 0]), np.array([2])],
@@ -291,7 +291,7 @@ def small_config(**overrides):
 class TestModelInputs:
     def test_cue_task_slices_to_real_length(self):
         data, _ = encoded_corpus(4)
-        tagger = Tagger.build(tagger_config("cue", "baseline", 40, 4, 2), np.random.default_rng(0))
+        tagger = Tagger.build(TaggerConfig("cue", "baseline", 40, 4, 2), np.random.default_rng(0))
         ids, gold, bits = batch_inputs(tagger, data)
         assert bits is None
         assert [len(x) for x in ids] == [len(inst.tokens) for inst in data]
@@ -300,7 +300,7 @@ class TestModelInputs:
 
     def test_scope_task_provides_cue_bits(self):
         data, _ = encoded_corpus(4)
-        tagger = Tagger.build(tagger_config("scope", "bilstm", 40, 4, 2), np.random.default_rng(0))
+        tagger = Tagger.build(TaggerConfig("scope", "bilstm", 40, 4, 2), np.random.default_rng(0))
         _, gold, bits = batch_inputs(tagger, data)
         np.testing.assert_array_equal(gold[1], data[1].scope_label_ids)
         assert bits is not None and bits[1].sum() == 1  # pattern 1 has one cue token
@@ -311,10 +311,10 @@ class TestTrainLoop:
         data, vocab = encoded_corpus()
         config = small_config()
         tagger = Tagger.build(
-            tagger_config("cue", "emb-train", vocab.size, 8, 8), np.random.default_rng(config.seed)
+            TaggerConfig("cue", "emb-train", vocab.size, 8, 8), np.random.default_rng(config.seed)
         )
         history = train(tagger, data, [], config)
-        assert history.epochs_run == 6
+        assert len(history.train_loss) == 6
         assert history.train_loss[-1] < history.train_loss[0]
         assert history.lr == [0.01] * 6
 
@@ -323,7 +323,7 @@ class TestTrainLoop:
         config = small_config(epochs=3)
         runs = []
         for _ in range(2):
-            tagger = Tagger.build(tagger_config("scope", "bilstm", vocab.size, 8, 8),
+            tagger = Tagger.build(TaggerConfig("scope", "bilstm", vocab.size, 8, 8),
                                   np.random.default_rng(config.seed))
             history = train(tagger, data, data[:4], config)
             runs.append((history, tagger.snapshot()))
@@ -335,7 +335,7 @@ class TestTrainLoop:
     def test_early_stopping_restores_best_epoch(self):
         data, vocab = encoded_corpus(8)
         taggers = [
-            Tagger.build(tagger_config("cue", "bilstm", vocab.size, 8, 8),
+            Tagger.build(TaggerConfig("cue", "bilstm", vocab.size, 8, 8),
                          np.random.default_rng(1))
             for _ in range(2)
         ]
@@ -346,7 +346,7 @@ class TestTrainLoop:
         )
         assert history.stopped_early
         assert history.best_epoch == 0
-        assert history.epochs_run == 3  # best, then patience-2 worth of misses
+        assert len(history.train_loss) == 3  # best, then patience-2 worth of misses
         # the same seed stopped after one epoch holds the best epoch's weights
         train(taggers[1], data, data[:4], small_config(epochs=1))
         best_params = taggers[1].parameters()
@@ -357,20 +357,20 @@ class TestTrainLoop:
         data, vocab = encoded_corpus(8)
         config = small_config(epochs=10, early_stopping=True)
         tagger = Tagger.build(
-            tagger_config("cue", "bilstm", vocab.size, 8, 8), np.random.default_rng(1)
+            TaggerConfig("cue", "bilstm", vocab.size, 8, 8), np.random.default_rng(1)
         )
         history = train(tagger, data, data[:4], config,
                         val_scorer=lambda t, d: math.nan)
         assert history.stopped_early
         assert history.best_epoch is None
-        assert history.epochs_run == 2
+        assert len(history.train_loss) == 2
 
     def test_chunk_size_does_not_change_training(self, monkeypatch):
         data, vocab = encoded_corpus()
         runs = []
         for chunk in (training.ADAM_CHUNK, 7):
             monkeypatch.setattr(training, "ADAM_CHUNK", chunk)
-            tagger = Tagger.build(tagger_config("scope", "bilstm-crf", vocab.size, 8, 8),
+            tagger = Tagger.build(TaggerConfig("scope", "bilstm-crf", vocab.size, 8, 8),
                                   np.random.default_rng(3))
             train(tagger, data, [], small_config(epochs=2))
             runs.append(tagger.parameters())
@@ -380,21 +380,21 @@ class TestTrainLoop:
     def test_frozen_embeddings_stay_bit_identical(self):
         data, vocab = encoded_corpus()
         tagger = Tagger.build(
-            tagger_config("cue", "bilstm", vocab.size, 8, 8), np.random.default_rng(2)
+            TaggerConfig("cue", "bilstm", vocab.size, 8, 8), np.random.default_rng(2)
         )
         before = tagger.embedding.weights.copy()
         train(tagger, data, [], small_config(epochs=2))
         np.testing.assert_array_equal(tagger.embedding.weights, before)
 
     def test_empty_training_set_rejected(self):
-        tagger = Tagger.build(tagger_config("cue", "baseline", 5, 4, 2), np.random.default_rng(0))
+        tagger = Tagger.build(TaggerConfig("cue", "baseline", 5, 4, 2), np.random.default_rng(0))
         with pytest.raises(ValueError, match="empty training set"):
             train(tagger, [], [], small_config())
 
     def test_overflowing_loss_raises_diverged(self):
         # a pathological start transition makes each sequence NLL ~1e308,
         # so a two-instance batch overflows to inf
-        tagger = Tagger.build(tagger_config("cue", "emb-crf", 5, 4, 2), np.random.default_rng(0))
+        tagger = Tagger.build(TaggerConfig("cue", "emb-crf", 5, 4, 2), np.random.default_rng(0))
         tagger.crf.trans[tagger.crf.start, 0] = -1.7e308
         inst = SimpleNamespace(
             token_ids=np.array([1, 2]),
@@ -414,6 +414,11 @@ class TestConfigValidation:
             TrainConfig(lr0=0.0)
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
+
+    @pytest.mark.parametrize("lr0", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_lr0(self, lr0):
+        with pytest.raises(ValueError, match="lr0 finite and > 0"):
+            TrainConfig(lr0=lr0)
 
     @pytest.mark.parametrize("decay", [dict(decay_every=-1), dict(decay_factor=-0.5),
                                        dict(decay_factor=0.0), dict(decay_factor=1.5)])
