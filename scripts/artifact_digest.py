@@ -7,7 +7,7 @@ Usage::
 
 Imports negscope from `<checkout>/src` and the synthetic corpus builder
 from `<checkout>/tests/helpers.py`, writes
-`synthetic_instances(200, seed=21)` as a corpus, and runs fifteen
+`synthetic_instances(200, seed=21)` as a corpus, and runs eighteen
 commands in process:
 
   experiment                      run dir exp/ (three scope variants)
@@ -19,6 +19,12 @@ commands in process:
                                   38,400 elements, spans two Adam chunks)
   train-scope, embed_dim=200      run dir wide/ (bilstm: the cue-bit input
                                   sums 200-wide w_aux rows)
+  train-cue --variant emb-train   run dir emb-train/ (batches of 2: a step
+                                  leaves most embedding columns untouched)
+  train-cue --variant emb-crf     run dir emb-crf/ (batches of 2)
+  train-cue --variant bilstm      run dir emb-bilstm/ (batches of 2; the
+                                  embedding gradient comes through
+                                  bilstm_backward)
   predict                         exp/, column input
   predict --raw                   exp/, raw text input
   predict --cue-input gold        exp/
@@ -27,6 +33,9 @@ commands in process:
   predict --cue-input gold        scope/
   evaluate --out                  an experiment prediction file
   evaluate --out                  a predict output
+
+Every model here trains its embeddings (the config sets
+embeddings_trainable=true), so each one's embedding gradient reaches Adam.
 
 After writing the inputs and after each command it prints a header line
 with the command's exit code, then `<sha256>  <path>` for every file
@@ -104,6 +113,7 @@ def commands(work: Path) -> list[list[str]]:
     config = str(work / "config.txt")
     cut = str(work / "config_cut.txt")
     wide = str(work / "config_wide.txt")
+    emb = str(work / "config_emb.txt")
     exp, cue, scope = (str(work / name) for name in ("exp", "cue", "scope"))
     gold = str(work / "exp" / "scope_test_gold.col")
     return [
@@ -115,6 +125,10 @@ def commands(work: Path) -> list[list[str]]:
         ["train-cue", "--config", cut, "--out", str(work / "cut")],
         ["train-cue", "--config", wide, "--out", str(work / "wide")],
         ["train-scope", "--config", wide, "--out", str(work / "wide"), "--variant", "bilstm"],
+        ["train-cue", "--config", emb, "--out", str(work / "emb-train"),
+         "--variant", "emb-train"],
+        ["train-cue", "--config", emb, "--out", str(work / "emb-crf"), "--variant", "emb-crf"],
+        ["train-cue", "--config", emb, "--out", str(work / "emb-bilstm"), "--variant", "bilstm"],
         ["predict", "--out", exp, "--variant", "bilstm", gold, str(work / "p_column.col")],
         ["predict", "--out", exp, "--variant", "bilstm", "--raw", str(work / "raw.txt"),
          str(work / "p_raw.col")],
@@ -143,6 +157,7 @@ def main(argv: list[str]) -> int:
     _write_config(work / "config.txt", corpus=corpus)
     _write_config(work / "config_cut.txt", corpus=corpus, max_len=4)
     _write_config(work / "config_wide.txt", corpus=corpus, embed_dim=200, units=48)
+    _write_config(work / "config_emb.txt", corpus=corpus, **{"cue.batch_size": 2})
     (work / "raw.txt").write_text(RAW_TEXT, encoding="utf-8")
 
     # the commands' INFO lines would drown the digests

@@ -312,6 +312,9 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
+        for key in ("oov_index", "tokens"):
+            if not isinstance(data, dict) or key not in data:
+                raise CorpusError(f"{path}: no {key!r} entry")
         if data["oov_index"] != OOV_INDEX:
             raise CorpusError(f"{path}: unsupported oov index {data['oov_index']}")
         return cls({tok: i + 1 for i, tok in enumerate(data["tokens"])})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,14 +56,25 @@ def embed(params: EmbeddingParams, token_ids: np.ndarray) -> np.ndarray:
     return params.weights[:, ids].T.copy()
 
 
+class ColumnGrad(NamedTuple):
+    """The gradient of a (d, v) matrix that is zero outside a few columns:
+    the distinct column indices (k,) and their block (k, d), row j holding
+    column cols[j]."""
+
+    cols: np.ndarray
+    values: np.ndarray
+
+
 def embed_backward(
     params: EmbeddingParams, token_ids: np.ndarray, d_embedded: np.ndarray
-) -> np.ndarray:
-    """Scatter-add row gradients back into the (d, v) matrix; repeated ids
-    accumulate."""
-    grad = np.zeros_like(params.weights)
-    np.add.at(grad.T, np.asarray(token_ids), d_embedded)
-    return grad
+) -> ColumnGrad:
+    """The embedding gradient on the columns the ids touch, ascending. A
+    repeated id sums its rows in token order, starting from zero, so each
+    column has the bits a scatter-add into the full matrix gives it."""
+    cols, rows = np.unique(np.asarray(token_ids), return_inverse=True)
+    values = np.zeros((cols.size, params.weights.shape[0]), dtype=params.weights.dtype)
+    np.add.at(values, rows, d_embedded)
+    return ColumnGrad(cols, values)
 
 
 # ---------------------------------------------------------------------------

@@ -68,11 +68,7 @@ class TaggerConfig:
     widen_embeddings: bool = False  # train the embeddings even where the variant freezes them
 
     def __post_init__(self):
-        if self.task not in VARIANTS:
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.variant not in VARIANTS[self.task]:
-            raise ValueError(f"unknown {self.task} variant {self.variant!r}; "
-                             f"pick from {sorted(VARIANTS[self.task])}")
+        check_variant(self.task, self.variant)
 
     @property
     def head(self) -> str:  # "softmax" | "crf"
@@ -99,6 +95,15 @@ class TaggerConfig:
         return len(self.labels)
 
 
+def check_variant(task: str, variant: str) -> str:
+    """The variant, once VARIANTS knows it for the task; ValueError if not."""
+    if task not in VARIANTS:
+        raise ValueError(f"unknown task {task!r}")
+    if variant not in VARIANTS[task]:
+        raise ValueError(f"unknown {task} variant {variant!r}; pick from {sorted(VARIANTS[task])}")
+    return variant
+
+
 def scope_base(variant: str) -> str:
     """The trained architecture behind a scope variant; -post adds only the
     prediction-time smoother, so it shares its base model's weights."""
@@ -110,10 +115,10 @@ def smooth_predictions(variant: str) -> bool:
     return scope_base(variant) != variant
 
 
-def named_arrays(emb, lstm_fwd, lstm_bwd, dense_w, dense_b, crf) -> dict[str, np.ndarray]:
+def named_arrays(emb, lstm_fwd, lstm_bwd, dense_w, dense_b, crf) -> dict:
     """Parameter name -> array, in a stable order, for a tagger's parameters
-    or their gradients (the LSTM parts being LstmParams); a None part gets
-    no entry."""
+    or their gradients (the LSTM parts being LstmParams, the embedding's
+    gradient a layers.ColumnGrad); a None part gets no entry."""
     out: dict[str, np.ndarray] = {} if emb is None else {"emb.E": emb}
     for tag, lstm in (("f", lstm_fwd), ("b", lstm_bwd)):
         if lstm is not None:
@@ -320,6 +325,9 @@ def _checked_config(path, meta: dict) -> TaggerConfig:
     """The config a checkpoint's task and variant imply, after checking the
     stored architecture against it. Stored trainable embeddings may widen a
     frozen variant (as widen_embeddings), never the reverse."""
+    for key in (*META_KEYS, "oov_index", "vocab_sha256"):
+        if key not in meta:
+            raise ValueError(f"{path}: checkpoint metadata has no {key!r}")
     try:
         config = TaggerConfig(meta["task"], meta["variant"], meta["vocab_size"],
                               meta["embed_dim"], meta["units"], meta["embeddings_trainable"])

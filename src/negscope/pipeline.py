@@ -49,6 +49,7 @@ from .models import (
     VARIANTS,
     Tagger,
     TaggerConfig,
+    check_variant,
     load_checkpoint,
     save_checkpoint,
     scope_base,
@@ -191,10 +192,10 @@ def _task_train_config(values: dict, task: str, seed: int) -> TrainConfig:
 
 
 def _known(variant: str, task: str) -> str:
-    table = VARIANTS[task]
-    if variant not in table:
-        raise UsageError(f"unknown {task} variant {variant!r}; pick from {sorted(table)}")
-    return variant
+    try:
+        return check_variant(task, variant)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def resolve_config(args, need_corpus: bool = False, need_out: bool = False) -> ExperimentConfig:

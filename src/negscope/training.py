@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import bilstm_backward, crf_nll_grads, dense_backward, embed_backward
+from .layers import ColumnGrad, bilstm_backward, crf_nll_grads, dense_backward, embed_backward
 from .models import Tagger, named_arrays
 
 log = logging.getLogger("negscope.training")
@@ -45,8 +45,9 @@ def instance_loss_grads(tagger: Tagger, token_ids, gold, cue_bits=None):
     per-sentence arrays (cue_bits only for the scope task).
 
     Returns (summed loss, token count, gradient dict) where the gradient
-    keys match tagger.trainable_parameters(). The CRF head scores each
-    sentence's own columns.
+    keys match tagger.trainable_parameters() and a trainable embedding's
+    gradient is the ColumnGrad of the ids the batch holds. The CRF head
+    scores each sentence's own columns.
     """
     scores, cache = tagger.scores(token_ids, cue_bits)
     y = np.concatenate(gold)
@@ -113,7 +114,7 @@ class AdamState:
 ADAM_CHUNK = 1 << 15
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | ColumnGrad],
               state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place.
 
@@ -123,32 +124,73 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     The update then runs over each parameter's flattened arrays one
     ADAM_CHUNK at a time; a parameter or moment that cannot be flattened
     without a copy raises rather than lose its update.
+
+    A ColumnGrad is the gradient of a (d, v) matrix that is zero outside
+    its columns, which must be distinct and in [0, v). Those columns take
+    the full update on a gathered copy, every column takes the update for
+    a zero gradient, and the copy is scattered back: the dense update's
+    bits, except that a moment of -0.0 outside the columns keeps its sign
+    where b1*m + 0.0 would give +0.0.
     """
-    flat = []
+    work = []
     for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
+        g, cols = grads[name], None
+        if isinstance(g, ColumnGrad):
+            cols, g = _checked_columns(name, p, g)
+        elif g.shape != p.shape:
             raise ValueError(f"gradient for {name} has shape {g.shape}, not {p.shape}")
         g = np.reshape(g, -1)
         for lo in range(0, g.size, ADAM_CHUNK):
             if not np.isfinite(g[lo:lo + ADAM_CHUNK]).all():
                 raise ValueError(f"non-finite gradient for {name}")
+        arrays = (p, state.m[name], state.v[name])
         try:
-            p, m, v = (np.reshape(a, -1, copy=False) for a in (p, state.m[name], state.v[name]))
+            flat = [np.reshape(a, -1, copy=False) for a in arrays]
         except ValueError:
             raise ValueError(f"{name} or its Adam moments cannot be updated in place") from None
-        flat.append((p, m, v, g))
+        work.append((arrays, flat, g, cols))
 
     state.step += 1
+    scratch = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
+    for arrays, flat, g, cols in work:
+        if cols is None:
+            _adam_chunks(*flat, g, state, lr, scratch)
+            continue
+        touched = [np.ascontiguousarray(a.T[cols]) for a in arrays]  # (k, d) each
+        _adam_chunks(*(a.reshape(-1) for a in touched), g, state, lr, scratch)
+        _adam_chunks(*flat, None, state, lr, scratch)
+        for a, block in zip(arrays, touched):
+            a.T[cols] = block
+
+
+def _checked_columns(name: str, p: np.ndarray, grad: ColumnGrad):
+    """A column gradient's (cols, values) once they fit p, a (d, v) matrix."""
+    cols, values = np.asarray(grad.cols), np.asarray(grad.values)
+    if cols.ndim != 1 or values.shape != (cols.size, p.shape[0]):
+        raise ValueError(f"gradient for {name} has {cols.shape} columns and a "
+                         f"{values.shape} block, not (k,) and (k, d) for {p.shape}")
+    if cols.size and (cols.min() < 0 or cols.max() >= p.shape[1]):
+        raise ValueError(f"gradient for {name} has a column outside [0, {p.shape[1]})")
+    if np.unique(cols).size != cols.size:
+        raise ValueError(f"gradient for {name} repeats a column")
+    return cols, values
+
+
+def _adam_chunks(p, m, v, g, state: AdamState, lr: float, scratch) -> None:
+    """Adam's update over flattened p, m and v, in place, one ADAM_CHUNK at
+    a time; g None is the zero gradient."""
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    scratch_buf, scratch_update = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
-    for p, m, v, g in flat:
-        for lo in range(0, p.size, ADAM_CHUNK):
-            pc, mc, vc, gc = (a[lo:lo + ADAM_CHUNK] for a in (p, m, v, g))
-            buf, update = scratch_buf[:gc.size], scratch_update[:gc.size]
-            # in place, in the operation order of m = b1*m + (1-b1)*g, v = b2*v +
-            # (1-b2)*g*g, p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+    for lo in range(0, p.size, ADAM_CHUNK):
+        pc, mc, vc = (a[lo:lo + ADAM_CHUNK] for a in (p, m, v))
+        buf, update = (a[:pc.size] for a in scratch)
+        # in place, in the operation order of m = b1*m + (1-b1)*g, v = b2*v +
+        # (1-b2)*g*g, p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+        if g is None:  # b1*m + (1-b1)*0.0 is b1*m, up to the sign of a zero
+            mc *= b1
+            vc *= b2
+        else:
+            gc = g[lo:lo + ADAM_CHUNK]
             np.multiply(1 - b1, gc, out=buf)
             mc *= b1
             mc += buf
@@ -156,13 +198,13 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             buf *= gc
             vc *= b2
             vc += buf
-            np.divide(vc, 1 - b2 ** t, out=buf)
-            np.sqrt(buf, out=buf)
-            buf += state.eps
-            np.divide(mc, 1 - b1 ** t, out=update)
-            update *= lr
-            update /= buf
-            pc -= update
+        np.divide(vc, 1 - b2 ** t, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += state.eps
+        np.divide(mc, 1 - b1 ** t, out=update)
+        update *= lr
+        update /= buf
+        pc -= update
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +301,8 @@ def train(tagger: Tagger, train_data, val_data, config: TrainConfig,
                     f"loss diverged at epoch {epoch}", history
                 )
             for grad in grads.values():
+                if isinstance(grad, ColumnGrad):
+                    grad = grad.values
                 grad /= batch_tokens
             adam_step(params, grads, adam, lr)
             epoch_loss += batch_loss

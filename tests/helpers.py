@@ -127,6 +127,20 @@ def rel_err(a, b):
     return np.abs(a - b) / np.maximum(1.0, np.abs(a) + np.abs(b))
 
 
+def densify(grad, shape) -> np.ndarray:
+    """A gradient as a dense array of `shape`: an ndarray as it is, and a
+    column gradient (`cols`, with `values` row j the gradient of column
+    cols[j]) written into zeros, each of its distinct columns once."""
+    if isinstance(grad, np.ndarray):
+        return grad
+    cols = [int(c) for c in grad.cols]
+    assert len(set(cols)) == len(cols), f"repeated columns {cols}"
+    dense = np.zeros(shape)
+    for col, row in zip(cols, grad.values):
+        dense[:, col] = row
+    return dense
+
+
 def assert_grad_close(f, value, analytic, tol=1e-4, eps=1e-5):
     """Compare an analytic gradient for one array against central differences."""
     numeric = finite_diff_grad(f, np.asarray(value, dtype=np.float64), eps=eps)

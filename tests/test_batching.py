@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import negscope.models as models
-from helpers import rel_err
+from helpers import densify, rel_err
 from negscope.models import Tagger, TaggerConfig, split_columns
 from negscope.training import instance_loss_grads
 
@@ -53,20 +53,21 @@ class TestBatchedGradients:
         ids, gold, bits = random_batch(np.random.default_rng(len(lengths)), tagger, lengths)
         loss, tokens, grads = instance_loss_grads(tagger, ids, gold, bits)
         assert tokens == sum(lengths)
-        assert set(grads) == set(tagger.trainable_parameters())
+        params = tagger.trainable_parameters()
+        assert set(grads) == set(params)
 
         ref_loss = 0.0
-        ref = {name: np.zeros_like(g) for name, g in grads.items()}
+        ref = {name: np.zeros_like(p) for name, p in params.items()}
         for k in range(len(lengths)):
             one_bits = None if bits is None else [bits[k]]
             part, _, part_grads = instance_loss_grads(tagger, [ids[k]], [gold[k]], one_bits)
             ref_loss += part
             for name in ref:
-                ref[name] += part_grads[name]
+                ref[name] += densify(part_grads[name], params[name].shape)
 
         assert rel_err(loss, ref_loss) <= 1e-10
         for name, g in grads.items():
-            assert rel_err(g, ref[name]).max() <= 1e-10, name
+            assert rel_err(densify(g, params[name].shape), ref[name]).max() <= 1e-10, name
 
 
 def tagger_pair():

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     assert_grad_close,
+    densify,
     brute_best_path,
     brute_log_partition,
     brute_path_scores,
@@ -71,12 +72,11 @@ class TestEmbedding:
 
     def test_backward_accumulates_repeated_ids(self, rng):
         params = init_embedding(3, 5, oov_index=0, rng=rng)
-        ids = np.array([1, 1, 4])
+        ids = np.array([4, 1, 1])
         d_emb = np.ones((3, 3))
         grad = embed_backward(params, ids, d_emb)
-        np.testing.assert_allclose(grad[:, 1], 2.0)
-        np.testing.assert_allclose(grad[:, 4], 1.0)
-        np.testing.assert_allclose(grad[:, 0], 0.0)
+        np.testing.assert_array_equal(grad.cols, [1, 4])
+        np.testing.assert_array_equal(grad.values, [[2.0] * 3, [1.0] * 3])
 
     def test_backward_matches_finite_differences(self, rng):
         params = init_embedding(3, 5, oov_index=0, rng=rng)
@@ -87,7 +87,22 @@ class TestEmbedding:
             return float(np.sum(proj * embed(EmbeddingParams(w), ids)))
 
         analytic = embed_backward(params, ids, proj)
-        assert_grad_close(f, params.weights, analytic)
+        assert_grad_close(f, params.weights, densify(analytic, params.weights.shape))
+
+    @pytest.mark.parametrize("ids", [[3, 0, 3, 7, 0, 3, 9, 1], [0], [5], [2] * 6, list(range(10))],
+                             ids=["repeated", "id-0", "single", "all-equal", "every-id"])
+    def test_backward_densified_is_bitwise_the_dense_scatter_add(self, rng, ids):
+        """The column block sums each id's rows in token order, as the
+        scatter-add into the full (d, v) matrix does; magnitudes spread
+        over 1e-6..1e6 so that a different order would change the bits."""
+        params = init_embedding(4, 10, oov_index=0, rng=rng)
+        d_emb = rng.normal(size=(len(ids), 4)) * 10.0 ** rng.integers(-6, 7, size=(len(ids), 1))
+        grad = embed_backward(params, np.array(ids), d_emb)
+        assert grad.cols.tolist() == sorted(set(ids))
+        assert grad.values.shape == (len(set(ids)), 4)
+        dense = np.zeros_like(params.weights)
+        np.add.at(dense.T, np.array(ids), d_emb)
+        assert densify(grad, dense.shape).tobytes() == dense.tobytes()
 
 
 class TestLstmForward:

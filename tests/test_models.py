@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from negscope.models import (
+    META_KEYS,
     VARIANTS,
     Tagger,
     TaggerConfig,
@@ -194,11 +195,13 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-def rewrite_meta(path, **changes):
+def rewrite_meta(path, drop=(), **changes):
     with np.load(path) as data:
         arrays = {name: data[name] for name in data.files}
     meta = json.loads(str(arrays.pop("__meta__")))
     meta.update(changes)
+    for key in drop:
+        del meta[key]
     np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
@@ -217,6 +220,14 @@ class TestCheckpointCrossCheck:
         save_checkpoint(path, build(TaggerConfig("cue", "bilstm-crf", 9, 4, 3)), vocab_hash="h")
         rewrite_meta(path, **changes)
         with pytest.raises(ValueError, match="does not match|unknown|unsupported oov index 3"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", [*META_KEYS, "oov_index", "vocab_sha256"])
+    def test_missing_metadata_key_is_named(self, tmp_path, key):
+        path = tmp_path / "cue.npz"
+        save_checkpoint(path, build(TaggerConfig("cue", "bilstm-crf", 9, 4, 3)), vocab_hash="h")
+        rewrite_meta(path, drop=[key])
+        with pytest.raises(ValueError, match=f"cue.npz: checkpoint metadata has no '{key}'"):
             load_checkpoint(path)
 
     def test_unknown_task_is_an_error(self, tmp_path):

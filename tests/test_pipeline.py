@@ -2,11 +2,13 @@
 reports, and the end-to-end experiment on a synthetic corpus."""
 from __future__ import annotations
 
+import json
 import shutil
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +34,7 @@ from negscope.pipeline import (
     parse_config_file,
     resolve_config,
 )
-from negscope.models import scope_base
+from negscope.models import check_variant, scope_base
 from helpers import synthetic_instances, tag_rows
 
 
@@ -452,6 +454,37 @@ class TestPredict:
         assert rc == 1
         assert "different vocabulary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["head", "vocab_sha256"])
+    def test_checkpoint_without_a_meta_key_fails_cleanly(self, experiment_run, tmp_path,
+                                                        capsys, key):
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        shutil.copy(experiment_run.out / "vocab.json", stale / "vocab.json")
+        with np.load(experiment_run.out / "cue.npz") as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays.pop("__meta__")))
+        del meta[key]
+        np.savez(stale / "cue.npz", __meta__=np.array(json.dumps(meta)), **arrays)
+        rc = main(["predict", "--out", str(stale),
+                   str(experiment_run.out / "scope_test_gold.col")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cue.npz" in err and repr(key) in err
+
+    @pytest.mark.parametrize("key", ["oov_index", "tokens"])
+    def test_vocab_without_a_key_fails_cleanly(self, experiment_run, tmp_path, capsys, key):
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        shutil.copy(experiment_run.out / "cue.npz", stale / "cue.npz")
+        vocab = json.loads((experiment_run.out / "vocab.json").read_text())
+        del vocab[key]
+        (stale / "vocab.json").write_text(json.dumps(vocab))
+        rc = main(["predict", "--out", str(stale),
+                   str(experiment_run.out / "scope_test_gold.col")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "vocab.json" in err and repr(key) in err
+
 
 class TestTrainCommands:
     def test_max_len_cuts_training_instances_only(self, tmp_path):
@@ -557,6 +590,9 @@ class TestExitCodes:
         rc = main(["train-cue", "--corpus", str(corpus),
                    "--out", str(tmp_path / "run"), "--variant", "transformer"])
         assert rc == 2
+        with pytest.raises(ValueError) as exc:
+            check_variant("cue", "transformer")
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from negscope.corpus import build_vocab, encode_instances
-from negscope.layers import CrfParams, crf_nll_grads
+from negscope.layers import ColumnGrad, CrfParams, crf_nll_grads
 from negscope.models import Tagger, TaggerConfig
 from negscope import training
 from negscope.numerics import logsumexp
@@ -24,7 +24,7 @@ from negscope.training import (
     step_decay,
     train,
 )
-from helpers import assert_grad_close, synthetic_instances
+from helpers import assert_grad_close, densify, synthetic_instances
 
 
 class TestTokenNll:
@@ -131,7 +131,7 @@ class TestFullModelGradients:
                 return loss
 
             try:
-                assert_grad_close(objective, original, grads[name])
+                assert_grad_close(objective, original, densify(grads[name], arr.shape))
             finally:
                 arr[:] = original
 
@@ -148,9 +148,12 @@ class TestFullModelGradients:
                         [np.array([0, 1, 0, 0]), np.array([1])])
 
 
-def assert_adam_is_the_closed_form(params, rng, steps=5):
+def assert_adam_is_the_closed_form(params, rng, steps=5, columns=None):
     """Run adam_step beside Adam's textbook formula and require every
-    parameter and moment to match bit for bit after each step."""
+    parameter and moment to match bit for bit after each step. `columns`
+    maps a (d, v) parameter to one column list per step: adam_step gets a
+    ColumnGrad on those columns, the formula its zero-padded dense form."""
+    columns = columns or {}
     state = AdamState.init(params)
     ref = {k: v.copy() for k, v in params.items()}
     m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -159,7 +162,12 @@ def assert_adam_is_the_closed_form(params, rng, steps=5):
     for t in range(1, steps + 1):
         grads = {k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
                  for k, p in params.items()}
-        adam_step(params, grads, state, lr)
+        given = dict(grads)
+        for k, sets in columns.items():
+            cols = np.array(sets[t - 1], dtype=np.int64)
+            given[k] = ColumnGrad(cols, grads[k][:, cols].T.copy())
+            grads[k] = densify(given[k], params[k].shape)
+        adam_step(params, given, state, lr)
         for k, g in grads.items():
             m[k] = b1 * m[k] + (1 - b1) * g
             v2[k] = b2 * v2[k] + (1 - b2) * g * g
@@ -220,7 +228,25 @@ class TestAdam:
             {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}, rng
         )
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "transposed"])
+    @pytest.mark.parametrize("sets", [
+        [[0], [9], list(range(10)), [], [9, 0, 4], [2, 3]],
+        [list(range(10))] * 5,
+        [[0, 9]] * 6,
+    ], ids=["mixed", "every-column", "ends"])
+    def test_column_gradient_is_bitwise_the_zero_padded_closed_form(self, monkeypatch, sets):
+        # a (3, 10) matrix spans five chunks of 7, so the zero-gradient pass
+        # crosses chunk boundaries; the sets hold columns 0 and v - 1, every
+        # column, an unsorted set and a step that touches no column
+        monkeypatch.setattr(training, "ADAM_CHUNK", 7)
+        rng = np.random.default_rng(13)
+        assert_adam_is_the_closed_form(
+            {"emb.E": rng.normal(size=(3, 10)), "b": rng.normal(size=5)}, rng,
+            steps=len(sets), columns={"emb.E": sets},
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "transposed", "column-nan",
+                                     "column-inf", "column-negative", "column-past-end",
+                                     "column-repeated", "column-block-shape"])
     def test_bad_gradient_changes_nothing(self, monkeypatch, bad):
         monkeypatch.setattr(training, "ADAM_CHUNK", 7)
         rng = np.random.default_rng(4)
@@ -231,6 +257,21 @@ class TestAdam:
         grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
         if bad == "transposed":
             grads["b"] = grads["b"].T.copy()
+        elif isinstance(bad, str):
+            cols, values = np.array([0, 2, 6]), rng.normal(size=(3, 3))
+            if bad == "column-nan":
+                values[-1, -1] = np.nan
+            elif bad == "column-inf":
+                values[1, 0] = np.inf
+            elif bad == "column-negative":
+                cols[0] = -1
+            elif bad == "column-past-end":
+                cols[-1] = 7
+            elif bad == "column-repeated":
+                cols[1] = 6
+            else:
+                values = values[:, :2]
+            grads["b"] = ColumnGrad(cols, values)
         else:
             grads["b"][-1, -1] = bad  # the last chunk of the last parameter
         with pytest.raises(ValueError, match="gradient for b"):
