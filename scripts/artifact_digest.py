@@ -7,7 +7,7 @@ Usage::
 
 Imports negscope from `<checkout>/src` and the synthetic corpus builder
 from `<checkout>/tests/helpers.py`, writes
-`synthetic_instances(200, seed=21)` as a corpus, and runs eighteen
+`synthetic_instances(200, seed=21)` as a corpus, and runs twenty
 commands in process:
 
   experiment                      run dir exp/ (three scope variants)
@@ -33,9 +33,15 @@ commands in process:
   predict --cue-input gold        scope/
   evaluate --out                  an experiment prediction file
   evaluate --out                  a predict output
+  experiment, frozen embeddings   run dir frozen/ (embeddings_trainable=false)
+  predict --cue-input pred --postprocess
+                                  frozen/, scope bilstm
 
-Every model here trains its embeddings (the config sets
+Every other model trains its embeddings (the config sets
 embeddings_trainable=true), so each one's embedding gradient reaches Adam.
+The frozen/ models keep their variants' frozen embeddings, as the models
+of the benchmark's experiment-bilstm and predict-ragged workloads do, so
+their training skips the embedding gradient and leaves emb.E out of Adam.
 
 After writing the inputs and after each command it prints a header line
 with the command's exit code, then `<sha256>  <path>` for every file
@@ -114,7 +120,8 @@ def commands(work: Path) -> list[list[str]]:
     cut = str(work / "config_cut.txt")
     wide = str(work / "config_wide.txt")
     emb = str(work / "config_emb.txt")
-    exp, cue, scope = (str(work / name) for name in ("exp", "cue", "scope"))
+    frozen = str(work / "config_frozen.txt")
+    exp, cue, scope, frz = (str(work / name) for name in ("exp", "cue", "scope", "frozen"))
     gold = str(work / "exp" / "scope_test_gold.col")
     return [
         ["experiment", "--config", config, "--out", exp],
@@ -141,6 +148,9 @@ def commands(work: Path) -> list[list[str]]:
         ["evaluate", str(work / "exp" / "scope_bilstm_predcue_pred.col"), gold,
          "--out", str(work / "e_exp.txt")],
         ["evaluate", str(work / "p_column.col"), gold, "--out", str(work / "e_column.txt")],
+        ["experiment", "--config", frozen, "--out", frz],
+        ["predict", "--out", frz, "--cue-input", "pred", "--variant", "bilstm", "--postprocess",
+         str(work / "frozen" / "scope_test_gold.col"), str(work / "p_frozen.col")],
     ]
 
 
@@ -158,6 +168,7 @@ def main(argv: list[str]) -> int:
     _write_config(work / "config_cut.txt", corpus=corpus, max_len=4)
     _write_config(work / "config_wide.txt", corpus=corpus, embed_dim=200, units=48)
     _write_config(work / "config_emb.txt", corpus=corpus, **{"cue.batch_size": 2})
+    _write_config(work / "config_frozen.txt", corpus=corpus, embeddings_trainable="false")
     (work / "raw.txt").write_text(RAW_TEXT, encoding="utf-8")
 
     # the commands' INFO lines would drown the digests

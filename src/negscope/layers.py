@@ -53,7 +53,7 @@ def embed(params: EmbeddingParams, token_ids: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"token id out of range [0, {params.vocab_size}): {ids.min()}..{ids.max()}"
         )
-    return params.weights[:, ids].T.copy()
+    return params.weights.T[ids]
 
 
 class ColumnGrad(NamedTuple):
@@ -91,6 +91,19 @@ def embed_backward(
 # from the zero state, so it runs no recurrent product forward and sends
 # no gradient to a step before it backward.
 #
+# Training keeps every step's gates, cell and hidden rows for the backward
+# pass, and projects all T input rows in one product. Prediction streams
+# instead (lstm_forward with out=): it projects blocks of whole steps,
+# about PROJECT_ROWS rows each, runs the steps in (b_0, .) buffers and
+# writes each step's h to its rows of out, so its working memory does not
+# grow with T. Each block is all T rows or at least PROJECT_ROWS / 2 of
+# them, because OpenBLAS rounds small products differently: a row of a
+# block product matched that row of the whole-T product bit for bit once
+# the block had more than about 1,200 outputs (rows x 4U) or d < 32, and
+# not below (up to 4 rows at 4U = 256, 6 at 4U = 200, 1 at 4U = 800).
+# From 32 rows that holds for every 4U >= 40, so both modes give the same
+# states.
+#
 # A BiLSTM's two directions share nothing until their states are joined,
 # so they run at once: left to right on the calling thread, right to left
 # on the one worker thread below. numpy releases the interpreter lock in
@@ -100,8 +113,10 @@ def embed_backward(
 # states are disjoint columns) and the caller sums d_inputs after both
 # finish, so every result is bitwise the one a sequential run gives.
 # Holding both directions' working arrays at once costs about 5 MB more
-# peak memory at d = U = 200.
+# peak memory at d = U = 200 when training; streaming, a direction holds
+# about 2.6 MB at 32 sentences, half of it the w_rec.T copy.
 _RIGHT_TO_LEFT = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bilstm-rtl")
+PROJECT_ROWS = 64
 
 
 @dataclass
@@ -158,13 +173,21 @@ class LstmCache:
 
 
 def lstm_forward(
-    params: LstmParams, inputs: np.ndarray, aux: np.ndarray | None, batch_sizes
-) -> tuple[np.ndarray, LstmCache]:
-    """Step-major inputs (T, d) [, aux (T,)] -> hidden (T, U).
+    params: LstmParams, inputs: np.ndarray, aux: np.ndarray | None, batch_sizes,
+    rows=None, out: np.ndarray | None = None,
+) -> tuple[np.ndarray, LstmCache | None]:
+    """Inputs (T, d) [, aux (T,)] -> (hidden (T, U), cache).
 
-    State starts at zero for every sentence, and step k is one
-    (b_k, U) @ (U, 4U) product over its b_k = batch_sizes[k] rows. Aux
-    inputs must be supplied iff the params carry aux weights.
+    Step-major row r reads inputs[rows[r]] and aux[rows[r]]; without rows
+    the inputs are already step-major. State starts at zero for every
+    sentence, and step k is one (b_k, U) @ (U, 4U) product over its
+    b_k = batch_sizes[k] rows. Aux inputs must be supplied iff the params
+    carry aux weights.
+
+    Without `out`, the hidden rows come back step-major along with the
+    cache lstm_backward reads. Given out (T, U), row r's hidden state is
+    written to out[rows[r]], nothing T-sized is kept, and the result is
+    (out, None), bitwise the same states.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
@@ -176,38 +199,68 @@ def lstm_forward(
         q = np.asarray(aux, dtype=np.float64)
         if q.shape != x.shape[:1]:
             raise ValueError(f"aux shape {q.shape} != input rows {x.shape[:1]}")
+    total, units = len(x), params.units
     sizes = np.asarray(batch_sizes)
     if (sizes.ndim != 1 or not len(sizes) or sizes.dtype.kind not in "iu"
-            or sizes.min() < 1 or (np.diff(sizes) > 0).any() or sizes.sum() != len(x)):
-        raise ValueError(f"batch_sizes {sizes.tolist()} not >= 1, non-increasing, sum {len(x)}")
+            or sizes.min() < 1 or (np.diff(sizes) > 0).any() or sizes.sum() != total):
+        raise ValueError(f"batch_sizes {sizes.tolist()} not >= 1, non-increasing, sum {total}")
+    if rows is not None and np.shape(rows) != (total,):
+        raise ValueError(f"rows shape {np.shape(rows)} != input rows {(total,)}")
+    if out is not None and out.shape != (total, units):
+        raise ValueError(f"expected out {(total, units)}, got {out.shape}")
 
-    units = params.units
-    # input-side preactivations for every row at once; each step then adds
-    # its recurrent term and overwrites its rows with the activations
-    gates = x @ params.w_in.T
-    gates += params.b
-    if q is not None:
-        gates += q[:, None] * params.w_aux.sum(axis=1)
-    cell = np.empty((len(x), units))
-    hidden = np.empty((len(x), units))
+    keep = out is None
+    if keep:
+        if rows is not None:
+            x, q = x[rows], None if q is None else q[rows]
+            rows = None
+        cell, hidden = np.empty((total, units)), np.empty((total, units))
+        block = total
+    else:
+        block = max(PROJECT_ROWS, sizes[0])
+    # x @ w_in.T + b for one block of whole steps at a time; each step then
+    # adds its cue-bit and recurrent terms, in that order, and overwrites
+    # its rows with the activations (sigmoid of i, f, o and tanh of g)
+    gates = np.empty((min(total, block + PROJECT_ROWS // 2), 4 * units))
+    aux_row = None if q is None else params.w_aux.sum(axis=1)
     w_rec_t = np.ascontiguousarray(params.w_rec.T)
     rec = np.empty((sizes[0], 4 * units))
     tmp = np.empty((sizes[0], units))
     u2, u3 = 2 * units, 3 * units
-    h = c = np.zeros((sizes[0], units))  # then views of the previous step's rows
-    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+    ends = np.cumsum(sizes)
+    h, c = np.zeros((sizes[0], units)), np.zeros((sizes[0], units))
+    lo = hi = 0
+    for start, size in zip(ends - sizes, sizes):
+        if start == hi:
+            # whole steps up to `block` rows, and the rest too once fewer
+            # than PROJECT_ROWS / 2 rows would be left
+            lo, hi = start, ends[np.searchsorted(ends, start + block, side="right") - 1]
+            if total - hi < PROJECT_ROWS // 2:
+                hi = total
+            z = np.matmul(x[lo:hi] if rows is None else x[rows[lo:hi]], params.w_in.T,
+                          out=gates[:hi - lo])
+            z += params.b
         step = slice(start, start + size)
-        z, t = gates[step], tmp[:size]
+        z, t = gates[start - lo:start - lo + size], tmp[:size]
+        if q is not None:  # rec's rows hold the product until the recurrent term
+            qk = q[step] if rows is None else q[rows[step]]
+            z += np.multiply(qk[:, None], aux_row, out=rec[:size])
         if start:
             z += np.matmul(h[:size], w_rec_t, out=rec[:size])
-        z[:, :u3] = sigmoid(z[:, :u3])
+        sigmoid(z[:, :u3], out=z[:, :u3])
         np.tanh(z[:, u3:], out=z[:, u3:])
-        # c = f*c_prev + i*g and h = o*tanh(c), written straight into the cache
-        c_prev, c, h = c[:size], cell[step], hidden[step]
+        # c = f*c_prev + i*g and h = o*tanh(c), written straight into the
+        # cache or, streaming, over the previous step's first rows
+        c_prev = c[:size]
+        c, h = (cell[step], hidden[step]) if keep else (c_prev, h[:size])
         np.multiply(z[:, units:u2], c_prev, out=c)
         c += np.multiply(z[:, :units], z[:, u3:], out=t)
         np.multiply(z[:, u2:u3], np.tanh(c, out=t), out=h)
+        if not keep:
+            out[step if rows is None else rows[step]] = h
 
+    if not keep:
+        return out, None
     return hidden, LstmCache(x, q, gates, cell, hidden, sizes)
 
 
@@ -302,8 +355,10 @@ def bilstm_forward(
     of the given lengths lie one after another, and each row holds its
     token's left-to-right then right-to-left state.
 
-    The cache is (LstmCache, rows) per direction; keep_cache=False frees
-    each direction once its states are read, for callers with no backward."""
+    The cache is (LstmCache, rows) per direction. keep_cache=False, for
+    callers with no backward, streams each direction straight into the
+    states: its working memory is a few step-sized buffers, and beyond the
+    states nothing grows with T but the packed row order."""
     x = np.asarray(inputs, dtype=np.float64)
     lengths = np.array(lengths, dtype=np.int64)
     if lengths.sum() != len(x) or (lengths < 1).any():
@@ -313,10 +368,12 @@ def bilstm_forward(
 
     def direction(params, reverse, half):
         rows, batch_sizes = packed_steps(lengths, reverse)
-        q = None if aux is None else np.asarray(aux, dtype=np.float64)[rows]
-        hidden, cache = lstm_forward(params, x[rows], q, batch_sizes)
+        if not keep_cache:
+            lstm_forward(params, x, aux, batch_sizes, rows, out=states[:, half])
+            return None
+        hidden, cache = lstm_forward(params, x, aux, batch_sizes, rows)
         states[rows, half] = hidden
-        return (cache, rows) if keep_cache else None
+        return cache, rows
 
     caches = _both_directions(direction, (fwd, False, slice(0, units)),
                               (bwd, True, slice(units, 2 * units)))
@@ -462,25 +519,47 @@ def _backward_lattice(e: np.ndarray, crf: CrfParams) -> np.ndarray:
     return beta
 
 
-def crf_viterbi(emissions: np.ndarray, crf: CrfParams) -> tuple[list[int], float]:
+def crf_viterbi(emissions: np.ndarray, crf: CrfParams, lengths=None) -> tuple:
     """Best-scoring labeling and its score; ties pick the lowest label index
-    at every backtrack step."""
+    at every backtrack step.
+
+    With lengths, emissions (L, T) holds sentences of those lengths one
+    after another, and the result is (one path per sentence, one score per
+    sentence). They are decoded together, step-major in packed_steps'
+    layout: step k maximizes over the label axis for every sentence still
+    running, so each path and score is bitwise the one decoding that
+    sentence alone gives.
+    """
     e = _check_emissions(emissions, crf)
-    num_labels, n = e.shape
+    lens = np.array([e.shape[1]] if lengths is None else lengths, dtype=np.int64)
+    if lens.sum() != e.shape[1] or (lens < 1).any():
+        raise ValueError(f"lengths {lens.tolist()} do not split {e.shape[1]} columns")
+    num_labels = crf.num_labels
     t = crf.trans[:num_labels, :num_labels]
-    v = e[:, 0] + crf.trans[crf.start, :num_labels]
-    back = np.empty((n, num_labels), dtype=np.int64)
-    for k in range(1, n):
-        m = v[:, None] + t
-        back[k] = m.argmax(axis=0)  # argmax returns the lowest tied index
-        v = e[:, k] + m.max(axis=0)
+    rows, sizes = packed_steps(lens, reverse=False)
+    steps = e.T[rows]  # (T, L), step-major
+    starts = np.cumsum(sizes) - sizes
+    v = steps[:sizes[0]] + crf.trans[crf.start, :num_labels]
+    back = np.empty(steps.shape, dtype=np.int64)
+    for start, size in zip(starts[1:], sizes[1:]):
+        m = v[:size, :, None] + t  # (sentence, from, to)
+        back[start:start + size] = m.argmax(axis=1)  # argmax returns the lowest tied index
+        v[:size] = steps[start:start + size] + m.max(axis=1)
     ends = v + crf.trans[:num_labels, crf.end]
-    last = int(ends.argmax())
-    labels = [last]
-    for k in range(n - 1, 0, -1):
-        labels.append(int(back[k][labels[-1]]))
-    labels.reverse()
-    return labels, float(ends.max())
+    label = ends.argmax(axis=1)
+    path = np.empty(len(steps), dtype=np.int64)
+    for start, size in zip(starts[:0:-1], sizes[:0:-1]):
+        path[start:start + size] = label[:size]
+        label[:size] = back[start + np.arange(size), label[:size]]
+    path[:sizes[0]] = label
+    labels = np.empty_like(path)
+    labels[rows] = path
+    # step 0 holds each sentence's first row, longest sentence first
+    scores = np.empty(len(lens))
+    scores[np.repeat(np.arange(len(lens)), lens)[rows[:sizes[0]]]] = ends.max(axis=1)
+    if lengths is None:
+        return labels.tolist(), float(scores[0])
+    return [part.tolist() for part in np.split(labels, np.cumsum(lens)[:-1])], scores.tolist()
 
 
 def crf_marginals(

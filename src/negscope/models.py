@@ -36,8 +36,13 @@ from .layers import (
 
 CHECKPOINT_FORMAT = 2
 
-# bound on sentences x longest length per prediction chunk (nothing is padded)
-PREDICT_TOKEN_BUDGET = 256
+# bounds on a prediction chunk: sentences x longest length, and sentences.
+# Nothing is padded, and the streamed BiLSTM (bilstm_forward with
+# keep_cache=False) keeps no per-token working array, so a chunk holds its
+# (T, d) inputs and (T, 2U) states plus step buffers sized by its sentence
+# count: at d = U = 200, about 10 MB for a full chunk.
+PREDICT_TOKEN_BUDGET = 1024
+PREDICT_MAX_SENTENCES = 32
 
 VARIANTS = {
     "cue": {
@@ -116,9 +121,9 @@ def smooth_predictions(variant: str) -> bool:
 
 
 def named_arrays(emb, lstm_fwd, lstm_bwd, dense_w, dense_b, crf) -> dict:
-    """Parameter name -> array, in a stable order, for a tagger's parameters
-    or their gradients (the LSTM parts being LstmParams, the embedding's
-    gradient a layers.ColumnGrad); a None part gets no entry."""
+    """Parameter name -> array, in a stable order, for a tagger's parameters,
+    their gradients or their shapes (the LSTM parts being LstmParams, the
+    embedding's gradient a layers.ColumnGrad); a None part gets no entry."""
     out: dict[str, np.ndarray] = {} if emb is None else {"emb.E": emb}
     for tag, lstm in (("f", lstm_fwd), ("b", lstm_bwd)):
         if lstm is not None:
@@ -128,6 +133,18 @@ def named_arrays(emb, lstm_fwd, lstm_bwd, dense_w, dense_b, crf) -> dict:
     if crf is not None:
         out["crf.T"] = crf
     return out
+
+
+def parameter_shapes(config: TaggerConfig) -> dict[str, tuple[int, ...]]:
+    """Parameter name -> shape for a tagger of this config, in the order
+    of Tagger.parameters()."""
+    d, g, labels = config.embed_dim, 4 * config.units, config.num_labels
+    lstm, width = None, d
+    if config.use_lstm:
+        lstm = LstmParams((g, d), (g, config.units), (g,), (g, d) if config.two_input else None)
+        width = 2 * config.units
+    return named_arrays((d, config.vocab_size), lstm, lstm, (labels, width), (labels,),
+                        (labels + 2, labels + 2) if config.head == "crf" else None)
 
 
 class Tagger:
@@ -164,6 +181,19 @@ class Tagger:
         dense = init_dense(config.num_labels, width, rng)
         crf = init_crf(config.num_labels) if config.head == "crf" else None
         return cls(config, embedding, lstm_fwd, lstm_bwd, dense, crf)
+
+    @classmethod
+    def from_arrays(cls, config: TaggerConfig, arrays: dict[str, np.ndarray]) -> "Tagger":
+        """A tagger holding the given arrays, named and shaped as
+        parameter_shapes(config) says; nothing is drawn or copied."""
+
+        def lstm(tag):
+            blocks = (arrays.get(f"lstm.{tag}.{k}") for k in ("w_in", "w_rec", "b", "w_aux"))
+            return LstmParams(*blocks) if config.use_lstm else None
+
+        crf = CrfParams(arrays["crf.T"]) if config.head == "crf" else None
+        return cls(config, EmbeddingParams(arrays["emb.E"]), lstm("f"), lstm("b"),
+                   DenseParams(arrays["dense.W"], arrays["dense.b"]), crf)
 
     # -- parameter book-keeping ------------------------------------------
 
@@ -223,22 +253,25 @@ class Tagger:
         """Label ids per sentence, in input order: the argmax per token
         (softmax head) or the Viterbi path (CRF head), ties resolving to the
         lowest label index either way. Sentences run in length_chunks
-        within PREDICT_TOKEN_BUDGET; each sentence's recurrence reads only
-        its own tokens, so labels do not depend on the chunk it lands in.
+        within PREDICT_TOKEN_BUDGET and PREDICT_MAX_SENTENCES; each
+        sentence's recurrence and Viterbi path read only its own tokens, so
+        labels do not depend on the chunk it lands in.
         """
         lengths = [len(ids) for ids in token_ids]
         if cue_bits is not None and len(cue_bits) != len(lengths):
             raise ValueError(f"{len(cue_bits)} cue bit rows for {len(lengths)} sentences")
         out: list = [None] * len(lengths)
-        for chunk in length_chunks(lengths, PREDICT_TOKEN_BUDGET):
+        for chunk in length_chunks(lengths, PREDICT_TOKEN_BUDGET, PREDICT_MAX_SENTENCES):
             bits = None if cue_bits is None else [cue_bits[i] for i in chunk]
             scores, _ = self.scores([token_ids[i] for i in chunk], bits, keep_cache=False)
-            columns = split_columns(scores, [lengths[i] for i in chunk])
-            for i, cols in zip(chunk, columns):
-                if self.crf is not None:
-                    out[i] = crf_viterbi(cols, self.crf)[0]
-                else:
-                    out[i] = cols.argmax(axis=0).tolist()
+            chunk_lengths = [lengths[i] for i in chunk]
+            if self.crf is not None:
+                labels = crf_viterbi(scores, self.crf, chunk_lengths)[0]
+            else:
+                labels = [row.tolist() for row in split_columns(scores.argmax(axis=0),
+                                                                chunk_lengths)]
+            for i, row in zip(chunk, labels):
+                out[i] = row
         return out
 
     def predict_tags(self, token_ids, cue_bits=None) -> list[list[str]]:
@@ -246,13 +279,13 @@ class Tagger:
         return [[labels[k] for k in ids] for ids in self.predict_ids(token_ids, cue_bits)]
 
 
-def length_chunks(lengths, budget: int):
+def length_chunks(lengths, budget: int, max_sentences: int | None = None):
     """Sentence indices, stably sorted by length, cut into chunks whose
-    count x longest length stays within budget; a sentence longer than the
-    budget runs alone."""
+    count x longest length stays within budget and whose count stays
+    within max_sentences; a sentence longer than the budget runs alone."""
     chunk: list[int] = []
     for i in sorted(range(len(lengths)), key=lengths.__getitem__):
-        if chunk and (len(chunk) + 1) * lengths[i] > budget:
+        if chunk and ((len(chunk) + 1) * lengths[i] > budget or len(chunk) == max_sentences):
             yield chunk
             chunk = []
         chunk.append(i)
@@ -261,8 +294,8 @@ def length_chunks(lengths, budget: int):
 
 
 def split_columns(scores: np.ndarray, lengths) -> list[np.ndarray]:
-    """(L, T) scores -> one (L, n) block per sentence."""
-    return np.split(scores, np.cumsum(lengths)[:-1], axis=1)
+    """(L, T) scores -> one (L, n) block per sentence; (T,) -> one (n,) part."""
+    return np.split(scores, np.cumsum(lengths)[:-1], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +339,15 @@ def load_checkpoint(path) -> tuple[Tagger, dict]:
                   for name in data.files if name != "__meta__"}
 
     config = _checked_config(path, meta)
-    tagger = Tagger.build(config, np.random.default_rng(0))
-    params = tagger.parameters()
-    if set(params) != set(arrays):
+    shapes = parameter_shapes(config)
+    if set(shapes) != set(arrays):
         raise ValueError(
-            f"{path}: parameter set mismatch: {sorted(set(params) ^ set(arrays))}"
+            f"{path}: parameter set mismatch: {sorted(set(shapes) ^ set(arrays))}"
         )
-    for name, arr in params.items():
-        if arrays[name].shape != arr.shape:
-            raise ValueError(
-                f"{path}: {name} has shape {arrays[name].shape}, expected {arr.shape}"
-            )
-        arr[:] = arrays[name]
-    return tagger, meta
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}")
+    return Tagger.from_arrays(config, arrays), meta
 
 
 def _checked_config(path, meta: dict) -> TaggerConfig:

@@ -7,16 +7,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Elementwise 1 / (1 + e^-x). With e = e^-|x| this is 1 / (1 + e) for
     x >= 0 and e / (1 + e) below, so exp never overflows. The numerator is
     max(e, [x >= 0]): e lies in [0, 1], so max(e, 1) = 1 and max(e, 0) = e,
     which is bitwise the two-branch form (a NaN stays NaN) without a
-    branchy select over the mask."""
+    branchy select over the mask. `out` (float64, x's shape, may be x
+    itself) receives the result."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    out = np.maximum(e, x >= 0) / (1.0 + e)
-    return out if out.ndim else float(out)
+    res = np.maximum(e, x >= 0, out=out)
+    e += 1.0
+    res /= e
+    return res if res.ndim else float(res)
 
 
 def logsumexp(scores: np.ndarray) -> float:

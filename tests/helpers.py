@@ -47,6 +47,25 @@ def brute_best_path(emissions, trans, start, end, tie_tol=1e-9):
     return list(pick), best
 
 
+def loop_viterbi(emissions, trans, start, end):
+    """One sentence's Viterbi path and score, a label-axis numpy max per
+    position and a Python backtrack: the reference a batched decoder must
+    match bit for bit. Ties pick the lowest label index."""
+    num_labels, n = emissions.shape
+    t = trans[:num_labels, :num_labels]
+    v = emissions[:, 0] + trans[start, :num_labels]
+    back = []
+    for k in range(1, n):
+        m = v[:, None] + t
+        back.append(m.argmax(axis=0))
+        v = emissions[:, k] + m.max(axis=0)
+    ends = v + trans[:num_labels, end]
+    labels = [int(ends.argmax())]
+    for pointers in reversed(back):
+        labels.append(int(pointers[labels[-1]]))
+    return labels[::-1], float(ends.max())
+
+
 # ---------------------------------------------------------------------------
 # scalar LSTM reference (one step, pure Python floats)
 

@@ -125,5 +125,23 @@ class TestBatchIndependence:
         flat = [i for chunk in chunks for i in chunk]
         assert flat.index(1) < flat.index(3)
 
+    def test_chunks_respect_the_sentence_cap(self):
+        lengths = [2, 1, 3] * 5
+        chunks = list(models.length_chunks(lengths, 1000, 4))
+        assert [len(chunk) for chunk in chunks] == [4, 4, 4, 3]
+        assert [i for chunk in chunks for i in chunk] == sorted(
+            range(len(lengths)), key=lengths.__getitem__)
+        assert list(models.length_chunks(lengths, 1000)) == [chunks[0] + chunks[1]
+                                                            + chunks[2] + chunks[3]]
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_tags_ignore_the_sentence_cap(self, monkeypatch, cap):
+        lengths = [4, 1, 7, 1, 3, 9, 2]
+        monkeypatch.setattr(models, "PREDICT_TOKEN_BUDGET", 10**6)
+        monkeypatch.setattr(models, "PREDICT_MAX_SENTENCES", cap)
+        for tagger in (CUE_TAGGER, SCOPE_TAGGER):
+            ids, _, bits = random_batch(np.random.default_rng(cap), tagger, lengths)
+            assert tagger.predict_tags(ids, bits) == [tags for _, tags in alone(tagger, ids, bits)]
+
     def test_empty_input_predicts_nothing(self):
         assert CUE_TAGGER.predict_tags([]) == []

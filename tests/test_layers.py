@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     brute_best_path,
     brute_log_partition,
     brute_path_scores,
+    loop_viterbi,
     scalar_lstm_states,
     scalar_lstm_step,
 )
@@ -396,6 +398,36 @@ class TestBilstm:
         assert_grad_close(f_w, fwd.w_rec, g_f.w_rec)
 
 
+class TestStreamingForwardMemory:
+    """Without a cache the BiLSTM's working memory is step-sized: with the
+    step batch fixed, its traced peak grows with the token count by less
+    than a states row plus an input row per token. A (T, 4U) gate array,
+    a (T, U) cell or a step-major input copy would each break the bound."""
+
+    DIM = UNITS = 32
+
+    @pytest.mark.parametrize("two_input", [False, True])
+    def test_peak_grows_by_less_than_states_and_inputs(self, rng, two_input):
+        fwd = init_lstm(self.UNITS, self.DIM, rng, two_input=two_input)
+        bwd = init_lstm(self.UNITS, self.DIM, rng, two_input=two_input)
+
+        def traced_peak(length):
+            lengths = [length] * 8
+            x = rng.normal(size=(sum(lengths), self.DIM))
+            aux = rng.integers(0, 2, size=len(x)).astype(np.float64) if two_input else None
+            tracemalloc.start()
+            try:
+                bilstm_forward(fwd, bwd, x, aux, lengths, keep_cache=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = 40, 200
+        growth = traced_peak(long) - traced_peak(short)
+        row_bytes = (2 * self.UNITS + self.DIM) * 8
+        assert growth < 8 * (long - short) * row_bytes
+
+
 def sequential_bilstm(fwd, bwd, x, aux, lengths, d_states):
     """The reference for the concurrent BiLSTM: lstm_forward and
     lstm_backward per direction, left to right first, on this thread and
@@ -606,6 +638,38 @@ class TestCrfViterbi:
             got_labels, got_score = crf_viterbi(e, crf)
             assert got_labels == want_labels
             assert got_score == pytest.approx(want_score, abs=1e-9)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_batch_is_bitwise_each_sentence_alone(self, rng, ties):
+        """Ragged batches with length-1 sentences, decoded together, against
+        the per-sentence loop bit for bit and, for short sentences, against
+        brute force. Integer scores make ties common."""
+        for _ in range(80):
+            num_labels = int(rng.integers(3, 5))
+            lengths = rng.integers(1, 12, size=int(rng.integers(1, 10)))
+            lengths[rng.integers(len(lengths))] = 1
+            crf = init_crf(num_labels)
+            if ties:
+                crf.trans[:] = rng.integers(-2, 3, size=crf.trans.shape)
+                e = rng.integers(-2, 3, size=(num_labels, lengths.sum())).astype(np.float64)
+            else:
+                crf.trans[:] = rng.normal(size=crf.trans.shape)
+                e = rng.normal(size=(num_labels, lengths.sum())) * 2
+            paths, scores = crf_viterbi(e, crf, lengths)
+            assert len(paths) == len(scores) == len(lengths)
+            for path, score, cols in zip(paths, scores, np.split(e, np.cumsum(lengths)[:-1], axis=1)):
+                assert (path, score) == loop_viterbi(cols, crf.trans, crf.start, crf.end)
+                assert (path, score) == crf_viterbi(cols, crf)
+                if cols.shape[1] <= 5:
+                    want_path, want_score = brute_best_path(cols, crf.trans, crf.start, crf.end)
+                    assert path == want_path
+                    assert score == pytest.approx(want_score, abs=1e-9)
+
+    def test_lengths_must_split_the_columns(self):
+        with pytest.raises(ValueError, match="lengths"):
+            crf_viterbi(np.zeros((3, 5)), init_crf(3), [2, 2])
+        with pytest.raises(ValueError, match="lengths"):
+            crf_viterbi(np.zeros((3, 2)), init_crf(3), [2, 0])
 
     def test_score_agrees_with_crf_score(self, rng):
         crf = random_crf(rng, 3)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import negscope.layers as layers
 from negscope.models import (
     META_KEYS,
     VARIANTS,
@@ -168,6 +169,35 @@ class TestCheckpoint:
         again, _ = load_checkpoint(path)
         ids = [np.array([1, 7, 3, 2, 2]), np.array([4])]
         assert tagger.predict_tags(ids) == again.predict_tags(ids)
+
+    @pytest.mark.parametrize("task,variant", [("cue", "baseline"), ("cue", "bilstm-crf"),
+                                              ("scope", "bilstm"), ("scope", "bilstm-crf")])
+    def test_loading_draws_no_initial_values(self, tmp_path, monkeypatch, task, variant):
+        tagger = build(TaggerConfig(task, variant, 9, 4, 3), seed=7)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, tagger, vocab_hash="h")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew initial values")
+
+        monkeypatch.setattr(layers, "glorot", refuse)
+        again, _ = load_checkpoint(path)
+        assert list(again.parameters()) == list(tagger.parameters())
+        for name, arr in tagger.parameters().items():
+            assert np.array_equal(again.parameters()[name], arr), name
+
+    def test_missing_or_misshapen_array_is_named(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, build(TaggerConfig("scope", "bilstm", 9, 4, 3)), vocab_hash="h")
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        np.savez(path, **{k: v for k, v in arrays.items() if k != "lstm.b.w_aux"})
+        with pytest.raises(ValueError, match=r"model.npz: parameter set mismatch: \['lstm.b.w_aux'\]"):
+            load_checkpoint(path)
+        np.savez(path, **{**arrays, "lstm.f.w_rec": np.zeros((12, 4))})
+        with pytest.raises(ValueError,
+                           match=r"model.npz: lstm.f.w_rec has shape \(12, 4\), expected \(12, 3\)"):
+            load_checkpoint(path)
 
     def test_format_2_meta_is_pinned(self, tmp_path):
         """The exact __meta__ string, keys in order: format 2 checkpoints

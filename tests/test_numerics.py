@@ -61,6 +61,10 @@ class TestActivations:
         assert not gates.flags.c_contiguous
         assert np.array_equal(sigmoid(gates).view(np.int64),
                               two_branch(gates.copy()).view(np.int64))
+        # ... and writes the result over that slice
+        want = two_branch(gates.copy())
+        assert sigmoid(gates, out=gates) is gates
+        assert np.array_equal(gates.view(np.int64), want.view(np.int64))
 
 
 class TestLogsumexp:
