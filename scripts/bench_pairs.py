@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Run one benchmark workload in alternating parent/change pairs and
+summarise the pairs.
+
+Usage::
+
+    python3 scripts/bench_pairs.py <parent> <change> --workload W \\
+        --seeds 81 82 83 ... --seconds S [--claim METRIC]
+
+<parent> and <change> are two checkouts of this repository. The script
+refuses (exit 2) when their `benchmark/` trees or `BENCHMARK.json` differ,
+because the two sides would then not be measured the same way. It then
+runs one pair per seed, one process at a time: `python3 benchmark/run.py
+--workload W --seed N --seconds S --trace 0` in each checkout, with the
+side that goes first swapped from one pair to the next. It prints each
+run's metrics as it finishes.
+
+At the end it prints, for each end-to-end metric in BENCHMARK.json, the
+median [q1, q3] of each side and the number of pairs the change won; a tie
+or a value missing on either side counts for neither side. Quartiles are
+numpy's linear percentiles. With `--claim METRIC` it also prints whether
+the change won at least nine tenths of all pairs run, and whether the
+medians differ in the change's favour by more than the parent's
+interquartile range. A gain may be claimed only when both hold; the exit
+status is 1 when one fails.
+"""
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def benchmark_differences(parent: Path, change: Path) -> list[str]:
+    """Paths, relative to the checkouts, of the `benchmark/` files and
+    BENCHMARK.json that are missing on either side or differ in bytes."""
+
+    def files(root: Path) -> set[str]:
+        return {path.relative_to(root).as_posix() for path in (root / "benchmark").rglob("*")
+                if path.is_file() and "__pycache__" not in path.parts}
+
+    names = files(parent) | files(change) | {"BENCHMARK.json"}
+    return sorted(name for name in names
+                  if not ((parent / name).is_file() and (change / name).is_file()
+                          and filecmp.cmp(parent / name, change / name, shallow=False)))
+
+
+def read_result(stdout: str) -> dict:
+    """The result line of one `benchmark/run.py` run, its last line, with
+    each metric reduced to its value (None when the run could not take it)."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("the run printed no result line")
+    result = json.loads(lines[-1])
+    result["metrics"] = {name: entry["value"] for name, entry in result["metrics"].items()}
+    return result
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return float(median), float(q1), float(q3)
+
+
+def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]],
+              claim: str | None = None) -> tuple[list[str], bool | None]:
+    """(report lines, whether the claim holds or None without one) over a
+    non-empty list of (parent result, change result) pairs, for the
+    end-to-end `metrics` of BENCHMARK.json (each with `name`, `unit` and
+    `better`)."""
+    lines, verdict = [], None
+    failed = [sum(result["failed"] for result in side) for side in zip(*pairs)]
+    attempted = [sum(result["attempted"] for result in side) for side in zip(*pairs)]
+    lines.append(f"pairs {len(pairs)}; failed units: parent {failed[0]}/{attempted[0]}, "
+                 f"change {failed[1]}/{attempted[1]}")
+    for spec in metrics:
+        name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
+        values = [(p["metrics"].get(name), c["metrics"].get(name)) for p, c in pairs]
+        wins = sum(1 for p, c in values if p is not None and c is not None and sign * (p - c) > 0)
+        sides = [[v for v in side if v is not None] for side in zip(*values)]
+        if not all(sides):
+            lines.append(f"{name}: not measured on both sides")
+            continue
+        (med_p, q1_p, q3_p), (med_c, q1_c, q3_c) = (_quartiles(side) for side in sides)
+        lines.append(f"{name} ({spec['unit']}, {spec['better']} is better): "
+                     f"parent {med_p:.4g} [{q1_p:.4g}, {q3_p:.4g}]  "
+                     f"change {med_c:.4g} [{q1_c:.4g}, {q3_c:.4g}]  "
+                     f"change won {wins}/{len(pairs)}")
+        if name == claim:
+            won = 10 * wins >= 9 * len(pairs)
+            gap, iqr = sign * (med_p - med_c), q3_p - q1_p
+            verdict = won and gap > iqr
+            lines.append(f"claim {name}: won {wins}/{len(pairs)} >= 9/10: "
+                         f"{'yes' if won else 'no'}; median gap {gap:.4g} > parent IQR "
+                         f"{iqr:.4g}: {'yes' if gap > iqr else 'no'}; "
+                         f"{'met' if verdict else 'not met'}")
+    if claim is not None and verdict is None:
+        lines.append(f"claim {claim}: not measured on both sides; not met")
+        verdict = False
+    return lines, verdict
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: benchmark exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    return read_result(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--claim", help="an end-to-end metric the change claims to improve")
+    args = parser.parse_args(argv)
+
+    differ = benchmark_differences(args.parent, args.change)
+    if differ:
+        print(f"error: the checkouts' benchmarks differ: {', '.join(differ)}", file=sys.stderr)
+        return 2
+    metrics = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.claim is not None and args.claim not in {spec["name"] for spec in metrics}:
+        print(f"error: {args.claim} is not an end-to-end metric of BENCHMARK.json",
+              file=sys.stderr)
+        return 2
+
+    pairs = []
+    for i, seed in enumerate(args.seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        results = {}
+        for side in order:
+            try:
+                results[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            except (RuntimeError, ValueError) as exc:
+                print(f"error: pair {i + 1}, seed {seed}, {side}: {exc}", file=sys.stderr)
+                return 2
+            shown = " ".join(f"{k}={v}" for k, v in results[side]["metrics"].items())
+            print(f"pair {i + 1} seed {seed} {side}: failed {results[side]['failed']} {shown}",
+                  flush=True)
+        pairs.append((results["parent"], results["change"]))
+
+    lines, verdict = summarize(metrics, pairs, args.claim)
+    print("\n".join(lines))
+    return 1 if verdict is False else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

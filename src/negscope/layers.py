@@ -106,7 +106,7 @@ def embed_backward(
 #
 # A BiLSTM's two directions share nothing until their states are joined,
 # so they run at once: left to right on the calling thread, right to left
-# on the one worker thread below. numpy releases the interpreter lock in
+# on the worker thread below. numpy releases the interpreter lock in
 # BLAS and in ufunc loops over large arrays, which is where a step spends
 # its time; each BLAS call keeps the thread count its caller set. Each
 # direction writes only its own arrays (the forward's two halves of the
@@ -115,7 +115,11 @@ def embed_backward(
 # Holding both directions' working arrays at once costs about 5 MB more
 # peak memory at d = U = 200 when training; streaming, a direction holds
 # about 2.6 MB at 32 sentences, half of it the w_rec.T copy.
-_RIGHT_TO_LEFT = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bilstm-rtl")
+#
+# The same single worker also runs half of each Adam step (training.py),
+# so it is the package's only extra thread. A task running on it must not
+# call on_two_threads, which would wait on itself.
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="negscope-worker")
 PROJECT_ROWS = 64
 
 
@@ -331,13 +335,13 @@ def packed_steps(lengths: np.ndarray, reverse: bool) -> tuple[np.ndarray, np.nda
     return np.cumsum(lengths)[sentence] - lengths[sentence] + pos, batch_sizes
 
 
-def _both_directions(run, left_to_right: tuple, right_to_left: tuple) -> tuple:
-    """(run(*left_to_right), run(*right_to_left)), the second on the worker
-    thread. The worker is always waited for, so no direction outlives the
-    call, and an exception from either direction propagates."""
-    future = _RIGHT_TO_LEFT.submit(run, *right_to_left)
+def on_two_threads(run, here: tuple, there: tuple) -> tuple:
+    """(run(*here), run(*there)), the second on the worker thread. The
+    worker is always waited for, so no half outlives the call, and an
+    exception from either half propagates."""
+    future = _WORKER.submit(run, *there)
     try:
-        first = run(*left_to_right)
+        first = run(*here)
     finally:
         wait((future,))
     return first, future.result()
@@ -375,8 +379,8 @@ def bilstm_forward(
         states[rows, half] = hidden
         return cache, rows
 
-    caches = _both_directions(direction, (fwd, False, slice(0, units)),
-                              (bwd, True, slice(units, 2 * units)))
+    caches = on_two_threads(direction, (fwd, False, slice(0, units)),
+                            (bwd, True, slice(units, 2 * units)))
     return states, caches if keep_cache else None
 
 
@@ -394,7 +398,7 @@ def bilstm_backward(
         cache, rows = cache_rows
         return lstm_backward(params, cache, d_hidden[rows, half])[:2]
 
-    (g_fwd, dx_fwd), (g_bwd, dx_bwd) = _both_directions(
+    (g_fwd, dx_fwd), (g_bwd, dx_bwd) = on_two_threads(
         direction, (fwd, caches[0], slice(0, units)), (bwd, caches[1], slice(units, 2 * units))
     )
     # summed on this thread after the join: the directions never write one array

@@ -323,7 +323,7 @@ def save_checkpoint(path, tagger: Tagger, vocab_hash: str) -> None:
         "oov_index": OOV_INDEX,
         "vocab_sha256": vocab_hash,
     }
-    arrays = {name: arr.astype(np.float64) for name, arr in tagger.parameters().items()}
+    arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in tagger.parameters().items()}
     np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
@@ -335,6 +335,10 @@ def load_checkpoint(path) -> tuple[Tagger, dict]:
         if meta.get("format") != CHECKPOINT_FORMAT:
             hint = "; it holds per-gate LSTM weights, retrain" if meta.get("format") == 1 else ""
             raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')}{hint}")
+        # the copy is kept on purpose: the arrays np.load read are freed, and
+        # prediction's temporaries reuse their already-faulted pages; with
+        # np.asarray here a `negscope predict` at d = U = 200 took about
+        # 4,500 more page faults and 4% more time
         arrays = {name: np.array(data[name], dtype=np.float64)
                   for name in data.files if name != "__meta__"}
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import ColumnGrad, bilstm_backward, crf_nll_grads, dense_backward, embed_backward
+from .layers import (
+    ColumnGrad, bilstm_backward, crf_nll_grads, dense_backward, embed_backward, on_two_threads,
+)
 from .models import Tagger, named_arrays
 
 log = logging.getLogger("negscope.training")
@@ -131,6 +133,12 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | Colum
     a zero gradient, and the copy is scattered back: the dense update's
     bits, except that a moment of -0.0 outside the columns keeps its sign
     where b1*m + 0.0 would give +0.0.
+
+    The chunks are split by element count between this thread and the
+    layers worker thread. The update is elementwise and no two chunks
+    share an element, so the split does not change a bit. Gathers,
+    scatters and scratch buffers stay on this thread: the worker only
+    runs numpy's in-place loops on views made here.
     """
     work = []
     for name, p in params.items():
@@ -151,16 +159,35 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | Colum
         work.append((arrays, flat, g, cols))
 
     state.step += 1
-    scratch = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
+    tasks, gathered = [], []
     for arrays, flat, g, cols in work:
-        if cols is None:
-            _adam_chunks(*flat, g, state, lr, scratch)
-            continue
-        touched = [np.ascontiguousarray(a.T[cols]) for a in arrays]  # (k, d) each
-        _adam_chunks(*(a.reshape(-1) for a in touched), g, state, lr, scratch)
-        _adam_chunks(*flat, None, state, lr, scratch)
+        if cols is not None:
+            touched = [np.ascontiguousarray(a.T[cols]) for a in arrays]  # (k, d) each
+            gathered.append((arrays, cols, touched))
+            tasks += _chunk_tasks([a.reshape(-1) for a in touched], g)
+            g = None
+        tasks += _chunk_tasks(flat, g)
+    bounds = np.cumsum([0] + [task[0].size for task in tasks])
+    cut = int(np.abs(2 * bounds - bounds[-1]).argmin())
+    on_two_threads(_adam_tasks,
+                   (tasks[:cut], state, lr, (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))),
+                   (tasks[cut:], state, lr, (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))))
+    for arrays, cols, touched in gathered:
         for a, block in zip(arrays, touched):
             a.T[cols] = block
+
+
+def _chunk_tasks(flat, g) -> list[tuple]:
+    """(p, m, v, g) views of one ADAM_CHUNK each over flattened p, m, v and
+    g; g None is the zero gradient."""
+    chunks = [slice(lo, lo + ADAM_CHUNK) for lo in range(0, flat[0].size, ADAM_CHUNK)]
+    return [(*(a[c] for a in flat), None if g is None else g[c]) for c in chunks]
+
+
+def _adam_tasks(tasks, state: AdamState, lr: float, scratch) -> None:
+    """One thread's share of an Adam step: each task's chunk in turn."""
+    for task in tasks:
+        _adam_chunks(*task, state, lr, scratch)
 
 
 def _checked_columns(name: str, p: np.ndarray, grad: ColumnGrad):

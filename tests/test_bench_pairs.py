@@ -1,0 +1,92 @@
+"""scripts/bench_pairs.py on canned result lines and small checkout trees:
+the per-metric medians, quartiles and wins, the claim rule, and the
+refusal to compare checkouts whose benchmarks differ. No benchmark runs."""
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+           {"name": "cue_f1", "unit": "%", "better": "higher", "bound": 0.1}]
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _stdout(wall_s, cue_f1=90.0, failed=0):
+    """A record line, then a result line as benchmark/run.py prints them."""
+    result = {"correct": failed == 0, "attempted": 40, "failed": failed,
+              "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                          "cue_f1": {"value": cue_f1, "unit": "%"}}}
+    return json.dumps({"workload": "train-emb"}) + "\n" + json.dumps(result) + "\n"
+
+
+def _pairs(module, parent_walls, change_walls, **change):
+    return [(module.read_result(_stdout(p)), module.read_result(_stdout(c, **change)))
+            for p, c in zip(parent_walls, change_walls)]
+
+
+def test_claim_met_when_nine_tenths_won_and_the_gap_exceeds_the_parent_iqr():
+    module = _script()
+    parent = [0.240, 0.244, 0.238, 0.250, 0.243, 0.241, 0.246, 0.239, 0.242, 0.245]
+    change = [0.201, 0.199, 0.205, 0.200, 0.250, 0.198, 0.202, 0.203, 0.200, 0.204]
+    lines, verdict = module.summarize(METRICS, _pairs(module, parent, change), claim="wall_s")
+    assert verdict is True
+    assert lines[0] == "pairs 10; failed units: parent 0/400, change 0/400"
+    assert lines[1] == ("wall_s (s, lower is better): parent 0.2425 [0.2402, 0.2447]  "
+                        "change 0.2015 [0.2, 0.2037]  change won 9/10")
+    assert lines[2] == ("claim wall_s: won 9/10 >= 9/10: yes; median gap 0.041 > parent IQR "
+                        "0.0045: yes; met")
+    # equal F1 everywhere: every pair is a tie, which counts for neither side
+    assert lines[3].endswith("change won 0/10")
+
+
+def test_claim_not_met_on_too_few_wins_or_a_gap_inside_the_spread():
+    module = _script()
+    parent = [1.0, 1.1, 0.9, 1.2, 0.8, 1.0, 1.1, 0.9, 1.2, 0.8]
+    lines, verdict = module.summarize(
+        METRICS, _pairs(module, parent, [v - 0.01 for v in parent]), claim="wall_s")
+    assert verdict is False
+    assert lines[2].startswith("claim wall_s: won 10/10 >= 9/10: yes; median gap 0.01 > ")
+    assert lines[2].endswith(": no; not met")
+
+    lines, verdict = module.summarize(
+        METRICS, _pairs(module, [1.0] * 10, [0.5] * 8 + [1.5] * 2), claim="wall_s")
+    assert verdict is False
+    assert "won 8/10 >= 9/10: no" in lines[2]
+
+
+def test_higher_is_better_metrics_and_failed_units():
+    module = _script()
+    pairs = _pairs(module, [1.0, 1.0], [1.0, 1.0], cue_f1=91.0, failed=2)
+    lines, verdict = module.summarize(METRICS, pairs, claim="cue_f1")
+    assert verdict is True
+    assert lines[0] == "pairs 2; failed units: parent 0/80, change 4/80"
+    assert lines[2].endswith("change won 2/2")
+    assert "won 2/2 >= 9/10: yes; median gap 1 > parent IQR 0: yes; met" in lines[3]
+
+
+def test_checkouts_whose_benchmarks_differ_are_named(tmp_path):
+    module = _script()
+    for side in ("parent", "change"):
+        (tmp_path / side / "benchmark" / "__pycache__").mkdir(parents=True)
+        (tmp_path / side / "benchmark" / "run.py").write_text("x = 1\n")
+        (tmp_path / side / "benchmark" / "__pycache__" / "run.pyc").write_bytes(side.encode())
+        (tmp_path / side / "BENCHMARK.json").write_text("{}\n")
+        (tmp_path / side / "README.md").write_text(side)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    assert module.benchmark_differences(parent, change) == []
+
+    (change / "benchmark" / "run.py").write_text("x = 2\n")
+    (change / "benchmark" / "extra.py").write_text("")
+    (parent / "BENCHMARK.json").write_text("{ }\n")
+    assert module.benchmark_differences(parent, change) == [
+        "BENCHMARK.json", "benchmark/extra.py", "benchmark/run.py"]
+    assert module.main([str(parent), str(change), "--workload", "train-emb",
+                        "--seeds", "1", "--seconds", "1"]) == 2

@@ -212,6 +212,18 @@ class TestCheckpoint:
                 '"embeddings_trainable": false, "oov_index": 0, "vocab_sha256": "h"}'
             )
 
+    def test_file_is_byte_identical_to_one_written_from_copies(self, tmp_path):
+        """save_checkpoint hands np.savez the live float64 parameters, not
+        copies of them; the file's bytes must not depend on that."""
+        tagger = build(TaggerConfig("scope", "bilstm-crf", 9, 4, 3), seed=8)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, tagger, vocab_hash="h")
+        with np.load(path) as data:
+            meta = data["__meta__"]
+        np.savez(tmp_path / "copies.npz", __meta__=meta,
+                 **{name: arr.copy() for name, arr in tagger.parameters().items()})
+        assert path.read_bytes() == (tmp_path / "copies.npz").read_bytes()
+
     def test_non_checkpoint_file_is_an_error(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, data=np.zeros(3))

@@ -3,6 +3,9 @@ training loop's determinism and early-stopping contract."""
 from __future__ import annotations
 
 import math
+import threading
+import tracemalloc
+from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from negscope.corpus import build_vocab, encode_instances
 from negscope.layers import ColumnGrad, CrfParams, crf_nll_grads
 from negscope.models import Tagger, TaggerConfig
-from negscope import training
+from negscope import layers, training
 from negscope.numerics import logsumexp
 from negscope.training import (
     AdamState,
@@ -243,6 +246,64 @@ class TestAdam:
             {"emb.E": rng.normal(size=(3, 10)), "b": rng.normal(size=5)}, rng,
             steps=len(sets), columns={"emb.E": sets},
         )
+
+    def test_each_thread_updates_half_the_elements(self, monkeypatch):
+        # parameters of 1, 7, 8 and 20 elements and a (3, 10) column
+        # gradient: every step sends chunks to this thread and the worker,
+        # and each share is within one chunk of half the elements
+        monkeypatch.setattr(training, "ADAM_CHUNK", 7)
+        shares, run_chunks = [], training._adam_chunks
+
+        def recorded(p, m, v, g, state, lr, scratch):
+            shares.append((state.step, threading.get_ident(), p.size))
+            run_chunks(p, m, v, g, state, lr, scratch)
+
+        monkeypatch.setattr(training, "_adam_chunks", recorded)
+        rng = np.random.default_rng(17)
+        params = {f"p{n}": rng.normal(size=n) for n in (1, 7, 8, 20)}
+        params["emb.E"] = rng.normal(size=(3, 10))
+        sets = [[0], [9, 0, 4], list(range(10)), []]
+        assert_adam_is_the_closed_form(params, rng, steps=len(sets), columns={"emb.E": sets})
+        for step, cols in enumerate(sets, start=1):
+            total = 1 + 7 + 8 + 20 + 30 + 3 * len(cols)  # the gathered block, then every chunk
+            per_thread = {}
+            for at, thread, size in shares:
+                if at == step:
+                    per_thread[thread] = per_thread.get(thread, 0) + size
+            assert len(per_thread) == 2 and threading.get_ident() in per_thread
+            assert sum(per_thread.values()) == total
+            assert all(abs(2 * share - total) <= 2 * 7 for share in per_thread.values())
+
+    def test_worker_half_runs_on_scratch_made_by_the_caller(self, monkeypatch):
+        """The worker's half gets its scratch pair and every view from the
+        calling thread and allocates no chunk-sized array itself."""
+
+        class Recorder:
+            def __init__(self):
+                self.calls = []
+
+            def submit(self, run, *args):
+                tracemalloc.start()
+                try:
+                    run(*args)
+                    self.calls.append((args, tracemalloc.get_traced_memory()[1]))
+                finally:
+                    tracemalloc.stop()
+                done = Future()
+                done.set_result(None)
+                return done
+
+        recorder = Recorder()
+        monkeypatch.setattr(layers, "_WORKER", recorder)
+        rng = np.random.default_rng(19)
+        params = {"emb.E": rng.normal(size=(16, 4096)), "b": rng.normal(size=5)}
+        assert_adam_is_the_closed_form(params, rng, steps=2,
+                                       columns={"emb.E": [range(0, 4096, 3), [5]]})
+        assert len(recorder.calls) == 2
+        chunk_bytes = training.ADAM_CHUNK * 8
+        for (tasks, _, _, scratch), peak in recorder.calls:
+            assert tasks and [a.size for a in scratch] == [training.ADAM_CHUNK] * 2
+            assert peak < chunk_bytes // 4
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "transposed", "column-nan",
                                      "column-inf", "column-negative", "column-past-end",
