@@ -21,8 +21,15 @@ or a value missing on either side counts for neither side. Quartiles are
 numpy's linear percentiles. With `--claim METRIC` it also prints whether
 the change won at least nine tenths of all pairs run, and whether the
 medians differ in the change's favour by more than the parent's
-interquartile range. A gain may be claimed only when both hold; the exit
-status is 1 when one fails.
+interquartile range. A gain may be claimed only when both hold.
+
+Every end-to-end metric but the claimed one then gets a regression
+verdict against its BENCHMARK.json `bound`, a share of the parent's
+median: `regression` when the change's median is worse than the parent's
+by more than that share, `unresolved` when the parent's own interquartile
+range is wider than it (the runs cannot tell), unless every change run
+beats every parent run, and `ok` otherwise. The exit status is 1 when the
+claim fails or a metric regresses.
 """
 from __future__ import annotations
 
@@ -61,6 +68,12 @@ def read_result(stdout: str) -> dict:
     return result
 
 
+def _sides(values: list[tuple]) -> list[list[float]]:
+    """[parent values, change values] of (parent, change) pairs, without
+    the Nones of runs that could not take the metric."""
+    return [[v for v in side if v is not None] for side in zip(*values)]
+
+
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return float(median), float(q1), float(q3)
@@ -81,7 +94,7 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]],
         name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
         values = [(p["metrics"].get(name), c["metrics"].get(name)) for p, c in pairs]
         wins = sum(1 for p, c in values if p is not None and c is not None and sign * (p - c) > 0)
-        sides = [[v for v in side if v is not None] for side in zip(*values)]
+        sides = _sides(values)
         if not all(sides):
             lines.append(f"{name}: not measured on both sides")
             continue
@@ -102,6 +115,35 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]],
         lines.append(f"claim {claim}: not measured on both sides; not met")
         verdict = False
     return lines, verdict
+
+
+def regressions(metrics: list[dict], pairs: list[tuple[dict, dict]],
+                claim: str | None = None) -> tuple[list[str], bool]:
+    """(one verdict line per end-to-end metric except `claim`, whether any
+    regressed) over the same pairs as `summarize`; each metric spec also
+    carries its relative `bound`."""
+    lines, regressed = [], False
+    for spec in metrics:
+        name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
+        if name == claim:
+            continue
+        sides = _sides([(p["metrics"].get(name), c["metrics"].get(name)) for p, c in pairs])
+        if not all(sides):
+            lines.append(f"regression {name}: not measured on both sides; unresolved")
+            continue
+        (med_p, q1_p, q3_p), (med_c, _, _) = (_quartiles(side) for side in sides)
+        limit, worse, iqr = spec["bound"] * abs(med_p), sign * med_c - sign * med_p, q3_p - q1_p
+        if max(sign * v for v in sides[1]) < min(sign * v for v in sides[0]):
+            state = "ok, every change run beats every parent run"
+        elif iqr > limit:
+            state = "unresolved, the parent's IQR exceeds the limit"
+        elif worse > limit:
+            state, regressed = "regression", True
+        else:
+            state = "ok"
+        lines.append(f"regression {name}: change worse by {worse:.4g}, limit {limit:.4g} "
+                     f"({spec['bound']:g} x parent median), parent IQR {iqr:.4g}: {state}")
+    return lines, regressed
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -152,8 +194,9 @@ def main(argv=None) -> int:
         pairs.append((results["parent"], results["change"]))
 
     lines, verdict = summarize(metrics, pairs, args.claim)
-    print("\n".join(lines))
-    return 1 if verdict is False else 0
+    verdicts, regressed = regressions(metrics, pairs, args.claim)
+    print("\n".join(lines + verdicts))
+    return 1 if verdict is False or regressed else 0
 
 
 if __name__ == "__main__":

@@ -91,18 +91,25 @@ def embed_backward(
 # from the zero state, so it runs no recurrent product forward and sends
 # no gradient to a step before it backward.
 #
-# Training keeps every step's gates, cell and hidden rows for the backward
-# pass, and projects all T input rows in one product. Prediction streams
-# instead (lstm_forward with out=): it projects blocks of whole steps,
-# about PROJECT_ROWS rows each, runs the steps in (b_0, .) buffers and
-# writes each step's h to its rows of out, so its working memory does not
-# grow with T. Each block is all T rows or at least PROJECT_ROWS / 2 of
-# them, because OpenBLAS rounds small products differently: a row of a
-# block product matched that row of the whole-T product bit for bit once
-# the block had more than about 1,200 outputs (rows x 4U) or d < 32, and
-# not below (up to 4 rows at 4U = 256, 6 at 4U = 200, 1 at 4U = 800).
-# From 32 rows that holds for every 4U >= 40, so both modes give the same
-# states.
+# The input projection x @ w_in.T + b is computed once per key, not per
+# row: `keys` (T,) says which rows hold equal inputs (the tagger passes
+# token ids, whose embeddings are equal), and by default every row is its
+# own key. A block of whole steps projects its distinct keys into a table,
+# and each step gathers its rows from it. Training keeps every step's
+# gates, cell and hidden rows for the backward pass and gathers one
+# whole-T table straight into the gates. Prediction streams instead
+# (lstm_forward with out=): a block ends at the last step whose distinct
+# keys still fit a table of max(PROJECT_ROWS, b_0) rows, the steps run in
+# (b_0, .) buffers, and each step's h goes to its rows of out, so the
+# working memory grows neither with T nor with how often keys repeat.
+# Every table product spans at least min(T, EXACT_ROWS) rows, topped up
+# with any input rows, because OpenBLAS rounds small products
+# differently: a row of a small product matched that row of the whole-T
+# product bit for bit once the product had more than about 1,200 outputs
+# (rows x 4U) or d < 32, and not below (up to 4 rows at 4U = 256, 6 at
+# 4U = 200, 1 at 4U = 800). From EXACT_ROWS rows that holds for every
+# 4U >= 40 (pinned by a test), so every table row, in either mode, has
+# the bits of its row in one product over all T input rows.
 #
 # A BiLSTM's two directions share nothing until their states are joined,
 # so they run at once: left to right on the calling thread, right to left
@@ -114,13 +121,15 @@ def embed_backward(
 # finish, so every result is bitwise the one a sequential run gives.
 # Holding both directions' working arrays at once costs about 5 MB more
 # peak memory at d = U = 200 when training; streaming, a direction holds
-# about 2.6 MB at 32 sentences, half of it the w_rec.T copy.
+# about 3.7 MB at 64 sentences, 1.3 MB of it the w_rec.T copy and 0.6 MB
+# the projection table.
 #
 # The same single worker also runs half of each Adam step (training.py),
 # so it is the package's only extra thread. A task running on it must not
 # call on_two_threads, which would wait on itself.
 _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="negscope-worker")
-PROJECT_ROWS = 64
+PROJECT_ROWS = 96
+EXACT_ROWS = 32
 
 
 @dataclass
@@ -178,15 +187,17 @@ class LstmCache:
 
 def lstm_forward(
     params: LstmParams, inputs: np.ndarray, aux: np.ndarray | None, batch_sizes,
-    rows=None, out: np.ndarray | None = None,
+    rows=None, out: np.ndarray | None = None, keys=None,
 ) -> tuple[np.ndarray, LstmCache | None]:
     """Inputs (T, d) [, aux (T,)] -> (hidden (T, U), cache).
 
-    Step-major row r reads inputs[rows[r]] and aux[rows[r]]; without rows
-    the inputs are already step-major. State starts at zero for every
-    sentence, and step k is one (b_k, U) @ (U, 4U) product over its
-    b_k = batch_sizes[k] rows. Aux inputs must be supplied iff the params
-    carry aux weights.
+    Step-major row r reads inputs[rows[r]], aux[rows[r]] and keys[rows[r]];
+    without rows the inputs are already step-major. State starts at zero
+    for every sentence, and step k is one (b_k, U) @ (U, 4U) product over
+    its b_k = batch_sizes[k] rows. Aux inputs must be supplied iff the
+    params carry aux weights. Rows with equal keys (T,) must hold equal
+    inputs; their projection is computed once. Without keys every row is
+    its own key.
 
     Without `out`, the hidden rows come back step-major along with the
     cache lstm_backward reads. Given out (T, U), row r's hidden state is
@@ -212,20 +223,27 @@ def lstm_forward(
         raise ValueError(f"rows shape {np.shape(rows)} != input rows {(total,)}")
     if out is not None and out.shape != (total, units):
         raise ValueError(f"expected out {(total, units)}, got {out.shape}")
+    keys = np.arange(total) if keys is None else np.asarray(keys)
+    if keys.shape != (total,):
+        raise ValueError(f"keys shape {keys.shape} != input rows {(total,)}")
 
     keep = out is None
-    if keep:
-        if rows is not None:
+    if rows is not None:
+        keys = keys[rows]
+        if keep:
             x, q = x[rows], None if q is None else q[rows]
             rows = None
+    if keep:
         cell, hidden = np.empty((total, units)), np.empty((total, units))
-        block = total
+        gates = np.empty((total, 4 * units))
     else:
-        block = max(PROJECT_ROWS, sizes[0])
-    # x @ w_in.T + b for one block of whole steps at a time; each step then
-    # adds its cue-bit and recurrent terms, in that order, and overwrites
-    # its rows with the activations (sigmoid of i, f, o and tanh of g)
-    gates = np.empty((min(total, block + PROJECT_ROWS // 2), 4 * units))
+        table = np.empty((max(PROJECT_ROWS, sizes[0]), 4 * units))
+        gathered = np.empty((sizes[0], 4 * units))
+        seen = _previous_occurrence(keys)
+    # x @ w_in.T + b for each distinct key of a block of whole steps; each
+    # step gathers its rows, adds its cue-bit and recurrent terms, in that
+    # order, and overwrites them with the activations (sigmoid of i, f, o
+    # and tanh of g)
     aux_row = None if q is None else params.w_aux.sum(axis=1)
     w_rec_t = np.ascontiguousarray(params.w_rec.T)
     rec = np.empty((sizes[0], 4 * units))
@@ -236,16 +254,24 @@ def lstm_forward(
     lo = hi = 0
     for start, size in zip(ends - sizes, sizes):
         if start == hi:
-            # whole steps up to `block` rows, and the rest too once fewer
-            # than PROJECT_ROWS / 2 rows would be left
-            lo, hi = start, ends[np.searchsorted(ends, start + block, side="right") - 1]
-            if total - hi < PROJECT_ROWS // 2:
+            lo = start
+            if keep:
                 hi = total
-            z = np.matmul(x[lo:hi] if rows is None else x[rows[lo:hi]], params.w_in.T,
-                          out=gates[:hi - lo])
-            z += params.b
+            else:
+                # a row is new to [lo, e) iff its key last occurred before lo;
+                # end at the last step whose new rows still fit the table
+                fresh = np.cumsum(seen[lo:] < lo)
+                later = ends[np.searchsorted(ends, lo, side="right"):]
+                hi = later[np.searchsorted(fresh[later - lo - 1], len(table), side="right") - 1]
+            _, first, slot = np.unique(keys[lo:hi], return_index=True, return_inverse=True)
+            src = first + lo if rows is None else rows[first + lo]
+            src = np.concatenate([src, np.arange(min(total, EXACT_ROWS) - len(src))])
+            proj = np.matmul(x[src], params.w_in.T, out=None if keep else table[:len(src)])
+            proj += params.b
         step = slice(start, start + size)
-        z, t = gates[start - lo:start - lo + size], tmp[:size]
+        z = np.take(proj, slot[start - lo:start - lo + size], axis=0,
+                    out=gates[step] if keep else gathered[:size])
+        t = tmp[:size]
         if q is not None:  # rec's rows hold the product until the recurrent term
             qk = q[step] if rows is None else q[rows[step]]
             z += np.multiply(qk[:, None], aux_row, out=rec[:size])
@@ -335,6 +361,15 @@ def packed_steps(lengths: np.ndarray, reverse: bool) -> tuple[np.ndarray, np.nda
     return np.cumsum(lengths)[sentence] - lengths[sentence] + pos, batch_sizes
 
 
+def _previous_occurrence(keys: np.ndarray) -> np.ndarray:
+    """(T,): for each row, the last earlier row with its key, or -1."""
+    order = np.argsort(keys, kind="stable")
+    repeat = keys[order[1:]] == keys[order[:-1]]
+    prev = np.full(len(keys), -1)
+    prev[order[1:][repeat]] = order[:-1][repeat]
+    return prev
+
+
 def on_two_threads(run, here: tuple, there: tuple) -> tuple:
     """(run(*here), run(*there)), the second on the worker thread. The
     worker is always waited for, so no half outlives the call, and an
@@ -354,15 +389,18 @@ def bilstm_forward(
     aux: np.ndarray | None,
     lengths,
     keep_cache: bool = True,
+    keys=None,
 ) -> tuple[np.ndarray, tuple | None]:
     """Packed inputs (T, d) [+ aux (T,)] -> states (T, 2U): the sentences
     of the given lengths lie one after another, and each row holds its
-    token's left-to-right then right-to-left state.
+    token's left-to-right then right-to-left state. Rows with equal keys
+    (T,) hold equal inputs (lstm_forward).
 
     The cache is (LstmCache, rows) per direction. keep_cache=False, for
     callers with no backward, streams each direction straight into the
-    states: its working memory is a few step-sized buffers, and beyond the
-    states nothing grows with T but the packed row order."""
+    states: its working memory is a few step-sized buffers and a table of
+    PROJECT_ROWS projected keys, and beyond the states nothing grows with
+    T but the packed row order and its keys."""
     x = np.asarray(inputs, dtype=np.float64)
     lengths = np.array(lengths, dtype=np.int64)
     if lengths.sum() != len(x) or (lengths < 1).any():
@@ -373,9 +411,9 @@ def bilstm_forward(
     def direction(params, reverse, half):
         rows, batch_sizes = packed_steps(lengths, reverse)
         if not keep_cache:
-            lstm_forward(params, x, aux, batch_sizes, rows, out=states[:, half])
+            lstm_forward(params, x, aux, batch_sizes, rows, out=states[:, half], keys=keys)
             return None
-        hidden, cache = lstm_forward(params, x, aux, batch_sizes, rows)
+        hidden, cache = lstm_forward(params, x, aux, batch_sizes, rows, keys=keys)
         states[rows, half] = hidden
         return cache, rows
 

@@ -39,10 +39,11 @@ CHECKPOINT_FORMAT = 2
 # bounds on a prediction chunk: sentences x longest length, and sentences.
 # Nothing is padded, and the streamed BiLSTM (bilstm_forward with
 # keep_cache=False) keeps no per-token working array, so a chunk holds its
-# (T, d) inputs and (T, 2U) states plus step buffers sized by its sentence
-# count: at d = U = 200, about 10 MB for a full chunk.
+# (T, d) inputs and (T, 2U) states plus, per direction, step buffers sized
+# by its sentence count and a fixed projection table: at d = U = 200 a
+# full chunk of 64 sentences takes about 12 MB (10 MB at 32 sentences).
 PREDICT_TOKEN_BUDGET = 1024
-PREDICT_MAX_SENTENCES = 32
+PREDICT_MAX_SENTENCES = 64
 
 VARIANTS = {
     "cue": {
@@ -241,7 +242,7 @@ class Tagger:
         embedded = embed(self.embedding, ids)
         if self.config.use_lstm:
             states, lstm_cache = bilstm_forward(
-                self.lstm_fwd, self.lstm_bwd, embedded, aux, lengths, keep_cache
+                self.lstm_fwd, self.lstm_bwd, embedded, aux, lengths, keep_cache, keys=ids
             )
         else:
             states, lstm_cache = embedded, None

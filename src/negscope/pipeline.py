@@ -429,26 +429,29 @@ def predict_cues(tagger: Tagger, data) -> list[list[str]]:
     return tagger.predict_tags([inst.token_ids for inst in data])
 
 
-def predict_scopes(tagger: Tagger, token_ids, cue_tags, smooth: bool) -> list[list[str]]:
+def predict_scopes(tagger: Tagger, token_ids, cue_tags) -> list[list[str]]:
     """Scope tags per sentence given its cue tags, in one batched call. A
-    sentence without a cue gets an all-O row and no scope-model input.
-    Smoothing needs at least one cue bit, which that guarantees."""
+    sentence without a cue gets an all-O row and no scope-model input."""
     bits = [np.array(cue_vector(tags), dtype=np.int64) for tags in cue_tags]
     out = [["O"] * len(ids) for ids in token_ids]
     todo = [i for i, b in enumerate(bits) if b.any()]
     tagged = tagger.predict_tags([token_ids[i] for i in todo], [bits[i] for i in todo])
     for i, tags in zip(todo, tagged):
-        out[i] = postprocess(tags, bits[i]) if smooth else tags
+        out[i] = tags
     return out
 
 
-def score_scopes(out: Path, stem: str, tagger: Tagger, data, cue_rows, smooth: bool,
-                 gold_path) -> ScopeReport:
-    """Tag the scopes of encoded instances under the given cue rows, then
-    write and score them (`write_and_score`)."""
-    scope_rows = predict_scopes(tagger, [inst.token_ids for inst in data], cue_rows, smooth)
-    blocks = column_blocks(data, cue_rows, scope_rows)
-    return write_and_score(out, stem, blocks, gold_path).scope
+def smooth_scopes(scope_rows, cue_tags) -> list[list[str]]:
+    """predict_scopes' rows with every row that has a cue smoothed
+    (`labeling.postprocess`); the all-O rows of cue-less sentences stay."""
+    bits = [cue_vector(tags) for tags in cue_tags]
+    return [postprocess(tags, b) if any(b) else tags for tags, b in zip(scope_rows, bits)]
+
+
+def score_scopes(out: Path, stem: str, data, cue_rows, scope_rows, gold_path) -> ScopeReport:
+    """Write the scope rows of encoded instances under the given cue rows,
+    then score them (`write_and_score`)."""
+    return write_and_score(out, stem, column_blocks(data, cue_rows, scope_rows), gold_path).scope
 
 
 def run_cue_stage(config: ExperimentConfig, corpus: LoadedCorpus, out: Path,
@@ -539,8 +542,10 @@ def cmd_train_scope(args) -> int:
                 emit(f"pred_cues id={inst.source_id} "
                      f"bits={''.join(str(b) for b in cue_vector(ctags))}")
         gold_path = write_gold(out / f"scope_{name}_gold.col", subset, with_scope=True)
-        scope = score_scopes(out, f"scope_{name}", tagger, subset, cue_rows,
-                             smooth_predictions(variant), gold_path)
+        scope_rows = predict_scopes(tagger, [inst.token_ids for inst in subset], cue_rows)
+        if smooth_predictions(variant):
+            scope_rows = smooth_scopes(scope_rows, cue_rows)
+        scope = score_scopes(out, f"scope_{name}", subset, cue_rows, scope_rows, gold_path)
         emit(" ".join(headline_items(f"scope.{name}", scope)))
     emit.write(out / "run.log")
     return 0
@@ -573,16 +578,20 @@ def cmd_experiment(args) -> int:
     # condition; the rest (fp under gold, fn under pred) get all O
     cue_rows = {"gold": [inst.cue_tags for inst in data],
                 "pred": [pred_tags[i] for i in test_indices]}
+    # one prediction pass per base model and condition; -post smooths its base's rows
+    ids = [inst.token_ids for inst in data]
+    scope_rows = {(base, condition): predict_scopes(model, ids, rows)
+                  for base, model in scope_models.items() for condition, rows in cue_rows.items()}
 
     table_rows = []
     for variant in config.scope_variants:
-        base = scope_base(variant)
         scores = {}
         for condition in ("gold", "pred"):
-            scope = score_scopes(
-                out, f"scope_{variant}_{condition}cue", scope_models[base], data,
-                cue_rows[condition], smooth_predictions(variant), gold_path,
-            )
+            rows = scope_rows[scope_base(variant), condition]
+            if smooth_predictions(variant):
+                rows = smooth_scopes(rows, cue_rows[condition])
+            scope = score_scopes(out, f"scope_{variant}_{condition}cue", data,
+                                 cue_rows[condition], rows, gold_path)
             summary += headline_items(f"scope.{variant}.{condition}cue", scope)
             scores[condition] = scope.headline()
         gold, pred = scores["gold"], scores["pred"]
@@ -664,8 +673,9 @@ def cmd_predict(args) -> int:
         cue_rows = cue_tagger.predict_tags(ids)
     scope_rows = None
     if scope_tagger is not None:
-        smooth = args.postprocess or smooth_predictions(scope_tagger.config.variant)
-        scope_rows = predict_scopes(scope_tagger, ids, cue_rows, smooth)
+        scope_rows = predict_scopes(scope_tagger, ids, cue_rows)
+        if args.postprocess or smooth_predictions(scope_tagger.config.variant):
+            scope_rows = smooth_scopes(scope_rows, cue_rows)
 
     text = format_column_blocks(column_blocks(blocks, cue_rows, scope_rows))
     if args.output:

@@ -90,3 +90,57 @@ def test_checkouts_whose_benchmarks_differ_are_named(tmp_path):
         "BENCHMARK.json", "benchmark/extra.py", "benchmark/run.py"]
     assert module.main([str(parent), str(change), "--workload", "train-emb",
                         "--seeds", "1", "--seconds", "1"]) == 2
+
+
+def _verdicts(module, parent_walls, change_walls, claim=None, **change):
+    return module.regressions(METRICS, _pairs(module, parent_walls, change_walls, **change),
+                              claim)
+
+
+def test_a_median_worse_by_more_than_the_bound_is_a_regression():
+    module = _script()
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00]
+    lines, regressed = _verdicts(module, parent, [v + 0.30 for v in parent])
+    assert regressed is True
+    assert lines[0] == ("regression wall_s: change worse by 0.3, limit 0.25 "
+                        "(0.25 x parent median), parent IQR 0.015: regression")
+    assert lines[1].endswith("cue_f1: change worse by 0, limit 9 (0.1 x parent median), "
+                             "parent IQR 0: ok")
+
+    lines, regressed = _verdicts(module, parent, [v + 0.20 for v in parent])
+    assert regressed is False
+    assert lines[0].endswith(": ok")
+
+
+def test_a_higher_is_better_metric_regresses_downwards_and_the_claim_is_skipped():
+    module = _script()
+    lines, regressed = _verdicts(module, [1.0] * 4, [0.5] * 4, claim="wall_s", cue_f1=80.0)
+    assert regressed is True
+    assert lines == ["regression cue_f1: change worse by 10, limit 9 (0.1 x parent median), "
+                     "parent IQR 0: regression"]
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved_unless_every_run_wins():
+    module = _script()
+    parent = [0.6, 1.4, 0.6, 1.4]  # IQR 0.8 > 0.25 x median 1.0
+    lines, regressed = _verdicts(module, parent, [1.5] * 4)
+    assert regressed is False
+    assert lines[0].endswith("parent IQR 0.8: unresolved, the parent's IQR exceeds the limit")
+    lines, regressed = _verdicts(module, parent, [0.5] * 4)
+    assert regressed is False
+    assert lines[0].endswith(": ok, every change run beats every parent run")
+
+
+def test_main_exits_one_on_a_regression_without_running_a_benchmark(tmp_path, monkeypatch):
+    module = _script()
+    for side in ("parent", "change"):
+        (tmp_path / side / "benchmark").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    walls = {"parent": 1.0, "change": 1.5}
+    monkeypatch.setattr(module, "run_once", lambda checkout, workload, seed, seconds:
+                        module.read_result(_stdout(walls[checkout.name])))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "train-emb",
+            "--seeds", "1", "2", "--seconds", "1"]
+    assert module.main(argv) == 1
+    walls["change"] = 1.1
+    assert module.main(argv) == 0

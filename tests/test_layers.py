@@ -21,6 +21,8 @@ from helpers import (
     scalar_lstm_step,
 )
 from negscope.layers import (
+    EXACT_ROWS,
+    PROJECT_ROWS,
     CrfParams,
     DenseParams,
     EmbeddingParams,
@@ -189,6 +191,17 @@ class TestLstmForward:
             lstm_forward(double, x, np.zeros((3, 1)), sizes)
         with pytest.raises(ValueError):
             lstm_forward(single, np.zeros((3, 1, 2)), None, sizes)
+
+    @pytest.mark.parametrize("keys", [np.zeros(4), np.zeros(2), np.zeros((3, 1)), np.int64(0)])
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_keys_must_be_one_per_input_row(self, rng, keys, stream):
+        params = init_lstm(2, 2, rng)
+        out = np.empty((3, 2)) if stream else None
+        with pytest.raises(ValueError, match="keys shape"):
+            lstm_forward(params, np.zeros((3, 2)), None, [1, 1, 1], out=out, keys=keys)
+        with pytest.raises(ValueError, match="keys shape"):
+            bilstm_forward(params, params, np.zeros((3, 2)), None, [3],
+                           keep_cache=not stream, keys=keys)
 
     @pytest.mark.parametrize("sizes", [
         [1, 2], [2, 0, 1], [1, 1], [2, 1, 1], [], [[3]], [1.0, 1.0, 1.0], [-1, 4],
@@ -406,18 +419,22 @@ class TestStreamingForwardMemory:
 
     DIM = UNITS = 32
 
-    @pytest.mark.parametrize("two_input", [False, True])
-    def test_peak_grows_by_less_than_states_and_inputs(self, rng, two_input):
+    def _growth_within_bound(self, rng, two_input, keys):
         fwd = init_lstm(self.UNITS, self.DIM, rng, two_input=two_input)
         bwd = init_lstm(self.UNITS, self.DIM, rng, two_input=two_input)
 
         def traced_peak(length):
             lengths = [length] * 8
-            x = rng.normal(size=(sum(lengths), self.DIM))
+            total = sum(lengths)
+            ids = {None: None, "repeated": rng.integers(50, size=total),
+                   "distinct": np.arange(total)}[keys]
+            x = rng.normal(size=(total, self.DIM))
+            if ids is not None:
+                x = x[ids]
             aux = rng.integers(0, 2, size=len(x)).astype(np.float64) if two_input else None
             tracemalloc.start()
             try:
-                bilstm_forward(fwd, bwd, x, aux, lengths, keep_cache=False)
+                bilstm_forward(fwd, bwd, x, aux, lengths, keep_cache=False, keys=ids)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -426,6 +443,63 @@ class TestStreamingForwardMemory:
         growth = traced_peak(long) - traced_peak(short)
         row_bytes = (2 * self.UNITS + self.DIM) * 8
         assert growth < 8 * (long - short) * row_bytes
+
+    @pytest.mark.parametrize("two_input", [False, True])
+    def test_peak_grows_by_less_than_states_and_inputs(self, rng, two_input):
+        self._growth_within_bound(rng, two_input, keys=None)
+
+    @pytest.mark.parametrize("keys", ["repeated", "distinct"])
+    @pytest.mark.parametrize("two_input", [False, True])
+    def test_peak_with_keys_grows_by_less_than_states_and_inputs(self, rng, two_input, keys):
+        """Whatever the keys, the projection table has a fixed row count."""
+        self._growth_within_bound(rng, two_input, keys)
+
+
+class TestProjectionTable:
+    """The input projection is computed once per distinct key. At
+    d = U = 200, where OpenBLAS rounds a product's rows differently by its
+    shape, the states with repeated keys must be bitwise those without
+    keys, in both modes and for the two-input cell."""
+
+    DIM = UNITS = 200
+
+    @pytest.mark.parametrize("dim, gates", [(200, 40), (200, 200), (200, 800)])
+    def test_a_row_of_an_exact_rows_product_is_that_row_of_a_large_one(self, rng, dim, gates):
+        """The OpenBLAS rule the table relies on: from EXACT_ROWS rows up,
+        a product's row does not depend on the other rows or their count.
+        A BLAS that breaks it fails here instead of moving outputs."""
+        x = rng.normal(size=(1000, dim))
+        w_t = rng.normal(size=(gates, dim)).T
+        full = x @ w_t
+        for m in (EXACT_ROWS, EXACT_ROWS + 1, 3 * EXACT_ROWS):
+            for _ in range(5):
+                pick = rng.choice(len(x), size=m, replace=False)
+                assert np.array_equal(x[pick] @ w_t, full[pick]), m
+
+    @pytest.mark.parametrize("lengths, vocab", [
+        ([7, 3, 12, 1, 5], 6),  # ragged, T = 28 < EXACT_ROWS
+        ([23, 5, 31, 1, 17, 31, 9], 20),  # T >= EXACT_ROWS, under EXACT_ROWS distinct keys
+        ([40, 12, 30], 1),  # every key equal
+        ([30, 2, 25, 14, 9, 30, 21, 7, 18, 26] * 4, 600),  # over PROJECT_ROWS distinct keys
+    ])
+    @pytest.mark.parametrize("two_input", [False, True])
+    def test_repeated_keys_are_bitwise_keys_none(self, rng, lengths, vocab, two_input):
+        params = init_lstm(self.UNITS, self.DIM, rng, two_input=two_input)
+        total = sum(lengths)
+        keys = rng.integers(vocab, size=total)
+        x = rng.normal(size=(vocab, self.DIM))[keys]
+        aux = rng.integers(0, 2, size=total).astype(np.float64) if two_input else None
+        if vocab > PROJECT_ROWS:  # the streamed chunk needs two tables or more
+            assert len(set(keys.tolist())) > PROJECT_ROWS >= len(lengths)
+        for reverse in (False, True):
+            rows, sizes = packed_steps(np.array(lengths), reverse)
+            want, _ = lstm_forward(params, x[rows], None if aux is None else aux[rows], sizes)
+            got, _ = lstm_forward(params, x, aux, sizes, rows, keys=keys)
+            assert np.array_equal(got, want)
+            for k in (keys, None):
+                out = lstm_forward(params, x, aux, sizes, rows, out=np.empty((total, self.UNITS)),
+                                   keys=k)[0]
+                assert np.array_equal(out[rows], want)
 
 
 def sequential_bilstm(fwd, bwd, x, aux, lengths, d_states):

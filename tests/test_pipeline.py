@@ -32,7 +32,9 @@ from negscope.pipeline import (
     evaluate_files,
     main,
     parse_config_file,
+    predict_scopes,
     resolve_config,
+    smooth_scopes,
 )
 from negscope.models import check_variant, scope_base
 from helpers import synthetic_instances, tag_rows
@@ -323,6 +325,32 @@ class TestExperiment:
         counts = assert_scope_test_set_recounts(out)
         assert all(counts.values()), counts
 
+
+    def test_each_base_model_predicts_each_cue_condition_once(self, experiment_run, tmp_path,
+                                                              monkeypatch):
+        """bilstm-post smooths the bilstm model's rows instead of running
+        the model again, and the run's artifacts do not change."""
+        calls = []
+
+        def counted(tagger, token_ids, cue_tags):
+            calls.append(tagger.config.variant)
+            return predict_scopes(tagger, token_ids, cue_tags)
+
+        monkeypatch.setattr(pipeline, "predict_scopes", counted)
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(experiment_run.config),
+                     "--out", str(out)]) == 0
+        assert calls == ["bilstm", "bilstm"]
+        for condition in ("gold", "pred"):
+            base = read_tag_blocks(out / f"scope_bilstm_{condition}cue_pred.col")
+            post = read_tag_blocks(out / f"scope_bilstm-post_{condition}cue_pred.col")
+            cues = [b.cue_tags for b in base]
+            assert [b.cue_tags for b in post] == cues
+            smoothed = smooth_scopes([list(b.scope_tags) for b in base], cues)
+            assert [list(b.scope_tags) for b in post] == smoothed
+        for path in sorted(experiment_run.out.iterdir()):
+            if path.name != "config.txt":
+                assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_comparison_table_has_a_row_per_variant(self, experiment_run):
         lines = (experiment_run.out / "comparison.tsv").read_text().splitlines()
