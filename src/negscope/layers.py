@@ -3,8 +3,10 @@
 Shapes: a batch of sentences, T tokens in all, flows through packed, one
 sentence after another:
     token ids (T,) -> embedded (T, d) -> BiLSTM (T, 2U) -> scores (L, T)
-and each sentence's score columns feed either a per-token softmax or a
-linear-chain CRF. The LSTM reorders the rows step-major and pads nothing.
+and the score columns feed either a per-token softmax or a linear-chain
+CRF. The LSTM and every CRF pass (marginals, NLL, Viterbi) take the
+sentence lengths and run step-major over packed_steps' layout, padding
+nothing; each sentence's result is bitwise the one it gives alone.
 Gradients mirror each forward exactly; nothing here depends on autodiff.
 """
 from __future__ import annotations
@@ -187,17 +189,17 @@ class LstmCache:
 
 def lstm_forward(
     params: LstmParams, inputs: np.ndarray, aux: np.ndarray | None, batch_sizes,
-    rows=None, out: np.ndarray | None = None, keys=None,
+    rows, out: np.ndarray | None = None, keys=None,
 ) -> tuple[np.ndarray, LstmCache | None]:
     """Inputs (T, d) [, aux (T,)] -> (hidden (T, U), cache).
 
-    Step-major row r reads inputs[rows[r]], aux[rows[r]] and keys[rows[r]];
-    without rows the inputs are already step-major. State starts at zero
-    for every sentence, and step k is one (b_k, U) @ (U, 4U) product over
-    its b_k = batch_sizes[k] rows. Aux inputs must be supplied iff the
-    params carry aux weights. Rows with equal keys (T,) must hold equal
-    inputs; their projection is computed once. Without keys every row is
-    its own key.
+    Step-major row r reads inputs[rows[r]], aux[rows[r]] and keys[rows[r]]
+    (packed_steps gives the rows). State starts at zero for every
+    sentence, and step k is one (b_k, U) @ (U, 4U) product over its
+    b_k = batch_sizes[k] rows. Aux inputs must be supplied iff the params
+    carry aux weights. Rows with equal keys (T,) must hold equal inputs;
+    their projection is computed once. Without keys every row is its own
+    key.
 
     Without `out`, the hidden rows come back step-major along with the
     cache lstm_backward reads. Given out (T, U), row r's hidden state is
@@ -219,7 +221,7 @@ def lstm_forward(
     if (sizes.ndim != 1 or not len(sizes) or sizes.dtype.kind not in "iu"
             or sizes.min() < 1 or (np.diff(sizes) > 0).any() or sizes.sum() != total):
         raise ValueError(f"batch_sizes {sizes.tolist()} not >= 1, non-increasing, sum {total}")
-    if rows is not None and np.shape(rows) != (total,):
+    if np.shape(rows) != (total,):
         raise ValueError(f"rows shape {np.shape(rows)} != input rows {(total,)}")
     if out is not None and out.shape != (total, units):
         raise ValueError(f"expected out {(total, units)}, got {out.shape}")
@@ -228,11 +230,7 @@ def lstm_forward(
         raise ValueError(f"keys shape {keys.shape} != input rows {(total,)}")
 
     keep = out is None
-    if rows is not None:
-        keys = keys[rows]
-        if keep:
-            x, q = x[rows], None if q is None else q[rows]
-            rows = None
+    keys, q = keys[rows], None if q is None else q[rows]
     if keep:
         cell, hidden = np.empty((total, units)), np.empty((total, units))
         gates = np.empty((total, 4 * units))
@@ -264,8 +262,7 @@ def lstm_forward(
                 later = ends[np.searchsorted(ends, lo, side="right"):]
                 hi = later[np.searchsorted(fresh[later - lo - 1], len(table), side="right") - 1]
             _, first, slot = np.unique(keys[lo:hi], return_index=True, return_inverse=True)
-            src = first + lo if rows is None else rows[first + lo]
-            src = np.concatenate([src, np.arange(min(total, EXACT_ROWS) - len(src))])
+            src = np.concatenate([rows[first + lo], np.arange(min(total, EXACT_ROWS) - len(first))])
             proj = np.matmul(x[src], params.w_in.T, out=None if keep else table[:len(src)])
             proj += params.b
         step = slice(start, start + size)
@@ -273,8 +270,7 @@ def lstm_forward(
                     out=gates[step] if keep else gathered[:size])
         t = tmp[:size]
         if q is not None:  # rec's rows hold the product until the recurrent term
-            qk = q[step] if rows is None else q[rows[step]]
-            z += np.multiply(qk[:, None], aux_row, out=rec[:size])
+            z += np.multiply(q[step, None], aux_row, out=rec[:size])
         if start:
             z += np.matmul(h[:size], w_rec_t, out=rec[:size])
         sigmoid(z[:, :u3], out=z[:, :u3])
@@ -287,11 +283,11 @@ def lstm_forward(
         c += np.multiply(z[:, :units], z[:, u3:], out=t)
         np.multiply(z[:, u2:u3], np.tanh(c, out=t), out=h)
         if not keep:
-            out[step if rows is None else rows[step]] = h
+            out[rows[step]] = h
 
     if not keep:
         return out, None
-    return hidden, LstmCache(x, q, gates, cell, hidden, sizes)
+    return hidden, LstmCache(x[rows], q, gates, cell, hidden, sizes)
 
 
 def lstm_backward(
@@ -402,9 +398,7 @@ def bilstm_forward(
     PROJECT_ROWS projected keys, and beyond the states nothing grows with
     T but the packed row order and its keys."""
     x = np.asarray(inputs, dtype=np.float64)
-    lengths = np.array(lengths, dtype=np.int64)
-    if lengths.sum() != len(x) or (lengths < 1).any():
-        raise ValueError(f"lengths {lengths.tolist()} do not split {len(x)} rows")
+    lengths = _split_lengths(lengths, len(x), "rows")
     units = fwd.units
     states = np.empty((len(x), 2 * units))
 
@@ -533,49 +527,52 @@ def crf_score(emissions: np.ndarray, crf: CrfParams, labels) -> float:
     return float(score)
 
 
-def _forward_lattice(e: np.ndarray, crf: CrfParams) -> np.ndarray:
-    """alpha (n, L): alpha[k, j] = log sum of path scores ending at label j,
-    position k (end transition not yet applied)."""
-    num_labels, n = e.shape
+def _split_lengths(lengths, total: int, unit: str) -> np.ndarray:
+    """lengths (S,) as int64, once they split `total` rows or columns."""
+    lens = np.array(lengths, dtype=np.int64)
+    if lens.sum() != total or (lens < 1).any():
+        raise ValueError(f"lengths {lens.tolist()} do not split {total} {unit}")
+    return lens
+
+
+def _lattice(e: np.ndarray, lens: np.ndarray, crf: CrfParams, reverse: bool) -> np.ndarray:
+    """alpha (T, L) in column order, or with reverse beta: alpha[c, j] = log
+    sum of path-prefix scores ending at label j in column c (end transition
+    not yet applied), beta[c, i] = log sum of path-suffix scores from label
+    i in column c through the end transition. Step k of packed_steps(lens,
+    reverse) extends the first b_k rows of step k-1 by each sentence's own
+    per-position operations, so every row is bitwise the sentence's alone."""
+    num_labels = crf.num_labels
     t = crf.trans[:num_labels, :num_labels]
-    alpha = np.empty((n, num_labels))
-    alpha[0] = e[:, 0] + crf.trans[crf.start, :num_labels]
-    for k in range(1, n):
-        m = alpha[k - 1][:, None] + t  # (from, to)
-        mx = m.max(axis=0)
-        alpha[k] = e[:, k] + mx + np.log(np.exp(m - mx).sum(axis=0))
-    return alpha
+    rows, sizes = packed_steps(lens, reverse)
+    steps = e.T[rows]  # (T, L), step-major
+    out = np.empty_like(steps)
+    if reverse:
+        out[:sizes[0]] = crf.trans[:num_labels, crf.end]
+    else:
+        out[:sizes[0]] = steps[:sizes[0]] + crf.trans[crf.start, :num_labels]
+    starts = np.cumsum(sizes) - sizes
+    for prev, start, size in zip(starts, starts[1:], sizes[1:]):
+        before, here = slice(prev, prev + size), slice(start, start + size)
+        if reverse:
+            m = t + (steps[before] + out[before])[:, None, :]  # (sentence, from, to)
+            mx = m.max(axis=2)
+            out[here] = mx + np.log(np.exp(m - mx[:, :, None]).sum(axis=2))
+        else:
+            m = out[before, :, None] + t  # (sentence, from, to)
+            mx = m.max(axis=1)
+            out[here] = steps[here] + mx + np.log(np.exp(m - mx[:, None]).sum(axis=1))
+    return out[np.argsort(rows)]  # back to column order
 
 
-def _backward_lattice(e: np.ndarray, crf: CrfParams) -> np.ndarray:
-    """beta (n, L): beta[k, i] = log sum of path-suffix scores from label i
-    at position k through the end transition."""
-    num_labels, n = e.shape
-    t = crf.trans[:num_labels, :num_labels]
-    beta = np.empty((n, num_labels))
-    beta[n - 1] = crf.trans[:num_labels, crf.end]
-    for k in range(n - 2, -1, -1):
-        m = t + (e[:, k + 1] + beta[k + 1])[None, :]  # (from, to)
-        mx = m.max(axis=1)
-        beta[k] = mx + np.log(np.exp(m - mx[:, None]).sum(axis=1))
-    return beta
-
-
-def crf_viterbi(emissions: np.ndarray, crf: CrfParams, lengths=None) -> tuple:
-    """Best-scoring labeling and its score; ties pick the lowest label index
-    at every backtrack step.
-
-    With lengths, emissions (L, T) holds sentences of those lengths one
-    after another, and the result is (one path per sentence, one score per
-    sentence). They are decoded together, step-major in packed_steps'
-    layout: step k maximizes over the label axis for every sentence still
-    running, so each path and score is bitwise the one decoding that
-    sentence alone gives.
-    """
+def crf_viterbi(emissions: np.ndarray, crf: CrfParams, lengths) -> tuple[list, list]:
+    """(paths, scores): each sentence's best-scoring labeling and its score,
+    for emissions (L, T) holding sentences of the given lengths one after
+    another. Ties pick the lowest label index at every backtrack step. Step
+    k of the packed layout maximizes over the label axis for every sentence
+    still running, so each path and score is bitwise the sentence's alone."""
     e = _check_emissions(emissions, crf)
-    lens = np.array([e.shape[1]] if lengths is None else lengths, dtype=np.int64)
-    if lens.sum() != e.shape[1] or (lens < 1).any():
-        raise ValueError(f"lengths {lens.tolist()} do not split {e.shape[1]} columns")
+    lens = _split_lengths(lengths, e.shape[1], "columns")
     num_labels = crf.num_labels
     t = crf.trans[:num_labels, :num_labels]
     rows, sizes = packed_steps(lens, reverse=False)
@@ -594,59 +591,64 @@ def crf_viterbi(emissions: np.ndarray, crf: CrfParams, lengths=None) -> tuple:
         path[start:start + size] = label[:size]
         label[:size] = back[start + np.arange(size), label[:size]]
     path[:sizes[0]] = label
-    labels = np.empty_like(path)
-    labels[rows] = path
+    labels = path[np.argsort(rows)]
     # step 0 holds each sentence's first row, longest sentence first
     scores = np.empty(len(lens))
     scores[np.repeat(np.arange(len(lens)), lens)[rows[:sizes[0]]]] = ends.max(axis=1)
-    if lengths is None:
-        return labels.tolist(), float(scores[0])
     return [part.tolist() for part in np.split(labels, np.cumsum(lens)[:-1])], scores.tolist()
 
 
 def crf_marginals(
-    emissions: np.ndarray, crf: CrfParams
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-position and per-transition label marginals.
-
-    Returns (unary (n, L), pairwise (n-1, L, L), log partition); unary rows
-    sum to 1, pairwise[k] sums to 1 over both axes.
-    """
+    emissions: np.ndarray, crf: CrfParams, lengths
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label marginals of S sentences of the given lengths, whose emissions
+    (L, T) lie one after another: (unary (T, L), pairwise (T - S, L, L),
+    log partitions (S,)). Unary rows sum to 1; pairwise holds each
+    sentence's n - 1 transition tables in turn, each summing to 1."""
     e = _check_emissions(emissions, crf)
-    num_labels, n = e.shape
-    alpha = _forward_lattice(e, crf)
-    beta = _backward_lattice(e, crf)
-    log_z = logsumexp(alpha[-1] + crf.trans[:num_labels, crf.end])
-    unary = np.exp(alpha + beta - log_z)
-    t = crf.trans[:num_labels, :num_labels]
+    lens = _split_lengths(lengths, e.shape[1], "columns")
+    num_labels = crf.num_labels
+    alpha, beta = _lattice(e, lens, crf, False), _lattice(e, lens, crf, True)
+    stops = np.cumsum(lens)
+    log_z = np.array([logsumexp(alpha[stop - 1] + crf.trans[:num_labels, crf.end])
+                      for stop in stops])
+    sentence = np.repeat(np.arange(len(lens)), lens)
+    unary = np.exp(alpha + beta - log_z[sentence, None])
+    inner = np.delete(np.arange(e.shape[1]), stops - 1)  # columns with a successor
     pairwise = np.exp(
-        alpha[:-1, :, None] + t + (e[:, 1:].T + beta[1:])[:, None, :] - log_z
+        alpha[inner, :, None] + crf.trans[:num_labels, :num_labels]
+        + (e.T[inner + 1] + beta[inner + 1])[:, None, :] - log_z[sentence[inner], None, None]
     )
     return unary, pairwise, log_z
 
 
 def crf_nll_grads(
-    emissions: np.ndarray, crf: CrfParams, gold
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Sequence NLL (log partition minus gold path score) and its gradients.
-
-    d_emissions[j, k] = P(label at k is j) - [gold_k == j]; d_trans holds
-    expected minus observed transition counts, including start and end.
-    """
+    emissions: np.ndarray, crf: CrfParams, gold, lengths
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """(NLL per sentence, d_emissions (L, T), d_trans) for sentences laid
+    out as in crf_marginals, gold (T,) alike. The NLL is log partition
+    minus gold path score; d_emissions[j, c] = P(label at c is j) -
+    [gold_c == j]; d_trans holds expected minus observed transition
+    counts, start and end included, built per sentence and summed in
+    sentence order."""
     e = _check_emissions(emissions, crf)
     y = np.asarray(gold)
-    num_labels, n = e.shape
-    unary, pairwise, log_z = crf_marginals(e, crf)
-    nll = log_z - crf_score(e, crf, y)
-
+    lens = _split_lengths(lengths, e.shape[1], "columns")
+    num_labels = crf.num_labels
+    unary, pairwise, log_z = crf_marginals(e, crf, lens)
+    nll, d_trans = [], np.zeros_like(crf.trans)
+    stops = np.cumsum(lens)
+    for s, (start, stop) in enumerate(zip(stops - lens, stops)):
+        ys = y[start:stop]
+        nll.append(float(log_z[s] - crf_score(e[:, start:stop], crf, ys)))
+        d_t = np.zeros_like(crf.trans)
+        d_t[:num_labels, :num_labels] = pairwise[start - s:stop - s - 1].sum(axis=0)
+        np.subtract.at(d_t, (ys[:-1], ys[1:]), 1.0)
+        d_t[crf.start, :num_labels] += unary[start]
+        d_t[crf.start, ys[0]] -= 1.0
+        d_t[:num_labels, crf.end] += unary[stop - 1]
+        d_t[ys[-1], crf.end] -= 1.0
+        d_trans += d_t
     d_e = unary.T.copy()
-    d_e[y, np.arange(n)] -= 1.0
-
-    d_t = np.zeros_like(crf.trans)
-    d_t[:num_labels, :num_labels] = pairwise.sum(axis=0)
-    np.subtract.at(d_t, (y[:-1], y[1:]), 1.0)
-    d_t[crf.start, :num_labels] += unary[0]
-    d_t[crf.start, y[0]] -= 1.0
-    d_t[:num_labels, crf.end] += unary[-1]
-    d_t[y[-1], crf.end] -= 1.0
-    return float(nll), d_e, d_t
+    d_e[y, np.arange(e.shape[1])] -= 1.0
+    return nll, d_e, d_trans

@@ -49,22 +49,16 @@ def instance_loss_grads(tagger: Tagger, token_ids, gold, cue_bits=None):
     Returns (summed loss, token count, gradient dict) where the gradient
     keys match tagger.trainable_parameters() and a trainable embedding's
     gradient is the ColumnGrad of the ids the batch holds. The CRF head
-    scores each sentence's own columns.
+    takes the whole batch in one packed call, as the BiLSTM does.
     """
     scores, cache = tagger.scores(token_ids, cue_bits)
     y = np.concatenate(gold)
     d_trans = None
     if tagger.crf is not None:
+        nlls, d_scores, d_trans = crf_nll_grads(scores, tagger.crf, y, cache["lengths"])
         loss_sum = 0.0
-        d_scores = np.empty_like(scores)
-        d_trans = np.zeros_like(tagger.crf.trans)
-        stops = np.cumsum(cache["lengths"])
-        for start, stop in zip(stops - cache["lengths"], stops):
-            nll, d_scores[:, start:stop], d_t = crf_nll_grads(
-                scores[:, start:stop], tagger.crf, y[start:stop]
-            )
+        for nll in nlls:  # not sum(), whose rounding changed in Python 3.12
             loss_sum += nll
-            d_trans += d_t
     else:
         loss_sum, d_scores = softmax_seq_grads(scores, y)
 

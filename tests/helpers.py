@@ -1,7 +1,8 @@
-"""Shared test oracles: brute-force CRF enumeration, a scalar LSTM cell
-written without numpy, gradient-check plumbing, a synthetic corpus
-builder, and hypothesis strategies for column-file contents. Everything
-here recomputes results independently of the package code under test."""
+"""Shared test oracles: brute-force CRF enumeration, per-sentence CRF
+lattices, NLL gradients and Viterbi, a scalar LSTM cell written without
+numpy, gradient-check plumbing, a synthetic corpus builder, and hypothesis
+strategies for column-file contents. Everything here recomputes results
+independently of the package code under test."""
 from __future__ import annotations
 
 import itertools
@@ -64,6 +65,67 @@ def loop_viterbi(emissions, trans, start, end):
     for pointers in reversed(back):
         labels.append(int(pointers[labels[-1]]))
     return labels[::-1], float(ends.max())
+
+
+def loop_forward_lattice(emissions, trans, start, end):
+    """One sentence's alpha (n, L), one position at a time: alpha[k, j] =
+    log sum of the scores of path prefixes ending at label j, position k
+    (end transition not yet applied)."""
+    num_labels, n = emissions.shape
+    t = trans[:num_labels, :num_labels]
+    alpha = np.empty((n, num_labels))
+    alpha[0] = emissions[:, 0] + trans[start, :num_labels]
+    for k in range(1, n):
+        m = alpha[k - 1][:, None] + t  # (from, to)
+        mx = m.max(axis=0)
+        alpha[k] = emissions[:, k] + mx + np.log(np.exp(m - mx).sum(axis=0))
+    return alpha
+
+
+def loop_backward_lattice(emissions, trans, start, end):
+    """One sentence's beta (n, L), one position at a time: beta[k, i] = log
+    sum of the path-suffix scores from label i at position k through the
+    end transition."""
+    num_labels, n = emissions.shape
+    t = trans[:num_labels, :num_labels]
+    beta = np.empty((n, num_labels))
+    beta[n - 1] = trans[:num_labels, end]
+    for k in range(n - 2, -1, -1):
+        m = t + (emissions[:, k + 1] + beta[k + 1])[None, :]  # (from, to)
+        mx = m.max(axis=1)
+        beta[k] = mx + np.log(np.exp(m - mx[:, None]).sum(axis=1))
+    return beta
+
+
+def loop_crf_nll_grads(emissions, trans, start, end, gold):
+    """One sentence's (nll, d_emissions (L, n), d_trans, unary (n, L),
+    pairwise (n - 1, L, L), log_z) from the loop lattices, with a
+    max-subtracted log-sum-exp and the gold path score summed by numpy:
+    the reference a packed CRF must match bit for bit, sentence by
+    sentence."""
+    num_labels, n = emissions.shape
+    y = np.asarray(gold)
+    t = trans[:num_labels, :num_labels]
+    alpha = loop_forward_lattice(emissions, trans, start, end)
+    beta = loop_backward_lattice(emissions, trans, start, end)
+    last = alpha[-1] + trans[:num_labels, end]
+    log_z = float(last.max() + np.log(np.sum(np.exp(last - last.max()))))
+    unary = np.exp(alpha + beta - log_z)
+    pairwise = np.exp(
+        alpha[:-1, :, None] + t + (emissions[:, 1:].T + beta[1:])[:, None, :] - log_z
+    )
+    score = emissions[y, np.arange(n)].sum() + trans[start, y[0]] + trans[y[-1], end]
+    score += trans[y[:-1], y[1:]].sum()
+    d_e = unary.T.copy()
+    d_e[y, np.arange(n)] -= 1.0
+    d_t = np.zeros_like(trans)
+    d_t[:num_labels, :num_labels] = pairwise.sum(axis=0)
+    np.subtract.at(d_t, (y[:-1], y[1:]), 1.0)
+    d_t[start, :num_labels] += unary[0]
+    d_t[start, y[0]] -= 1.0
+    d_t[:num_labels, end] += unary[-1]
+    d_t[y[-1], end] -= 1.0
+    return float(log_z - float(score)), d_e, d_t, unary, pairwise, log_z
 
 
 # ---------------------------------------------------------------------------

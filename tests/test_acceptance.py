@@ -74,11 +74,11 @@ def test_c1_crf_matches_brute_force_enumeration():
                 trans = np.round(trans)
             crf = CrfParams(trans)
 
-            _, _, log_z = crf_marginals(emissions, crf)
+            _, _, (log_z,) = crf_marginals(emissions, crf, [n])
             expected = brute_log_partition(emissions, trans, crf.start, crf.end)
             assert abs(log_z - expected) <= 1e-9, f"case {case}: logZ off"
 
-            labels, _ = crf_viterbi(emissions, crf)
+            (labels,), _ = crf_viterbi(emissions, crf, [n])
             best, _ = brute_best_path(emissions, trans, crf.start, crf.end)
             assert labels == best, f"case {case}: viterbi path differs"
         assert time.monotonic() - start < 10.0
@@ -145,8 +145,9 @@ def test_c3_two_input_cell_with_zero_aux_reduces_to_single_input():
                 # one packed batch of n steps, one direction
                 sizes = np.sort(rng.integers(1, 4, size=n))[::-1]
                 inputs = rng.normal(size=(int(sizes.sum()), in_dim))
-                with_aux, _ = lstm_forward(two, inputs, np.zeros(len(inputs)), sizes)
-                without, _ = lstm_forward(single, inputs, None, sizes)
+                rows = np.arange(len(inputs))
+                with_aux, _ = lstm_forward(two, inputs, np.zeros(len(inputs)), sizes, rows)
+                without, _ = lstm_forward(single, inputs, None, sizes, rows)
             else:
                 # both directions over a ragged packed batch
                 lengths = rng.integers(1, 8, size=int(rng.integers(1, 4)))

@@ -16,6 +16,7 @@ from helpers import (
     brute_best_path,
     brute_log_partition,
     brute_path_scores,
+    loop_crf_nll_grads,
     loop_viterbi,
     scalar_lstm_states,
     scalar_lstm_step,
@@ -114,13 +115,13 @@ class TestLstmForward:
         params = init_lstm(3, 2, rng)
         params.w_in[:] = 0
         params.w_rec[:] = 0
-        out, _ = lstm_forward(params, rng.normal(size=(10, 2)), None, [2] * 5)
+        out, _ = lstm_forward(params, rng.normal(size=(10, 2)), None, [2] * 5, np.arange(10))
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_single_step_matches_scalar_reference(self, rng):
         params = init_lstm(2, 2, rng)
         x = rng.normal(size=(1, 2))
-        out, _ = lstm_forward(params, x, None, [1])
+        out, _ = lstm_forward(params, x, None, [1], np.arange(1))
         h, _ = scalar_lstm_step(params.w_in.tolist(), params.w_rec.tolist(),
                                 params.b.tolist(), x[0].tolist(), [0.0, 0.0], [0.0, 0.0])
         np.testing.assert_allclose(out[0], h, atol=1e-12)
@@ -128,7 +129,7 @@ class TestLstmForward:
     def test_two_steps_match_scalar_reference(self, rng):
         params = init_lstm(2, 3, rng)
         x = rng.normal(size=(2, 3))
-        out, _ = lstm_forward(params, x, None, [1, 1])
+        out, _ = lstm_forward(params, x, None, [1, 1], np.arange(2))
         w_in, w_rec, b = params.w_in.tolist(), params.w_rec.tolist(), params.b.tolist()
         h1, c1 = scalar_lstm_step(w_in, w_rec, b, x[0].tolist(), [0.0, 0.0], [0.0, 0.0])
         h2, _ = scalar_lstm_step(w_in, w_rec, b, x[1].tolist(), h1, c1)
@@ -141,7 +142,7 @@ class TestLstmForward:
         params.w_in[:6] = 0
         params.w_rec[:] = 0
         x = rng.normal(size=(1, 2))
-        out, _ = lstm_forward(params, x, None, [1])
+        out, _ = lstm_forward(params, x, None, [1], np.arange(1))
         g = np.tanh(params.w_in[6:] @ x[0])
         np.testing.assert_allclose(out[0], 0.5 * np.tanh(0.5 * g), atol=1e-15)
 
@@ -151,15 +152,15 @@ class TestLstmForward:
         double.w_in, double.w_rec, double.b = single.w_in, single.w_rec, single.b
         sizes = [3, 3, 2, 2, 1, 1]
         x = rng.normal(size=(sum(sizes), 2))
-        a, _ = lstm_forward(single, x, None, sizes)
-        b, _ = lstm_forward(double, x, np.zeros(len(x)), sizes)
+        a, _ = lstm_forward(single, x, None, sizes, np.arange(len(x)))
+        b, _ = lstm_forward(double, x, np.zeros(len(x)), sizes, np.arange(len(x)))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_two_input_matches_scalar_reference(self, rng):
         """A scalar aux input of 1 is the d-wide aux vector of ones."""
         params = init_lstm(2, 2, rng, two_input=True)
         x = rng.normal(size=(1, 2))
-        out, _ = lstm_forward(params, x, np.ones(1), [1])
+        out, _ = lstm_forward(params, x, np.ones(1), [1], np.arange(1))
         h, _ = scalar_lstm_step(
             params.w_in.tolist(), params.w_rec.tolist(), params.b.tolist(),
             x[0].tolist(), [0.0, 0.0], [0.0, 0.0],
@@ -173,24 +174,24 @@ class TestLstmForward:
         params = init_lstm(3, 2, rng)
         x = rng.normal(size=(5, 2))
         both, _ = bilstm_forward(params, params, x, None, [len(x)])
-        flipped, _ = lstm_forward(params, x[::-1].copy(), None, [1] * len(x))
+        flipped, _ = lstm_forward(params, x[::-1].copy(), None, [1] * len(x), np.arange(len(x)))
         np.testing.assert_allclose(both[:, 3:], flipped[::-1], atol=1e-14)
 
     def test_aux_presence_must_match_params(self, rng):
         single = init_lstm(2, 2, rng)
         double = init_lstm(2, 2, rng, two_input=True)
         x = np.zeros((3, 2))
-        sizes = [1, 1, 1]
+        sizes, rows = [1, 1, 1], np.arange(3)
         with pytest.raises(ValueError):
-            lstm_forward(single, x, np.zeros(3), sizes)
+            lstm_forward(single, x, np.zeros(3), sizes, rows)
         with pytest.raises(ValueError):
-            lstm_forward(double, x, None, sizes)
+            lstm_forward(double, x, None, sizes, rows)
         with pytest.raises(ValueError):
-            lstm_forward(double, x, np.zeros(4), sizes)
+            lstm_forward(double, x, np.zeros(4), sizes, rows)
         with pytest.raises(ValueError):
-            lstm_forward(double, x, np.zeros((3, 1)), sizes)
+            lstm_forward(double, x, np.zeros((3, 1)), sizes, rows)
         with pytest.raises(ValueError):
-            lstm_forward(single, np.zeros((3, 1, 2)), None, sizes)
+            lstm_forward(single, np.zeros((3, 1, 2)), None, sizes, rows)
 
     @pytest.mark.parametrize("keys", [np.zeros(4), np.zeros(2), np.zeros((3, 1)), np.int64(0)])
     @pytest.mark.parametrize("stream", [False, True])
@@ -198,7 +199,8 @@ class TestLstmForward:
         params = init_lstm(2, 2, rng)
         out = np.empty((3, 2)) if stream else None
         with pytest.raises(ValueError, match="keys shape"):
-            lstm_forward(params, np.zeros((3, 2)), None, [1, 1, 1], out=out, keys=keys)
+            lstm_forward(params, np.zeros((3, 2)), None, [1, 1, 1], np.arange(3), out=out,
+                         keys=keys)
         with pytest.raises(ValueError, match="keys shape"):
             bilstm_forward(params, params, np.zeros((3, 2)), None, [3],
                            keep_cache=not stream, keys=keys)
@@ -211,7 +213,7 @@ class TestLstmForward:
         3 input rows, or are not a 1-D integer run fail loudly."""
         params = init_lstm(2, 2, rng)
         with pytest.raises(ValueError, match="batch_sizes"):
-            lstm_forward(params, rng.normal(size=(3, 2)), None, np.array(sizes))
+            lstm_forward(params, rng.normal(size=(3, 2)), None, np.array(sizes), np.arange(3))
 
 
 def _grad_check_blocks(params, grads, run):
@@ -239,11 +241,12 @@ class TestLstmBackward:
         q = rng.normal(size=n + 2) if two_input else None
         proj = rng.normal(size=(n + 2, units))
 
-        out, cache = lstm_forward(params, x, q, sizes)
+        rows = np.arange(n + 2)
+        out, cache = lstm_forward(params, x, q, sizes, rows)
         grads, d_x, d_q = lstm_backward(params, cache, proj)
 
         def run(x=x, q=q):
-            return float(np.sum(proj * lstm_forward(params, x, q, sizes)[0]))
+            return float(np.sum(proj * lstm_forward(params, x, q, sizes, rows)[0]))
 
         _grad_check_blocks(params, grads, run)
         assert_grad_close(lambda v: run(x=v), x, d_x)
@@ -279,7 +282,7 @@ class TestLstmBackward:
         before = {name: arr.tobytes() for name, arr in params.arrays().items()}
         sizes = [3, 3, 2, 1]
         x = rng.normal(size=(sum(sizes), 2))
-        out, cache = lstm_forward(params, x, rng.normal(size=len(x)), sizes)
+        out, cache = lstm_forward(params, x, rng.normal(size=len(x)), sizes, np.arange(len(x)))
         grads, _, _ = lstm_backward(params, cache, rng.normal(size=out.shape))
         assert all(g.flags.c_contiguous for g in grads.arrays().values())
         assert grads.arrays().keys() == before.keys()
@@ -288,7 +291,7 @@ class TestLstmBackward:
     def test_zero_upstream_gives_zero_grads(self, rng):
         params = init_lstm(2, 2, rng)
         x = rng.normal(size=(12, 2))
-        _, cache = lstm_forward(params, x, None, [3] * 4)
+        _, cache = lstm_forward(params, x, None, [3] * 4, np.arange(12))
         grads, d_x, _ = lstm_backward(params, cache, np.zeros((12, 2)))
         np.testing.assert_array_equal(d_x, 0.0)
         np.testing.assert_array_equal(grads.w_in, 0.0)
@@ -493,7 +496,8 @@ class TestProjectionTable:
             assert len(set(keys.tolist())) > PROJECT_ROWS >= len(lengths)
         for reverse in (False, True):
             rows, sizes = packed_steps(np.array(lengths), reverse)
-            want, _ = lstm_forward(params, x[rows], None if aux is None else aux[rows], sizes)
+            want, _ = lstm_forward(params, x[rows], None if aux is None else aux[rows], sizes,
+                                   np.arange(total))
             got, _ = lstm_forward(params, x, aux, sizes, rows, keys=keys)
             assert np.array_equal(got, want)
             for k in (keys, None):
@@ -513,7 +517,8 @@ def sequential_bilstm(fwd, bwd, x, aux, lengths, d_states):
     for params, reverse, half in ((fwd, False, slice(0, units)),
                                   (bwd, True, slice(units, 2 * units))):
         rows, sizes = packed_steps(np.array(lengths), reverse)
-        hidden, cache = lstm_forward(params, x[rows], None if aux is None else aux[rows], sizes)
+        hidden, cache = lstm_forward(params, x[rows], None if aux is None else aux[rows], sizes,
+                                     np.arange(len(x)))
         states[rows, half] = hidden
         g, dx, _ = lstm_backward(params, cache, d_states[rows, half])
         d_inputs[rows] += dx
@@ -643,7 +648,7 @@ class TestCrfScore:
 
 
 def log_partition(e, crf):
-    return crf_marginals(e, crf)[2]
+    return crf_marginals(e, crf, [e.shape[1]])[2][0]
 
 
 class TestCrfPartition:
@@ -692,14 +697,14 @@ class TestCrfPartition:
 class TestCrfViterbi:
     def test_all_zero_ties_pick_lowest_labels(self):
         crf = init_crf(3)
-        labels, score = crf_viterbi(np.zeros((3, 4)), crf)
+        (labels,), (score,) = crf_viterbi(np.zeros((3, 4)), crf, [4])
         assert labels == [0, 0, 0, 0]
         assert score == 0.0
 
     def test_zero_transitions_reduce_to_argmax(self, rng):
         crf = init_crf(4)
         e = rng.normal(size=(4, 6))
-        labels, _ = crf_viterbi(e, crf)
+        (labels,), _ = crf_viterbi(e, crf, [6])
         assert labels == list(e.argmax(axis=0))
 
     def test_matches_brute_force(self, rng):
@@ -709,7 +714,7 @@ class TestCrfViterbi:
             crf = random_crf(rng, num_labels)
             e = rng.normal(size=(num_labels, n)) * 2
             want_labels, want_score = brute_best_path(e, crf.trans, crf.start, crf.end)
-            got_labels, got_score = crf_viterbi(e, crf)
+            (got_labels,), (got_score,) = crf_viterbi(e, crf, [n])
             assert got_labels == want_labels
             assert got_score == pytest.approx(want_score, abs=1e-9)
 
@@ -733,7 +738,7 @@ class TestCrfViterbi:
             assert len(paths) == len(scores) == len(lengths)
             for path, score, cols in zip(paths, scores, np.split(e, np.cumsum(lengths)[:-1], axis=1)):
                 assert (path, score) == loop_viterbi(cols, crf.trans, crf.start, crf.end)
-                assert (path, score) == crf_viterbi(cols, crf)
+                assert ([path], [score]) == crf_viterbi(cols, crf, [cols.shape[1]])
                 if cols.shape[1] <= 5:
                     want_path, want_score = brute_best_path(cols, crf.trans, crf.start, crf.end)
                     assert path == want_path
@@ -748,7 +753,7 @@ class TestCrfViterbi:
     def test_score_agrees_with_crf_score(self, rng):
         crf = random_crf(rng, 3)
         e = rng.normal(size=(3, 5))
-        labels, score = crf_viterbi(e, crf)
+        (labels,), (score,) = crf_viterbi(e, crf, [5])
         assert score == pytest.approx(crf_score(e, crf, labels), abs=1e-12)
 
 
@@ -756,7 +761,7 @@ class TestCrfGradients:
     def test_marginals_normalize_and_agree(self, rng):
         crf = random_crf(rng, 3)
         e = rng.normal(size=(3, 5))
-        unary, pairwise, _ = crf_marginals(e, crf)
+        unary, pairwise, _ = crf_marginals(e, crf, [5])
         np.testing.assert_allclose(unary.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(pairwise.sum(axis=(1, 2)), 1.0, atol=1e-9)
         # row-marginalizing the pairwise table recovers the unary table
@@ -767,7 +772,7 @@ class TestCrfGradients:
         crf = random_crf(rng, 3)
         e = rng.normal(size=(3, 4))
         gold = [2, 0, 1, 1]
-        nll, _, _ = crf_nll_grads(e, crf, gold)
+        (nll,), _, _ = crf_nll_grads(e, crf, gold, [4])
         want = brute_log_partition(e, crf.trans, crf.start, crf.end) - crf_score(e, crf, gold)
         assert nll == pytest.approx(want, abs=1e-12)
         assert nll >= 0
@@ -777,17 +782,17 @@ class TestCrfGradients:
             crf = random_crf(rng, 3)
             e = rng.normal(size=(3, n))
             gold = [int(v) for v in rng.integers(0, 3, size=n)]
-            _, d_e, d_t = crf_nll_grads(e, crf, gold)
+            _, d_e, d_t = crf_nll_grads(e, crf, gold, [n])
 
             assert_grad_close(
-                lambda v: crf_nll_grads(v, crf, gold)[0], e, d_e
+                lambda v: crf_nll_grads(v, crf, gold, [n])[0][0], e, d_e
             )
 
             def f_t(v):
                 old = crf.trans.copy()
                 crf.trans[:] = v
                 try:
-                    return crf_nll_grads(e, crf, gold)[0]
+                    return crf_nll_grads(e, crf, gold, [n])[0][0]
                 finally:
                     crf.trans[:] = old
 
@@ -796,7 +801,60 @@ class TestCrfGradients:
     def test_unused_transition_entries_get_zero_grad(self, rng):
         crf = random_crf(rng, 3)
         e = rng.normal(size=(3, 3))
-        _, _, d_t = crf_nll_grads(e, crf, [0, 1, 2])
+        _, _, d_t = crf_nll_grads(e, crf, [0, 1, 2], [3])
         assert d_t[crf.start, crf.end] == 0.0
         assert np.all(d_t[crf.end, :] == 0.0)
         assert np.all(d_t[:, crf.start] == 0.0)
+
+
+class TestPackedCrf:
+    """crf_marginals and crf_nll_grads take a batch of sentences, packed one
+    after another, and run step-major over it. Every per-sentence result
+    must be bitwise the one-position-at-a-time oracle's on that sentence
+    alone, and the batch's d_trans the oracle's per-sentence d_t added to
+    zeros in sentence order."""
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_batch_is_bitwise_each_sentence_alone(self, rng, ties):
+        """Ragged batches with a length-1 sentence and one longer than 8,
+        where numpy sums the gold path score pairwise; integer scores make
+        ties common."""
+        for _ in range(60):
+            num_labels = int(rng.integers(3, 5))
+            lengths = rng.integers(1, 30, size=int(rng.integers(2, 9)))
+            lengths[:2] = 1, rng.integers(9, 40)
+            rng.shuffle(lengths)
+            total = int(lengths.sum())
+            crf = init_crf(num_labels)
+            if ties:
+                crf.trans[:] = rng.integers(-2, 3, size=crf.trans.shape)
+                e = rng.integers(-2, 3, size=(num_labels, total)).astype(np.float64)
+            else:
+                crf.trans[:] = rng.normal(size=crf.trans.shape)
+                e = rng.normal(size=(num_labels, total)) * 3
+            gold = rng.integers(num_labels, size=total)
+
+            nll, d_e, d_t = crf_nll_grads(e, crf, gold, lengths)
+            unary, pairwise, log_z = crf_marginals(e, crf, lengths)
+            cuts = np.cumsum(lengths)[:-1]
+            want = [loop_crf_nll_grads(cols, crf.trans, crf.start, crf.end, y)
+                    for cols, y in zip(np.split(e, cuts, axis=1), np.split(gold, cuts))]
+            want_nll, want_d_e, want_d_ts, want_unary, want_pairwise, want_log_z = zip(*want)
+            want_d_t = np.zeros_like(crf.trans)
+            for part in want_d_ts:
+                want_d_t += part
+            assert nll == list(want_nll)
+            assert d_e.tobytes() == np.hstack(want_d_e).tobytes()
+            assert d_t.tobytes() == want_d_t.tobytes()
+            assert unary.tobytes() == np.vstack(want_unary).tobytes()
+            assert pairwise.shape == (total - len(lengths), num_labels, num_labels)
+            assert pairwise.tobytes() == np.concatenate(want_pairwise).tobytes()
+            assert log_z.tobytes() == np.array(want_log_z).tobytes()
+
+    def test_lengths_must_split_the_columns(self):
+        crf = init_crf(3)
+        for lengths in ([2, 2], [3, 3], [5, 0], [-1, 6]):
+            with pytest.raises(ValueError, match="lengths"):
+                crf_marginals(np.zeros((3, 5)), crf, lengths)
+            with pytest.raises(ValueError, match="lengths"):
+                crf_nll_grads(np.zeros((3, 5)), crf, [0] * 5, lengths)

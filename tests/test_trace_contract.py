@@ -1,7 +1,8 @@
 """The benchmark tracer wraps negscope functions by name and reads their
 arguments and results by position. A traced training step and a traced
 prediction must find every target, run every hook without error, close
-every span it opens, and count LSTM multiply-adds over real tokens only.
+every span it opens, count LSTM multiply-adds over real tokens only, and
+make one CRF call per training batch.
 The BiLSTM runs its right-to-left direction on a worker thread, so the
 tracer's span stack is pushed and popped from two threads."""
 from __future__ import annotations
@@ -75,3 +76,9 @@ def test_traced_train_step_and_prediction_count_real_rows(tracer):
         + lstm_macs(predict_rows, 1, backward=False)
     )
     assert metrics["layers.lstm.macs"] == expected
+    # the CRF head takes the whole batch in one packed call; crf_nll_grads
+    # calls crf_marginals, whose two lattices span the 4 scope labels of
+    # every column, with emissions found at index 0
+    assert metrics["layers.crf_nll_grads.calls"] == 1
+    assert metrics["layers.crf_marginals.calls"] == 1
+    assert metrics["layers.crf.lattice_cells"] == 2 * 4 * train_rows

@@ -97,12 +97,12 @@ class TestCrfNll:
     def test_uniform_scores_cost_n_log_num_labels(self):
         # every labeling ties, so the gold path holds 1/L^n of the mass
         crf = CrfParams(np.zeros((5, 5)))
-        nll, _, _ = crf_nll_grads(np.zeros((3, 2)), crf, [1, 2])
+        (nll,), _, _ = crf_nll_grads(np.zeros((3, 2)), crf, [1, 2], [2])
         assert nll == pytest.approx(2 * math.log(3))
 
     def test_single_label_chain_is_certain(self):
         crf = CrfParams(np.zeros((3, 3)))
-        nll, _, _ = crf_nll_grads(np.array([[1.0, -2.0, 0.5]]), crf, [0, 0, 0])
+        (nll,), _, _ = crf_nll_grads(np.array([[1.0, -2.0, 0.5]]), crf, [0, 0, 0], [3])
         assert nll == pytest.approx(0.0)
 
     def test_never_negative(self):
@@ -111,7 +111,7 @@ class TestCrfNll:
             crf = CrfParams(rng.normal(size=(6, 6)))
             emissions = rng.normal(size=(4, 5))
             gold = rng.integers(4, size=5)
-            assert crf_nll_grads(emissions, crf, gold)[0] >= -1e-12
+            assert crf_nll_grads(emissions, crf, gold, [5])[0][0] >= -1e-12
 
 
 class TestFullModelGradients:
