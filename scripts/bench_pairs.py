@@ -5,7 +5,7 @@ summarise the pairs.
 Usage::
 
     python3 scripts/bench_pairs.py <parent> <change> --workload W \\
-        --seeds 81 82 83 ... --seconds S [--claim METRIC]
+        --seeds 81 82 83 ... --seconds S [--claim METRIC] [--json PATH]
 
 <parent> and <change> are two checkouts of this repository. The script
 refuses (exit 2) when their `benchmark/` trees or `BENCHMARK.json` differ,
@@ -30,6 +30,12 @@ by more than that share, `unresolved` when the parent's own interquartile
 range is wider than it (the runs cannot tell), unless every change run
 beats every parent run, and `ok` otherwise. The exit status is 1 when the
 claim fails or a metric regresses.
+
+With `--json PATH` it also writes the pairs' record to PATH: the
+workload, seeds, seconds and claim, each pair's two result lines (metrics
+reduced to their values), each end-to-end metric's median, q1 and q3 per
+side with the pairs the change won, the claim's outcome, every
+regression verdict, and the printed report.
 """
 from __future__ import annotations
 
@@ -79,6 +85,22 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return float(median), float(q1), float(q3)
 
 
+def metric_stats(spec: dict, pairs: list[tuple[dict, dict]]) -> dict | None:
+    """One end-to-end metric over (parent result, change result) pairs:
+    {"parent": (median, q1, q3), "change": (median, q1, q3), "wins": pairs
+    the change won, "sides": [parent values, change values]}, or None when
+    either side never took it."""
+    name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
+    values = [(p["metrics"].get(name), c["metrics"].get(name)) for p, c in pairs]
+    sides = _sides(values)
+    if not all(sides):
+        return None
+    return {"parent": _quartiles(sides[0]), "change": _quartiles(sides[1]),
+            "wins": sum(1 for p, c in values
+                        if p is not None and c is not None and sign * (p - c) > 0),
+            "sides": sides}
+
+
 def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]],
               claim: str | None = None) -> tuple[list[str], bool | None]:
     """(report lines, whether the claim holds or None without one) over a
@@ -92,13 +114,12 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]],
                  f"change {failed[1]}/{attempted[1]}")
     for spec in metrics:
         name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
-        values = [(p["metrics"].get(name), c["metrics"].get(name)) for p, c in pairs]
-        wins = sum(1 for p, c in values if p is not None and c is not None and sign * (p - c) > 0)
-        sides = _sides(values)
-        if not all(sides):
+        stats = metric_stats(spec, pairs)
+        if stats is None:
             lines.append(f"{name}: not measured on both sides")
             continue
-        (med_p, q1_p, q3_p), (med_c, q1_c, q3_c) = (_quartiles(side) for side in sides)
+        (med_p, q1_p, q3_p), (med_c, q1_c, q3_c), wins = (stats[k] for k in
+                                                          ("parent", "change", "wins"))
         lines.append(f"{name} ({spec['unit']}, {spec['better']} is better): "
                      f"parent {med_p:.4g} [{q1_p:.4g}, {q3_p:.4g}]  "
                      f"change {med_c:.4g} [{q1_c:.4g}, {q3_c:.4g}]  "
@@ -117,33 +138,68 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]],
     return lines, verdict
 
 
-def regressions(metrics: list[dict], pairs: list[tuple[dict, dict]],
-                claim: str | None = None) -> tuple[list[str], bool]:
-    """(one verdict line per end-to-end metric except `claim`, whether any
-    regressed) over the same pairs as `summarize`; each metric spec also
-    carries its relative `bound`."""
-    lines, regressed = [], False
+def verdicts(metrics: list[dict], pairs: list[tuple[dict, dict]],
+             claim: str | None = None) -> list[tuple[str, str, str]]:
+    """(metric, verdict, report line) for each end-to-end metric except
+    `claim`, over the same pairs as `summarize`; each metric spec also
+    carries its relative `bound`. The verdict is `ok`, `regression` or
+    `unresolved`."""
+    out = []
     for spec in metrics:
         name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
         if name == claim:
             continue
-        sides = _sides([(p["metrics"].get(name), c["metrics"].get(name)) for p, c in pairs])
-        if not all(sides):
-            lines.append(f"regression {name}: not measured on both sides; unresolved")
+        stats = metric_stats(spec, pairs)
+        if stats is None:
+            out.append((name, "unresolved",
+                        f"regression {name}: not measured on both sides; unresolved"))
             continue
-        (med_p, q1_p, q3_p), (med_c, _, _) = (_quartiles(side) for side in sides)
+        (med_p, q1_p, q3_p), (med_c, _, _), sides = (stats[k] for k in
+                                                     ("parent", "change", "sides"))
         limit, worse, iqr = spec["bound"] * abs(med_p), sign * med_c - sign * med_p, q3_p - q1_p
         if max(sign * v for v in sides[1]) < min(sign * v for v in sides[0]):
             state = "ok, every change run beats every parent run"
         elif iqr > limit:
             state = "unresolved, the parent's IQR exceeds the limit"
         elif worse > limit:
-            state, regressed = "regression", True
+            state = "regression"
         else:
             state = "ok"
-        lines.append(f"regression {name}: change worse by {worse:.4g}, limit {limit:.4g} "
-                     f"({spec['bound']:g} x parent median), parent IQR {iqr:.4g}: {state}")
-    return lines, regressed
+        out.append((name, state.split(",")[0],
+                    f"regression {name}: change worse by {worse:.4g}, limit {limit:.4g} "
+                    f"({spec['bound']:g} x parent median), parent IQR {iqr:.4g}: {state}"))
+    return out
+
+
+def regressions(metrics: list[dict], pairs: list[tuple[dict, dict]],
+                claim: str | None = None) -> tuple[list[str], bool]:
+    """(one verdict line per end-to-end metric except `claim`, whether any
+    regressed)."""
+    found = verdicts(metrics, pairs, claim)
+    return [line for _, _, line in found], any(state == "regression" for _, state, _ in found)
+
+
+def record(workload: str, seconds: float, seeds: list[int], metrics: list[dict],
+           pairs: list[tuple[dict, dict]], claim: str | None = None) -> dict:
+    """What `--json` writes, for the pairs run on `seeds` in turn."""
+    lines, verdict = summarize(metrics, pairs, claim)
+    found = verdicts(metrics, pairs, claim)
+    quartiles = {}
+    for spec in metrics:
+        stats = metric_stats(spec, pairs)
+        quartiles[spec["name"]] = stats and {
+            "parent": dict(zip(("median", "q1", "q3"), stats["parent"])),
+            "change": dict(zip(("median", "q1", "q3"), stats["change"])),
+            "change_won": stats["wins"],
+        }
+    return {
+        "workload": workload, "seconds": seconds, "claim": claim,
+        "pairs": [{"seed": seed, "parent": p, "change": c} for seed, (p, c) in zip(seeds, pairs)],
+        "metrics": quartiles,
+        "claim_met": verdict,
+        "verdicts": {name: state for name, state, _ in found},
+        "report": lines + [line for _, _, line in found],
+    }
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -166,6 +222,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--claim", help="an end-to-end metric the change claims to improve")
+    parser.add_argument("--json", type=Path, help="also write the pairs' record here")
     args = parser.parse_args(argv)
 
     differ = benchmark_differences(args.parent, args.change)
@@ -194,8 +251,11 @@ def main(argv=None) -> int:
         pairs.append((results["parent"], results["change"]))
 
     lines, verdict = summarize(metrics, pairs, args.claim)
-    verdicts, regressed = regressions(metrics, pairs, args.claim)
-    print("\n".join(lines + verdicts))
+    found, regressed = regressions(metrics, pairs, args.claim)
+    print("\n".join(lines + found))
+    if args.json is not None:
+        out = record(args.workload, args.seconds, args.seeds, metrics, pairs, args.claim)
+        args.json.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 1 if verdict is False or regressed else 0
 
 

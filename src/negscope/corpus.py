@@ -14,14 +14,19 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, repeat
 
 import numpy as np
 
 from .labeling import (
     CUE_TAG_IDS,
+    CUE_TAGS,
     SCOPE_TAG_IDS,
+    SCOPE_TAGS,
     NegationAnnotation,
+    check_bounds,
     cue_vector,
     derive_cue_tags,
     derive_scope_tags,
@@ -47,7 +52,8 @@ class Sentence:
     def __post_init__(self):
         if not self.tokens:
             raise ValueError("a sentence needs at least one token")
-        if any(not t or any(c.isspace() for c in t) for t in self.tokens):
+        # str.split() cuts at exactly the characters str.isspace() names
+        if " ".join(self.tokens).split() != list(self.tokens):
             raise ValueError("tokens must be non-empty and whitespace-free")
         # the column format writes the id verbatim on its own line; the
         # readers split lines at \n and \r and strip whitespace from ids
@@ -65,10 +71,8 @@ class NegationInstance:
     annotation: NegationAnnotation = field(default_factory=NegationAnnotation)
 
     def __post_init__(self):
-        n = len(self.sentence.tokens)
         # bounds are validated eagerly so errors surface at parse time
-        derive_cue_tags(self.annotation, n)
-        derive_scope_tags(self.annotation, n)
+        check_bounds(self.annotation, len(self.sentence.tokens))
 
     @property
     def is_negation(self) -> bool:
@@ -123,47 +127,96 @@ def _split_chunk(chunk: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # column format
 
-def _column_blocks(path, widths):
-    """Yield (source_id, [(lineno, columns), ...]) per blank-line-separated
-    block. A line starting with '#' is an id line only if it holds no tab:
-    the first one before a block names it and later ones are comments.
-    Token rows always carry a tab, so a token may itself start with '#'.
+# cut before a file is split into blocks: each line's trailing spaces
+# (open() has already turned "\r\n" and "\r" into "\n"), and the whole of
+# each whitespace-only line
+_TRAILING = re.compile(r" +$", re.M)
+_BLANK = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
 
-    Every row is checked here, so both readers reject the same rows: a
-    column count in `widths`, a non-empty whitespace-free token, a cue tag
-    and, in a third column, a scope tag from the alphabets. Only a trailing
-    '\r' or space is cut from a row, so a trailing tab still delimits an
-    empty last column, which is rejected; a whitespace-only line ends a
-    block like an empty one."""
+
+def _rows_pattern(width: int) -> re.Pattern:
+    """Matches a block's rows, joined by newlines, exactly when every row
+    passes _check_row at this width. A token is one or more characters of
+    the regex class non-whitespace, which is the complement of
+    str.isspace() on every code point."""
+    row = r"\S+" + "".join(r"\t(?:" + "|".join(map(re.escape, alphabet)) + ")"
+                           for alphabet in (CUE_TAGS, SCOPE_TAGS)[:width - 1])
+    return re.compile(rf"{row}(?:\n{row})*")
+
+
+_ROWS = {width: _rows_pattern(width) for width in (2, 3)}
+
+
+def _check_row(path, lineno: int, line: str, widths) -> None:
+    """The per-row rules: a column count in `widths`, a non-empty
+    whitespace-free token, a cue tag and, in a third column, a scope tag
+    from the alphabets."""
+    cols = line.split("\t")
+    if len(cols) not in widths:
+        raise CorpusError(f"{path}:{lineno}: expected "
+                          f"{' or '.join(map(str, widths))} tab-separated columns")
+    if cols[0].split() != [cols[0]]:  # empty, or holds whitespace
+        raise CorpusError(f"{path}:{lineno}: empty token" if not cols[0] else
+                          f"{path}:{lineno}: token {cols[0]!r} holds whitespace")
+    for tag, kind, alphabet in zip(cols[1:], ("cue", "scope"), (CUE_TAG_IDS, SCOPE_TAG_IDS)):
+        if tag not in alphabet:
+            raise CorpusError(f"{path}:{lineno}: " + (
+                f"unknown {kind} tag {tag!r}" if tag else f"empty {kind} tag"))
+
+
+def _columns(path, linenos, rows: str, widths) -> list[list[str]]:
+    """A block's rows, joined by newlines, as [tokens, cue tags(, scope
+    tags)]. The block is checked whole; only when that check fails is it
+    read row by row, to name the first bad line."""
+    width = rows.partition("\n")[0].count("\t") + 1
+    if width in widths and _ROWS[width].fullmatch(rows):
+        fields = rows.replace("\n", "\t").split("\t")
+        return [fields[k::width] for k in range(width)]
+    for lineno, line in zip(linenos, rows.split("\n")):
+        _check_row(path, lineno, line, widths)
+    raise CorpusError(f"{path}:{linenos[0]}: ragged block, "
+                      f"need {' or '.join(map(str, widths))} columns")
+
+
+def _column_blocks(path, widths):
+    """Yield (source_id, line numbers, columns) per blank-line-separated
+    block, its columns as _columns gives them. A line starting with '#' is
+    an id line only if it holds no tab: the first one before a block names
+    it and later ones are comments. Token rows always carry a tab, so a
+    token may itself start with '#'.
+
+    Every row is checked, so both readers reject the same rows, and a block
+    must hold one column count. Only trailing spaces are cut from a row, so
+    a trailing tab still delimits an empty last column, which is rejected;
+    a whitespace-only line ends a block like an empty one."""
     with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    block: list[tuple[int, list[str]]] = []
-    source_id = ""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r ")
-        if line.startswith("#") and "\t" not in line:
-            if not block and not source_id:
-                source_id = line.lstrip("#").strip()
+        text = "\n" + handle.read()  # line 0, so that every line follows a '\n'
+    if " \n" in text or text.endswith(" "):
+        text = _TRAILING.sub("", text)
+    text = _BLANK.sub("\n", text)
+    source_id, lineno = "", 0
+    for chunk in text.split("\n\n"):
+        rows = chunk.lstrip("\n")
+        first = lineno + len(chunk) - len(rows)  # the line number of rows' first line
+        lineno += chunk.count("\n") + 2
+        rows = rows.rstrip("\n")
+        while rows[:1] == "#":
+            line, _, rest = rows.partition("\n")
+            if "\t" in line:
+                break
+            source_id = source_id or line.lstrip("#").strip()
+            rows, first = rest, first + 1
+        if not rows:
             continue
-        if not line.strip():
-            if block:
-                yield source_id, block
-                block, source_id = [], ""
-            continue
-        cols = line.split("\t")
-        if len(cols) not in widths:
-            raise CorpusError(f"{path}:{lineno}: expected "
-                              f"{' or '.join(map(str, widths))} tab-separated columns")
-        if cols[0].split() != [cols[0]]:  # empty, or holds whitespace
-            raise CorpusError(f"{path}:{lineno}: empty token" if not cols[0] else
-                              f"{path}:{lineno}: token {cols[0]!r} holds whitespace")
-        for tag, kind, alphabet in zip(cols[1:], ("cue", "scope"), (CUE_TAG_IDS, SCOPE_TAG_IDS)):
-            if tag not in alphabet:
-                raise CorpusError(f"{path}:{lineno}: " + (
-                    f"unknown {kind} tag {tag!r}" if tag else f"empty {kind} tag"))
-        block.append((lineno, cols))
-    if block:
-        yield source_id, block
+        if "\n#" in rows:  # drop the comment lines
+            lines = rows.split("\n")
+            keep = [k for k, line in enumerate(lines) if line[:1] != "#" or "\t" in line]
+            linenos = [first + k for k in keep]
+            rows = "\n".join([lines[k] for k in keep])
+        else:
+            linenos = range(first, first + rows.count("\n") + 1)
+        yield source_id, linenos, _columns(path, linenos, rows, widths)
+        source_id = ""
 
 
 def parse_column_file(path) -> list[NegationInstance]:
@@ -175,21 +228,17 @@ def parse_column_file(path) -> list[NegationInstance]:
     is an error naming the first offending line.
     """
     instances = [
-        _decode_block(path, block, source_id)
-        for source_id, block in _column_blocks(path, (3,))
+        _decode_block(path, source_id, linenos, *cols)
+        for source_id, linenos, cols in _column_blocks(path, (3,))
     ]
     if not instances:
         raise CorpusError(f"{path}: no instances found")
     return instances
 
 
-def _decode_block(path, block, source_id) -> NegationInstance:
-    linenos = [lineno for lineno, _ in block]
-    tokens = tuple(cols[0] for _, cols in block)
-    ctags = [cols[1] for _, cols in block]
-    stags = [cols[2] for _, cols in block]
-
-    cues = tuple(k for k, b in enumerate(cue_vector(ctags)) if b)
+def _decode_block(path, source_id, linenos, tokens, ctags, stags) -> NegationInstance:
+    n = len(tokens)
+    cues = tuple(compress(range(n), cue_vector(ctags)))
     span = scope_bounds(stags)
     if span is not None and not cues:
         raise CorpusError(f"{path}:{linenos[0]}: scope without any cue token")
@@ -198,20 +247,17 @@ def _decode_block(path, block, source_id) -> NegationInstance:
     except ValueError as exc:
         raise CorpusError(f"{path}:{linenos[0]}: {exc}") from None
 
-    n = len(tokens)
-    for k, (want, got) in enumerate(zip(derive_cue_tags(ann, n), ctags)):
+    for want, got, problem in (
+        (derive_cue_tags(ann, n), ctags,
+         "cue tag {got!r} is not canonical (expected {want!r}; MC needs a run of at least 2)"),
+        (derive_scope_tags(ann, n), stags,
+         "scope tag {got!r} breaks the O* B* C A* O* shape (expected {want!r})"),
+    ):
         if want != got:
-            raise CorpusError(
-                f"{path}:{linenos[k]}: cue tag {got!r} is not canonical "
-                f"(expected {want!r}; MC needs a run of at least 2)"
-            )
-    for k, (want, got) in enumerate(zip(derive_scope_tags(ann, n), stags)):
-        if want != got:
-            raise CorpusError(
-                f"{path}:{linenos[k]}: scope tag {got!r} breaks the "
-                f"O* B* C A* O* shape (expected {want!r})"
-            )
-    return NegationInstance(Sentence(tokens, source_id), ann)
+            k = next(k for k in range(n) if want[k] != got[k])
+            raise CorpusError(f"{path}:{linenos[k]}: "
+                              + problem.format(got=got[k], want=want[k]))
+    return NegationInstance(Sentence(tuple(tokens), source_id), ann)
 
 
 def write_column_file(path, instances) -> None:
@@ -254,17 +300,11 @@ def read_tag_blocks(path) -> list[TagBlock]:
     """Read a 2-column (token, cue) or 3-column (token, cue, scope) file
     without enforcing gold well-formedness. Tags must still come from the
     alphabets and the column count must be uniform per block."""
-    blocks: list[TagBlock] = []
-    for source_id, rows in _column_blocks(path, (2, 3)):
-        widths = {len(cols) for _, cols in rows}
-        if len(widths) > 1:
-            raise CorpusError(f"{path}:{rows[0][0]}: ragged block, need 2 or 3 columns")
-        blocks.append(TagBlock(
-            source_id,
-            tuple(cols[0] for _, cols in rows),
-            tuple(cols[1] for _, cols in rows),
-            tuple(cols[2] for _, cols in rows) if widths == {3} else None,
-        ))
+    blocks = [
+        TagBlock(source_id, tuple(cols[0]), tuple(cols[1]),
+                 tuple(cols[2]) if len(cols) == 3 else None)
+        for source_id, _, cols in _column_blocks(path, (2, 3))
+    ]
     if not blocks:
         raise CorpusError(f"{path}: no instances found")
     return blocks
@@ -290,6 +330,10 @@ class Vocabulary:
 
     def lookup(self, token: str) -> int:
         return self.index.get(token, OOV_INDEX)
+
+    def lookup_all(self, tokens) -> np.ndarray:
+        """lookup over an iterable of tokens, as one int64 array."""
+        return np.fromiter(map(self.index.get, tokens, repeat(OOV_INDEX)), np.int64)
 
     def tokens_in_order(self) -> list[str]:
         return sorted(self.index, key=self.index.get)
@@ -431,31 +475,38 @@ class EncodedInstance:
 def encode_instance(
     inst: NegationInstance, vocab: Vocabulary, max_len: int | None = None
 ) -> EncodedInstance:
-    """Cut to max_len tokens, clipping the annotation; max_len=None keeps
-    the whole sentence."""
-    if max_len is not None and max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    tokens = inst.sentence.tokens[:max_len]
-    ann = clip_annotation(inst.annotation, len(tokens))
-    ctags = derive_cue_tags(ann, len(tokens))
-    stags = derive_scope_tags(ann, len(tokens))
-    return EncodedInstance(
-        inst.sentence.source_id,
-        tokens,
-        np.array([vocab.lookup(t) for t in tokens], dtype=np.int64),
-        np.array([CUE_TAG_IDS[t] for t in ctags], dtype=np.int64),
-        np.array([SCOPE_TAG_IDS[t] for t in stags], dtype=np.int64),
-        np.array(cue_vector(ctags), dtype=np.int64),
-        tuple(ctags),
-        tuple(stags),
-        ann,
-    )
+    """One instance's encode_instances."""
+    return encode_instances([inst], vocab, max_len)[0]
 
 
 def encode_instances(
     instances, vocab: Vocabulary, max_len: int | None = None
 ) -> list[EncodedInstance]:
-    return [encode_instance(inst, vocab, max_len) for inst in instances]
+    """Cut each instance to max_len tokens, clipping its annotation;
+    max_len=None keeps whole sentences. The tokens and tags of all
+    instances are looked up in one pass, and each instance's arrays are
+    slices of the four results."""
+    if max_len is not None and max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    tokens = [inst.sentence.tokens[:max_len] for inst in instances]
+    anns = [inst.annotation if len(toks) == len(inst.sentence.tokens)
+            else clip_annotation(inst.annotation, len(toks))
+            for inst, toks in zip(instances, tokens)]
+    ctags = [derive_cue_tags(ann, len(toks)) for ann, toks in zip(anns, tokens)]
+    stags = [derive_scope_tags(ann, len(toks)) for ann, toks in zip(anns, tokens)]
+    ids = vocab.lookup_all(chain.from_iterable(tokens))
+    cue_ids = np.fromiter(map(CUE_TAG_IDS.__getitem__, chain.from_iterable(ctags)),
+                          np.int64, ids.size)
+    scope_ids = np.fromiter(map(SCOPE_TAG_IDS.__getitem__, chain.from_iterable(stags)),
+                            np.int64, ids.size)
+    bits = (cue_ids != CUE_TAG_IDS["NC"]).astype(np.int64)
+    bounds = list(accumulate(map(len, tokens), initial=0))
+    return [
+        EncodedInstance(inst.sentence.source_id, toks, ids[a:b], cue_ids[a:b],
+                        scope_ids[a:b], bits[a:b], tuple(ct), tuple(st), ann)
+        for inst, toks, ann, ct, st, a, b
+        in zip(instances, tokens, anns, ctags, stags, bounds, bounds[1:])
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ matches O* B* C A* O*, so every gold scope is one contiguous block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 CUE_TAGS = ("NC", "C", "MC")
 SCOPE_TAGS = ("O", "B", "C", "A")
 
 CUE_TAG_IDS = {t: i for i, t in enumerate(CUE_TAGS)}
 SCOPE_TAG_IDS = {t: i for i, t in enumerate(SCOPE_TAGS)}
+_CUE_BITS = {"C": 1, "MC": 1}
 
 
 @dataclass(frozen=True)
@@ -62,14 +64,21 @@ def _runs(positions) -> list[tuple[int, int]]:
     return runs
 
 
-def derive_cue_tags(annotation: NegationAnnotation, n: int) -> list[str]:
-    """Cue tag per token: maximal runs of >= 2 adjacent cue indices become MC,
-    isolated cue tokens (including parts of discontinuous cues) become C."""
+def check_bounds(annotation: NegationAnnotation, n: int) -> None:
+    """Raise ValueError unless every cue index and the scope fit n tokens."""
     cues = annotation.cue_indices
     if cues and cues[-1] >= n:
         raise ValueError(f"cue index {cues[-1]} out of bounds for length {n}")
+    if annotation.scope is not None and annotation.scope[1] >= n:
+        raise ValueError(f"scope {annotation.scope} out of bounds for length {n}")
+
+
+def derive_cue_tags(annotation: NegationAnnotation, n: int) -> list[str]:
+    """Cue tag per token: maximal runs of >= 2 adjacent cue indices become MC,
+    isolated cue tokens (including parts of discontinuous cues) become C."""
+    check_bounds(annotation, n)
     tags = ["NC"] * n
-    for first, last in _runs(cues):
+    for first, last in _runs(annotation.cue_indices):
         tags[first:last + 1] = ["MC" if last > first else "C"] * (last + 1 - first)
     return tags
 
@@ -77,26 +86,23 @@ def derive_cue_tags(annotation: NegationAnnotation, n: int) -> list[str]:
 def derive_scope_tags(annotation: NegationAnnotation, n: int) -> list[str]:
     """Scope tag per token: B before the first cue index, C at it, A after,
     O outside the span. Empty annotation gives all O."""
+    check_bounds(annotation, n)
     if annotation.scope is None:
         return ["O"] * n
     left, right = annotation.scope
-    if right >= n:
-        raise ValueError(f"scope {annotation.scope} out of bounds for length {n}")
     first_cue = annotation.cue_indices[0]
-    tags = ["O"] * n
-    for k in range(left, right + 1):
-        tags[k] = "B" if k < first_cue else ("C" if k == first_cue else "A")
-    return tags
+    return (["O"] * left + ["B"] * (first_cue - left) + ["C"]
+            + ["A"] * (right - first_cue) + ["O"] * (n - 1 - right))
 
 
 def cue_vector(cue_tags: list[str]) -> list[int]:
     """Binary cue indicator per token: 1 where the tag is C or MC."""
-    return [1 if t in ("C", "MC") else 0 for t in cue_tags]
+    return list(map(_CUE_BITS.get, cue_tags, repeat(0)))
 
 
 def scope_bounds(scope_tags: list[str]) -> tuple[int, int] | None:
     """(leftmost, rightmost) in-scope positions, or None when all O."""
-    idx = [k for k, t in enumerate(scope_tags) if t != "O"]
+    idx = list(compress(range(len(scope_tags)), map("O".__ne__, scope_tags)))
     if not idx:
         return None
     return idx[0], idx[-1]

@@ -6,7 +6,9 @@ sentence after another:
 and the score columns feed either a per-token softmax or a linear-chain
 CRF. The LSTM and every CRF pass (marginals, NLL, Viterbi) take the
 sentence lengths and run step-major over packed_steps' layout, padding
-nothing; each sentence's result is bitwise the one it gives alone.
+nothing. Each sentence's CRF results are bitwise the ones it gives alone;
+its LSTM states agree with those to float rounding, since a one-row step
+and a short sentence's small products round differently in BLAS.
 Gradients mirror each forward exactly; nothing here depends on autodiff.
 """
 from __future__ import annotations

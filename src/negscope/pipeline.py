@@ -664,7 +664,7 @@ def cmd_predict(args) -> int:
     else:
         blocks = read_tag_blocks(args.input)
 
-    ids = [np.array([vocab.lookup(t) for t in b.tokens], dtype=np.int64) for b in blocks]
+    ids = [vocab.lookup_all(b.tokens) for b in blocks]
     if args.cue_input == "gold":
         if args.raw:
             raise UsageError("--cue-input gold needs a cue column in the input")

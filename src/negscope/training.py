@@ -192,7 +192,9 @@ def _checked_columns(name: str, p: np.ndarray, grad: ColumnGrad):
                          f"{values.shape} block, not (k,) and (k, d) for {p.shape}")
     if cols.size and (cols.min() < 0 or cols.max() >= p.shape[1]):
         raise ValueError(f"gradient for {name} has a column outside [0, {p.shape[1]})")
-    if np.unique(cols).size != cols.size:
+    # a plain np.unique imports numpy.ma on its first call in a process
+    ordered = np.sort(cols)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError(f"gradient for {name} repeats a column")
     return cols, values
 

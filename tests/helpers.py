@@ -1,8 +1,9 @@
 """Shared test oracles: brute-force CRF enumeration, per-sentence CRF
 lattices, NLL gradients and Viterbi, a scalar LSTM cell written without
-numpy, gradient-check plumbing, a synthetic corpus builder, and hypothesis
-strategies for column-file contents. Everything here recomputes results
-independently of the package code under test."""
+numpy, gradient-check plumbing, a line-at-a-time column-file reader, a
+synthetic corpus builder, and hypothesis strategies for column-file
+contents. Everything here recomputes results independently of the
+package code under test."""
 from __future__ import annotations
 
 import itertools
@@ -240,6 +241,109 @@ def valid_gold_pattern(scope_tags: list[str]) -> bool:
     if any(t not in SCOPE_TAG_IDS for t in scope_tags):
         return False
     return _GOLD_PATTERN.fullmatch("".join(scope_tags)) is not None
+
+
+# ---------------------------------------------------------------------------
+# column-file reader oracle: one line and one token at a time
+
+def loop_column_blocks(path, widths):
+    """Yield (source_id, [(lineno, columns), ...]) per block, checking each
+    row as it is read; the rules the package's block reader must match."""
+    from negscope.corpus import CorpusError
+
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    block: list[tuple[int, list[str]]] = []
+    source_id = ""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r ")
+        if line.startswith("#") and "\t" not in line:
+            if not block and not source_id:
+                source_id = line.lstrip("#").strip()
+            continue
+        if not line.strip():
+            if block:
+                yield source_id, block
+                block, source_id = [], ""
+            continue
+        cols = line.split("\t")
+        if len(cols) not in widths:
+            raise CorpusError(f"{path}:{lineno}: expected "
+                              f"{' or '.join(map(str, widths))} tab-separated columns")
+        if cols[0].split() != [cols[0]]:
+            raise CorpusError(f"{path}:{lineno}: empty token" if not cols[0] else
+                              f"{path}:{lineno}: token {cols[0]!r} holds whitespace")
+        for tag, kind, alphabet in zip(cols[1:], ("cue", "scope"), (CUE_TAGS, SCOPE_TAGS)):
+            if tag not in alphabet:
+                raise CorpusError(f"{path}:{lineno}: " + (
+                    f"unknown {kind} tag {tag!r}" if tag else f"empty {kind} tag"))
+        block.append((lineno, cols))
+    if block:
+        yield source_id, block
+
+
+def loop_decode_block(path, block, source_id):
+    """One gold block's instance: the annotation its tags spell, which
+    must re-derive those tags exactly."""
+    from negscope.corpus import CorpusError, NegationInstance, Sentence
+    from negscope.labeling import derive_cue_tags, derive_scope_tags
+
+    linenos = [lineno for lineno, _ in block]
+    tokens = tuple(cols[0] for _, cols in block)
+    ctags = [cols[1] for _, cols in block]
+    stags = [cols[2] for _, cols in block]
+    cues = tuple(k for k, t in enumerate(ctags) if t in ("C", "MC"))
+    inside = [k for k, t in enumerate(stags) if t != "O"]
+    span = (inside[0], inside[-1]) if inside else None
+    if span is not None and not cues:
+        raise CorpusError(f"{path}:{linenos[0]}: scope without any cue token")
+    try:
+        ann = NegationAnnotation(cues, span)
+    except ValueError as exc:
+        raise CorpusError(f"{path}:{linenos[0]}: {exc}") from None
+    n = len(tokens)
+    for k, (want, got) in enumerate(zip(derive_cue_tags(ann, n), ctags)):
+        if want != got:
+            raise CorpusError(
+                f"{path}:{linenos[k]}: cue tag {got!r} is not canonical "
+                f"(expected {want!r}; MC needs a run of at least 2)"
+            )
+    for k, (want, got) in enumerate(zip(derive_scope_tags(ann, n), stags)):
+        if want != got:
+            raise CorpusError(
+                f"{path}:{linenos[k]}: scope tag {got!r} breaks the "
+                f"O* B* C A* O* shape (expected {want!r})"
+            )
+    return NegationInstance(Sentence(tokens, source_id), ann)
+
+
+def loop_parse_column_file(path):
+    from negscope.corpus import CorpusError
+
+    instances = [loop_decode_block(path, block, source_id)
+                 for source_id, block in loop_column_blocks(path, (3,))]
+    if not instances:
+        raise CorpusError(f"{path}: no instances found")
+    return instances
+
+
+def loop_read_tag_blocks(path):
+    from negscope.corpus import CorpusError, TagBlock
+
+    blocks = []
+    for source_id, rows in loop_column_blocks(path, (2, 3)):
+        widths = {len(cols) for _, cols in rows}
+        if len(widths) > 1:
+            raise CorpusError(f"{path}:{rows[0][0]}: ragged block, need 2 or 3 columns")
+        blocks.append(TagBlock(
+            source_id,
+            tuple(cols[0] for _, cols in rows),
+            tuple(cols[1] for _, cols in rows),
+            tuple(cols[2] for _, cols in rows) if widths == {3} else None,
+        ))
+    if not blocks:
+        raise CorpusError(f"{path}: no instances found")
+    return blocks
 
 
 # ---------------------------------------------------------------------------

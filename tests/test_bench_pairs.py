@@ -1,11 +1,14 @@
 """scripts/bench_pairs.py on canned result lines and small checkout trees:
-the per-metric medians, quartiles and wins, the claim rule, and the
-refusal to compare checkouts whose benchmarks differ. No benchmark runs."""
+the per-metric medians, quartiles and wins, the claim rule, the
+regression verdicts, the `--json` record, and the refusal to compare
+checkouts whose benchmarks differ. No benchmark runs."""
 from __future__ import annotations
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
@@ -144,3 +147,40 @@ def test_main_exits_one_on_a_regression_without_running_a_benchmark(tmp_path, mo
     assert module.main(argv) == 1
     walls["change"] = 1.1
     assert module.main(argv) == 0
+
+
+def test_json_record_holds_the_result_lines_quartiles_and_verdicts(tmp_path, monkeypatch):
+    module = _script()
+    for side in ("parent", "change"):
+        (tmp_path / side / "benchmark").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    walls = {"parent": [1.0, 1.2, 1.1], "change": [0.8, 0.9, 0.7]}
+    monkeypatch.setattr(module, "run_once", lambda checkout, workload, seed, seconds:
+                        module.read_result(_stdout(walls[checkout.name][seed - 1])))
+    out = tmp_path / "BENCH_x.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "train-emb",
+            "--seeds", "1", "2", "3", "--seconds", "1", "--claim", "wall_s", "--json", str(out)]
+    assert module.main(argv) == 0
+    record = json.loads(out.read_text())
+    assert (record["workload"], record["seconds"], record["claim"]) == ("train-emb", 1, "wall_s")
+    assert [p["seed"] for p in record["pairs"]] == [1, 2, 3]
+    assert record["pairs"][1]["parent"] == module.read_result(_stdout(1.2))
+    assert record["pairs"][2]["change"]["metrics"] == {"wall_s": 0.7, "cue_f1": 90.0}
+    wall = record["metrics"]["wall_s"]
+    assert wall["parent"] == pytest.approx({"median": 1.1, "q1": 1.05, "q3": 1.15})
+    assert wall["change"] == pytest.approx({"median": 0.8, "q1": 0.75, "q3": 0.85})
+    assert wall["change_won"] == 3
+    assert record["metrics"]["cue_f1"]["change_won"] == 0
+    assert record["claim_met"] is True
+    assert record["verdicts"] == {"cue_f1": "ok"}
+    assert record["report"][0] == "pairs 3; failed units: parent 0/120, change 0/120"
+    assert record["report"][-1].startswith("regression cue_f1: change worse by 0")
+
+    walls["change"] = [1.5, 1.6, 1.7]
+    assert module.main(argv) == 1
+    record = json.loads(out.read_text())
+    assert record["claim_met"] is False
+    assert record["verdicts"] == {"cue_f1": "ok"}
+    argv[argv.index("--claim"):argv.index("--claim") + 2] = []
+    assert module.main(argv) == 1
+    assert json.loads(out.read_text())["verdicts"] == {"wall_s": "regression", "cue_f1": "ok"}

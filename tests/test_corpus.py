@@ -1,7 +1,9 @@
 """Column-format IO, tokenizer, vocabulary, embeddings, encoding, splits."""
 from __future__ import annotations
 
+import re
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import _SOURCE_IDS, gold_instances, synthetic_instances, tag_rows
+from helpers import (
+    _SOURCE_IDS,
+    gold_instances,
+    loop_parse_column_file,
+    loop_read_tag_blocks,
+    synthetic_instances,
+    tag_rows,
+)
 from negscope.corpus import (
     OOV_INDEX,
     CorpusError,
@@ -217,6 +226,11 @@ class TestParse:
         assert (first.tokens, first.cue_tags, first.scope_tags) == (("a",), ("C",), None)
         assert (second.tokens, second.cue_tags, second.scope_tags) == (("b",), ("NC",), ("O",))
 
+    def test_trailing_spaces_are_cut_on_the_last_line_too(self, tmp_path):
+        path = tmp_path / "pred.tsv"
+        path.write_text("a\tC\n\nb\tNC  ")
+        assert [b.cue_tags for b in read_tag_blocks(path)] == [("C",), ("NC",)]
+
     def test_hash_tokens_are_rows_not_ids(self, tmp_path):
         # a '#' line with a tab is a token row, inside a block or opening one
         path = tmp_path / "corpus.tsv"
@@ -275,6 +289,119 @@ class TestRoundTrip:
             path = Path(tmp) / "pred.col"
             path.write_text(format_column_blocks(rows), encoding="utf-8")
             assert read_tag_blocks(path) == [TagBlock(*row) for row in rows]
+
+
+# line edits that break a valid file, or keep it valid in another form;
+# each takes (lines, k, draw) and edits the lines in place around line k
+def _set_column(col, values):
+    def edit(lines, k, draw):
+        cols = lines[k].split("\t")
+        if len(cols) > col:
+            cols[col] = draw(st.sampled_from(values))
+            lines[k] = "\t".join(cols)
+    return edit
+
+
+def _drop_tab(lines, k, draw):
+    lines[k] = lines[k].replace("\t", "", 1)
+
+
+def _add_tab(lines, k, draw):
+    at = draw(st.integers(0, len(lines[k])))
+    lines[k] = lines[k][:at] + "\t" + lines[k][at:]
+
+
+def _ragged(lines, k, draw):
+    lines[k] = lines[k].rpartition("\t")[0] if lines[k].count("\t") > 1 else lines[k]
+
+
+def _insert(values):
+    def edit(lines, k, draw):
+        lines.insert(k, draw(st.sampled_from(values)))
+    return edit
+
+
+def _append(values):
+    def edit(lines, k, draw):
+        lines[k] += draw(st.sampled_from(values))
+    return edit
+
+
+def _blank_to_spaces(lines, k, draw):
+    if not lines[k]:
+        lines[k] = draw(st.sampled_from((" ", "  \t", "\xa0", "\x1c", "\t")))
+
+
+_EDITS = (
+    _drop_tab, _add_tab, _ragged, _blank_to_spaces,
+    _set_column(0, ("", " ", "a b", "\xa0", "a\xa0", "\x1c", "\u3000x", "#x")),
+    _set_column(1, ("X", "", "nc", "MC", "NC", "C", "C ")),  # MC alone: a run of one
+    _set_column(2, ("Z", "", "O", "B", "C", "A")),  # breaks the shape, or drops the cue
+    _insert(("# a comment", "#", "", " ", "\t", "\xa0 ", "x\tNC\tO", "#3\tC\tC")),
+    _append(("\r", " ", "  ", " \r", "\t", "\tO")),
+)
+
+
+@st.composite
+def column_files(draw):
+    """The text of a gold or prediction file, edited at a few random lines."""
+    kind = draw(st.sampled_from(("gold", "cue", "scope")))
+    if kind == "gold":
+        rows = [(i.sentence.source_id, i.sentence.tokens, i.cue_tags(), i.scope_tags())
+                for i in draw(st.lists(gold_instances(), min_size=1, max_size=3))]
+    else:
+        rows = draw(st.lists(tag_rows(kind == "scope"), min_size=1, max_size=3))
+    lines = format_column_blocks(rows).split("\n")
+    if draw(st.booleans()):
+        lines.pop()  # no line break at the end of the file
+    for edit in draw(st.lists(st.sampled_from(_EDITS), max_size=3)):
+        last = len(lines) - 1  # the last line is drawn more often
+        edit(lines, draw(st.integers(0, last) | st.just(last)), draw)
+    ends = draw(st.sampled_from(("\n", "\r\n")))
+    return ends.join(lines)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except Exception as exc:  # the error's type and text must match too
+        return type(exc), str(exc)
+
+
+class TestReaderOracle:
+    """Both readers against the line-at-a-time oracles in helpers: equal
+    results on valid files, the same error on broken ones."""
+
+    @given(column_files())
+    @settings(max_examples=400, deadline=None)
+    def test_edited_files_read_as_the_oracle_reads_them(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.col"
+            path.write_bytes(text.encode("utf-8"))
+            assert _outcome(parse_column_file, path) == _outcome(loop_parse_column_file, path)
+            assert _outcome(read_tag_blocks, path) == _outcome(loop_read_tag_blocks, path)
+
+    def test_a_token_is_refused_exactly_when_it_holds_whitespace(self, tmp_path):
+        chars = "".join(map(chr, chain(range(0xD800), range(0xE000, 0x110000))))
+        solid = "".join(chars.split())
+        # "\n" and "\r" end the line and "\t" the column before any token
+        # rule sees them
+        spaces = [c for c in chars if c.isspace() and c not in "\n\r\t"]
+        tokens = tuple(solid[i:i + 4096] for i in range(0, len(solid), 4096))
+        path = tmp_path / "solid.col"
+        path.write_text(format_column_blocks([("", tokens, ("NC",) * len(tokens), None)]),
+                        encoding="utf-8")
+        assert read_tag_blocks(path) == [TagBlock("", tokens, ("NC",) * len(tokens), None)]
+        assert Sentence(tokens).tokens == tokens
+        for c in [*spaces, "\n", "\r", "\t"]:
+            with pytest.raises(ValueError, match="whitespace-free"):
+                Sentence(("a", "b" + c))
+        for c in spaces:
+            path = tmp_path / f"{ord(c):x}.col"
+            path.write_text(f"a\tNC\nb{c}\tNC\n", encoding="utf-8")
+            message = re.escape(f"{ord(c):x}.col:2: token {'b' + c!r} holds whitespace")
+            with pytest.raises(CorpusError, match=f"{message}$"):
+                read_tag_blocks(path)
 
 
 class TestVocabulary:

@@ -3,9 +3,13 @@ training loop's determinism and early-stopping contract."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -341,6 +345,23 @@ class TestAdam:
         for old, new in zip(before, (params, state.m, state.v)):
             for k in old:
                 assert np.array_equal(old[k], new[k])
+
+    def test_column_gradient_step_does_not_import_numpy_ma(self):
+        # np.unique without return_counts pulls in numpy.ma (several ms)
+        # on its first call in a process
+        code = ("import sys, numpy as np\n"
+                "from negscope.layers import ColumnGrad\n"
+                "from negscope.training import AdamState, adam_step\n"
+                "params = {'E': np.ones((2, 5))}\n"
+                "grad = ColumnGrad(np.array([3, 1]), np.ones((2, 2)))\n"
+                "adam_step(params, {'E': grad}, AdamState.init(params), 0.1)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(training.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                  filter(None, [src, os.environ.get("PYTHONPATH")]))},
+                              check=True)
+        assert done.stdout == "False\n"
 
     def test_parameter_that_cannot_be_flattened_in_place_is_an_error(self):
         params = {"w": np.ones((4, 3)).T}  # a transposed view: not C-contiguous
