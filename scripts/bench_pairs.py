@@ -101,12 +101,17 @@ def metric_stats(spec: dict, pairs: list[tuple[dict, dict]]) -> dict | None:
             "sides": sides}
 
 
-def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]],
+def all_stats(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> dict:
+    """metric_stats of each end-to-end metric, by name."""
+    return {spec["name"]: metric_stats(spec, pairs) for spec in metrics}
+
+
+def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]], stats: dict,
               claim: str | None = None) -> tuple[list[str], bool | None]:
     """(report lines, whether the claim holds or None without one) over a
-    non-empty list of (parent result, change result) pairs, for the
-    end-to-end `metrics` of BENCHMARK.json (each with `name`, `unit` and
-    `better`)."""
+    non-empty list of (parent result, change result) pairs and their
+    all_stats, for the end-to-end `metrics` of BENCHMARK.json (each with
+    `name`, `unit` and `better`)."""
     lines, verdict = [], None
     failed = [sum(result["failed"] for result in side) for side in zip(*pairs)]
     attempted = [sum(result["attempted"] for result in side) for side in zip(*pairs)]
@@ -114,11 +119,10 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]],
                  f"change {failed[1]}/{attempted[1]}")
     for spec in metrics:
         name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
-        stats = metric_stats(spec, pairs)
-        if stats is None:
+        if stats[name] is None:
             lines.append(f"{name}: not measured on both sides")
             continue
-        (med_p, q1_p, q3_p), (med_c, q1_c, q3_c), wins = (stats[k] for k in
+        (med_p, q1_p, q3_p), (med_c, q1_c, q3_c), wins = (stats[name][k] for k in
                                                           ("parent", "change", "wins"))
         lines.append(f"{name} ({spec['unit']}, {spec['better']} is better): "
                      f"parent {med_p:.4g} [{q1_p:.4g}, {q3_p:.4g}]  "
@@ -138,23 +142,21 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]],
     return lines, verdict
 
 
-def verdicts(metrics: list[dict], pairs: list[tuple[dict, dict]],
+def verdicts(metrics: list[dict], stats: dict,
              claim: str | None = None) -> list[tuple[str, str, str]]:
     """(metric, verdict, report line) for each end-to-end metric except
-    `claim`, over the same pairs as `summarize`; each metric spec also
-    carries its relative `bound`. The verdict is `ok`, `regression` or
-    `unresolved`."""
+    `claim`, from the pairs' all_stats; each metric spec also carries its
+    relative `bound`. The verdict is `ok`, `regression` or `unresolved`."""
     out = []
     for spec in metrics:
         name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
         if name == claim:
             continue
-        stats = metric_stats(spec, pairs)
-        if stats is None:
+        if stats[name] is None:
             out.append((name, "unresolved",
                         f"regression {name}: not measured on both sides; unresolved"))
             continue
-        (med_p, q1_p, q3_p), (med_c, _, _), sides = (stats[k] for k in
+        (med_p, q1_p, q3_p), (med_c, _, _), sides = (stats[name][k] for k in
                                                      ("parent", "change", "sides"))
         limit, worse, iqr = spec["bound"] * abs(med_p), sign * med_c - sign * med_p, q3_p - q1_p
         if max(sign * v for v in sides[1]) < min(sign * v for v in sides[0]):
@@ -171,34 +173,22 @@ def verdicts(metrics: list[dict], pairs: list[tuple[dict, dict]],
     return out
 
 
-def regressions(metrics: list[dict], pairs: list[tuple[dict, dict]],
-                claim: str | None = None) -> tuple[list[str], bool]:
-    """(one verdict line per end-to-end metric except `claim`, whether any
-    regressed)."""
-    found = verdicts(metrics, pairs, claim)
-    return [line for _, _, line in found], any(state == "regression" for _, state, _ in found)
-
-
-def record(workload: str, seconds: float, seeds: list[int], metrics: list[dict],
-           pairs: list[tuple[dict, dict]], claim: str | None = None) -> dict:
-    """What `--json` writes, for the pairs run on `seeds` in turn."""
-    lines, verdict = summarize(metrics, pairs, claim)
-    found = verdicts(metrics, pairs, claim)
-    quartiles = {}
-    for spec in metrics:
-        stats = metric_stats(spec, pairs)
-        quartiles[spec["name"]] = stats and {
-            "parent": dict(zip(("median", "q1", "q3"), stats["parent"])),
-            "change": dict(zip(("median", "q1", "q3"), stats["change"])),
-            "change_won": stats["wins"],
-        }
+def record(workload: str, seconds: float, seeds: list[int], pairs: list[tuple[dict, dict]],
+           stats: dict, claim: str | None, claim_met: bool | None,
+           found: list[tuple[str, str, str]], report: list[str]) -> dict:
+    """What `--json` writes for the pairs run on `seeds` in turn, from
+    their all_stats, summarize's claim outcome, the verdicts and the
+    printed report."""
     return {
         "workload": workload, "seconds": seconds, "claim": claim,
         "pairs": [{"seed": seed, "parent": p, "change": c} for seed, (p, c) in zip(seeds, pairs)],
-        "metrics": quartiles,
-        "claim_met": verdict,
+        "metrics": {name: s and {"parent": dict(zip(("median", "q1", "q3"), s["parent"])),
+                                 "change": dict(zip(("median", "q1", "q3"), s["change"])),
+                                 "change_won": s["wins"]}
+                    for name, s in stats.items()},
+        "claim_met": claim_met,
         "verdicts": {name: state for name, state, _ in found},
-        "report": lines + [line for _, _, line in found],
+        "report": report,
     }
 
 
@@ -250,12 +240,16 @@ def main(argv=None) -> int:
                   flush=True)
         pairs.append((results["parent"], results["change"]))
 
-    lines, verdict = summarize(metrics, pairs, args.claim)
-    found, regressed = regressions(metrics, pairs, args.claim)
-    print("\n".join(lines + found))
+    stats = all_stats(metrics, pairs)
+    lines, verdict = summarize(metrics, pairs, stats, args.claim)
+    found = verdicts(metrics, stats, args.claim)
+    report = lines + [line for _, _, line in found]
+    print("\n".join(report))
     if args.json is not None:
-        out = record(args.workload, args.seconds, args.seeds, metrics, pairs, args.claim)
+        out = record(args.workload, args.seconds, args.seeds, pairs, stats, args.claim,
+                     verdict, found, report)
         args.json.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    regressed = any(state == "regression" for _, state, _ in found)
     return 1 if verdict is False or regressed else 0
 
 

@@ -16,6 +16,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, chain, compress, repeat
 
 import numpy as np
@@ -132,6 +133,13 @@ def _split_chunk(chunk: str) -> list[str]:
 # each whitespace-only line
 _TRAILING = re.compile(r" +$", re.M)
 _BLANK = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
+# a '#' line holding no tab after a block's first row: a comment
+_COMMENT = re.compile(r"\n#[^\t\n]*$", re.M)
+
+
+def _is_comment(line: str) -> bool:
+    """An id or comment line: it starts with '#' and holds no tab."""
+    return line[:1] == "#" and "\t" not in line
 
 
 def _rows_pattern(width: int) -> re.Pattern:
@@ -164,26 +172,35 @@ def _check_row(path, lineno: int, line: str, widths) -> None:
                 f"unknown {kind} tag {tag!r}" if tag else f"empty {kind} tag"))
 
 
-def _columns(path, linenos, rows: str, widths) -> list[list[str]]:
-    """A block's rows, joined by newlines, as [tokens, cue tags(, scope
-    tags)]. The block is checked whole; only when that check fails is it
-    read row by row, to name the first bad line."""
+def _line_numbers(first: int, block: str) -> list[int]:
+    """The line number of each row of a block whose first line is line
+    `first`: comment lines take a number but hold no row."""
+    return [first + k for k, line in enumerate(block.split("\n")) if not _is_comment(line)]
+
+
+def _columns(path, linenos, block: str, widths) -> list[list[str]]:
+    """A block's rows as [tokens, cue tags(, scope tags)]. The rows are
+    checked whole; only when that check fails are they read one by one,
+    to name the first bad line."""
+    rows = _COMMENT.sub("", block)
     width = rows.partition("\n")[0].count("\t") + 1
     if width in widths and _ROWS[width].fullmatch(rows):
         fields = rows.replace("\n", "\t").split("\t")
         return [fields[k::width] for k in range(width)]
-    for lineno, line in zip(linenos, rows.split("\n")):
+    numbers = linenos()
+    for lineno, line in zip(numbers, rows.split("\n")):
         _check_row(path, lineno, line, widths)
-    raise CorpusError(f"{path}:{linenos[0]}: ragged block, "
+    raise CorpusError(f"{path}:{numbers[0]}: ragged block, "
                       f"need {' or '.join(map(str, widths))} columns")
 
 
 def _column_blocks(path, widths):
     """Yield (source_id, line numbers, columns) per blank-line-separated
-    block, its columns as _columns gives them. A line starting with '#' is
-    an id line only if it holds no tab: the first one before a block names
-    it and later ones are comments. Token rows always carry a tab, so a
-    token may itself start with '#'.
+    block, its columns as _columns gives them. The line numbers come from
+    a call, made only to name a bad row. A line starting with '#' is an id
+    line only if it holds no tab: the first one before a block names it
+    and later ones are comments. Token rows always carry a tab, so a token
+    may itself start with '#'.
 
     Every row is checked, so both readers reject the same rows, and a block
     must hold one column count. Only trailing spaces are cut from a row, so
@@ -191,31 +208,21 @@ def _column_blocks(path, widths):
     a whitespace-only line ends a block like an empty one."""
     with open(path, encoding="utf-8") as handle:
         text = "\n" + handle.read()  # line 0, so that every line follows a '\n'
-    if " \n" in text or text.endswith(" "):
-        text = _TRAILING.sub("", text)
-    text = _BLANK.sub("\n", text)
+    text = _BLANK.sub("\n", _TRAILING.sub("", text))
     source_id, lineno = "", 0
     for chunk in text.split("\n\n"):
-        rows = chunk.lstrip("\n")
-        first = lineno + len(chunk) - len(rows)  # the line number of rows' first line
+        block = chunk.lstrip("\n")
+        first = lineno + len(chunk) - len(block)  # the line number of the block's first line
         lineno += chunk.count("\n") + 2
-        rows = rows.rstrip("\n")
-        while rows[:1] == "#":
-            line, _, rest = rows.partition("\n")
-            if "\t" in line:
-                break
+        block = block.rstrip("\n")
+        while _is_comment(block.partition("\n")[0]):
+            line, _, block = block.partition("\n")
             source_id = source_id or line.lstrip("#").strip()
-            rows, first = rest, first + 1
-        if not rows:
+            first += 1
+        if not block:
             continue
-        if "\n#" in rows:  # drop the comment lines
-            lines = rows.split("\n")
-            keep = [k for k, line in enumerate(lines) if line[:1] != "#" or "\t" in line]
-            linenos = [first + k for k in keep]
-            rows = "\n".join([lines[k] for k in keep])
-        else:
-            linenos = range(first, first + rows.count("\n") + 1)
-        yield source_id, linenos, _columns(path, linenos, rows, widths)
+        linenos = partial(_line_numbers, first, block)
+        yield source_id, linenos, _columns(path, linenos, block, widths)
         source_id = ""
 
 
@@ -241,11 +248,11 @@ def _decode_block(path, source_id, linenos, tokens, ctags, stags) -> NegationIns
     cues = tuple(compress(range(n), cue_vector(ctags)))
     span = scope_bounds(stags)
     if span is not None and not cues:
-        raise CorpusError(f"{path}:{linenos[0]}: scope without any cue token")
+        raise CorpusError(f"{path}:{linenos()[0]}: scope without any cue token")
     try:
         ann = NegationAnnotation(cues, span)
     except ValueError as exc:
-        raise CorpusError(f"{path}:{linenos[0]}: {exc}") from None
+        raise CorpusError(f"{path}:{linenos()[0]}: {exc}") from None
 
     for want, got, problem in (
         (derive_cue_tags(ann, n), ctags,
@@ -255,7 +262,7 @@ def _decode_block(path, source_id, linenos, tokens, ctags, stags) -> NegationIns
     ):
         if want != got:
             k = next(k for k in range(n) if want[k] != got[k])
-            raise CorpusError(f"{path}:{linenos[k]}: "
+            raise CorpusError(f"{path}:{linenos()[k]}: "
                               + problem.format(got=got[k], want=want[k]))
     return NegationInstance(Sentence(tuple(tokens), source_id), ann)
 
@@ -328,11 +335,8 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.index) + 1
 
-    def lookup(self, token: str) -> int:
-        return self.index.get(token, OOV_INDEX)
-
     def lookup_all(self, tokens) -> np.ndarray:
-        """lookup over an iterable of tokens, as one int64 array."""
+        """The index of each of an iterable of tokens, as one int64 array."""
         return np.fromiter(map(self.index.get, tokens, repeat(OOV_INDEX)), np.int64)
 
     def tokens_in_order(self) -> list[str]:
@@ -472,6 +476,10 @@ class EncodedInstance:
         return self.annotation.is_negation
 
 
+# the cue bit of each cue tag id, as cue_vector gives it
+_CUE_BIT_OF_ID = np.array(cue_vector(CUE_TAGS), np.int64)
+
+
 def encode_instance(
     inst: NegationInstance, vocab: Vocabulary, max_len: int | None = None
 ) -> EncodedInstance:
@@ -488,10 +496,9 @@ def encode_instances(
     slices of the four results."""
     if max_len is not None and max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
+    instances = list(instances)
     tokens = [inst.sentence.tokens[:max_len] for inst in instances]
-    anns = [inst.annotation if len(toks) == len(inst.sentence.tokens)
-            else clip_annotation(inst.annotation, len(toks))
-            for inst, toks in zip(instances, tokens)]
+    anns = [clip_annotation(inst.annotation, len(toks)) for inst, toks in zip(instances, tokens)]
     ctags = [derive_cue_tags(ann, len(toks)) for ann, toks in zip(anns, tokens)]
     stags = [derive_scope_tags(ann, len(toks)) for ann, toks in zip(anns, tokens)]
     ids = vocab.lookup_all(chain.from_iterable(tokens))
@@ -499,7 +506,7 @@ def encode_instances(
                           np.int64, ids.size)
     scope_ids = np.fromiter(map(SCOPE_TAG_IDS.__getitem__, chain.from_iterable(stags)),
                             np.int64, ids.size)
-    bits = (cue_ids != CUE_TAG_IDS["NC"]).astype(np.int64)
+    bits = _CUE_BIT_OF_ID[cue_ids]
     bounds = list(accumulate(map(len, tokens), initial=0))
     return [
         EncodedInstance(inst.sentence.source_id, toks, ids[a:b], cue_ids[a:b],

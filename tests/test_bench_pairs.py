@@ -35,11 +35,15 @@ def _pairs(module, parent_walls, change_walls, **change):
             for p, c in zip(parent_walls, change_walls)]
 
 
+def _summarize(module, pairs, claim):
+    return module.summarize(METRICS, pairs, module.all_stats(METRICS, pairs), claim)
+
+
 def test_claim_met_when_nine_tenths_won_and_the_gap_exceeds_the_parent_iqr():
     module = _script()
     parent = [0.240, 0.244, 0.238, 0.250, 0.243, 0.241, 0.246, 0.239, 0.242, 0.245]
     change = [0.201, 0.199, 0.205, 0.200, 0.250, 0.198, 0.202, 0.203, 0.200, 0.204]
-    lines, verdict = module.summarize(METRICS, _pairs(module, parent, change), claim="wall_s")
+    lines, verdict = _summarize(module, _pairs(module, parent, change), "wall_s")
     assert verdict is True
     assert lines[0] == "pairs 10; failed units: parent 0/400, change 0/400"
     assert lines[1] == ("wall_s (s, lower is better): parent 0.2425 [0.2402, 0.2447]  "
@@ -53,14 +57,14 @@ def test_claim_met_when_nine_tenths_won_and_the_gap_exceeds_the_parent_iqr():
 def test_claim_not_met_on_too_few_wins_or_a_gap_inside_the_spread():
     module = _script()
     parent = [1.0, 1.1, 0.9, 1.2, 0.8, 1.0, 1.1, 0.9, 1.2, 0.8]
-    lines, verdict = module.summarize(
-        METRICS, _pairs(module, parent, [v - 0.01 for v in parent]), claim="wall_s")
+    lines, verdict = _summarize(
+        module, _pairs(module, parent, [v - 0.01 for v in parent]), "wall_s")
     assert verdict is False
     assert lines[2].startswith("claim wall_s: won 10/10 >= 9/10: yes; median gap 0.01 > ")
     assert lines[2].endswith(": no; not met")
 
-    lines, verdict = module.summarize(
-        METRICS, _pairs(module, [1.0] * 10, [0.5] * 8 + [1.5] * 2), claim="wall_s")
+    lines, verdict = _summarize(
+        module, _pairs(module, [1.0] * 10, [0.5] * 8 + [1.5] * 2), "wall_s")
     assert verdict is False
     assert "won 8/10 >= 9/10: no" in lines[2]
 
@@ -68,7 +72,7 @@ def test_claim_not_met_on_too_few_wins_or_a_gap_inside_the_spread():
 def test_higher_is_better_metrics_and_failed_units():
     module = _script()
     pairs = _pairs(module, [1.0, 1.0], [1.0, 1.0], cue_f1=91.0, failed=2)
-    lines, verdict = module.summarize(METRICS, pairs, claim="cue_f1")
+    lines, verdict = _summarize(module, pairs, "cue_f1")
     assert verdict is True
     assert lines[0] == "pairs 2; failed units: parent 0/80, change 4/80"
     assert lines[2].endswith("change won 2/2")
@@ -96,8 +100,10 @@ def test_checkouts_whose_benchmarks_differ_are_named(tmp_path):
 
 
 def _verdicts(module, parent_walls, change_walls, claim=None, **change):
-    return module.regressions(METRICS, _pairs(module, parent_walls, change_walls, **change),
-                              claim)
+    """(verdict lines, whether any metric regressed)."""
+    pairs = _pairs(module, parent_walls, change_walls, **change)
+    found = module.verdicts(METRICS, module.all_stats(METRICS, pairs), claim)
+    return [line for _, _, line in found], any(state == "regression" for _, state, _ in found)
 
 
 def test_a_median_worse_by_more_than_the_bound_is_a_regression():

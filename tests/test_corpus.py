@@ -381,6 +381,24 @@ class TestReaderOracle:
             assert _outcome(parse_column_file, path) == _outcome(loop_parse_column_file, path)
             assert _outcome(read_tag_blocks, path) == _outcome(loop_read_tag_blocks, path)
 
+    @pytest.mark.parametrize("rows, read, message", [
+        ("a\tNC\tO\nb\tX\tO", parse_column_file, "6: unknown cue tag 'X'"),
+        ("a\tNC\tO\nb\tMC\tO", parse_column_file, "6: cue tag 'MC' is not canonical "
+         "(expected 'C'; MC needs a run of at least 2)"),
+        ("a\tC\tC\nb\tNC\tB", parse_column_file, "6: scope tag 'B' breaks the "
+         "O* B* C A* O* shape (expected 'A')"),
+        ("a\tNC\nb\tNC\tZ", read_tag_blocks, "6: unknown scope tag 'Z'"),
+    ])
+    def test_comments_inside_a_block_keep_the_line_numbers(self, tmp_path, rows,
+                                                           read, message):
+        first, second = rows.split("\n")
+        path = tmp_path / "c.col"
+        path.write_text(f"# s1\n{first}\n# a note\n#\n# x\n{second}\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=re.escape(f"c.col:{message}") + "$"):
+            read(path)
+        oracle = loop_parse_column_file if read is parse_column_file else loop_read_tag_blocks
+        assert _outcome(read, path) == _outcome(oracle, path)
+
     def test_a_token_is_refused_exactly_when_it_holds_whitespace(self, tmp_path):
         chars = "".join(map(chr, chain(range(0xD800), range(0xE000, 0x110000))))
         solid = "".join(chars.split())
@@ -418,8 +436,8 @@ class TestVocabulary:
         ]
         vocab = build_vocab(insts)
         assert vocab.tokens_in_order() == ["It", "it", "new"]
-        assert vocab.lookup("It") == 1
-        assert vocab.lookup("unseen") == OOV_INDEX == 0
+        assert vocab.lookup_all(["It"])[0] == 1
+        assert vocab.lookup_all(["unseen"])[0] == OOV_INDEX == 0
 
     def test_duplicate_instances_do_not_grow_vocab(self):
         insts = [NegationInstance(Sentence(("a", "b"), "x"))] * 3
