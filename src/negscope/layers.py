@@ -123,10 +123,10 @@ def embed_backward(
 # direction writes only its own arrays (the forward's two halves of the
 # states are disjoint columns) and the caller sums d_inputs after both
 # finish, so every result is bitwise the one a sequential run gives.
-# Holding both directions' working arrays at once costs about 5 MB more
-# peak memory at d = U = 200 when training; streaming, a direction holds
-# about 3.7 MB at 64 sentences, 1.3 MB of it the w_rec.T copy and 0.6 MB
-# the projection table.
+# Running both at once raised the traced peak, training at d = U = 200
+# and T = 227, by 2.9 MB forward and up to 1 MB backward; streaming, a
+# direction holds about 3.7 MB at 64 sentences, 1.3 MB of it the w_rec.T
+# copy and 0.6 MB the projection table.
 #
 # The same single worker also runs half of each Adam step (training.py),
 # so it is the package's only extra thread. A task running on it must not
@@ -183,7 +183,7 @@ def init_lstm(
 class LstmCache:
     inputs: np.ndarray  # (T, d), step-major
     aux: np.ndarray | None  # (T,)
-    gates: np.ndarray  # (T, 4U): sigmoid of i, f, o and tanh of g
+    gates: np.ndarray | None  # (T, 4U): sigmoid of i, f, o and tanh of g; None once consumed
     cell: np.ndarray  # (T, U)
     hidden: np.ndarray  # (T, U)
     batch_sizes: np.ndarray  # (n_max,)
@@ -297,27 +297,47 @@ def lstm_backward(
 ) -> tuple[LstmParams, np.ndarray, np.ndarray | None]:
     """d_hidden (T, U) -> (param grads, d_inputs (T, d), d_aux (T,)), all in
     the cache's step-major layout. Every column of the w_aux gradient is
-    the same, since every column of w_aux meets the same scalar aux input."""
+    the same, since every column of w_aux meets the same scalar aux input.
+
+    The call consumes the cache: d(preactivation) is built in place over
+    its gates, which are then dropped from it, and a second call on the
+    same cache raises ValueError."""
     dh_out = np.asarray(d_hidden, dtype=np.float64)
     if dh_out.shape != cache.hidden.shape:
         raise ValueError(f"expected d_hidden {cache.hidden.shape}, got {dh_out.shape}")
+    if cache.gates is None:
+        raise ValueError("this LSTM cache was consumed by an earlier lstm_backward; "
+                         "run lstm_forward again for a fresh one")
+    flat, cache.gates = cache.gates, None  # (T, 4U), becomes d(preactivation)
 
     sizes = cache.batch_sizes
     total, units = cache.hidden.shape
     first = sizes[0]
     # row r of step k >= 1 continues row r - batch_sizes[k-1] of step k-1
     prev = np.arange(first, total) - np.repeat(sizes[:-1], sizes[1:])
-    i, f, o, g = np.split(cache.gates, 4, axis=1)
-    tc = np.tanh(cache.cell)
-    c_prev = np.concatenate([np.zeros((first, units)), cache.cell[prev]])
-    # d(gate output)/d(preactivation) times the factor each gate meets in
-    # c = f*c_prev + i*g and h = o*tanh(c); the loop scales the o slot by
-    # dh and the rest by dc in place, which leaves d(preactivation)
-    dpre = np.concatenate(
-        [g * i * (1 - i), c_prev * f * (1 - f), tc * o * (1 - o), i * (1 - g * g)], axis=1
-    ).reshape(total, 4, units)
-    dc_dh = o * (1 - tc * tc)
-    del tc, c_prev
+    # in place, each gate slot becomes d(gate output)/d(preactivation)
+    # times the factor the gate meets in c = f*c_prev + i*g and h =
+    # o*tanh(c): g*i*(1-i), c_prev*f*(1-f), tanh(c)*o*(1-o), i*(1-g*g), in
+    # that operation order (IEEE products commute). The loop then scales
+    # the o slot by dh and the rest by dc, which leaves d(preactivation).
+    # Only f (the loop reads it) and i (the g slot does) are copied.
+    i, f, o, g = np.split(flat, 4, axis=1)
+    tmp = np.tanh(cache.cell)
+    dc_dh = o * (1 - tmp * tmp)
+    tmp *= o
+    np.multiply(tmp, 1 - o, out=o)
+    f_gate, i_gate = f.copy(), i.copy()
+    np.subtract(1, i, out=tmp)
+    i *= g
+    i *= tmp
+    np.multiply(g, g, out=g)
+    np.subtract(1, g, out=g)
+    g *= i_gate
+    del i_gate
+    f[first:] *= np.take(cache.cell, prev, axis=0, out=tmp[first:])
+    f[:first] *= 0.0  # step 0's c_prev is the zero state
+    f *= np.subtract(1, f_gate, out=tmp)
+    dpre = flat.reshape(total, 4, units)
 
     # gradients flowing into step k-1 from step k; rows past batch_sizes[k]
     # belong to sentences that end at step k-1 and keep their zero
@@ -332,12 +352,11 @@ def lstm_backward(
         dpre[step, 3] *= dc
         if start:
             np.matmul(dpre[step].reshape(size, 4 * units), params.w_rec, out=dh_rec[:size])
-            np.multiply(dc, f[step], out=dc_rec[:size])
+            np.multiply(dc, f_gate[step], out=dc_rec[:size])
+    del dc_dh, f_gate
 
-    flat = dpre.reshape(total, 4 * units)
-    grads = LstmParams(
-        flat.T @ cache.inputs, flat[first:].T @ cache.hidden[prev], flat.sum(axis=0)
-    )
+    h_prev = np.take(cache.hidden, prev, axis=0, out=tmp[first:])
+    grads = LstmParams(flat.T @ cache.inputs, flat[first:].T @ h_prev, flat.sum(axis=0))
     d_inputs = flat @ params.w_in
     d_aux = None
     if cache.aux is not None:

@@ -210,13 +210,6 @@ class Tagger:
             params.pop("emb.E")
         return params
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: arr.copy() for name, arr in self.parameters().items()}
-
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        for name, arr in self.parameters().items():
-            arr[:] = snapshot[name]
-
     # -- forward ----------------------------------------------------------
 
     def scores(self, token_ids, cue_bits=None, keep_cache: bool = True):

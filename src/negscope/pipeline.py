@@ -556,32 +556,32 @@ def cmd_experiment(args) -> int:
     out, emit, corpus = start_run(config)
     pred_tags = run_cue_stage(config, corpus, out, emit)
 
-    # one trained model per distinct base; -post reuses its base's weights
-    scope_models = {
-        base: run_scope_training(config, corpus, base, out, emit)
-        for base in dict.fromkeys(scope_base(v) for v in config.scope_variants)
-    }
-
     # both conditions are evaluated on tp + fn + fp, fixed by the cue model
     test = corpus.test
     gold_flags = [inst.is_negation for inst in test]
     pred_flags = [any(cue_vector(tags)) for tags in pred_tags]
     groups = task2_groups(gold_flags, pred_flags)
     test_indices = sorted(groups["tp"] + groups["fn"] + groups["fp"])
-    summary = [" ".join(f"testset.{key}={len(group)}" for key, group in groups.items())
-               + f" testset.size={len(test_indices)}"]
-    emit(summary[0])
-
     data = [test[i] for i in test_indices]
-    gold_path = write_gold(out / "scope_test_gold.col", data, with_scope=True)
     # the model runs on exactly the sentences with a cue under each
     # condition; the rest (fp under gold, fn under pred) get all O
     cue_rows = {"gold": [inst.cue_tags for inst in data],
                 "pred": [pred_tags[i] for i in test_indices]}
-    # one prediction pass per base model and condition; -post smooths its base's rows
+
+    # one trained model per distinct base, which tags both conditions and
+    # is dropped before the next base trains; -post smooths its base's rows
     ids = [inst.token_ids for inst in data]
-    scope_rows = {(base, condition): predict_scopes(model, ids, rows)
-                  for base, model in scope_models.items() for condition, rows in cue_rows.items()}
+    scope_rows = {}
+    for base in dict.fromkeys(scope_base(v) for v in config.scope_variants):
+        model = run_scope_training(config, corpus, base, out, emit)
+        for condition, rows in cue_rows.items():
+            scope_rows[base, condition] = predict_scopes(model, ids, rows)
+        del model
+
+    summary = [" ".join(f"testset.{key}={len(group)}" for key, group in groups.items())
+               + f" testset.size={len(test_indices)}"]
+    emit(summary[0])
+    gold_path = write_gold(out / "scope_test_gold.col", data, with_scope=True)
 
     table_rows = []
     for variant in config.scope_variants:

@@ -1,10 +1,11 @@
 """Shared test oracles: brute-force CRF enumeration, per-sentence CRF
 lattices, NLL gradients and Viterbi, a scalar LSTM cell written without
-numpy, gradient-check plumbing, a line-at-a-time column-file reader, a
-synthetic corpus builder, and hypothesis strategies for column-file
-contents. Everything here recomputes results independently of the
-package code under test; the reader oracles build the package's data
-classes only to hold what they read."""
+numpy, an out-of-place LSTM backward, gradient-check plumbing, a
+line-at-a-time column-file reader, a synthetic corpus builder, and
+hypothesis strategies for column-file contents. Everything here
+recomputes results independently of the package code under test; the
+reader oracles build the package's data classes only to hold what they
+read."""
 from __future__ import annotations
 
 import itertools
@@ -15,6 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from negscope.labeling import CUE_TAGS, SCOPE_TAG_IDS, SCOPE_TAGS, NegationAnnotation
+from negscope.layers import LstmParams
 
 # ---------------------------------------------------------------------------
 # CRF enumeration oracle
@@ -180,6 +182,47 @@ def scalar_lstm_states(params, x, q=None):
                                 w_aux=w_aux, q=None if q is None else list(q[k]))
         out.append(h)
     return np.array(out).reshape(len(x), units)
+
+
+def concat_lstm_backward(params, cache, d_hidden):
+    """The LSTM backward with d(preactivation) built out of place: four
+    fresh per-gate products, concatenated into a new (T, 4U) array, each
+    with the operation order lstm_backward keeps. It leaves the cache as it
+    found it. Returns (LstmParams grads, d_inputs, d_aux) like lstm_backward."""
+    dh_out = np.asarray(d_hidden, dtype=np.float64)
+    sizes = cache.batch_sizes
+    total, units = cache.hidden.shape
+    first = sizes[0]
+    prev = np.arange(first, total) - np.repeat(sizes[:-1], sizes[1:])
+    i, f, o, g = np.split(cache.gates, 4, axis=1)
+    tc = np.tanh(cache.cell)
+    c_prev = np.concatenate([np.zeros((first, units)), cache.cell[prev]])
+    dpre = np.concatenate(
+        [g * i * (1 - i), c_prev * f * (1 - f), tc * o * (1 - o), i * (1 - g * g)], axis=1
+    ).reshape(total, 4, units)
+    dc_dh = o * (1 - tc * tc)
+    dh_rec = np.zeros((first, units))
+    dc_rec = np.zeros((first, units))
+    for start, size in zip((np.cumsum(sizes) - sizes)[::-1], sizes[::-1]):
+        step = slice(start, start + size)
+        dh = dh_out[step] + dh_rec[:size]
+        dc = dh * dc_dh[step] + dc_rec[:size]
+        dpre[step, :2] *= dc[:, None, :]
+        dpre[step, 2] *= dh
+        dpre[step, 3] *= dc
+        if start:
+            np.matmul(dpre[step].reshape(size, 4 * units), params.w_rec, out=dh_rec[:size])
+            np.multiply(dc, f[step], out=dc_rec[:size])
+    flat = dpre.reshape(total, 4 * units)
+    grads = LstmParams(
+        flat.T @ cache.inputs, flat[first:].T @ cache.hidden[prev], flat.sum(axis=0)
+    )
+    d_inputs = flat @ params.w_in
+    d_aux = None
+    if cache.aux is not None:
+        grads.w_aux = np.repeat((flat.T @ cache.aux)[:, None], params.in_dim, axis=1)
+        d_aux = flat @ params.w_aux.sum(axis=1)
+    return grads, d_inputs, d_aux
 
 
 # ---------------------------------------------------------------------------

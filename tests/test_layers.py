@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     assert_grad_close,
+    concat_lstm_backward,
     densify,
     brute_best_path,
     brute_log_partition,
@@ -296,6 +297,78 @@ class TestLstmBackward:
         np.testing.assert_array_equal(d_x, 0.0)
         np.testing.assert_array_equal(grads.w_in, 0.0)
         np.testing.assert_array_equal(grads.w_rec, 0.0)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("lengths, two_input", [
+        ([7, 1, 4, 7, 2], False),  # ragged, ties, a length-1 sentence
+        ([7, 1, 4, 7, 2], True),
+        ([1], True),  # one row in all: no step has a predecessor
+        ([1, 1, 1], False),
+        ([19, 6, 23, 11], True),  # a one-row tail
+    ])
+    def test_bitwise_equal_to_the_out_of_place_oracle(self, rng, lengths, two_input, reverse):
+        """d(preactivation) built in place over the cached gates gives the
+        gradients an out-of-place build gives, bit for bit."""
+        params = init_lstm(24, 16, rng, two_input=two_input)
+        rows, sizes = packed_steps(np.array(lengths), reverse)
+        x = rng.normal(size=(len(rows), 16))
+        aux = rng.integers(0, 2, size=len(x)).astype(np.float64) if two_input else None
+        d_hidden = rng.normal(size=(len(x), 24))
+        _, cache = lstm_forward(params, x, aux, sizes, rows)
+        want_grads, want_dx, want_dq = concat_lstm_backward(params, cache, d_hidden)
+        grads, d_x, d_q = lstm_backward(params, cache, d_hidden)
+        assert grads.arrays().keys() == want_grads.arrays().keys()
+        for name, block in want_grads.arrays().items():
+            assert np.array_equal(grads.arrays()[name], block), name
+        assert np.array_equal(d_x, want_dx)
+        assert (d_q is None) == (want_dq is None)
+        if two_input:
+            assert np.array_equal(d_q, want_dq)
+
+    def test_a_consumed_cache_is_refused(self, rng):
+        """The backward overwrites the cached gates, so a second backward
+        on the same cache would silently be wrong; it raises instead."""
+        params = init_lstm(3, 2, rng)
+        x = rng.normal(size=(6, 2))
+        _, cache = lstm_forward(params, x, None, [2, 2, 2], np.arange(6))
+        d_hidden = rng.normal(size=(6, 3))
+        lstm_backward(params, cache, d_hidden)
+        assert cache.gates is None
+        with pytest.raises(ValueError, match="consumed"):
+            lstm_backward(params, cache, d_hidden)
+        fwd, bwd = init_lstm(3, 2, rng), init_lstm(3, 2, rng)
+        states, caches = bilstm_forward(fwd, bwd, x, None, [4, 2])
+        bilstm_backward(fwd, bwd, caches, states)
+        with pytest.raises(ValueError, match="consumed"):
+            bilstm_backward(fwd, bwd, caches, states)
+
+    @pytest.mark.parametrize("two_input", [False, True])
+    def test_working_memory_stays_within_five_state_arrays(self, rng, two_input):
+        """The traced peak of one backward above what is live on entry stays
+        within five (T, U) float64 arrays plus the results' own bytes. Four
+        of the five are the working arrays: tanh(c) scratch, the dc/dh
+        factor, and the copies of f and i. The fifth covers the index
+        arrays and numpy's iterator buffers for the strided gate slots,
+        which hold at most 8,192 elements each (a (T, U) array here holds
+        44,800). An out-of-place build of d(preactivation), next to the
+        gates, needs about ten."""
+        units, dim = 64, 8
+        params = init_lstm(units, dim, rng, two_input=two_input)
+        rows, sizes = packed_steps(np.array([100, 37, 100, 1, 80, 62, 100, 96, 64, 60]), False)
+        x = rng.normal(size=(len(rows), dim))
+        aux = rng.integers(0, 2, size=len(x)).astype(np.float64) if two_input else None
+        d_hidden = rng.normal(size=(len(x), units))
+        _, cache = lstm_forward(params, x, aux, sizes, rows)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            grads, d_x, d_q = lstm_backward(params, cache, d_hidden)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        results = sum(g.nbytes for g in grads.arrays().values()) + d_x.nbytes
+        results += 0 if d_q is None else d_q.nbytes
+        assert peak <= 5 * d_hidden.nbytes + results, (peak, d_hidden.nbytes, results)
 
 
 class TestBilstm:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -351,6 +352,32 @@ class TestExperiment:
         for path in sorted(experiment_run.out.iterdir()):
             if path.name != "config.txt":
                 assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_one_scope_model_is_alive_at_a_time(self, experiment_run, tmp_path, monkeypatch):
+        """Each base model tags both cue conditions and is dropped before
+        the next base trains; the test set line still follows every scope
+        training line in run.log."""
+        run_scope_training = pipeline.run_scope_training
+        trained, alive = [], []
+
+        def tracked(*args):
+            alive.append(sum(ref() is not None for ref in trained))
+            tagger = run_scope_training(*args)
+            trained.append(weakref.ref(tagger))
+            return tagger
+
+        monkeypatch.setattr(pipeline, "run_scope_training", tracked)
+        cfg = tmp_path / "config.txt"
+        write_config(cfg, experiment_run.corpus,
+                     **{"scope.variants": "bilstm,bilstm-crf,bilstm-post"})
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        assert alive == [0, 0]
+        assert [ref() for ref in trained] == [None, None]
+        lines = (out / "run.log").read_text().splitlines()
+        scope = [k for k, line in enumerate(lines) if line.startswith(("scope ", "task=scope"))]
+        testset = [k for k, line in enumerate(lines) if line.startswith("testset.")]
+        assert len(scope) == 8 and testset == [scope[-1] + 1]
 
     def test_comparison_table_has_a_row_per_variant(self, experiment_run):
         lines = (experiment_run.out / "comparison.tsv").read_text().splitlines()

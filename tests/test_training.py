@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import Future
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from negscope.corpus import build_vocab, encode_instances
-from negscope.layers import ColumnGrad, CrfParams, crf_nll_grads
+from negscope.layers import ColumnGrad, CrfParams, crf_nll_grads, dense_backward
 from negscope.models import Tagger, TaggerConfig
 from negscope import layers, training
 from negscope.numerics import logsumexp
@@ -449,7 +450,8 @@ class TestTrainLoop:
             tagger = Tagger.build(TaggerConfig("scope", "bilstm", vocab.size, 8, 8),
                                   np.random.default_rng(config.seed))
             history = train(tagger, data, data[:4], config)
-            runs.append((history, tagger.snapshot()))
+            params = {name: arr.copy() for name, arr in tagger.parameters().items()}
+            runs.append((history, params))
         assert runs[0][0].train_loss == runs[1][0].train_loss
         assert runs[0][0].val_f1 == runs[1][0].val_f1
         for name, arr in runs[0][1].items():
@@ -475,6 +477,49 @@ class TestTrainLoop:
         best_params = taggers[1].parameters()
         for name, arr in taggers[0].parameters().items():
             np.testing.assert_array_equal(arr, best_params[name])
+
+    def test_early_stopping_copies_no_frozen_embedding(self):
+        """Only the trainable parameters are kept for the best epoch: a
+        frozen embedding far larger than everything else is never copied."""
+        data, vocab = encoded_corpus(8)
+        tagger = Tagger.build(TaggerConfig("cue", "bilstm", vocab.size + 100_000, 8, 8),
+                              np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            history = train(tagger, data, data[:4], small_config(epochs=2, early_stopping=True),
+                            val_scorer=lambda t, d: 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert history.best_epoch == 0
+        assert peak < tagger.embedding.weights.nbytes / 2
+
+    @pytest.mark.parametrize("task, variant", [("scope", "bilstm"), ("cue", "emb-crf")])
+    def test_a_batch_gradients_are_freed_before_the_next_backward(self, monkeypatch, task,
+                                                                   variant):
+        """Once Adam has applied a batch's gradients, the next batch's
+        forward pass is the last thing that runs while they are alive, so
+        two batches' gradients are never alive at once."""
+        data, vocab = encoded_corpus()
+        tagger = Tagger.build(TaggerConfig(task, variant, vocab.size, 8, 8),
+                              np.random.default_rng(3))
+        previous, alive = [], []
+
+        def tracked(*args, **kwargs):
+            result = instance_loss_grads(*args, **kwargs)
+            previous[:] = [weakref.ref(g.values if isinstance(g, ColumnGrad) else g)
+                           for g in result[2].values()]
+            return result
+
+        def backward(*args):
+            alive.append(sum(ref() is not None for ref in previous))
+            return dense_backward(*args)
+
+        monkeypatch.setattr(training, "instance_loss_grads", tracked)
+        monkeypatch.setattr(training, "dense_backward", backward)
+        train(tagger, data, [], small_config(epochs=2))
+        assert len(alive) == 6 and previous
+        assert alive == [0] * 6
 
     def test_nan_validation_never_counts_as_improvement(self):
         data, vocab = encoded_corpus(8)
