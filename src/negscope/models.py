@@ -329,11 +329,7 @@ def load_checkpoint(path) -> tuple[Tagger, dict]:
         if meta.get("format") != CHECKPOINT_FORMAT:
             hint = "; it holds per-gate LSTM weights, retrain" if meta.get("format") == 1 else ""
             raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')}{hint}")
-        # the copy is kept on purpose: the arrays np.load read are freed, and
-        # prediction's temporaries reuse their already-faulted pages; with
-        # np.asarray here a `negscope predict` at d = U = 200 took about
-        # 4,500 more page faults and 4% more time
-        arrays = {name: np.array(data[name], dtype=np.float64)
+        arrays = {name: np.asarray(data[name], dtype=np.float64)
                   for name in data.files if name != "__meta__"}
 
     config = _checked_config(path, meta)

@@ -42,7 +42,7 @@ def softmax_seq_grads(scores, gold) -> tuple[float, np.ndarray]:
     return loss, d_scores
 
 
-def instance_loss_grads(tagger: Tagger, token_ids, gold, cue_bits=None, spent=None):
+def instance_loss_grads(tagger: Tagger, token_ids, gold, cue_bits=None):
     """Forward + full backward for a batch of instances, given as lists of
     per-sentence arrays (cue_bits only for the scope task).
 
@@ -50,17 +50,8 @@ def instance_loss_grads(tagger: Tagger, token_ids, gold, cue_bits=None, spent=No
     keys match tagger.trainable_parameters() and a trainable embedding's
     gradient is the ColumnGrad of the ids the batch holds. The CRF head
     takes the whole batch in one packed call, as the BiLSTM does.
-
-    `spent`, the previous batch's gradient dict, is emptied once the
-    forward pass has run, so two batches' gradients are never alive at
-    once. Freed any earlier, before the forward's arrays sit above them in
-    the heap, their pages went back to the OS and the next batch faulted
-    them in again: experiment-bilstm took about 150k minor page faults
-    instead of 60-75k.
     """
     scores, cache = tagger.scores(token_ids, cue_bits)
-    if spent is not None:
-        spent.clear()
     y = np.concatenate(gold)
     d_trans = None
     if tagger.crf is not None:
@@ -319,7 +310,6 @@ def train(tagger: Tagger, train_data, val_data, config: TrainConfig,
     best = ({name: np.empty_like(p) for name, p in params.items()}
             if config.early_stopping and val_data else None)
     since_best = 0
-    grads = None
 
     for epoch in range(config.epochs):
         lr = step_decay(epoch, config.lr0, config.decay_every, config.decay_factor)
@@ -329,18 +319,15 @@ def train(tagger: Tagger, train_data, val_data, config: TrainConfig,
         for start in range(0, len(order), config.batch_size):
             batch = [train_data[i] for i in order[start:start + config.batch_size]]
             batch_loss, batch_tokens, grads = instance_loss_grads(
-                tagger, *batch_inputs(tagger, batch), spent=grads
-            )
+                tagger, *batch_inputs(tagger, batch))
             if not math.isfinite(batch_loss):
-                raise TrainingDiverged(
-                    f"loss diverged at epoch {epoch}", history
-                )
+                raise TrainingDiverged(f"loss diverged at epoch {epoch}", history)
             for grad in grads.values():
                 if isinstance(grad, ColumnGrad):
                     grad = grad.values
                 grad /= batch_tokens
-            del grad  # so that emptying grads frees every array
             adam_step(params, grads, adam, lr)
+            del grads, grad  # freed before the next minibatch's forward pass
             epoch_loss += batch_loss
             epoch_tokens += batch_tokens
 
