@@ -480,13 +480,6 @@ class EncodedInstance:
 _CUE_BIT_OF_ID = np.array(cue_vector(CUE_TAGS), np.int64)
 
 
-def encode_instance(
-    inst: NegationInstance, vocab: Vocabulary, max_len: int | None = None
-) -> EncodedInstance:
-    """One instance's encode_instances."""
-    return encode_instances([inst], vocab, max_len)[0]
-
-
 def encode_instances(
     instances, vocab: Vocabulary, max_len: int | None = None
 ) -> list[EncodedInstance]:
@@ -531,17 +524,18 @@ class DatasetSplit:
 
 def split_dataset(instances, seed: int = 0) -> DatasetSplit:
     """Shuffle once with the seed, then slice contiguously 70/15/15. Counts
-    follow largest-remainder rounding so they always sum to the corpus size."""
+    follow largest-remainder rounding so they always sum to the corpus size;
+    a split that leaves a part empty (under 5 instances) is an error."""
     total = len(instances)
-    if total < 3:
-        raise ValueError(f"need at least 3 instances to split, got {total}")
-
     exact = [r * total for r in (0.70, 0.15, 0.15)]
     counts = [int(np.floor(x)) for x in exact]
     leftover = total - sum(counts)
     by_fraction = sorted(range(3), key=lambda i: (-(exact[i] - counts[i]), i))
     for i in by_fraction[:leftover]:
         counts[i] += 1
+    if 0 in counts:
+        raise ValueError(f"need at least 5 instances to split, got {total}: train/validation/"
+                         f"test would hold {counts[0]}/{counts[1]}/{counts[2]}")
 
     order = np.random.default_rng(seed).permutation(total)
     shuffled = [instances[i] for i in order]

@@ -89,32 +89,18 @@ def _variant_list(text: str) -> tuple[str, ...]:
     return items
 
 
-# ExperimentConfig fields stored under their own config key
-SHARED_KEYS = ("corpus", "embeddings", "out", "seed", "max_len", "embed_dim", "units",
-               "embeddings_trainable")
 # the per-task keys, `cue.<key>` and `scope.<key>`: every TrainConfig field
-# but the shared seed, parsed as its default's type; the defaults are
-# TrainConfig's, except that the CLI stops early
+# but the shared seed; the defaults are TrainConfig's, except that the CLI
+# stops early
 TASK_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
-_TASK_DEFAULTS = {name: getattr(TrainConfig(early_stopping=True), name) for name in TASK_KEYS}
+_TASK_DEFAULTS = TrainConfig(early_stopping=True)
 
-# the full key set; a config file may set any subset and nothing else
-CONFIG_KEYS = {
-    "corpus": str,
-    "embeddings": str,
-    "out": str,
-    "seed": int,
-    "max_len": int,
-    "embed_dim": int,
-    "units": int,
-    "embeddings_trainable": _bool,
-    "cue.variant": str,
-    "scope.variants": _variant_list,
-    **{f"{task}.{name}": _bool if isinstance(value, bool) else type(value)
-       for task in ("cue", "scope") for name, value in _TASK_DEFAULTS.items()},
-}
-
+# every config key and its default; a config file may set any subset and
+# nothing else, and each value is parsed as its default's type (None: a path)
 DEFAULTS = {
+    "corpus": None,
+    "embeddings": None,
+    "out": None,
     "seed": 0,
     "max_len": 100,
     "embed_dim": 200,
@@ -122,9 +108,13 @@ DEFAULTS = {
     "embeddings_trainable": False,
     "cue.variant": "bilstm-crf",
     "scope.variants": ("bilstm",),
-    **{f"{task}.{name}": value
-       for task in ("cue", "scope") for name, value in _TASK_DEFAULTS.items()},
+    **{f"{task}.{name}": getattr(_TASK_DEFAULTS, name)
+       for task in ("cue", "scope") for name in TASK_KEYS},
 }
+_PARSERS = {bool: _bool, tuple: _variant_list, type(None): str}
+CONFIG_KEYS = {key: _PARSERS.get(type(value), type(value)) for key, value in DEFAULTS.items()}
+# ExperimentConfig fields stored under their own config key
+SHARED_KEYS = tuple(key for key in DEFAULTS if "." not in key)
 
 
 def parse_config_file(path) -> dict:
@@ -220,7 +210,7 @@ def resolve_config(args, need_corpus: bool = False, need_out: bool = False) -> E
         raise UsageError(f"seed must be >= 0, got {values['seed']}")
 
     config = ExperimentConfig(
-        **{key: values.get(key) for key in SHARED_KEYS},
+        **{key: values[key] for key in SHARED_KEYS},
         cue_variant=values["cue.variant"],
         scope_variants=values["scope.variants"],
         cue_train=_task_train_config(values, "cue", values["seed"]),
@@ -563,6 +553,8 @@ def cmd_experiment(args) -> int:
     pred_flags = [any(cue_vector(tags)) for tags in pred_tags]
     groups = task2_groups(gold_flags, pred_flags)
     test_indices = sorted(groups["tp"] + groups["fn"] + groups["fp"])
+    if not test_indices:
+        raise CorpusError("empty Task-2 test set: no gold or predicted cue in the test split")
     data = [test[i] for i in test_indices]
     # the model runs on exactly the sentences with a cue under each
     # condition; the rest (fp under gold, fn under pred) get all O
@@ -654,6 +646,9 @@ def cmd_predict(args) -> int:
         raise UsageError(f"no cue.npz in {run_dir}; use --cue-input gold")
     if cue_tagger is None and scope_tagger is None:
         raise UsageError(f"no checkpoints in {run_dir}")
+    if scope_tagger is None and (args.postprocess or args.cue_input == "gold"):
+        flag = "--postprocess" if args.postprocess else "--cue-input gold"
+        raise UsageError(f"{flag} needs a scope checkpoint (scope_<variant>.npz) in {run_dir}")
 
     if args.raw:
         text = Path(args.input).read_text(encoding="utf-8")

@@ -79,7 +79,7 @@ def instance_loss_grads(tagger: Tagger, token_ids, gold, cue_bits=None):
 # ---------------------------------------------------------------------------
 # optimizer and schedule
 
-def step_decay(epoch: int, lr0: float, every: int = 10, factor: float = 0.5) -> float:
+def step_decay(epoch: int, lr0: float, every: int, factor: float) -> float:
     """lr0 * factor^floor(epoch / every); every=0 keeps the rate constant."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
@@ -134,36 +134,32 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | Colum
     scatters and scratch buffers stay on this thread: the worker only
     runs numpy's in-place loops on views made here.
     """
-    work = []
+    tasks, gathered = [], []
     for name, p in params.items():
         g, cols = grads[name], None
         if isinstance(g, ColumnGrad):
             cols, g = _checked_columns(name, p, g)
         elif g.shape != p.shape:
             raise ValueError(f"gradient for {name} has shape {g.shape}, not {p.shape}")
-        g = np.reshape(g, -1)
-        for lo in range(0, g.size, ADAM_CHUNK):
-            if not np.isfinite(g[lo:lo + ADAM_CHUNK]).all():
-                raise ValueError(f"non-finite gradient for {name}")
+        if not np.isfinite(g).all():
+            raise ValueError(f"non-finite gradient for {name}")
         arrays = (p, state.m[name], state.v[name])
         try:
             flat = [np.reshape(a, -1, copy=False) for a in arrays]
         except ValueError:
             raise ValueError(f"{name} or its Adam moments cannot be updated in place") from None
-        work.append((arrays, flat, g, cols))
-
-    state.step += 1
-    tasks, gathered = [], []
-    for arrays, flat, g, cols in work:
-        if cols is not None:
+        g = np.reshape(g, -1)
+        if cols is not None:  # a gather copies, so a later failed check changes nothing
             touched = [np.ascontiguousarray(a.T[cols]) for a in arrays]  # (k, d) each
             gathered.append((arrays, cols, touched))
             tasks += _chunk_tasks([a.reshape(-1) for a in touched], g)
             g = None
         tasks += _chunk_tasks(flat, g)
+
+    state.step += 1
     bounds = np.cumsum([0] + [task[0].size for task in tasks])
     cut = int(np.abs(2 * bounds - bounds[-1]).argmin())
-    on_two_threads(_adam_tasks,
+    on_two_threads(_adam_chunks,
                    (tasks[:cut], state, lr, (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))),
                    (tasks[cut:], state, lr, (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))))
     for arrays, cols, touched in gathered:
@@ -176,12 +172,6 @@ def _chunk_tasks(flat, g) -> list[tuple]:
     g; g None is the zero gradient."""
     chunks = [slice(lo, lo + ADAM_CHUNK) for lo in range(0, flat[0].size, ADAM_CHUNK)]
     return [(*(a[c] for a in flat), None if g is None else g[c]) for c in chunks]
-
-
-def _adam_tasks(tasks, state: AdamState, lr: float, scratch) -> None:
-    """One thread's share of an Adam step: each task's chunk in turn."""
-    for task in tasks:
-        _adam_chunks(*task, state, lr, scratch)
 
 
 def _checked_columns(name: str, p: np.ndarray, grad: ColumnGrad):
@@ -199,21 +189,19 @@ def _checked_columns(name: str, p: np.ndarray, grad: ColumnGrad):
     return cols, values
 
 
-def _adam_chunks(p, m, v, g, state: AdamState, lr: float, scratch) -> None:
-    """Adam's update over flattened p, m and v, in place, one ADAM_CHUNK at
-    a time; g None is the zero gradient."""
+def _adam_chunks(tasks, state: AdamState, lr: float, scratch) -> None:
+    """One thread's share of an Adam step: the update over each task's
+    (p, m, v, g) chunk views in turn, in place; g None is the zero gradient."""
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for lo in range(0, p.size, ADAM_CHUNK):
-        pc, mc, vc = (a[lo:lo + ADAM_CHUNK] for a in (p, m, v))
+    for pc, mc, vc, gc in tasks:
         buf, update = (a[:pc.size] for a in scratch)
         # in place, in the operation order of m = b1*m + (1-b1)*g, v = b2*v +
         # (1-b2)*g*g, p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
-        if g is None:  # b1*m + (1-b1)*0.0 is b1*m, up to the sign of a zero
+        if gc is None:  # b1*m + (1-b1)*0.0 is b1*m, up to the sign of a zero
             mc *= b1
             vc *= b2
         else:
-            gc = g[lo:lo + ADAM_CHUNK]
             np.multiply(1 - b1, gc, out=buf)
             mc *= b1
             mc += buf

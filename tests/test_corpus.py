@@ -29,7 +29,7 @@ from negscope.corpus import (
     build_vocab,
     clip_annotation,
     corpus_stats,
-    encode_instance,
+    encode_instances,
     format_column_blocks,
     load_embedding_file,
     parse_column_file,
@@ -548,7 +548,7 @@ class TestEncode:
             Sentence(("a", "b", "no", "c"), "s"), NegationAnnotation((2,), (2, 3))
         )
         vocab = build_vocab([inst])
-        enc = encode_instance(inst, vocab, max_len=6)
+        enc = encode_instances([inst], vocab, max_len=6)[0]
         assert enc.tokens == ("a", "b", "no", "c")
         assert enc.token_ids.tolist() == [1, 2, 3, 4]
         assert enc.cue_label_ids.tolist() == [0, 0, 1, 0]
@@ -556,12 +556,12 @@ class TestEncode:
         assert enc.cue_tags == ("NC", "NC", "C", "NC")
         assert enc.scope_tags == ("O", "O", "C", "A")
         assert enc.scope_label_ids.tolist() == [0, 0, 2, 3]
-        assert encode_instance(inst, vocab).token_ids.tolist() == [1, 2, 3, 4]
+        assert encode_instances([inst], vocab)[0].token_ids.tolist() == [1, 2, 3, 4]
 
     def test_max_len_below_one_is_an_error(self):
         inst = NegationInstance(Sentence(("a", "b"), "s"))
         with pytest.raises(ValueError, match="max_len must be >= 1"):
-            encode_instance(inst, build_vocab([inst]), max_len=0)
+            encode_instances([inst], build_vocab([inst]), max_len=0)[0]
 
     def test_truncation_clips_gold(self):
         tokens = tuple(f"t{i}" for i in range(8))
@@ -569,7 +569,7 @@ class TestEncode:
             Sentence(tokens, "s"), NegationAnnotation((3,), (3, 7))
         )
         vocab = build_vocab([inst])
-        enc = encode_instance(inst, vocab, max_len=6)
+        enc = encode_instances([inst], vocab, max_len=6)[0]
         assert enc.tokens == tokens[:6] and len(enc.token_ids) == 6
         assert enc.annotation.scope == (3, 5)
         assert enc.scope_tags == ("O", "O", "O", "C", "A", "A")
@@ -600,8 +600,9 @@ class TestSplit:
             assert merged == items
 
     def test_too_few_instances_is_an_error(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            split_dataset([1, 2], seed=0)
+        for items in ([1, 2], [1, 2, 3], [1, 2, 3, 4]):
+            with pytest.raises(ValueError, match="at least 5"):
+                split_dataset(items, seed=0)
 
 
 class TestStats:

@@ -23,6 +23,7 @@ from negscope.corpus import (
     Vocabulary,
     format_column_blocks,
     read_tag_blocks,
+    split_dataset,
     write_column_file,
 )
 from negscope.evaluation import evaluate_cue, evaluate_scope
@@ -326,6 +327,25 @@ class TestExperiment:
         counts = assert_scope_test_set_recounts(out)
         assert all(counts.values()), counts
 
+    def test_empty_task2_test_set_fails_before_scope_training(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the test split holds no gold negation and the cue model marks no
+        # sentence, so tp + fn + fp is empty
+        negations = [inst for inst in synthetic_instances(40, seed=8) if inst.is_negation]
+        test = set(split_dataset(list(range(20)), seed=3).test)
+        instances = [NegationInstance(Sentence(("all", "samples", "grew", "."), f"plain.{k}"))
+                     if k in test else negations[k] for k in range(20)]
+        corpus = tmp_path / "corpus.col"
+        write_column_file(corpus, instances)
+        cfg = tmp_path / "c.txt"
+        write_config(cfg, corpus)
+        monkeypatch.setattr(pipeline, "predict_cues",
+                            lambda tagger, data: [["NC"] * len(inst.tokens) for inst in data])
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "empty Task-2 test set" in capsys.readouterr().err
+        assert (out / "cue.npz").is_file() and not list(out.glob("scope_*.npz"))
+
 
     def test_each_base_model_predicts_each_cue_condition_once(self, experiment_run, tmp_path,
                                                               monkeypatch):
@@ -452,6 +472,20 @@ class TestPredict:
         gold_blocks = read_tag_blocks(experiment_run.out / "scope_test_gold.col")
         for pred, gold in zip(read_tag_blocks(out_file), gold_blocks):
             assert pred.cue_tags == gold.cue_tags
+
+    @pytest.mark.parametrize("flag", [["--postprocess"], ["--cue-input", "gold"]],
+                             ids=["postprocess", "cue-input-gold"])
+    def test_scope_flag_without_scope_checkpoint_is_usage_error(self, experiment_run,
+                                                                 tmp_path, capsys, flag):
+        cue_only = tmp_path / "cue_only"
+        cue_only.mkdir()
+        for name in ("cue.npz", "vocab.json"):
+            shutil.copy(experiment_run.out / name, cue_only / name)
+        rc = main(["predict", "--out", str(cue_only), *flag,
+                   str(experiment_run.out / "scope_test_gold.col"), str(tmp_path / "pred.col")])
+        assert rc == 2
+        assert f"{' '.join(flag)} needs a scope checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "pred.col").exists()
 
     @pytest.mark.parametrize("budget", [1, 9, 10**6])
     def test_follow_up_predict_reproduces_the_experiment(self, experiment_run, tmp_path,

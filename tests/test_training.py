@@ -259,9 +259,9 @@ class TestAdam:
         monkeypatch.setattr(training, "ADAM_CHUNK", 7)
         shares, run_chunks = [], training._adam_chunks
 
-        def recorded(p, m, v, g, state, lr, scratch):
-            shares.append((state.step, threading.get_ident(), p.size))
-            run_chunks(p, m, v, g, state, lr, scratch)
+        def recorded(tasks, state, lr, scratch):
+            shares.extend((state.step, threading.get_ident(), task[0].size) for task in tasks)
+            run_chunks(tasks, state, lr, scratch)
 
         monkeypatch.setattr(training, "_adam_chunks", recorded)
         rng = np.random.default_rng(17)
@@ -312,7 +312,8 @@ class TestAdam:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "transposed", "column-nan",
                                      "column-inf", "column-negative", "column-past-end",
-                                     "column-repeated", "column-block-shape"])
+                                     "column-repeated", "column-block-shape",
+                                     "columns-before-nan"])
     def test_bad_gradient_changes_nothing(self, monkeypatch, bad):
         monkeypatch.setattr(training, "ADAM_CHUNK", 7)
         rng = np.random.default_rng(4)
@@ -323,6 +324,10 @@ class TestAdam:
         grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
         if bad == "transposed":
             grads["b"] = grads["b"].T.copy()
+        elif bad == "columns-before-nan":
+            # a's block is gathered before b's check fails, and never scattered back
+            grads["a"] = ColumnGrad(np.array([3, 0]), rng.normal(size=(2, 4)))
+            grads["b"][-1, -1] = np.nan
         elif isinstance(bad, str):
             cols, values = np.array([0, 2, 6]), rng.normal(size=(3, 3))
             if bad == "column-nan":
@@ -387,17 +392,17 @@ class TestAdam:
 
 class TestStepDecay:
     def test_halves_every_ten_epochs(self):
-        assert step_decay(0, 0.001) == 0.001
-        assert step_decay(9, 0.001) == 0.001
-        assert step_decay(10, 0.001) == 0.0005
-        assert step_decay(25, 0.001) == 0.00025
+        assert step_decay(0, 0.001, 10, 0.5) == 0.001
+        assert step_decay(9, 0.001, 10, 0.5) == 0.001
+        assert step_decay(10, 0.001, 10, 0.5) == 0.0005
+        assert step_decay(25, 0.001, 10, 0.5) == 0.00025
 
     def test_zero_interval_means_constant(self):
-        assert step_decay(40, 0.01, every=0) == 0.01
+        assert step_decay(40, 0.01, 0, 0.5) == 0.01
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
-            step_decay(-1, 0.001)
+            step_decay(-1, 0.001, 10, 0.5)
 
 
 def encoded_corpus(count=12, seed=0, max_len=12):
