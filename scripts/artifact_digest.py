@@ -17,8 +17,8 @@ commands in process:
   train-cue with max_len=4        run dir cut/ (every training instance cut)
   train-cue, embed_dim=200        run dir wide/ (units 48: the LSTM w_in,
                                   38,400 elements, spans two Adam chunks)
-  train-scope, embed_dim=200      run dir wide/ (bilstm: the cue-bit input
-                                  sums 200-wide w_aux rows)
+  train-scope, embed_dim=200      run dir wide/ (bilstm: the cue-bit
+                                  weights w_aux step at 200 times the rate)
   train-cue --variant emb-train   run dir emb-train/ (batches of 2: a step
                                   leaves most embedding columns untouched)
   train-cue --variant emb-crf     run dir emb-crf/ (batches of 2)

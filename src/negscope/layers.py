@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import logsumexp, sigmoid
+from .numerics import logsumexp
 
 GATES = ("i", "f", "o", "g")
 
@@ -94,6 +94,10 @@ def embed_backward(
 # U=200 (b = 2..85 rows), and the copy costs about one step. Step 0 starts
 # from the zero state, so it runs no recurrent product forward and sends
 # no gradient to a step before it backward.
+# All four gates take one tanh: sigmoid(z) = tanh(z/2)/2 + 1/2, and
+# halving is exact (absent subnormals), so the i, f and o columns of the
+# w_rec.T copy, the projection tables and the cue-bit row are halved, one
+# tanh runs over the (b, 4U) block, and the first 3U columns take *0.5, +0.5.
 #
 # The input projection x @ w_in.T + b is computed once per key, not per
 # row: `keys` (T,) says which rows hold equal inputs (the tagger passes
@@ -107,13 +111,11 @@ def embed_backward(
 # (b_0, .) buffers, and each step's h goes to its rows of out, so the
 # working memory grows neither with T nor with how often keys repeat.
 # Every table product spans at least min(T, EXACT_ROWS) rows, topped up
-# with any input rows, because OpenBLAS rounds small products
-# differently: a row of a small product matched that row of the whole-T
-# product bit for bit once the product had more than about 1,200 outputs
-# (rows x 4U) or d < 32, and not below (up to 4 rows at 4U = 256, 6 at
-# 4U = 200, 1 at 4U = 800). From EXACT_ROWS rows that holds for every
-# 4U >= 40 (pinned by a test), so every table row, in either mode, has
-# the bits of its row in one product over all T input rows.
+# with any input rows, because OpenBLAS rounds small products differently:
+# with d >= 32 and under about 1,200 outputs (rows x 4U), a row of a small
+# product could differ from that row of the whole-T product. From
+# EXACT_ROWS rows they agree for every 4U >= 40 (pinned by a test), so
+# every table row, in either mode, has the bits of one whole-T product.
 #
 # A BiLSTM's two directions share nothing until their states are joined,
 # so they run at once: left to right on the calling thread, right to left
@@ -123,10 +125,8 @@ def embed_backward(
 # direction writes only its own arrays (the forward's two halves of the
 # states are disjoint columns) and the caller sums d_inputs after both
 # finish, so every result is bitwise the one a sequential run gives.
-# Running both at once raised the traced peak, training at d = U = 200
-# and T = 227, by 2.9 MB forward and up to 1 MB backward; streaming, a
-# direction holds about 3.7 MB at 64 sentences, 1.3 MB of it the w_rec.T
-# copy and 0.6 MB the projection table.
+# Running both at once raised training's traced peak at d = U = 200 by up
+# to 2.9 MB; streaming, a direction holds about 3.7 MB at 64 sentences.
 #
 # The same single worker also runs half of each Adam step (training.py),
 # so it is the package's only extra thread. A task running on it must not
@@ -140,14 +140,14 @@ EXACT_ROWS = 32
 class LstmParams:
     """One direction's weights, fused over the gates: rows [k*U, (k+1)*U)
     of every block belong to gate GATES[k]. `w_aux` is present only for the
-    two-input cell, whose second input is one scalar a_k per step, read as
-    the d-wide vector a_k * 1_d: the cell adds w_aux @ (a_k * 1_d), which is
-    a_k times the row sums of w_aux, to the gate preactivations."""
+    two-input cell, whose second input is one scalar a_k per step: the cell
+    adds a_k * w_aux to the gate preactivations. It is the vector of row
+    sums of a (4U, d) block that reads a_k as the d-wide vector a_k * 1_d."""
 
     w_in: np.ndarray  # (4U, d)
     w_rec: np.ndarray  # (4U, U)
     b: np.ndarray  # (4U,)
-    w_aux: np.ndarray | None = None  # (4U, d); only its row sums are read
+    w_aux: np.ndarray | None = None  # (4U,)
 
     @property
     def units(self) -> int:
@@ -175,7 +175,7 @@ def init_lstm(
 
     return LstmParams(
         fused(in_dim), fused(units), np.zeros(4 * units),
-        fused(in_dim) if two_input else None,
+        fused(in_dim).sum(axis=1) if two_input else None,
     )
 
 
@@ -243,12 +243,13 @@ def lstm_forward(
     # x @ w_in.T + b for each distinct key of a block of whole steps; each
     # step gathers its rows, adds its cue-bit and recurrent terms, in that
     # order, and overwrites them with the activations (sigmoid of i, f, o
-    # and tanh of g)
-    aux_row = None if q is None else params.w_aux.sum(axis=1)
-    w_rec_t = np.ascontiguousarray(params.w_rec.T)
+    # and tanh of g), each term's i, f and o columns halved on a fresh array
+    u2, u3 = 2 * units, 3 * units
+    half = np.repeat([0.5, 1.0], [u3, units])
+    aux_row = None if q is None else params.w_aux * half
+    w_rec_t = np.multiply(params.w_rec.T, half, order="C")
     rec = np.empty((sizes[0], 4 * units))
     tmp = np.empty((sizes[0], units))
-    u2, u3 = 2 * units, 3 * units
     ends = np.cumsum(sizes)
     h, c = np.zeros((sizes[0], units)), np.zeros((sizes[0], units))
     lo = hi = 0
@@ -267,6 +268,7 @@ def lstm_forward(
             src = np.concatenate([rows[first + lo], np.arange(min(total, EXACT_ROWS) - len(first))])
             proj = np.matmul(x[src], params.w_in.T, out=None if keep else table[:len(src)])
             proj += params.b
+            proj[:, :u3] *= 0.5
         step = slice(start, start + size)
         z = np.take(proj, slot[start - lo:start - lo + size], axis=0,
                     out=gates[step] if keep else gathered[:size])
@@ -275,8 +277,9 @@ def lstm_forward(
             z += np.multiply(q[step, None], aux_row, out=rec[:size])
         if start:
             z += np.matmul(h[:size], w_rec_t, out=rec[:size])
-        sigmoid(z[:, :u3], out=z[:, :u3])
-        np.tanh(z[:, u3:], out=z[:, u3:])
+        np.tanh(z, out=z)
+        z[:, :u3] *= 0.5
+        z[:, :u3] += 0.5
         # c = f*c_prev + i*g and h = o*tanh(c), written straight into the
         # cache or, streaming, over the previous step's first rows
         c_prev = c[:size]
@@ -296,8 +299,7 @@ def lstm_backward(
     params: LstmParams, cache: LstmCache, d_hidden: np.ndarray
 ) -> tuple[LstmParams, np.ndarray, np.ndarray | None]:
     """d_hidden (T, U) -> (param grads, d_inputs (T, d), d_aux (T,)), all in
-    the cache's step-major layout. Every column of the w_aux gradient is
-    the same, since every column of w_aux meets the same scalar aux input.
+    the cache's step-major layout.
 
     The call consumes the cache: d(preactivation) is built in place over
     its gates, which are then dropped from it, and a second call on the
@@ -356,13 +358,9 @@ def lstm_backward(
     del dc_dh, f_gate
 
     h_prev = np.take(cache.hidden, prev, axis=0, out=tmp[first:])
-    grads = LstmParams(flat.T @ cache.inputs, flat[first:].T @ h_prev, flat.sum(axis=0))
-    d_inputs = flat @ params.w_in
-    d_aux = None
-    if cache.aux is not None:
-        grads.w_aux = np.repeat((flat.T @ cache.aux)[:, None], params.in_dim, axis=1)
-        d_aux = flat @ params.w_aux.sum(axis=1)
-    return grads, d_inputs, d_aux
+    grads = LstmParams(flat.T @ cache.inputs, flat[first:].T @ h_prev, flat.sum(axis=0),
+                       None if cache.aux is None else flat.T @ cache.aux)
+    return grads, flat @ params.w_in, None if cache.aux is None else flat @ params.w_aux
 
 
 def packed_steps(lengths: np.ndarray, reverse: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,7 @@ from .layers import (
     LstmParams,
 )
 
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 # bounds on a prediction chunk: sentences x longest length, and sentences.
 # Nothing is padded, and the streamed BiLSTM (bilstm_forward with
@@ -142,7 +142,7 @@ def parameter_shapes(config: TaggerConfig) -> dict[str, tuple[int, ...]]:
     d, g, labels = config.embed_dim, 4 * config.units, config.num_labels
     lstm, width = None, d
     if config.use_lstm:
-        lstm = LstmParams((g, d), (g, config.units), (g,), (g, d) if config.two_input else None)
+        lstm = LstmParams((g, d), (g, config.units), (g,), (g,) if config.two_input else None)
         width = 2 * config.units
     return named_arrays((d, config.vocab_size), lstm, lstm, (labels, width), (labels,),
                         (labels + 2, labels + 2) if config.head == "crf" else None)
@@ -296,14 +296,14 @@ def split_columns(scores: np.ndarray, lengths) -> list[np.ndarray]:
 # checkpoints
 #
 # A checkpoint is a numpy .npz archive. Entry "__meta__" is a JSON object
-# of "format" (2), the META_KEYS, "oov_index" (always OOV_INDEX) and
+# of "format" (3), the META_KEYS, "oov_index" (always OOV_INDEX) and
 # "vocab_sha256". Every other entry is one float64 parameter array stored
 # under the names named_arrays gives: emb.E, dense.W, dense.b, crf.T and,
 # per LSTM direction (f, b), the fused blocks lstm.f.w_in (4U, d),
-# lstm.f.w_rec (4U, U), lstm.f.b (4U,) and, for the scope model,
-# lstm.f.w_aux (4U, d), gates stacked in the order i, f, o, g. The scope
-# cell reads only the row sums of w_aux (see LstmParams) but stores and
-# trains the full block. Format 1 stored per-gate arrays and is rejected.
+# lstm.f.w_rec (4U, U), lstm.f.b (4U,) and, for the scope model, the
+# cue-bit weights lstm.f.w_aux (4U,) (see LstmParams), gates stacked in
+# the order i, f, o, g. Formats 1 (per-gate arrays) and 2 (a (4U, d)
+# w_aux block) are rejected.
 
 # the TaggerConfig attributes __meta__ stores, in its order
 META_KEYS = ("task", "variant", "labels", "vocab_size", "embed_dim", "units", "head",
@@ -327,7 +327,7 @@ def load_checkpoint(path) -> tuple[Tagger, dict]:
             raise ValueError(f"{path}: not a tagger checkpoint (missing __meta__)")
         meta = json.loads(str(data["__meta__"]))
         if meta.get("format") != CHECKPOINT_FORMAT:
-            hint = "; it holds per-gate LSTM weights, retrain" if meta.get("format") == 1 else ""
+            hint = "; an older LSTM layout, retrain" if meta.get("format") in (1, 2) else ""
             raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')}{hint}")
         arrays = {name: np.asarray(data[name], dtype=np.float64)
                   for name in data.files if name != "__meta__"}

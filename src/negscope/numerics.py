@@ -1,6 +1,6 @@
-"""Two overflow-safe float64 kernels: the sigmoid of the LSTM gates and the
-log-sum-exp of the CRF's log partition. Both cast their input to float64;
-the other layers and the losses do their own arithmetic in numpy.
+"""Two overflow-safe float64 kernels: the sigmoid, the tests' reference for
+the LSTM's tanh-form gates, and the log-sum-exp of the CRF's log partition.
+Both cast their input to float64; the other modules do their own arithmetic.
 """
 from __future__ import annotations
 

@@ -518,13 +518,14 @@ def cmd_train_scope(args) -> int:
         raise UsageError(f"--cue-input pred needs a trained cue model at {checkpoint}")
 
     out, emit, corpus = start_run(config, f"cue_input={args.cue_input}")
+    subsets = [(name, negation_subset(data, name)) for name, data in
+               (("training", corpus.train), ("val", corpus.validation), ("test", corpus.test))]
     cue_tagger = None
     if args.cue_input == "pred":
         cue_tagger = _load_checked(checkpoint, corpus.vocab)
     tagger = run_scope_training(config, corpus, variant, out, emit)
 
-    for name, data in (("val", corpus.validation), ("test", corpus.test)):
-        subset = negation_subset(data, name)
+    for name, subset in subsets[1:]:
         if cue_tagger is None:
             cue_rows = [inst.cue_tags for inst in subset]
         else:

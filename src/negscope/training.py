@@ -96,13 +96,12 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scale: dict[str, float] = field(default_factory=dict)  # name -> factor on its step
 
     @classmethod
-    def init(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            {k: np.zeros_like(p) for k, p in params.items()},
-            {k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def init(cls, params: dict[str, np.ndarray], scale=None) -> "AdamState":
+        return cls({k: np.zeros_like(p) for k, p in params.items()},
+                   {k: np.zeros_like(p) for k, p in params.items()}, scale=scale or {})
 
 
 # elements per Adam pass: 256 KB per float64 array, so a chunk of p, m, v
@@ -117,9 +116,9 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | Colum
     Every gradient is checked before anything changes: a non-finite one, or
     one whose shape differs from its parameter's, is a hard error naming
     the parameter and leaves the parameters and the state as they were.
-    The update then runs over each parameter's flattened arrays one
-    ADAM_CHUNK at a time; a parameter or moment that cannot be flattened
-    without a copy raises rather than lose its update.
+    The update, at lr times state.scale.get(name, 1), then runs over each
+    parameter's flattened arrays one ADAM_CHUNK at a time; a parameter or
+    moment that cannot be flattened without a copy raises.
 
     A ColumnGrad is the gradient of a (d, v) matrix that is zero outside
     its columns, which must be distinct and in [0, v). Those columns take
@@ -148,13 +147,13 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | Colum
             flat = [np.reshape(a, -1, copy=False) for a in arrays]
         except ValueError:
             raise ValueError(f"{name} or its Adam moments cannot be updated in place") from None
-        g = np.reshape(g, -1)
+        g, scale = np.reshape(g, -1), state.scale.get(name, 1.0)
         if cols is not None:  # a gather copies, so a later failed check changes nothing
             touched = [np.ascontiguousarray(a.T[cols]) for a in arrays]  # (k, d) each
             gathered.append((arrays, cols, touched))
-            tasks += _chunk_tasks([a.reshape(-1) for a in touched], g)
+            tasks += _chunk_tasks([a.reshape(-1) for a in touched], g, scale)
             g = None
-        tasks += _chunk_tasks(flat, g)
+        tasks += _chunk_tasks(flat, g, scale)
 
     state.step += 1
     bounds = np.cumsum([0] + [task[0].size for task in tasks])
@@ -167,11 +166,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | Colum
             a.T[cols] = block
 
 
-def _chunk_tasks(flat, g) -> list[tuple]:
-    """(p, m, v, g) views of one ADAM_CHUNK each over flattened p, m, v and
-    g; g None is the zero gradient."""
+def _chunk_tasks(flat, g, scale: float) -> list[tuple]:
+    """(p, m, v, g, scale): views of one ADAM_CHUNK each over flattened p,
+    m, v and g (None is the zero gradient), and the factor on their step."""
     chunks = [slice(lo, lo + ADAM_CHUNK) for lo in range(0, flat[0].size, ADAM_CHUNK)]
-    return [(*(a[c] for a in flat), None if g is None else g[c]) for c in chunks]
+    return [(*(a[c] for a in flat), None if g is None else g[c], scale) for c in chunks]
 
 
 def _checked_columns(name: str, p: np.ndarray, grad: ColumnGrad):
@@ -190,11 +189,11 @@ def _checked_columns(name: str, p: np.ndarray, grad: ColumnGrad):
 
 
 def _adam_chunks(tasks, state: AdamState, lr: float, scratch) -> None:
-    """One thread's share of an Adam step: the update over each task's
-    (p, m, v, g) chunk views in turn, in place; g None is the zero gradient."""
+    """One thread's share of an Adam step: each task's (p, m, v, g) chunk
+    views updated in turn, in place, at lr * scale; g None is the zero gradient."""
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for pc, mc, vc, gc in tasks:
+    for pc, mc, vc, gc, scale in tasks:
         buf, update = (a[:pc.size] for a in scratch)
         # in place, in the operation order of m = b1*m + (1-b1)*g, v = b2*v +
         # (1-b2)*g*g, p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
@@ -213,7 +212,7 @@ def _adam_chunks(tasks, state: AdamState, lr: float, scratch) -> None:
         np.sqrt(buf, out=buf)
         buf += state.eps
         np.divide(mc, 1 - b1 ** t, out=update)
-        update *= lr
+        update *= lr * scale
         update /= buf
         pc -= update
 
@@ -291,7 +290,9 @@ def train(tagger: Tagger, train_data, val_data, config: TrainConfig,
     emit = log_line or (lambda msg: log.info("%s", msg))
     score = val_scorer or token_f1_score
     params = tagger.trainable_parameters()
-    adam = AdamState.init(params)
+    # a scope model's w_aux (4U,) sums the rows of a (4U, d) block, each of
+    # whose d entries would take the same Adam step: it moves d times as far
+    adam = AdamState.init(params, {k: tagger.config.embed_dim for k in params if "w_aux" in k})
     rng = np.random.default_rng([config.seed, 1])
     history = TrainHistory()
     best_f1 = -math.inf

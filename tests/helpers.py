@@ -139,7 +139,8 @@ def scalar_lstm_step(w_in, w_rec, b, x, h_prev, c_prev, w_aux=None, q=None):
     """One LSTM step evaluated coordinate by coordinate with math.exp.
 
     The weights are fused blocks (nested lists or arrays with 4U rows);
-    gate k of ("i", "f", "o", "g") reads rows k*U .. (k+1)*U - 1.
+    gate k of ("i", "f", "o", "g") reads rows k*U .. (k+1)*U - 1. The
+    cue-bit weights w_aux (4U,) meet the scalar aux input q.
     """
 
     def sig(v):
@@ -158,8 +159,7 @@ def scalar_lstm_step(w_in, w_rec, b, x, h_prev, c_prev, w_aux=None, q=None):
             for j, xj in enumerate(x):
                 pre += w_in[row][j] * xj
             if w_aux is not None:
-                for j, qj in enumerate(q):
-                    pre += w_aux[row][j] * qj
+                pre += w_aux[row] * q
             for j, hj in enumerate(h_prev):
                 pre += w_rec[row][j] * hj
             vals.append(tnh(pre) if gate == "g" else sig(pre))
@@ -170,8 +170,8 @@ def scalar_lstm_step(w_in, w_rec, b, x, h_prev, c_prev, w_aux=None, q=None):
 
 
 def scalar_lstm_states(params, x, q=None):
-    """Hidden states of one sentence (rows of x, in recurrence order) from
-    repeated scalar_lstm_step calls."""
+    """Hidden states of one sentence (rows of x, in recurrence order, with
+    aux inputs q (T,)) from repeated scalar_lstm_step calls."""
     w_in, w_rec, b = params.w_in.tolist(), params.w_rec.tolist(), params.b.tolist()
     w_aux = None if params.w_aux is None else params.w_aux.tolist()
     units = len(b) // 4
@@ -179,7 +179,7 @@ def scalar_lstm_states(params, x, q=None):
     out = []
     for k in range(len(x)):
         h, c = scalar_lstm_step(w_in, w_rec, b, list(x[k]), h, c,
-                                w_aux=w_aux, q=None if q is None else list(q[k]))
+                                w_aux=w_aux, q=None if q is None else float(q[k]))
         out.append(h)
     return np.array(out).reshape(len(x), units)
 
@@ -220,8 +220,8 @@ def concat_lstm_backward(params, cache, d_hidden):
     d_inputs = flat @ params.w_in
     d_aux = None
     if cache.aux is not None:
-        grads.w_aux = np.repeat((flat.T @ cache.aux)[:, None], params.in_dim, axis=1)
-        d_aux = flat @ params.w_aux.sum(axis=1)
+        grads.w_aux = flat.T @ cache.aux
+        d_aux = flat @ params.w_aux
     return grads, d_inputs, d_aux
 
 

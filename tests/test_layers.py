@@ -28,6 +28,7 @@ from negscope.layers import (
     CrfParams,
     DenseParams,
     EmbeddingParams,
+    LstmParams,
     bilstm_backward,
     bilstm_forward,
     crf_marginals,
@@ -46,6 +47,7 @@ from negscope.layers import (
     lstm_forward,
     packed_steps,
 )
+from negscope.numerics import sigmoid
 
 
 def random_crf(rng, num_labels):
@@ -158,16 +160,55 @@ class TestLstmForward:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_two_input_matches_scalar_reference(self, rng):
-        """A scalar aux input of 1 is the d-wide aux vector of ones."""
+        """An aux input of 1 adds w_aux once to the preactivations."""
         params = init_lstm(2, 2, rng, two_input=True)
         x = rng.normal(size=(1, 2))
         out, _ = lstm_forward(params, x, np.ones(1), [1], np.arange(1))
         h, _ = scalar_lstm_step(
             params.w_in.tolist(), params.w_rec.tolist(), params.b.tolist(),
             x[0].tolist(), [0.0, 0.0], [0.0, 0.0],
-            w_aux=params.w_aux.tolist(), q=[1.0, 1.0],
+            w_aux=params.w_aux.tolist(), q=1.0,
         )
         np.testing.assert_allclose(out[0], h, atol=1e-12)
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["cache", "stream"])
+    @pytest.mark.parametrize("two_input", [False, True], ids=["single", "two-input"])
+    @pytest.mark.parametrize("units", [1, 4])
+    def test_forward_never_writes_its_parameters(self, rng, units, two_input, stream):
+        """The gates halve the i, f and o columns of w_rec.T, of the
+        projection and of the cue-bit row on fresh arrays: at U = 1 a
+        contiguous w_rec.T is a view of w_rec itself, and halving that
+        would halve the weights."""
+        params = init_lstm(units, 3, rng, two_input=two_input)
+        before = {name: arr.copy() for name, arr in params.arrays().items()}
+        sizes = [3, 3, 2, 1]
+        x = rng.normal(size=(sum(sizes), 3))
+        aux = rng.integers(0, 2, size=len(x)).astype(np.float64) if two_input else None
+        out = np.empty((len(x), units)) if stream else None
+        lstm_forward(params, x, aux, sizes, np.arange(len(x)), out=out)
+        assert params.arrays().keys() == before.keys()
+        for name, arr in params.arrays().items():
+            assert (arr.shape, arr.tobytes()) == (before[name].shape, before[name].tobytes()), name
+
+    def test_gates_match_the_sigmoid_oracle(self, rng):
+        """One step of 64 sentences whose preactivations z are exact
+        (quarter-integer inputs and weights, |z| at most 40): the
+        tanh-form i, f and o gates lie within 2^-52 (one ulp of 1) of
+        numerics.sigmoid(z), and the g gate is np.tanh(z) bit for bit."""
+        units, dim, b = 8, 2, 64
+
+        def quarters(*shape):
+            return rng.integers(-16, 17, size=shape) / 4.0
+
+        params = LstmParams(quarters(4 * units, dim), quarters(4 * units, units),
+                            quarters(4 * units), quarters(4 * units))
+        x = quarters(b, dim)
+        aux = rng.integers(0, 2, size=b).astype(np.float64)
+        _, cache = lstm_forward(params, x, aux, [b], np.arange(b))
+        z = x @ params.w_in.T + params.b + aux[:, None] * params.w_aux
+        u3 = 3 * units
+        assert np.array_equal(cache.gates[:, u3:], np.tanh(z[:, u3:]))
+        assert np.abs(cache.gates[:, :u3] - sigmoid(z[:, :u3])).max() <= 2.0 ** -52
 
     def test_reverse_equals_flipped_forward(self, rng):
         """The right-to-left half of a BiLSTM is the cell run over the
@@ -388,18 +429,17 @@ class TestBilstm:
         np.testing.assert_allclose(out[::-1], swapped, atol=1e-12)
 
     def test_ragged_batch_matches_scalar_reference(self, rng):
-        """Cue bits go in as one scalar per token; the oracle reads each
-        bit as the d-wide row bit * 1_d."""
+        """Cue bits go in as one scalar per token; the oracle adds each
+        bit times w_aux."""
         fwd = init_lstm(2, 3, rng, two_input=True)
         bwd = init_lstm(2, 3, rng, two_input=True)
         lengths = [4, 1, 3]
         x = rng.normal(size=(8, 3))
         bits = rng.integers(0, 2, size=8).astype(np.float64)
-        q = np.repeat(bits[:, None], 3, axis=1)
         out, _ = bilstm_forward(fwd, bwd, x, bits, lengths)
         start = 0
         for n in lengths:
-            xs, qs = x[start:start + n], q[start:start + n]
+            xs, qs = x[start:start + n], bits[start:start + n]
             expect_f = scalar_lstm_states(fwd, xs, qs)
             expect_b = scalar_lstm_states(bwd, xs[::-1], qs[::-1])[::-1]
             np.testing.assert_allclose(out[start:start + n, :2], expect_f, atol=1e-12)
@@ -421,7 +461,7 @@ class TestBilstm:
         start = 0
         for n in lengths:
             xs = x[start:start + n]
-            qs = np.repeat(bits[start:start + n, None], 3, axis=1)
+            qs = bits[start:start + n]
             expect_f = scalar_lstm_states(fwd, xs, qs)
             expect_b = scalar_lstm_states(bwd, xs[::-1], qs[::-1])[::-1]
             np.testing.assert_allclose(out[start:start + n, :2], expect_f, atol=1e-12)

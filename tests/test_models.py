@@ -199,14 +199,14 @@ class TestCheckpoint:
                            match=r"model.npz: lstm.f.w_rec has shape \(12, 4\), expected \(12, 3\)"):
             load_checkpoint(path)
 
-    def test_format_2_meta_is_pinned(self, tmp_path):
-        """The exact __meta__ string, keys in order: format 2 checkpoints
+    def test_format_3_meta_is_pinned(self, tmp_path):
+        """The exact __meta__ string, keys in order: format 3 checkpoints
         written before and after a refactor must be byte-identical."""
         path = tmp_path / "model.npz"
         save_checkpoint(path, build(TaggerConfig("cue", "bilstm-crf", 9, 4, 3)), vocab_hash="h")
         with np.load(path) as data:
             assert str(data["__meta__"]) == (
-                '{"format": 2, "task": "cue", "variant": "bilstm-crf", '
+                '{"format": 3, "task": "cue", "variant": "bilstm-crf", '
                 '"labels": ["NC", "C", "MC"], "vocab_size": 9, "embed_dim": 4, "units": 3, '
                 '"head": "crf", "use_lstm": true, "two_input": false, '
                 '"embeddings_trainable": false, "oov_index": 0, "vocab_sha256": "h"}'
@@ -234,6 +234,20 @@ class TestCheckpoint:
         path = tmp_path / "old.npz"
         np.savez(path, __meta__=np.array(json.dumps({"format": 1})))
         with pytest.raises(ValueError, match="format 1.*retrain"):
+            load_checkpoint(path)
+
+    def test_format_2_asks_for_retraining(self, tmp_path):
+        """Format 2 stored w_aux as a (4U, d) block; the cell now reads a
+        (4U,) vector, so such a checkpoint is refused, not reshaped."""
+        path = tmp_path / "old.npz"
+        save_checkpoint(path, build(TaggerConfig("scope", "bilstm", 9, 4, 3)), vocab_hash="h")
+        rewrite_meta(path, format=2)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        np.savez(path, **{**arrays, "lstm.f.w_aux": np.zeros((12, 4)),
+                          "lstm.b.w_aux": np.zeros((12, 4))})
+        with pytest.raises(ValueError, match="old.npz: unsupported checkpoint format 2; "
+                                             "an older LSTM layout, retrain"):
             load_checkpoint(path)
 
 

@@ -665,6 +665,22 @@ class TestTrainCommands:
         assert rc == 1
         assert "empty Task-2 training set" in capsys.readouterr().err
 
+    def test_train_scope_with_an_empty_test_split_fails_before_training(self, tmp_path, capsys):
+        # the seed-3 test split holds only plain sentences
+        negations = [inst for inst in synthetic_instances(40, seed=8) if inst.is_negation]
+        test = set(split_dataset(list(range(20)), seed=3).test)
+        instances = [NegationInstance(Sentence(("all", "samples", "grew", "."), f"plain.{k}"))
+                     if k in test else negations[k] for k in range(20)]
+        corpus = tmp_path / "corpus.col"
+        write_column_file(corpus, instances)
+        cfg = tmp_path / "c.txt"
+        write_config(cfg, corpus)
+        out = tmp_path / "run"
+        rc = main(["train-scope", "--config", str(cfg), "--out", str(out), "--variant", "bilstm"])
+        assert rc == 1
+        assert "empty Task-2 test set" in capsys.readouterr().err
+        assert not list(out.glob("scope_*.npz")) and not list(out.glob("scope_val_*"))
+
 
 class TestExitCodes:
     def test_missing_corpus_is_usage_error(self, tmp_path, capsys):

@@ -252,6 +252,24 @@ class TestAdam:
             steps=len(sets), columns={"emb.E": sets},
         )
 
+    @pytest.mark.parametrize("d", [1, 7, 200])
+    def test_scaled_vector_step_is_the_row_sum_of_the_block_step(self, monkeypatch, d):
+        """A (4U,) w_aux stepped at d times the rate moves as the row sums
+        of a (4U, d) block each of whose columns takes the vector's
+        gradient, step after step, to 1e-12 relative."""
+        monkeypatch.setattr(training, "ADAM_CHUNK", 7)
+        rng = np.random.default_rng(23)
+        block = {"w": layers.glorot(rng, 16, d)}
+        vector = {"lstm.f.w_aux": block["w"].sum(axis=1)}
+        block_state = AdamState.init(block)
+        vector_state = AdamState.init(vector, {"lstm.f.w_aux": d})
+        for _ in range(6):
+            g = rng.normal(size=16) * 10.0 ** rng.integers(-6, 3)
+            adam_step(block, {"w": np.repeat(g[:, None], d, axis=1)}, block_state, 0.01)
+            adam_step(vector, {"lstm.f.w_aux": g}, vector_state, 0.01)
+            np.testing.assert_allclose(vector["lstm.f.w_aux"], block["w"].sum(axis=1),
+                                       rtol=1e-12, atol=0)
+
     def test_each_thread_updates_half_the_elements(self, monkeypatch):
         # parameters of 1, 7, 8 and 20 elements and a (3, 10) column
         # gradient: every step sends chunks to this thread and the worker,
@@ -446,6 +464,23 @@ class TestTrainLoop:
         assert len(history.train_loss) == 6
         assert history.train_loss[-1] < history.train_loss[0]
         assert history.lr == [0.01] * 6
+
+    @pytest.mark.parametrize("task, variant", [("scope", "bilstm"), ("cue", "bilstm")])
+    def test_only_the_cue_bit_weights_step_at_the_embedding_width(self, monkeypatch,
+                                                                   task, variant):
+        data, vocab = encoded_corpus(8)
+        scales, step = [], training.adam_step
+
+        def recorded(params, grads, state, lr):
+            scales.append(dict(state.scale))
+            step(params, grads, state, lr)
+
+        monkeypatch.setattr(training, "adam_step", recorded)
+        tagger = Tagger.build(TaggerConfig(task, variant, vocab.size, 5, 3),
+                              np.random.default_rng(0))
+        train(tagger, data, [], small_config(epochs=1))
+        want = {"lstm.f.w_aux": 5, "lstm.b.w_aux": 5} if task == "scope" else {}
+        assert scales and all(scale == want for scale in scales)
 
     def test_same_seed_reproduces_run_exactly(self):
         data, vocab = encoded_corpus()
