@@ -27,7 +27,7 @@ GATES = ("i", "f", "o", "g")
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Uniform init on +-sqrt(6 / (fan_in + fan_out))."""
     bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float64)
+    return rng.uniform(-bound, bound, size=(rows, cols))
 
 
 # ---------------------------------------------------------------------------

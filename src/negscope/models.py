@@ -42,6 +42,8 @@ CHECKPOINT_FORMAT = 3
 # (T, d) inputs and (T, 2U) states plus, per direction, step buffers sized
 # by its sentence count and a fixed projection table: at d = U = 200 a
 # full chunk of 64 sentences takes about 12 MB (10 MB at 32 sentences).
+# One chunk is alive at a time, and `predict` and `train-scope` hold one
+# model at a time (see pipeline.cmd_predict).
 PREDICT_TOKEN_BUDGET = 1024
 PREDICT_MAX_SENTENCES = 64
 
@@ -170,7 +172,8 @@ class Tagger:
                 raise ValueError(
                     f"embedding matrix shape {embedding_matrix.shape} != {want}"
                 )
-            embedding = EmbeddingParams(np.array(embedding_matrix, dtype=np.float64))
+            copy = True if config.embeddings_trainable else None  # frozen: shared, not copied
+            embedding = EmbeddingParams(np.array(embedding_matrix, dtype=np.float64, copy=copy))
         else:
             embedding = init_embedding(config.embed_dim, config.vocab_size, OOV_INDEX, rng)
         lstm_fwd = lstm_bwd = None
@@ -257,7 +260,8 @@ class Tagger:
         out: list = [None] * len(lengths)
         for chunk in length_chunks(lengths, PREDICT_TOKEN_BUDGET, PREDICT_MAX_SENTENCES):
             bits = None if cue_bits is None else [cue_bits[i] for i in chunk]
-            scores, _ = self.scores([token_ids[i] for i in chunk], bits, keep_cache=False)
+            # [0]: the chunk's cache, and its states, go before the next chunk runs
+            scores = self.scores([token_ids[i] for i in chunk], bits, keep_cache=False)[0]
             chunk_lengths = [lengths[i] for i in chunk]
             if self.crf is not None:
                 labels = crf_viterbi(scores, self.crf, chunk_lengths)[0]
@@ -321,18 +325,23 @@ def save_checkpoint(path, tagger: Tagger, vocab_hash: str) -> None:
     np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
-def load_checkpoint(path) -> tuple[Tagger, dict]:
+def read_checkpoint_meta(path) -> tuple[TaggerConfig, dict]:
+    """A checkpoint's config and __meta__, checked; no parameter array is read."""
     with np.load(path, allow_pickle=False) as data:
         if "__meta__" not in data:
             raise ValueError(f"{path}: not a tagger checkpoint (missing __meta__)")
         meta = json.loads(str(data["__meta__"]))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            hint = "; an older LSTM layout, retrain" if meta.get("format") in (1, 2) else ""
-            raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')}{hint}")
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        hint = "; an older LSTM layout, retrain" if meta.get("format") in (1, 2) else ""
+        raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')}{hint}")
+    return _checked_config(path, meta), meta
+
+
+def load_checkpoint(path) -> tuple[Tagger, dict]:
+    config, meta = read_checkpoint_meta(path)
+    with np.load(path, allow_pickle=False) as data:
         arrays = {name: np.asarray(data[name], dtype=np.float64)
                   for name in data.files if name != "__meta__"}
-
-    config = _checked_config(path, meta)
     shapes = parameter_shapes(config)
     if set(shapes) != set(arrays):
         raise ValueError(

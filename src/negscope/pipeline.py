@@ -52,6 +52,7 @@ from .models import (
     TaggerConfig,
     check_variant,
     load_checkpoint,
+    read_checkpoint_meta,
     save_checkpoint,
     scope_base,
     smooth_predictions,
@@ -518,26 +519,28 @@ def cmd_train_scope(args) -> int:
         raise UsageError(f"--cue-input pred needs a trained cue model at {checkpoint}")
 
     out, emit, corpus = start_run(config, f"cue_input={args.cue_input}")
-    subsets = [(name, negation_subset(data, name)) for name, data in
-               (("training", corpus.train), ("val", corpus.validation), ("test", corpus.test))]
-    cue_tagger = None
-    if args.cue_input == "pred":
-        cue_tagger = _load_checked(checkpoint, corpus.vocab)
+    # every Task-2 set must be nonempty before training; run_scope_training
+    # takes the training set itself, and the other two are scored
+    scored = [(name, negation_subset(data, name)) for name, data in
+              (("training", corpus.train), ("val", corpus.validation), ("test", corpus.test))][1:]
+    cue_rows = [[inst.cue_tags for inst in subset] for _, subset in scored]
+    if args.cue_input == "pred":  # the cue model is gone before the scope model trains
+        _check_checkpoint(checkpoint, corpus.vocab)
+        cue_tagger = load_checkpoint(checkpoint)[0]
+        cue_rows = [predict_cues(cue_tagger, subset) for _, subset in scored]
+        del cue_tagger
     tagger = run_scope_training(config, corpus, variant, out, emit)
 
-    for name, subset in subsets[1:]:
-        if cue_tagger is None:
-            cue_rows = [inst.cue_tags for inst in subset]
-        else:
-            cue_rows = predict_cues(cue_tagger, subset)
-            for inst, ctags in zip(subset, cue_rows):
+    for (name, subset), rows in zip(scored, cue_rows):
+        if args.cue_input == "pred":
+            for inst, ctags in zip(subset, rows):
                 emit(f"pred_cues id={inst.source_id} "
                      f"bits={''.join(str(b) for b in cue_vector(ctags))}")
         gold_path = write_gold(out / f"scope_{name}_gold.col", subset, with_scope=True)
-        scope_rows = predict_scopes(tagger, [inst.token_ids for inst in subset], cue_rows)
+        scope_rows = predict_scopes(tagger, [inst.token_ids for inst in subset], rows)
         if smooth_predictions(variant):
-            scope_rows = smooth_scopes(scope_rows, cue_rows)
-        scope = score_scopes(out, f"scope_{name}", subset, cue_rows, scope_rows, gold_path)
+            scope_rows = smooth_scopes(scope_rows, rows)
+        scope = score_scopes(out, f"scope_{name}", subset, rows, scope_rows, gold_path)
         emit(" ".join(headline_items(f"scope.{name}", scope)))
     emit.write(out / "run.log")
     return 0
@@ -605,19 +608,18 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _load_run_models(run_dir: Path, variant: str | None):
-    """Checkpoints and vocabulary from a finished run directory."""
+def _run_checkpoints(run_dir: Path, variant: str | None):
+    """The vocabulary and the cue and scope checkpoint paths (None where
+    there is none) of a finished run directory, each checkpoint's metadata
+    checked against the vocabulary; no parameter array is read."""
     vocab_path = run_dir / "vocab.json"
     if not vocab_path.is_file():
         raise UsageError(f"no vocab.json in {run_dir}")
     vocab = Vocabulary.load(vocab_path)
 
-    cue_tagger = None
-    if (run_dir / "cue.npz").is_file():
-        cue_tagger = _load_checked(run_dir / "cue.npz", vocab)
-
+    cue_path = run_dir / "cue.npz"
+    cue_path = cue_path if cue_path.is_file() else None
     scope_paths = sorted(run_dir.glob("scope_*.npz"))
-    scope_tagger = None
     if variant is not None:
         wanted = run_dir / f"scope_{variant}.npz"
         if not wanted.is_file():
@@ -626,28 +628,29 @@ def _load_run_models(run_dir: Path, variant: str | None):
     if len(scope_paths) > 1:
         names = [p.stem.removeprefix("scope_") for p in scope_paths]
         raise UsageError(f"several scope checkpoints {names}; pick one with --variant")
-    if scope_paths:
-        scope_tagger = _load_checked(scope_paths[0], vocab)
-    return vocab, cue_tagger, scope_tagger
+    scope_path = scope_paths[0] if scope_paths else None
+    for path in filter(None, (cue_path, scope_path)):
+        _check_checkpoint(path, vocab)
+    return vocab, cue_path, scope_path
 
 
-def _load_checked(path: Path, vocab: Vocabulary) -> Tagger:
-    """A checkpoint's tagger, after checking it was trained on `vocab`."""
-    tagger, meta = load_checkpoint(path)
-    if meta["vocab_sha256"] != vocab.content_hash():
+def _check_checkpoint(path: Path, vocab: Vocabulary) -> None:
+    """Check a checkpoint's metadata, and that it was trained on `vocab`."""
+    if read_checkpoint_meta(path)[1]["vocab_sha256"] != vocab.content_hash():
         raise RuntimeError(f"{path}: checkpoint was trained with a different vocabulary")
-    return tagger
 
 
 def cmd_predict(args) -> int:
+    if args.raw and args.cue_input == "gold":
+        raise UsageError("--cue-input gold needs a cue column in the input")
     config = resolve_config(args, need_out=True)
     run_dir = Path(config.out)
-    vocab, cue_tagger, scope_tagger = _load_run_models(run_dir, args.variant)
-    if cue_tagger is None and args.cue_input == "pred":
+    vocab, cue_path, scope_path = _run_checkpoints(run_dir, args.variant)
+    if cue_path is None and args.cue_input == "pred":
         raise UsageError(f"no cue.npz in {run_dir}; use --cue-input gold")
-    if cue_tagger is None and scope_tagger is None:
+    if cue_path is None and scope_path is None:
         raise UsageError(f"no checkpoints in {run_dir}")
-    if scope_tagger is None and (args.postprocess or args.cue_input == "gold"):
+    if scope_path is None and (args.postprocess or args.cue_input == "gold"):
         flag = "--postprocess" if args.postprocess else "--cue-input gold"
         raise UsageError(f"{flag} needs a scope checkpoint (scope_<variant>.npz) in {run_dir}")
 
@@ -661,15 +664,16 @@ def cmd_predict(args) -> int:
     else:
         blocks = read_tag_blocks(args.input)
 
+    # one model at a time: the cue tagger is gone before the scope
+    # checkpoint is read, and with gold cues it is never loaded
     ids = [vocab.lookup_all(b.tokens) for b in blocks]
     if args.cue_input == "gold":
-        if args.raw:
-            raise UsageError("--cue-input gold needs a cue column in the input")
         cue_rows = [b.cue_tags for b in blocks]
     else:
-        cue_rows = cue_tagger.predict_tags(ids)
+        cue_rows = load_checkpoint(cue_path)[0].predict_tags(ids)
     scope_rows = None
-    if scope_tagger is not None:
+    if scope_path is not None:
+        scope_tagger = load_checkpoint(scope_path)[0]
         scope_rows = predict_scopes(scope_tagger, ids, cue_rows)
         if args.postprocess or smooth_predictions(scope_tagger.config.variant):
             scope_rows = smooth_scopes(scope_rows, cue_rows)

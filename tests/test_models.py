@@ -2,18 +2,21 @@
 from __future__ import annotations
 
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import negscope.layers as layers
+import negscope.models as models
 from negscope.models import (
     META_KEYS,
     VARIANTS,
     Tagger,
     TaggerConfig,
     load_checkpoint,
+    read_checkpoint_meta,
     save_checkpoint,
     smooth_predictions,
 )
@@ -150,6 +153,29 @@ class TestPrediction:
         scores, _ = tagger.scores([ids])
         assert tagger.predict_ids([ids]) == [list(scores.argmax(axis=0))]
 
+    def test_a_chunks_states_are_gone_before_the_next_chunk_runs(self, monkeypatch):
+        """predict_ids keeps no chunk's cache: the (T, 2U) states of one
+        chunk are unreachable when the next chunk's embedding lookup runs."""
+        tagger = build(TaggerConfig("cue", "bilstm", 9, 4, 3))
+        states, alive = [], []
+
+        def tracked_dense(params, x):
+            states.append(weakref.ref(x))
+            return layers.dense_forward(params, x)
+
+        def tracked_embed(params, ids):
+            alive.append(sum(ref() is not None for ref in states))
+            return layers.embed(params, ids)
+
+        monkeypatch.setattr(models, "dense_forward", tracked_dense)
+        monkeypatch.setattr(models, "embed", tracked_embed)
+        monkeypatch.setattr(models, "PREDICT_TOKEN_BUDGET", 4)
+        # sorted lengths 2, 2 | 3 | 4: three chunks
+        ids = [np.arange(1, n + 1) for n in (3, 2, 4, 2)]
+        tagged = tagger.predict_ids(ids)
+        assert [len(row) for row in tagged] == [3, 2, 4, 2]
+        assert len(states) == 3 and alive == [0, 0, 0]
+
 
 class TestCheckpoint:
     def test_round_trip_is_bit_identical(self, tmp_path):
@@ -224,6 +250,24 @@ class TestCheckpoint:
                  **{name: arr.copy() for name, arr in tagger.parameters().items()})
         assert path.read_bytes() == (tmp_path / "copies.npz").read_bytes()
 
+    def test_meta_read_touches_no_parameter_array(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, build(TaggerConfig("scope", "bilstm-crf", 9, 4, 3)),
+                        vocab_hash="h")
+        read, getitem = [], np.lib.npyio.NpzFile.__getitem__
+
+        def tracked(self, key):
+            read.append(key)
+            return getitem(self, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", tracked)
+        config, meta = read_checkpoint_meta(path)
+        assert read == ["__meta__"]
+        tagger, again = load_checkpoint(path)
+        assert (config, meta) == (tagger.config, again)
+        assert read[1] == "__meta__"  # load_checkpoint reads the metadata first too
+        assert sorted(read[2:]) == sorted(tagger.parameters())
+
     def test_non_checkpoint_file_is_an_error(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, data=np.zeros(3))
@@ -283,8 +327,9 @@ class TestCheckpointCrossCheck:
         path = tmp_path / "cue.npz"
         save_checkpoint(path, build(TaggerConfig("cue", "bilstm-crf", 9, 4, 3)), vocab_hash="h")
         rewrite_meta(path, drop=[key])
-        with pytest.raises(ValueError, match=f"cue.npz: checkpoint metadata has no '{key}'"):
-            load_checkpoint(path)
+        for read in (read_checkpoint_meta, load_checkpoint):
+            with pytest.raises(ValueError, match=f"cue.npz: checkpoint metadata has no '{key}'"):
+                read(path)
 
     def test_unknown_task_is_an_error(self, tmp_path):
         path = tmp_path / "m.npz"

@@ -6,6 +6,7 @@ import json
 import shutil
 import tempfile
 import weakref
+from itertools import groupby
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -261,6 +262,21 @@ def experiment_run(tmp_path_factory):
     return SimpleNamespace(root=root, corpus=corpus, config=cfg, out=out)
 
 
+def edited_run(experiment_run, root, name, edit) -> Path:
+    """A run directory with the experiment's vocabulary and its cue and
+    bilstm checkpoints, checkpoint `name` rewritten by edit(meta, arrays)."""
+    run = root / "run"
+    run.mkdir()
+    for kept in ("vocab.json", "cue.npz", "scope_bilstm.npz"):
+        shutil.copy(experiment_run.out / kept, run / kept)
+    with np.load(run / name) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(str(arrays.pop("__meta__")))
+    edit(meta, arrays)
+    np.savez(run / name, __meta__=np.array(json.dumps(meta)), **arrays)
+    return run
+
+
 def assert_scope_test_set_recounts(out) -> dict:
     """Recount the scope test set from the cue files: `scope_test_gold.col`
     holds exactly the sentences either cue source marks, in split order, and
@@ -513,6 +529,80 @@ class TestPredict:
             if block.source_id in scopes:
                 assert tagged[block.source_id].scope_tags == scopes[block.source_id]
 
+    @pytest.mark.parametrize("cue_input, loads", [
+        ("pred", ["cue.npz", "scope_bilstm.npz"]),
+        ("gold", ["scope_bilstm.npz"]),
+    ])
+    def test_one_model_is_resident_at_a_time(self, experiment_run, tmp_path, monkeypatch,
+                                             cue_input, loads):
+        """The cue tagger is unreachable before the scope checkpoint's arrays
+        are read, and with gold cues its arrays are never read."""
+        load_checkpoint = pipeline.load_checkpoint
+        loaded, alive = [], []
+
+        def tracked(path):
+            alive.append(sum(ref() is not None for _, ref in loaded))
+            tagger, meta = load_checkpoint(path)
+            loaded.append((Path(path).name, weakref.ref(tagger)))
+            return tagger, meta
+
+        monkeypatch.setattr(pipeline, "load_checkpoint", tracked)
+        rc = main(["predict", "--out", str(experiment_run.out), "--variant", "bilstm",
+                   "--cue-input", cue_input, str(experiment_run.out / "scope_test_gold.col"),
+                   str(tmp_path / "pred.col")])
+        assert rc == 0
+        assert [name for name, _ in loaded] == loads
+        assert alive == [0] * len(loads)
+
+    @pytest.mark.parametrize("fault", ["meta", "vocab"])
+    @pytest.mark.parametrize("name", ["cue.npz", "scope_bilstm.npz"])
+    def test_a_bad_checkpoint_fails_before_any_model_runs(self, experiment_run, tmp_path,
+                                                          capsys, monkeypatch, name, fault):
+        """Both checkpoints' metadata and vocabulary hashes are checked
+        before either model is loaded."""
+        def edit(meta, arrays):
+            if fault == "meta":
+                del meta["head"]
+            else:
+                meta["vocab_sha256"] = "0" * 64
+
+        run = edited_run(experiment_run, tmp_path, name, edit)
+        ran = []
+        monkeypatch.setattr(models.Tagger, "predict_ids", lambda *args: ran.append(args))
+        output = tmp_path / "pred.col"
+        rc = main(["predict", "--out", str(run), str(experiment_run.out / "scope_test_gold.col"),
+                   str(output)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert name in err and ("'head'" if fault == "meta" else "different vocabulary") in err
+        assert ran == [] and not output.exists()
+
+    @pytest.mark.parametrize("name", ["cue.npz", "scope_bilstm.npz"])
+    def test_a_misshapen_array_fails_before_the_output_is_written(self, experiment_run,
+                                                                  tmp_path, capsys, name):
+        def edit(meta, arrays):
+            arrays["dense.b"] = np.zeros(len(arrays["dense.b"]) + 1)
+
+        run = edited_run(experiment_run, tmp_path, name, edit)
+        output = tmp_path / "pred.col"
+        rc = main(["predict", "--out", str(run), str(experiment_run.out / "scope_test_gold.col"),
+                   str(output)])
+        assert rc == 1
+        assert f"{name}: dense.b has shape" in capsys.readouterr().err
+        assert not output.exists()
+
+    def test_raw_input_with_gold_cues_fails_before_anything_is_read(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a checkpoint was read")
+
+        monkeypatch.setattr(pipeline, "read_checkpoint_meta", refuse)
+        monkeypatch.setattr(pipeline, "load_checkpoint", refuse)
+        rc = main(["predict", "--out", str(tmp_path / "no_run"), "--raw", "--cue-input", "gold",
+                   str(tmp_path / "missing.txt")])
+        assert rc == 2
+        assert "--cue-input gold needs a cue column in the input" in capsys.readouterr().err
+
     def test_raw_text_is_tokenized(self, experiment_run, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
         raw.write_text("the cells showed no growth.\n\n")
@@ -647,6 +737,37 @@ class TestTrainCommands:
                    "--variant", "bilstm", "--cue-input", "pred"])
         assert rc == 0
         assert "pred_cues id=" in (out / "run.log").read_text()
+
+    def test_train_scope_pred_cues_hold_one_model_at_a_time(self, experiment_run, tmp_path,
+                                                            monkeypatch):
+        """The cue tagger tags the validation and test sets and is dropped
+        before the scope model trains; run.log still lists each set's
+        predicted cues after training, just before its scores."""
+        out = tmp_path / "run"
+        out.mkdir()
+        shutil.copy(experiment_run.out / "cue.npz", out / "cue.npz")
+        load_checkpoint, run_scope_training = pipeline.load_checkpoint, pipeline.run_scope_training
+        loaded, alive = [], []
+
+        def tracked_load(path):
+            tagger, meta = load_checkpoint(path)
+            loaded.append(weakref.ref(tagger))
+            return tagger, meta
+
+        def tracked_training(*args):
+            alive.append(sum(ref() is not None for ref in loaded))
+            return run_scope_training(*args)
+
+        monkeypatch.setattr(pipeline, "load_checkpoint", tracked_load)
+        monkeypatch.setattr(pipeline, "run_scope_training", tracked_training)
+        assert main(["train-scope", "--config", str(experiment_run.config), "--out", str(out),
+                     "--variant", "bilstm", "--cue-input", "pred"]) == 0
+        assert len(loaded) == 1 and alive == [0]
+        lines = (out / "run.log").read_text().splitlines()
+        trained = next(k for k, line in enumerate(lines) if line.startswith("scope best_epoch="))
+        kinds = [line.split(".")[1] if line.startswith("scope.") else line.split()[0]
+                 for line in lines[trained + 1:]]
+        assert [kind for kind, _ in groupby(kinds)] == ["pred_cues", "val", "pred_cues", "test"]
 
     def test_train_scope_without_negations_fails_cleanly(self, tmp_path, capsys):
         instances = [

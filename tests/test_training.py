@@ -454,6 +454,22 @@ class TestModelInputs:
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("variant, widen, shared", [
+        ("bilstm", False, True), ("bilstm", True, False), ("emb-train", False, False),
+    ], ids=["frozen", "widened", "trainable"])
+    def test_only_frozen_embeddings_share_the_pretrained_matrix(self, variant, widen, shared):
+        """A frozen tagger reads the pretrained matrix itself; a tagger that
+        trains its embeddings trains a copy, and the matrix keeps its bits."""
+        data, vocab = encoded_corpus()
+        matrix = np.random.default_rng(5).normal(size=(8, vocab.size))
+        before = matrix.copy()
+        config = TaggerConfig("cue", variant, vocab.size, 8, 4, widen_embeddings=widen)
+        tagger = Tagger.build(config, np.random.default_rng(0), matrix)
+        assert np.shares_memory(tagger.embedding.weights, matrix) == shared
+        train(tagger, data, [], small_config(epochs=1))
+        np.testing.assert_array_equal(matrix, before)
+        assert np.array_equal(tagger.embedding.weights, before) == shared
+
     def test_loss_goes_down_on_learnable_data(self):
         data, vocab = encoded_corpus()
         config = small_config()
