@@ -7,7 +7,7 @@ Usage::
 
 Imports negscope from `<checkout>/src` and the synthetic corpus builder
 from `<checkout>/tests/helpers.py`, writes
-`synthetic_instances(200, seed=21)` as a corpus, and runs twenty
+`synthetic_instances(200, seed=21)` as a corpus, and runs twenty-one
 commands in process:
 
   experiment                      run dir exp/ (three scope variants)
@@ -36,12 +36,17 @@ commands in process:
   experiment, frozen embeddings   run dir frozen/ (embeddings_trainable=false)
   predict --cue-input pred --postprocess
                                   frozen/, scope bilstm
+  evaluate --out                  a two-sentence prediction against a gold
+                                  file without a cue or scope, so recall,
+                                  PECM and PCS print as NaN
 
 Every other model trains its embeddings (the config sets
 embeddings_trainable=true), so each one's embedding gradient reaches Adam.
 The frozen/ models keep their variants' frozen embeddings, as the models
 of the benchmark's experiment-bilstm and predict-ragged workloads do, so
 their training skips the embedding gradient and leaves emb.E out of Adam.
+The frozen/ run's report prints precision and PCP as NaN; the last
+command covers the NaN of recall, PECM and PCS.
 
 After writing the inputs and after each command it prints a header line
 with the command's exit code, then `<sha256>  <path>` for every file
@@ -86,6 +91,10 @@ CONFIG = {
 }
 
 RAW_TEXT = "the cells showed no growth.\nneither mice nor samples expressed it.\n"
+
+# a gold file with no cue, and a prediction marking one cue and its scope
+NO_CUE_GOLD = "# none.1\nthe\tNC\tO\ncells\tNC\tO\ngrew\tNC\tO\n\n# none.2\nit\tNC\tO\n"
+NO_CUE_PRED = "# none.1\nthe\tNC\tO\ncells\tC\tC\ngrew\tNC\tA\n\n# none.2\nit\tNC\tO\n"
 
 
 def _import_from(checkout: Path):
@@ -151,6 +160,8 @@ def commands(work: Path) -> list[list[str]]:
         ["experiment", "--config", frozen, "--out", frz],
         ["predict", "--out", frz, "--cue-input", "pred", "--variant", "bilstm", "--postprocess",
          str(work / "frozen" / "scope_test_gold.col"), str(work / "p_frozen.col")],
+        ["evaluate", str(work / "no_cue_pred.col"), str(work / "no_cue_gold.col"),
+         "--out", str(work / "e_no_cue.txt")],
     ]
 
 
@@ -170,6 +181,8 @@ def main(argv: list[str]) -> int:
     _write_config(work / "config_emb.txt", corpus=corpus, **{"cue.batch_size": 2})
     _write_config(work / "config_frozen.txt", corpus=corpus, embeddings_trainable="false")
     (work / "raw.txt").write_text(RAW_TEXT, encoding="utf-8")
+    (work / "no_cue_gold.col").write_text(NO_CUE_GOLD, encoding="utf-8")
+    (work / "no_cue_pred.col").write_text(NO_CUE_PRED, encoding="utf-8")
 
     # the commands' INFO lines would drown the digests
     logging.basicConfig(level=logging.WARNING)

@@ -11,7 +11,7 @@ line live in their own modules:
     corpus      column-format corpus IO, tokenizer, vocabulary, splits
     models      model assembly per variant, checkpoints
     training    losses, Adam, step decay, the training loop
-    evaluation  token metrics, exact-match metrics, the Task-2 index groups
+    evaluation  per-sentence count table, reports from its sums, Task-2 groups
     pipeline    the `negscope` command line
 """
 

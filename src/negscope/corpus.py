@@ -359,13 +359,19 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            try:
+                data = json.load(handle)
+            except ValueError as exc:
+                raise CorpusError(f"{path}: not a JSON vocabulary ({exc})") from None
         for key in ("oov_index", "tokens"):
             if not isinstance(data, dict) or key not in data:
                 raise CorpusError(f"{path}: no {key!r} entry")
         if data["oov_index"] != OOV_INDEX:
             raise CorpusError(f"{path}: unsupported oov index {data['oov_index']}")
-        return cls({tok: i + 1 for i, tok in enumerate(data["tokens"])})
+        tokens = data["tokens"]
+        if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
+            raise CorpusError(f"{path}: 'tokens' is not a list of strings")
+        return cls({tok: i + 1 for i, tok in enumerate(tokens)})
 
 
 def build_vocab(instances) -> Vocabulary:

@@ -1,19 +1,22 @@
-"""Evaluation: token-level P/R/F1, exact-match percentages, and the
-index groups that make the scope test set of gold-cue and predicted-cue
-runs comparable.
+"""Evaluation: a per-sentence count table, the reports built from its
+column sums, and the index groups that make the scope test set of
+gold-cue and predicted-cue runs comparable.
 
-Conventions: metrics are percentages in [0, 100]; precision is NaN when
-nothing was predicted positive, recall is NaN when nothing is positive in
-gold, and F1 is NaN whenever either of those is. All-O scope predictions
-count as (vacuously) continuous and stay out of the continuity
-denominator.
+Metrics are percentages in [0, 100], each a ratio of sentence_counts
+column sums; precision is NaN when nothing was predicted positive, recall
+is NaN when nothing is positive in gold, and F1 is NaN whenever either of
+those is. All-O scope predictions count as (vacuously) continuous and
+stay out of the continuity denominator.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
-from .labeling import cue_vector, is_continuous
+import numpy as np
+
+from .labeling import CUE_TAG_IDS, SCOPE_TAG_IDS
 
 
 def metric_str(value: float) -> str:
@@ -32,115 +35,79 @@ class TokenMetrics:
     f1: float
 
 
-def _finish(tp: int, fp: int, fn: int, tn: int) -> TokenMetrics:
-    precision = math.nan if tp + fp == 0 else 100.0 * tp / (tp + fp)
-    recall = math.nan if tp + fn == 0 else 100.0 * tp / (tp + fn)
-    if math.isnan(precision) or math.isnan(recall):
-        f1 = math.nan
-    elif precision + recall == 0:
-        f1 = 0.0
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-    return TokenMetrics(tp, fp, fn, tn, precision, recall, f1)
-
-
-def _token_confusion(preds, golds, positive) -> TokenMetrics:
-    if len(preds) != len(golds):
-        raise ValueError(f"{len(preds)} predictions vs {len(golds)} gold sequences")
-    tp = fp = fn = tn = 0
-    for i, (pred, gold) in enumerate(zip(preds, golds)):
-        if len(pred) != len(gold):
-            raise ValueError(f"instance {i}: {len(pred)} predicted tags vs {len(gold)} gold")
-        for pred_tag, gold_tag in zip(pred, gold):
-            p, g = pred_tag in positive, gold_tag in positive
-            if p and g:
-                tp += 1
-            elif p:
-                fp += 1
-            elif g:
-                fn += 1
-            else:
-                tn += 1
-    return _finish(tp, fp, fn, tn)
-
-
-def cue_token_metrics(preds, golds) -> TokenMetrics:
-    """Binary token metrics with {C, MC} as the positive class."""
-    return _token_confusion(preds, golds, ("C", "MC"))
-
-
-def scope_token_metrics(preds, golds) -> TokenMetrics:
-    """Binary token metrics with in-scope {B, C, A} as the positive class."""
-    return _token_confusion(preds, golds, ("B", "C", "A"))
-
-
-def pecm(preds, golds) -> float:
-    """Percentage of negation sentences whose full cue tag sequence matches
-    gold exactly; sentences without a gold cue stay out of the denominator."""
-    if len(preds) != len(golds):
-        raise ValueError(f"{len(preds)} predictions vs {len(golds)} gold sequences")
-    hits = total = 0
-    for pred, gold in zip(preds, golds):
-        if not any(cue_vector(gold)):
-            continue
-        total += 1
-        if list(pred) == list(gold):
-            hits += 1
+def _percent(hits: int, total: int) -> float:
     return math.nan if total == 0 else 100.0 * hits / total
 
 
-def pcs(preds, golds) -> float:
-    """Percentage of gold scopes predicted exactly as an in/out token set;
-    sub-label differences inside the scope do not matter."""
+# ---------------------------------------------------------------------------
+# the per-sentence count table
+
+# sentence_counts' columns, in order
+COUNT_COLUMNS = ("tp", "fp", "fn", "tn", "gold", "exact", "pred", "one_block")
+
+# each task's tag codes; code 0, NC or O, is the only negative tag
+_TAG_CODES = {"cue": CUE_TAG_IDS, "scope": SCOPE_TAG_IDS}
+
+
+def sentence_counts(preds, golds, task: str) -> np.ndarray:
+    """An (n, 8) int64 table, one row per sentence, columns COUNT_COLUMNS:
+    the token confusion (positive class C/MC for cues, B/C/A for scopes);
+    gold, 1 if gold has a positive token; exact, 1 if it has and the
+    prediction matches it (the whole tag row for cues, the in/out set for
+    scopes); pred, 1 if the prediction has a positive token; one_block, 1
+    if it has and they form one contiguous run. Misaligned rows and a tag
+    outside the task's alphabet are errors."""
     if len(preds) != len(golds):
         raise ValueError(f"{len(preds)} predictions vs {len(golds)} gold sequences")
-    hits = total = 0
-    for pred, gold in zip(preds, golds):
-        gold_set = {k for k, t in enumerate(gold) if t != "O"}
-        if not gold_set:
-            continue
-        total += 1
-        pred_set = {k for k, t in enumerate(pred) if t != "O"}
-        if pred_set == gold_set:
-            hits += 1
-    return math.nan if total == 0 else 100.0 * hits / total
+    lengths = np.fromiter(map(len, golds), np.int64, len(golds))
+    for i, (pred, n) in enumerate(zip(preds, lengths)):
+        if len(pred) != n:
+            raise ValueError(f"instance {i}: {len(pred)} predicted tags vs {n} gold")
+    codes = _TAG_CODES[task]
+    total = int(lengths.sum())
+    try:
+        p, g = (np.fromiter(map(codes.__getitem__, chain.from_iterable(rows)), np.int8, total)
+                for rows in (preds, golds))
+    except KeyError as exc:
+        raise ValueError(f"unknown {task} tag {exc}") from None
+    pp, gp = p > 0, g > 0
+    starts = np.cumsum(lengths) - lengths
+    before = np.roll(pp, 1)  # the token before, in the same sentence
+    before[starts[lengths > 0]] = False
+    mismatch = p != g if task == "cue" else pp != gp
+    per_token = np.stack([pp & gp, pp & ~gp, ~pp & gp, ~pp & ~gp, gp, mismatch, pp, pp & ~before])
+    running = np.zeros((len(per_token), total + 1), np.int64)
+    np.cumsum(per_token, axis=1, out=running[:, 1:])
+    tp, fp, fn, tn, gold, wrong, pred, blocks = running[:, starts + lengths] - running[:, starts]
+    has_gold, has_pred = gold > 0, pred > 0
+    return np.stack([tp, fp, fn, tn, has_gold, has_gold & (wrong == 0), has_pred,
+                     has_pred & (blocks == 1)], axis=1)
 
 
-def pcp(preds) -> float:
-    """Percentage of continuous predictions among predictions with at least
-    one in-scope token."""
-    hits = total = 0
-    for pred in preds:
-        if all(t == "O" for t in pred):
-            continue
-        total += 1
-        if is_continuous(list(pred)):
-            hits += 1
-    return math.nan if total == 0 else 100.0 * hits / total
-
-
-def _kv_lines(prefix: str, token: TokenMetrics, exact: dict) -> list[str]:
-    """`<prefix>.<name>=<value>` lines: precision, recall and F1, the exact
-    match percentages in `exact`'s order, then the confusion counts."""
-    rates = {"precision": token.precision, "recall": token.recall, "f1": token.f1, **exact}
-    lines = [f"{prefix}.{name}={metric_str(value)}" for name, value in rates.items()]
-    return lines + [f"{prefix}.{name}={getattr(token, name)}" for name in ("tp", "fp", "fn", "tn")]
+class _Report:
+    def kv_lines(self) -> list[str]:
+        """`<PREFIX>.<name>=<value>` lines: precision, recall, the headline
+        metrics, then the confusion counts."""
+        token, prefix = self.token, self.PREFIX
+        rates = {"precision": token.precision, "recall": token.recall, **self.headline()}
+        lines = [f"{prefix}.{name}={metric_str(value)}" for name, value in rates.items()]
+        counts = [f"{prefix}.{name}={getattr(token, name)}" for name in ("tp", "fp", "fn", "tn")]
+        return lines + counts
 
 
 @dataclass(frozen=True)
-class CueReport:
+class CueReport(_Report):
+    PREFIX = "cue"
     token: TokenMetrics
     pecm: float
 
     def headline(self) -> dict[str, float]:
         return {"f1": self.token.f1, "pecm": self.pecm}
 
-    def kv_lines(self) -> list[str]:
-        return _kv_lines("cue", self.token, {"pecm": self.pecm})
-
 
 @dataclass(frozen=True)
-class ScopeReport:
+class ScopeReport(_Report):
+    PREFIX = "scope"
     token: TokenMetrics
     pcs: float
     pcp: float
@@ -148,16 +115,26 @@ class ScopeReport:
     def headline(self) -> dict[str, float]:
         return {"f1": self.token.f1, "pcs": self.pcs, "pcp": self.pcp}
 
-    def kv_lines(self) -> list[str]:
-        return _kv_lines("scope", self.token, {"pcs": self.pcs, "pcp": self.pcp})
+
+def counts_report(table: np.ndarray, task: str) -> CueReport | ScopeReport:
+    """The task's report from the column sums of a sentence_counts table:
+    PECM and PCS are exact / gold, PCP is one_block / pred."""
+    tp, fp, fn, tn, gold, exact, pred, one_block = map(int, table.sum(axis=0))
+    precision, recall = _percent(tp, tp + fp), _percent(tp, tp + fn)
+    # NaN if either is NaN (NaN is truthy), 0 when both are 0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    token = TokenMetrics(tp, fp, fn, tn, precision, recall, f1)
+    if task == "cue":
+        return CueReport(token, _percent(exact, gold))
+    return ScopeReport(token, _percent(exact, gold), _percent(one_block, pred))
 
 
 def evaluate_cue(preds, golds) -> CueReport:
-    return CueReport(cue_token_metrics(preds, golds), pecm(preds, golds))
+    return counts_report(sentence_counts(preds, golds, "cue"), "cue")
 
 
 def evaluate_scope(preds, golds) -> ScopeReport:
-    return ScopeReport(scope_token_metrics(preds, golds), pcs(preds, golds), pcp(preds))
+    return counts_report(sentence_counts(preds, golds, "scope"), "scope")
 
 
 # ---------------------------------------------------------------------------

@@ -108,12 +108,6 @@ def scope_bounds(scope_tags: list[str]) -> tuple[int, int] | None:
     return idx[0], idx[-1]
 
 
-def is_continuous(scope_tags: list[str]) -> bool:
-    """True when every position between the scope bounds is in scope.
-    An all-O sequence counts as continuous."""
-    return len(_runs([k for k, t in enumerate(scope_tags) if t != "O"])) <= 1
-
-
 def postprocess(scope_tags: list[str], cue_bits: list[int]) -> list[str]:
     """Smooth a predicted scope into a single contiguous block around the cue.
 

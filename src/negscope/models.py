@@ -13,6 +13,7 @@ bilstm-post (the bilstm model plus smoothing at prediction time).
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,10 +328,15 @@ def save_checkpoint(path, tagger: Tagger, vocab_hash: str) -> None:
 
 def read_checkpoint_meta(path) -> tuple[TaggerConfig, dict]:
     """A checkpoint's config and __meta__, checked; no parameter array is read."""
-    with np.load(path, allow_pickle=False) as data:
-        if "__meta__" not in data:
-            raise ValueError(f"{path}: not a tagger checkpoint (missing __meta__)")
-        meta = json.loads(str(data["__meta__"]))
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["__meta__"]))
+    except KeyError:
+        raise ValueError(f"{path}: not a tagger checkpoint (missing __meta__)") from None
+    except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not a readable checkpoint ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint __meta__ is not a JSON object")
     if meta.get("format") != CHECKPOINT_FORMAT:
         hint = "; an older LSTM layout, retrain" if meta.get("format") in (1, 2) else ""
         raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')}{hint}")

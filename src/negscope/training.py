@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .evaluation import counts_report, sentence_counts
 from .layers import (
     ColumnGrad, bilstm_backward, crf_nll_grads, dense_backward, embed_backward, on_two_threads,
 )
@@ -266,18 +267,15 @@ def batch_inputs(tagger: Tagger, data) -> tuple[list, list, list | None]:
 
 def token_f1_score(tagger: Tagger, data) -> float:
     """Validation token F1 for the tagger's task over encoded instances."""
-    from .evaluation import cue_token_metrics, scope_token_metrics
-
     ids, _, bits = batch_inputs(tagger, data)
+    task = tagger.config.task
+    golds = [inst.cue_tags if task == "cue" else inst.scope_tags for inst in data]
     preds = tagger.predict_tags(ids, bits)
-    cue = tagger.config.task == "cue"
-    golds = [list(inst.cue_tags if cue else inst.scope_tags) for inst in data]
-    metric = cue_token_metrics if cue else scope_token_metrics
-    return metric(preds, golds).f1
+    return counts_report(sentence_counts(preds, golds, task), task).token.f1
 
 
 def train(tagger: Tagger, train_data, val_data, config: TrainConfig,
-          log_line=None, val_scorer=None) -> TrainHistory:
+          log_line=None) -> TrainHistory:
     """Adam over shuffled mini-batches with step-decayed learning rate.
 
     Validation token F1 is scored each epoch; with early stopping on,
@@ -288,7 +286,6 @@ def train(tagger: Tagger, train_data, val_data, config: TrainConfig,
     if not train_data:
         raise ValueError("empty training set")
     emit = log_line or (lambda msg: log.info("%s", msg))
-    score = val_scorer or token_f1_score
     params = tagger.trainable_parameters()
     # a scope model's w_aux (4U,) sums the rows of a (4U, d) block, each of
     # whose d entries would take the same Adam step: it moves d times as far
@@ -321,7 +318,7 @@ def train(tagger: Tagger, train_data, val_data, config: TrainConfig,
             epoch_tokens += batch_tokens
 
         train_loss = epoch_loss / epoch_tokens
-        val_f1 = score(tagger, val_data) if val_data else math.nan
+        val_f1 = token_f1_score(tagger, val_data) if val_data else math.nan
         history.train_loss.append(train_loss)
         history.val_f1.append(val_f1)
         history.lr.append(lr)

@@ -1,8 +1,9 @@
 """Shared test oracles: brute-force CRF enumeration, per-sentence CRF
 lattices, NLL gradients and Viterbi, a scalar LSTM cell written without
 numpy, an out-of-place LSTM backward, gradient-check plumbing, a
-line-at-a-time column-file reader, a synthetic corpus builder, and
-hypothesis strategies for column-file contents. Everything here
+line-at-a-time column-file reader, one loop per scoring metric, a
+synthetic corpus builder, and hypothesis strategies for column-file
+contents. Everything here
 recomputes results independently of the package code under test; the
 reader oracles build the package's data classes only to hold what they
 read."""
@@ -396,6 +397,85 @@ def loop_read_tag_blocks(path):
     if not blocks:
         raise CorpusError(f"{path}: no instances found")
     return blocks
+
+
+# ---------------------------------------------------------------------------
+# scoring oracles: each metric in its own walk over the rows, which the
+# column sums of evaluation.sentence_counts must reproduce
+
+def is_continuous(scope_tags) -> bool:
+    """True when every position between the scope bounds is in scope.
+    An all-O sequence counts as continuous."""
+    inside = [k for k, t in enumerate(scope_tags) if t != "O"]
+    return not inside or inside[-1] - inside[0] + 1 == len(inside)
+
+
+def _percent(hits, total):
+    return math.nan if total == 0 else 100.0 * hits / total
+
+
+def loop_token_confusion(preds, golds, positive):
+    """(tp, fp, fn, tn, precision, recall, f1) over tags in `positive`,
+    one token at a time; F1 is NaN when precision or recall is."""
+    if len(preds) != len(golds):
+        raise ValueError(f"{len(preds)} predictions vs {len(golds)} gold sequences")
+    tp = fp = fn = tn = 0
+    for i, (pred, gold) in enumerate(zip(preds, golds)):
+        if len(pred) != len(gold):
+            raise ValueError(f"instance {i}: {len(pred)} predicted tags vs {len(gold)} gold")
+        for pred_tag, gold_tag in zip(pred, gold):
+            p, g = pred_tag in positive, gold_tag in positive
+            if p and g:
+                tp += 1
+            elif p:
+                fp += 1
+            elif g:
+                fn += 1
+            else:
+                tn += 1
+    precision, recall = _percent(tp, tp + fp), _percent(tp, tp + fn)
+    if math.isnan(precision) or math.isnan(recall):
+        f1 = math.nan
+    elif precision + recall == 0:
+        f1 = 0.0
+    else:
+        f1 = 2 * precision * recall / (precision + recall)
+    return tp, fp, fn, tn, precision, recall, f1
+
+
+def loop_pecm(preds, golds):
+    """Percentage of sentences with a gold cue whose whole cue row matches."""
+    hits = total = 0
+    for pred, gold in zip(preds, golds):
+        if all(t == "NC" for t in gold):
+            continue
+        total += 1
+        hits += list(pred) == list(gold)
+    return _percent(hits, total)
+
+
+def loop_pcs(preds, golds):
+    """Percentage of gold scopes predicted exactly as an in/out token set."""
+    hits = total = 0
+    for pred, gold in zip(preds, golds):
+        gold_set = {k for k, t in enumerate(gold) if t != "O"}
+        if not gold_set:
+            continue
+        total += 1
+        hits += {k for k, t in enumerate(pred) if t != "O"} == gold_set
+    return _percent(hits, total)
+
+
+def loop_pcp(preds):
+    """Percentage of continuous predictions among those with an in-scope
+    token."""
+    hits = total = 0
+    for pred in preds:
+        if all(t == "O" for t in pred):
+            continue
+        total += 1
+        hits += is_continuous(pred)
+    return _percent(hits, total)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from negscope.corpus import (
     parse_column_file,
     write_column_file,
 )
-from negscope.evaluation import evaluate_cue, evaluate_scope, pcp
-from negscope.labeling import is_continuous, postprocess
+from negscope.evaluation import evaluate_cue, evaluate_scope
+from negscope.labeling import postprocess
 from negscope.layers import (
     CrfParams,
     LstmParams,
@@ -42,6 +42,7 @@ from helpers import (
     brute_log_partition,
     densify,
     finite_diff_grad,
+    is_continuous,
     rel_err,
     synthetic_instances,
     valid_gold_pattern,
@@ -273,7 +274,7 @@ def test_c6_postprocessor_always_yields_one_continuous_scope():
             assert is_continuous(out)
             assert postprocess(out, bits) == out
             outputs.append(out)
-        assert pcp(outputs) == 100.0
+        assert evaluate_scope(outputs, outputs).pcp == 100.0
 
 
 @pytest.fixture(scope="module")

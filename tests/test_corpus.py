@@ -443,6 +443,19 @@ class TestVocabulary:
         insts = [NegationInstance(Sentence(("a", "b"), "x"))] * 3
         assert build_vocab(insts).size == 3
 
+    @pytest.mark.parametrize("text, problem", [
+        ('{"oov_index": 0, "tokens": null}', "'tokens' is not a list of strings"),
+        ('{"oov_index": 0, "tokens": "abc"}', "'tokens' is not a list of strings"),
+        ('{"oov_index": 0, "tokens": ["a", 1]}', "'tokens' is not a list of strings"),
+        ('{"oov_index": 0, "tokens": ["a"]', "not a JSON vocabulary"),
+        ("", "not a JSON vocabulary"),
+    ], ids=["null", "string", "non_string_token", "cut_json", "empty"])
+    def test_a_malformed_file_is_a_corpus_error_naming_it(self, tmp_path, text, problem):
+        path = tmp_path / "vocab.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: {re.escape(problem)}"):
+            Vocabulary.load(path)
+
     def test_save_load_preserves_hash(self, tmp_path):
         vocab = build_vocab(synthetic_instances(10, seed=1))
         path = tmp_path / "vocab.json"

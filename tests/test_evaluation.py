@@ -1,5 +1,6 @@
-"""Metric fixtures with hand-counted confusions, the NaN edge policy, and
-the Task-2 index groups."""
+"""Metric fixtures with hand-counted confusions, the NaN edge policy, the
+per-sentence count table against one loop per metric, and the Task-2
+index groups."""
 from __future__ import annotations
 
 import math
@@ -9,62 +10,63 @@ import pytest
 from hypothesis import given, strategies as st
 
 from negscope.evaluation import (
-    cue_token_metrics,
+    COUNT_COLUMNS,
+    counts_report,
     evaluate_cue,
     evaluate_scope,
     metric_str,
-    pcp,
-    pcs,
-    pecm,
-    scope_token_metrics,
+    sentence_counts,
     task2_groups,
 )
+from negscope.labeling import CUE_TAGS, SCOPE_TAGS
+
+from helpers import loop_pcp, loop_pcs, loop_pecm, loop_token_confusion
 
 
 class TestTokenMetrics:
     def test_hand_counted_cue_confusion(self):
         preds = [["NC", "C", "NC", "C"], ["MC", "MC", "NC"]]
         golds = [["NC", "C", "C", "NC"], ["MC", "NC", "NC"]]
-        m = cue_token_metrics(preds, golds)
+        m = evaluate_cue(preds, golds).token
         assert (m.tp, m.fp, m.fn, m.tn) == (2, 2, 1, 2)
         assert m.precision == pytest.approx(50.0)
         assert m.recall == pytest.approx(100 * 2 / 3)
         assert m.f1 == pytest.approx(2 * 50 * (200 / 3) / (50 + 200 / 3))
 
     def test_scope_positive_class_covers_all_in_scope_tags(self):
-        m = scope_token_metrics([["B", "C", "A", "O"]], [["O", "C", "A", "A"]])
+        m = evaluate_scope([["B", "C", "A", "O"]], [["O", "C", "A", "A"]]).token
         assert (m.tp, m.fp, m.fn, m.tn) == (2, 1, 1, 0)
 
     def test_perfect_prediction(self):
-        m = scope_token_metrics([["O", "B", "C", "O"]], [["O", "B", "C", "O"]])
+        m = evaluate_scope([["O", "B", "C", "O"]], [["O", "B", "C", "O"]]).token
         assert m.precision == m.recall == m.f1 == pytest.approx(100.0)
 
     def test_precision_nan_when_nothing_predicted(self):
-        m = cue_token_metrics([["NC", "NC"]], [["C", "NC"]])
+        m = evaluate_cue([["NC", "NC"]], [["C", "NC"]]).token
         assert math.isnan(m.precision)
         assert m.recall == 0.0
         assert math.isnan(m.f1)
 
     def test_recall_nan_when_gold_has_no_positives(self):
-        m = cue_token_metrics([["C", "NC"]], [["NC", "NC"]])
+        m = evaluate_cue([["C", "NC"]], [["NC", "NC"]]).token
         assert math.isnan(m.recall)
         assert m.precision == 0.0
         assert math.isnan(m.f1)
 
     def test_zero_f1_when_both_defined_but_zero(self):
-        m = cue_token_metrics([["C", "NC"]], [["NC", "C"]])
+        m = evaluate_cue([["C", "NC"]], [["NC", "C"]]).token
         assert m.precision == 0.0 and m.recall == 0.0 and m.f1 == 0.0
 
     def test_misaligned_inputs_are_errors(self):
         with pytest.raises(ValueError, match="predictions vs"):
-            cue_token_metrics([["C"]], [["C"], ["NC"]])
+            evaluate_cue([["C"]], [["C"], ["NC"]])
         with pytest.raises(ValueError, match="instance 0"):
-            cue_token_metrics([["C", "C"]], [["C"]])
+            evaluate_cue([["C", "C"]], [["C"]])
 
     @given(st.lists(st.lists(st.sampled_from(["O", "B", "C", "A"]), min_size=1, max_size=8),
                     min_size=1, max_size=6))
     def test_self_comparison_has_no_errors(self, tags):
-        m = scope_token_metrics(tags, tags)
+        m = evaluate_scope(tags, tags).token
         assert m.fp == 0 and m.fn == 0
 
 
@@ -73,31 +75,116 @@ class TestExactMatchMetrics:
         preds = [["C", "NC"], ["NC", "NC"], ["NC", "MC"]]
         golds = [["C", "NC"], ["NC", "NC"], ["MC", "MC"]]
         # sentence 2 has no gold cue and stays out; sentence 3 mismatches
-        assert pecm(preds, golds) == pytest.approx(50.0)
+        assert evaluate_cue(preds, golds).pecm == pytest.approx(50.0)
 
     def test_pecm_nan_without_any_gold_cue(self):
-        assert math.isnan(pecm([["NC"]], [["NC"]]))
+        assert math.isnan(evaluate_cue([["NC"]], [["NC"]]).pecm)
 
     def test_pcs_ignores_sub_labels_inside_scope(self):
         preds = [["B", "B", "C", "O"]]
         golds = [["B", "C", "A", "O"]]
-        assert pcs(preds, golds) == pytest.approx(100.0)
+        assert evaluate_scope(preds, golds).pcs == pytest.approx(100.0)
 
     def test_pcs_set_mismatch_fails(self):
-        assert pcs([["O", "C", "A", "A"]], [["O", "B", "C", "O"]]) == pytest.approx(0.0)
+        report = evaluate_scope([["O", "C", "A", "A"]], [["O", "B", "C", "O"]])
+        assert report.pcs == pytest.approx(0.0)
 
     def test_pcs_skips_gold_all_o(self):
         preds = [["C", "O"], ["C", "O"]]
         golds = [["C", "O"], ["O", "O"]]
-        assert pcs(preds, golds) == pytest.approx(100.0)
-        assert math.isnan(pcs([["O", "O"]], [["O", "O"]]))
+        assert evaluate_scope(preds, golds).pcs == pytest.approx(100.0)
+        assert math.isnan(evaluate_scope([["O", "O"]], [["O", "O"]]).pcs)
 
     def test_pcp_excludes_all_o_predictions(self):
         preds = [["O", "O", "O"], ["B", "C", "O"], ["C", "O", "A"]]
-        assert pcp(preds) == pytest.approx(50.0)
+        # PCP reads the predictions only, so they serve as their own gold
+        assert evaluate_scope(preds, preds).pcp == pytest.approx(50.0)
 
     def test_pcp_nan_when_everything_is_all_o(self):
-        assert math.isnan(pcp([["O", "O"]]))
+        assert math.isnan(evaluate_scope([["O", "O"]], [["O", "O"]]).pcp)
+
+
+@st.composite
+def aligned_rows(draw, tags):
+    """(preds, golds): equally long tag rows over `tags`, whose first tag is
+    the negative one. Either side may be all negative, and sentences may be
+    empty, so every NaN case of the reports comes up."""
+    lengths = draw(st.lists(st.integers(0, 6), max_size=6))
+    sides = []
+    for _ in range(2):
+        palette = draw(st.sampled_from([tags, tags, tags[:1]]))
+        sides.append([draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+                      for n in lengths])
+    return tuple(sides)
+
+
+def token_tuple(report):
+    t = report.token
+    return t.tp, t.fp, t.fn, t.tn, t.precision, t.recall, t.f1
+
+
+class TestSentenceCounts:
+    def test_hand_counted_rows(self):
+        preds = [["O", "B", "O", "C"], ["O", "O"], ["B", "C", "A"], []]
+        golds = [["O", "B", "C", "O"], ["B", "O"], ["A", "C", "B"], []]
+        table = sentence_counts(preds, golds, "scope")
+        assert COUNT_COLUMNS == ("tp", "fp", "fn", "tn", "gold", "exact", "pred", "one_block")
+        assert table.dtype == np.int64
+        assert table.tolist() == [
+            [1, 1, 1, 1, 1, 0, 1, 0],  # two predicted blocks, wrong set
+            [0, 0, 1, 1, 1, 0, 0, 0],  # nothing predicted: no block to count
+            [3, 0, 0, 0, 1, 1, 1, 1],  # sub-labels differ, the in/out set matches
+            [0, 0, 0, 0, 0, 0, 0, 0],
+        ]
+
+    def test_a_cue_row_must_match_tag_for_tag(self):
+        preds = [["C", "NC"], ["MC", "MC"], ["C", "NC", "C"]]
+        golds = [["C", "NC"], ["C", "MC"], ["C", "NC", "C"]]
+        table = sentence_counts(preds, golds, "cue")
+        assert table[:, COUNT_COLUMNS.index("exact")].tolist() == [1, 0, 1]
+        assert table[:, COUNT_COLUMNS.index("one_block")].tolist() == [1, 1, 0]
+
+    def test_no_sentences_give_an_empty_table_and_nan_reports(self):
+        table = sentence_counts([], [], "cue")
+        assert table.shape == (0, len(COUNT_COLUMNS))
+        report = counts_report(table, "cue")
+        assert math.isnan(report.token.f1) and math.isnan(report.pecm)
+
+    @pytest.mark.parametrize("task, tag", [("cue", "O"), ("scope", "NC")])
+    def test_a_tag_outside_the_alphabet_is_an_error(self, task, tag):
+        with pytest.raises(ValueError, match=f"unknown {task} tag '{tag}'"):
+            sentence_counts([[tag]], [[tag]], task)
+
+    @given(aligned_rows(CUE_TAGS))
+    def test_cue_report_equals_the_loop_oracles(self, rows):
+        preds, golds = rows
+        report = evaluate_cue(preds, golds)
+        np.testing.assert_equal(token_tuple(report),
+                                loop_token_confusion(preds, golds, ("C", "MC")))
+        np.testing.assert_equal(report.pecm, loop_pecm(preds, golds))
+
+    @given(aligned_rows(SCOPE_TAGS))
+    def test_scope_report_equals_the_loop_oracles(self, rows):
+        preds, golds = rows
+        report = evaluate_scope(preds, golds)
+        np.testing.assert_equal(token_tuple(report),
+                                loop_token_confusion(preds, golds, ("B", "C", "A")))
+        np.testing.assert_equal(report.pcs, loop_pcs(preds, golds))
+        np.testing.assert_equal(report.pcp, loop_pcp(preds))
+
+    @pytest.mark.parametrize("task, tags", [("cue", CUE_TAGS), ("scope", SCOPE_TAGS)])
+    @given(data=st.data())
+    def test_a_partition_sums_to_the_whole(self, task, tags, data):
+        preds, golds = data.draw(aligned_rows(tags))
+        parts = data.draw(st.lists(st.integers(0, 2), min_size=len(preds), max_size=len(preds)))
+        whole = sentence_counts(preds, golds, task)
+        total = np.zeros(len(COUNT_COLUMNS), np.int64)
+        for part in range(3):
+            keep = [i for i, p in enumerate(parts) if p == part]
+            table = sentence_counts([preds[i] for i in keep], [golds[i] for i in keep], task)
+            np.testing.assert_array_equal(table, whole[keep])
+            total += table.sum(axis=0)
+        np.testing.assert_array_equal(total, whole.sum(axis=0))
 
 
 class TestReports:

@@ -10,11 +10,10 @@ from negscope.labeling import (
     cue_vector,
     derive_cue_tags,
     derive_scope_tags,
-    is_continuous,
     postprocess,
     scope_bounds,
 )
-from helpers import valid_gold_pattern
+from helpers import is_continuous, valid_gold_pattern
 
 
 @st.composite

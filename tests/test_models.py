@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import weakref
 from pathlib import Path
 
@@ -267,6 +268,26 @@ class TestCheckpoint:
         assert (config, meta) == (tagger.config, again)
         assert read[1] == "__meta__"  # load_checkpoint reads the metadata first too
         assert sorted(read[2:]) == sorted(tagger.parameters())
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "text", "npy", "meta_list",
+                                        "meta_not_json"])
+    def test_an_unreadable_checkpoint_is_a_value_error_naming_it(self, tmp_path, damage):
+        path = tmp_path / "cue.npz"
+        save_checkpoint(path, build(TaggerConfig("cue", "bilstm", 9, 4, 3)), vocab_hash="h")
+        whole = path.read_bytes()
+        with open(path, "wb") as handle:
+            if damage == "truncated":
+                handle.write(whole[:len(whole) // 2])
+            elif damage == "text":
+                handle.write(b"not an archive\n")
+            elif damage == "npy":
+                np.save(handle, np.zeros(3))
+            elif damage != "empty":
+                meta = "[1, 2]" if damage == "meta_list" else "{oops"
+                np.savez(handle, __meta__=np.array(meta))
+        for read in (read_checkpoint_meta, load_checkpoint):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                read(path)
 
     def test_non_checkpoint_file_is_an_error(self, tmp_path):
         path = tmp_path / "junk.npz"

@@ -28,7 +28,7 @@ from negscope.corpus import (
     write_column_file,
 )
 from negscope.evaluation import evaluate_cue, evaluate_scope
-from negscope.labeling import NegationAnnotation, cue_vector, is_continuous
+from negscope.labeling import NegationAnnotation, cue_vector
 from negscope.pipeline import (
     CONFIG_KEYS,
     UsageError,
@@ -40,7 +40,7 @@ from negscope.pipeline import (
     smooth_scopes,
 )
 from negscope.models import check_variant, scope_base
-from helpers import synthetic_instances, tag_rows
+from helpers import is_continuous, synthetic_instances, tag_rows
 
 
 def write_config(path, corpus, **overrides):
@@ -576,6 +576,23 @@ class TestPredict:
         err = capsys.readouterr().err
         assert name in err and ("'head'" if fault == "meta" else "different vocabulary") in err
         assert ran == [] and not output.exists()
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "meta_list"])
+    def test_an_unreadable_checkpoint_fails_with_its_path(self, experiment_run, tmp_path,
+                                                           capsys, damage):
+        run = edited_run(experiment_run, tmp_path, "cue.npz", lambda meta, arrays: None)
+        checkpoint = run / "cue.npz"
+        whole = checkpoint.read_bytes()
+        if damage == "meta_list":
+            np.savez(checkpoint, __meta__=np.array(json.dumps([1, 2])))
+        else:
+            checkpoint.write_bytes(whole[:len(whole) // 2] if damage == "truncated" else b"")
+        output = tmp_path / "pred.col"
+        rc = main(["predict", "--out", str(run), str(experiment_run.out / "scope_test_gold.col"),
+                   str(output)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {checkpoint}: ")
+        assert not output.exists()
 
     @pytest.mark.parametrize("name", ["cue.npz", "scope_bilstm.npz"])
     def test_a_misshapen_array_fails_before_the_output_is_written(self, experiment_run,

@@ -30,8 +30,10 @@ from negscope.training import (
     instance_loss_grads,
     softmax_seq_grads,
     step_decay,
+    token_f1_score,
     train,
 )
+from negscope.evaluation import evaluate_cue, evaluate_scope
 from helpers import assert_grad_close, densify, synthetic_instances
 
 
@@ -452,6 +454,16 @@ class TestModelInputs:
         np.testing.assert_array_equal(gold[1], data[1].scope_label_ids)
         assert bits is not None and bits[1].sum() == 1  # pattern 1 has one cue token
 
+    @pytest.mark.parametrize("task, evaluate", [("cue", evaluate_cue), ("scope", evaluate_scope)])
+    def test_validation_score_is_the_report_f1(self, task, evaluate):
+        data, vocab = encoded_corpus(8)
+        tagger = Tagger.build(TaggerConfig(task, "bilstm", vocab.size, 8, 8),
+                              np.random.default_rng(4))
+        ids, _, bits = batch_inputs(tagger, data)
+        golds = [inst.cue_tags if task == "cue" else inst.scope_tags for inst in data]
+        report = evaluate(tagger.predict_tags(ids, bits), golds)
+        np.testing.assert_equal(token_f1_score(tagger, data), report.token.f1)
+
 
 class TestTrainLoop:
     @pytest.mark.parametrize("variant, widen, shared", [
@@ -513,7 +525,7 @@ class TestTrainLoop:
         for name, arr in runs[0][1].items():
             np.testing.assert_array_equal(arr, runs[1][1][name])
 
-    def test_early_stopping_restores_best_epoch(self):
+    def test_early_stopping_restores_best_epoch(self, monkeypatch):
         data, vocab = encoded_corpus(8)
         taggers = [
             Tagger.build(TaggerConfig("cue", "bilstm", vocab.size, 8, 8),
@@ -521,10 +533,11 @@ class TestTrainLoop:
             for _ in range(2)
         ]
         falling = iter([50.0, 40.0, 30.0, 20.0, 10.0, 5.0])
-        history = train(
-            taggers[0], data, data[:4], small_config(epochs=10, early_stopping=True),
-            val_scorer=lambda t, d: next(falling),
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "token_f1_score", lambda t, d: next(falling))
+            history = train(
+                taggers[0], data, data[:4], small_config(epochs=10, early_stopping=True),
+            )
         assert history.stopped_early
         assert history.best_epoch == 0
         assert len(history.train_loss) == 3  # best, then patience-2 worth of misses
@@ -534,16 +547,17 @@ class TestTrainLoop:
         for name, arr in taggers[0].parameters().items():
             np.testing.assert_array_equal(arr, best_params[name])
 
-    def test_early_stopping_copies_no_frozen_embedding(self):
+    def test_early_stopping_copies_no_frozen_embedding(self, monkeypatch):
         """Only the trainable parameters are kept for the best epoch: a
         frozen embedding far larger than everything else is never copied."""
         data, vocab = encoded_corpus(8)
         tagger = Tagger.build(TaggerConfig("cue", "bilstm", vocab.size + 100_000, 8, 8),
                               np.random.default_rng(1))
+        # a fixed score: no prediction runs, so the peak is training's own
+        monkeypatch.setattr(training, "token_f1_score", lambda t, d: 1.0)
         tracemalloc.start()
         try:
-            history = train(tagger, data, data[:4], small_config(epochs=2, early_stopping=True),
-                            val_scorer=lambda t, d: 1.0)
+            history = train(tagger, data, data[:4], small_config(epochs=2, early_stopping=True))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -577,14 +591,14 @@ class TestTrainLoop:
         assert len(alive) == 6 and previous
         assert alive == [0] * 6
 
-    def test_nan_validation_never_counts_as_improvement(self):
+    def test_nan_validation_never_counts_as_improvement(self, monkeypatch):
         data, vocab = encoded_corpus(8)
         config = small_config(epochs=10, early_stopping=True)
         tagger = Tagger.build(
             TaggerConfig("cue", "bilstm", vocab.size, 8, 8), np.random.default_rng(1)
         )
-        history = train(tagger, data, data[:4], config,
-                        val_scorer=lambda t, d: math.nan)
+        monkeypatch.setattr(training, "token_f1_score", lambda t, d: math.nan)
+        history = train(tagger, data, data[:4], config)
         assert history.stopped_early
         assert history.best_epoch is None
         assert len(history.train_loss) == 2
