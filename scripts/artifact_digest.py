@@ -7,7 +7,7 @@ Usage::
 
 Imports negscope from `<checkout>/src` and the synthetic corpus builder
 from `<checkout>/tests/helpers.py`, writes
-`synthetic_instances(200, seed=21)` as a corpus, and runs twenty-one
+`synthetic_instances(200, seed=21)` as a corpus, and runs twenty-three
 commands in process:
 
   experiment                      run dir exp/ (three scope variants)
@@ -39,10 +39,23 @@ commands in process:
   evaluate --out                  a two-sentence prediction against a gold
                                   file without a cue or scope, so recall,
                                   PECM and PCS print as NaN
+  experiment, pretrained vectors  run dir pretrained/ (frozen embeddings
+                                  read from a seeded .vec file; early
+                                  stopping at patience 1, the rate halving
+                                  every epoch)
+  train-scope --variant bilstm-post
+                                  run dir post/ (the smoother on the
+                                  validation and test predictions)
+
+The .vec file holds a seeded vector for four of every five corpus token
+types plus one type the corpus lacks, so the embedding log line counts
+covered and missing types. The pretrained/ run's validation F1 stops
+improving before its last epoch, so its run.log shows early stopping
+stop and restore the best epoch.
 
 Every other model trains its embeddings (the config sets
 embeddings_trainable=true), so each one's embedding gradient reaches Adam.
-The frozen/ models keep their variants' frozen embeddings, as the models
+The frozen/ and pretrained/ models keep their variants' frozen embeddings, as the models
 of the benchmark's experiment-bilstm and predict-ragged workloads do, so
 their training skips the embedding gradient and leaves emb.E out of Adam.
 The frozen/ run's report prints precision and PCP as NaN; the last
@@ -73,6 +86,8 @@ import logging
 import shutil
 import sys
 from pathlib import Path
+
+import numpy as np
 
 MARKER = ".artifact_digest"
 
@@ -124,12 +139,25 @@ def _write_config(path: Path, **overrides) -> Path:
     return path
 
 
+def _write_vectors(path: Path, instances) -> None:
+    """A word2vec text file: four of every five sorted token types, plus
+    one type outside the corpus, each with seeded values."""
+    types = sorted({t for inst in instances for t in inst.sentence.tokens})
+    kept = [t for k, t in enumerate(types) if k % 5 != 4] + ["outside-the-corpus"]
+    dim = CONFIG["embed_dim"]
+    values = np.random.default_rng(31).normal(scale=0.5, size=(len(kept), dim))
+    lines = [f"{len(kept)} {dim}"]
+    lines += [" ".join([token, *(f"{v:.6f}" for v in row)]) for token, row in zip(kept, values)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def commands(work: Path) -> list[list[str]]:
     config = str(work / "config.txt")
     cut = str(work / "config_cut.txt")
     wide = str(work / "config_wide.txt")
     emb = str(work / "config_emb.txt")
     frozen = str(work / "config_frozen.txt")
+    pretrained = str(work / "config_pretrained.txt")
     exp, cue, scope, frz = (str(work / name) for name in ("exp", "cue", "scope", "frozen"))
     gold = str(work / "exp" / "scope_test_gold.col")
     return [
@@ -162,6 +190,9 @@ def commands(work: Path) -> list[list[str]]:
          str(work / "frozen" / "scope_test_gold.col"), str(work / "p_frozen.col")],
         ["evaluate", str(work / "no_cue_pred.col"), str(work / "no_cue_gold.col"),
          "--out", str(work / "e_no_cue.txt")],
+        ["experiment", "--config", pretrained, "--out", str(work / "pretrained")],
+        ["train-scope", "--config", config, "--out", str(work / "post"),
+         "--variant", "bilstm-post"],
     ]
 
 
@@ -174,12 +205,19 @@ def main(argv: list[str]) -> int:
     _fresh_workdir(work)
 
     corpus = work / "corpus.col"
-    corpus_io.write_column_file(corpus, helpers.synthetic_instances(200, seed=21))
+    instances = helpers.synthetic_instances(200, seed=21)
+    corpus_io.write_column_file(corpus, instances)
+    _write_vectors(work / "vectors.vec", instances)
     _write_config(work / "config.txt", corpus=corpus)
     _write_config(work / "config_cut.txt", corpus=corpus, max_len=4)
     _write_config(work / "config_wide.txt", corpus=corpus, embed_dim=200, units=48)
     _write_config(work / "config_emb.txt", corpus=corpus, **{"cue.batch_size": 2})
     _write_config(work / "config_frozen.txt", corpus=corpus, embeddings_trainable="false")
+    _write_config(work / "config_pretrained.txt", corpus=corpus, embeddings=work / "vectors.vec",
+                  embeddings_trainable="false", **{
+                      f"{task}.{key}": value for task in ("cue", "scope") for key, value in
+                      (("epochs", 6), ("early_stopping", "true"), ("patience", 1),
+                       ("decay_every", 1))})
     (work / "raw.txt").write_text(RAW_TEXT, encoding="utf-8")
     (work / "no_cue_gold.col").write_text(NO_CUE_GOLD, encoding="utf-8")
     (work / "no_cue_pred.col").write_text(NO_CUE_PRED, encoding="utf-8")

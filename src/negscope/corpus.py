@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, repeat
@@ -43,6 +44,16 @@ _OPENER_FOR = {")": "(", "]": "[", "}": "{"}
 
 class CorpusError(ValueError):
     """Malformed corpus content; the message names the offending line."""
+
+
+@contextmanager
+def open_text(path):
+    """`path` opened as UTF-8 text; a byte that does not decode is a CorpusError naming it."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -206,7 +217,7 @@ def _column_blocks(path, widths):
     must hold one column count. Only trailing spaces are cut from a row, so
     a trailing tab still delimits an empty last column, which is rejected;
     a whitespace-only line ends a block like an empty one."""
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         text = "\n" + handle.read()  # line 0, so that every line follows a '\n'
     text = _BLANK.sub("\n", _TRAILING.sub("", text))
     source_id, lineno = "", 0
@@ -403,7 +414,7 @@ def load_embedding_file(path, vocab: Vocabulary, expected_dim: int | None = None
     reserved unknown index, stay at the zero vector. A vocabulary token's
     row must hold finite values and appear only once.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         header = handle.readline().split()
         if len(header) != 2:
             raise CorpusError(f"{path}:1: expected header '<count> <dim>'")

@@ -10,6 +10,8 @@ nothing. Each sentence's CRF results are bitwise the ones it gives alone;
 its LSTM states agree with those to float rounding, since a one-row step
 and a short sentence's small products round differently in BLAS.
 Gradients mirror each forward exactly; nothing here depends on autodiff.
+The embedding and dense layers take plain arrays; LstmParams and CrfParams
+name a fused layout's parts, as views of a tagger's table (models.Tagger).
 """
 from __future__ import annotations
 
@@ -33,31 +35,21 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # embeddings
 
-@dataclass
-class EmbeddingParams:
-    weights: np.ndarray  # (d, v), one column per token index
-
-    @property
-    def vocab_size(self) -> int:
-        return self.weights.shape[1]
-
-
 def init_embedding(
     embed_dim: int, vocab_size: int, oov_index: int, rng: np.random.Generator
-) -> EmbeddingParams:
+) -> np.ndarray:
     w = glorot(rng, embed_dim, vocab_size)
     w[:, oov_index] = 0.0  # unknown tokens start as the zero vector
-    return EmbeddingParams(w)
+    return w
 
 
-def embed(params: EmbeddingParams, token_ids: np.ndarray) -> np.ndarray:
-    """ids (n,) -> embedded (n, d), row k = column token_ids[k] of the matrix."""
+def embed(weights: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
+    """ids (n,) -> embedded (n, d), row k = column token_ids[k] of the (d, v) matrix."""
     ids = np.asarray(token_ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= params.vocab_size):
-        raise ValueError(
-            f"token id out of range [0, {params.vocab_size}): {ids.min()}..{ids.max()}"
-        )
-    return params.weights.T[ids]
+    vocab_size = weights.shape[1]
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        raise ValueError(f"token id out of range [0, {vocab_size}): {ids.min()}..{ids.max()}")
+    return weights.T[ids]
 
 
 class ColumnGrad(NamedTuple):
@@ -70,13 +62,13 @@ class ColumnGrad(NamedTuple):
 
 
 def embed_backward(
-    params: EmbeddingParams, token_ids: np.ndarray, d_embedded: np.ndarray
+    weights: np.ndarray, token_ids: np.ndarray, d_embedded: np.ndarray
 ) -> ColumnGrad:
     """The embedding gradient on the columns the ids touch, ascending. A
     repeated id sums its rows in token order, starting from zero, so each
     column has the bits a scatter-add into the full matrix gives it."""
     cols, rows = np.unique(np.asarray(token_ids), return_inverse=True)
-    values = np.zeros((cols.size, params.weights.shape[0]), dtype=params.weights.dtype)
+    values = np.zeros((cols.size, weights.shape[0]), dtype=weights.dtype)
     np.add.at(values, rows, d_embedded)
     return ColumnGrad(cols, values)
 
@@ -462,31 +454,25 @@ def bilstm_backward(
 # ---------------------------------------------------------------------------
 # dense projection
 
-@dataclass
-class DenseParams:
-    weights: np.ndarray  # (L, width)
-    bias: np.ndarray  # (L,)
+def init_dense(num_labels: int, width: int, rng: np.random.Generator) -> tuple:
+    return glorot(rng, num_labels, width), np.zeros(num_labels)
 
 
-def init_dense(num_labels: int, width: int, rng: np.random.Generator) -> DenseParams:
-    return DenseParams(glorot(rng, num_labels, width), np.zeros(num_labels))
-
-
-def dense_forward(params: DenseParams, states: np.ndarray) -> np.ndarray:
+def dense_forward(weights: np.ndarray, bias: np.ndarray, states: np.ndarray) -> np.ndarray:
     """states (n, width) -> scores (L, n), column k = scores for token k."""
     x = np.asarray(states, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.weights.shape[1]:
-        raise ValueError(f"expected states (n, {params.weights.shape[1]}), got {x.shape}")
-    return params.weights @ x.T + params.bias[:, None]
+    if x.ndim != 2 or x.shape[1] != weights.shape[1]:
+        raise ValueError(f"expected states (n, {weights.shape[1]}), got {x.shape}")
+    return weights @ x.T + bias[:, None]
 
 
 def dense_backward(
-    params: DenseParams, states: np.ndarray, d_scores: np.ndarray
+    weights: np.ndarray, states: np.ndarray, d_scores: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """d_scores (L, n) -> (dW, db, d_states)."""
     dw = d_scores @ states
     db = d_scores.sum(axis=1)
-    d_states = d_scores.T @ params.weights
+    d_states = d_scores.T @ weights
     return dw, db, d_states
 
 

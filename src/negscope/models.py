@@ -3,7 +3,8 @@
 A tagger is embedding -> optional BiLSTM -> dense -> head. The cue task
 labels {NC, C, MC}; the scope task labels {O, B, C, A} and feeds each
 token's 0/1 cue bit to the BiLSTM as a second input. The head is a
-per-token softmax or a linear-chain CRF.
+per-token softmax or a linear-chain CRF. A Tagger stores its config and
+one name -> array table, exactly the table its checkpoint holds.
 
 VARIANTS holds one variant table per task. Cue variants: baseline
 (embeddings -> dense), emb-train (the same with trainable embeddings),
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +24,6 @@ from .corpus import OOV_INDEX
 from .labeling import CUE_TAGS, SCOPE_TAGS
 from .layers import (
     CrfParams,
-    DenseParams,
-    EmbeddingParams,
     bilstm_forward,
     crf_viterbi,
     dense_forward,
@@ -152,17 +152,11 @@ def parameter_shapes(config: TaggerConfig) -> dict[str, tuple[int, ...]]:
 
 
 class Tagger:
-    """Parameters plus the wiring between them; losses live in training."""
+    """A config and its parameter table; losses live in training."""
 
-    def __init__(self, config: TaggerConfig, embedding: EmbeddingParams,
-                 lstm_fwd: LstmParams | None, lstm_bwd: LstmParams | None,
-                 dense: DenseParams, crf: CrfParams | None):
+    def __init__(self, config: TaggerConfig, params: dict[str, np.ndarray]):
         self.config = config
-        self.embedding = embedding
-        self.lstm_fwd = lstm_fwd
-        self.lstm_bwd = lstm_bwd
-        self.dense = dense
-        self.crf = crf
+        self.params = params  # parameter_shapes(config)'s names, in its order
 
     @classmethod
     def build(cls, config: TaggerConfig, rng: np.random.Generator,
@@ -170,49 +164,39 @@ class Tagger:
         if embedding_matrix is not None:
             want = (config.embed_dim, config.vocab_size)
             if embedding_matrix.shape != want:
-                raise ValueError(
-                    f"embedding matrix shape {embedding_matrix.shape} != {want}"
-                )
+                raise ValueError(f"embedding matrix shape {embedding_matrix.shape} != {want}")
             copy = True if config.embeddings_trainable else None  # frozen: shared, not copied
-            embedding = EmbeddingParams(np.array(embedding_matrix, dtype=np.float64, copy=copy))
+            emb = np.array(embedding_matrix, dtype=np.float64, copy=copy)
         else:
-            embedding = init_embedding(config.embed_dim, config.vocab_size, OOV_INDEX, rng)
-        lstm_fwd = lstm_bwd = None
-        width = config.embed_dim
-        if config.use_lstm:
-            lstm_fwd = init_lstm(config.units, config.embed_dim, rng, config.two_input)
-            lstm_bwd = init_lstm(config.units, config.embed_dim, rng, config.two_input)
-            width = 2 * config.units
+            emb = init_embedding(config.embed_dim, config.vocab_size, OOV_INDEX, rng)
+        lstms = [init_lstm(config.units, config.embed_dim, rng, config.two_input)
+                 if config.use_lstm else None for _ in "fb"]  # forward, then backward
+        width = 2 * config.units if config.use_lstm else config.embed_dim
         dense = init_dense(config.num_labels, width, rng)
-        crf = init_crf(config.num_labels) if config.head == "crf" else None
-        return cls(config, embedding, lstm_fwd, lstm_bwd, dense, crf)
-
-    @classmethod
-    def from_arrays(cls, config: TaggerConfig, arrays: dict[str, np.ndarray]) -> "Tagger":
-        """A tagger holding the given arrays, named and shaped as
-        parameter_shapes(config) says; nothing is drawn or copied."""
-
-        def lstm(tag):
-            blocks = (arrays.get(f"lstm.{tag}.{k}") for k in ("w_in", "w_rec", "b", "w_aux"))
-            return LstmParams(*blocks) if config.use_lstm else None
-
-        crf = CrfParams(arrays["crf.T"]) if config.head == "crf" else None
-        return cls(config, EmbeddingParams(arrays["emb.E"]), lstm("f"), lstm("b"),
-                   DenseParams(arrays["dense.W"], arrays["dense.b"]), crf)
+        crf = init_crf(config.num_labels).trans if config.head == "crf" else None
+        return cls(config, named_arrays(emb, *lstms, *dense, crf))
 
     # -- parameter book-keeping ------------------------------------------
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Name -> live array, in a stable order."""
-        return named_arrays(self.embedding.weights, self.lstm_fwd, self.lstm_bwd,
-                            self.dense.weights, self.dense.bias,
-                            None if self.crf is None else self.crf.trans)
+        """Name -> live array, in a stable order; a new dict on each call."""
+        return dict(self.params)
 
     def trainable_parameters(self) -> dict[str, np.ndarray]:
         params = self.parameters()
         if not self.config.embeddings_trainable:
             params.pop("emb.E")
         return params
+
+    def lstm(self, tag: str) -> LstmParams:
+        """LSTM direction `tag` ("f" or "b") as views of its fused blocks."""
+        return LstmParams(*(self.params.get(f"lstm.{tag}.{k}")
+                            for k in ("w_in", "w_rec", "b", "w_aux")))
+
+    @property
+    def crf(self) -> CrfParams | None:
+        """The CRF head's transitions with their start/end states, or None."""
+        return CrfParams(self.params["crf.T"]) if self.config.head == "crf" else None
 
     # -- forward ----------------------------------------------------------
 
@@ -236,14 +220,12 @@ class Tagger:
             aux = np.concatenate(cue_bits).astype(np.float64)
             if not np.all((aux == 0) | (aux == 1)):
                 raise ValueError("cue bits must be 0 or 1")
-        embedded = embed(self.embedding, ids)
+        embedded = embed(self.params["emb.E"], ids)
+        states, lstm_cache = embedded, None
         if self.config.use_lstm:
-            states, lstm_cache = bilstm_forward(
-                self.lstm_fwd, self.lstm_bwd, embedded, aux, lengths, keep_cache, keys=ids
-            )
-        else:
-            states, lstm_cache = embedded, None
-        scores = dense_forward(self.dense, states)
+            states, lstm_cache = bilstm_forward(self.lstm("f"), self.lstm("b"), embedded, aux,
+                                                lengths, keep_cache, keys=ids)
+        scores = dense_forward(self.params["dense.W"], self.params["dense.b"], states)
         cache = {"ids": ids, "lengths": lengths, "states": states, "lstm": lstm_cache}
         return scores, cache
 
@@ -302,8 +284,8 @@ def split_columns(scores: np.ndarray, lengths) -> list[np.ndarray]:
 #
 # A checkpoint is a numpy .npz archive. Entry "__meta__" is a JSON object
 # of "format" (3), the META_KEYS, "oov_index" (always OOV_INDEX) and
-# "vocab_sha256". Every other entry is one float64 parameter array stored
-# under the names named_arrays gives: emb.E, dense.W, dense.b, crf.T and,
+# "vocab_sha256". The other entries are the tagger's table, Tagger.params,
+# as is: float64 arrays under the names named_arrays gives: emb.E, dense.W, dense.b, crf.T and,
 # per LSTM direction (f, b), the fused blocks lstm.f.w_in (4U, d),
 # lstm.f.w_rec (4U, U), lstm.f.b (4U,) and, for the scope model, the
 # cue-bit weights lstm.f.w_aux (4U,) (see LstmParams), gates stacked in
@@ -313,6 +295,8 @@ def split_columns(scores: np.ndarray, lengths) -> list[np.ndarray]:
 # the TaggerConfig attributes __meta__ stores, in its order
 META_KEYS = ("task", "variant", "labels", "vocab_size", "embed_dim", "units", "head",
              "use_lstm", "two_input", "embeddings_trainable")
+# what np.load and an entry read raise on a damaged or foreign file
+_READ_ERRORS = (EOFError, OSError, TypeError, ValueError, zipfile.BadZipFile, zlib.error)
 
 
 def save_checkpoint(path, tagger: Tagger, vocab_hash: str) -> None:
@@ -322,8 +306,7 @@ def save_checkpoint(path, tagger: Tagger, vocab_hash: str) -> None:
         "oov_index": OOV_INDEX,
         "vocab_sha256": vocab_hash,
     }
-    arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in tagger.parameters().items()}
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **tagger.params)
 
 
 def read_checkpoint_meta(path) -> tuple[TaggerConfig, dict]:
@@ -333,7 +316,7 @@ def read_checkpoint_meta(path) -> tuple[TaggerConfig, dict]:
             meta = json.loads(str(data["__meta__"]))
     except KeyError:
         raise ValueError(f"{path}: not a tagger checkpoint (missing __meta__)") from None
-    except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+    except _READ_ERRORS as exc:
         raise ValueError(f"{path}: not a readable checkpoint ({exc})") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: checkpoint __meta__ is not a JSON object")
@@ -345,18 +328,19 @@ def read_checkpoint_meta(path) -> tuple[TaggerConfig, dict]:
 
 def load_checkpoint(path) -> tuple[Tagger, dict]:
     config, meta = read_checkpoint_meta(path)
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {name: np.asarray(data[name], dtype=np.float64)
-                  for name in data.files if name != "__meta__"}
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: np.asarray(data[name], dtype=np.float64)
+                      for name in data.files if name != "__meta__"}
+    except _READ_ERRORS as exc:
+        raise ValueError(f"{path}: not a readable checkpoint ({exc})") from None
     shapes = parameter_shapes(config)
     if set(shapes) != set(arrays):
-        raise ValueError(
-            f"{path}: parameter set mismatch: {sorted(set(shapes) ^ set(arrays))}"
-        )
+        raise ValueError(f"{path}: parameter set mismatch: {sorted(set(shapes) ^ set(arrays))}")
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}")
-    return Tagger.from_arrays(config, arrays), meta
+    return Tagger(config, {name: arrays[name] for name in shapes}), meta
 
 
 def _checked_config(path, meta: dict) -> TaggerConfig:

@@ -32,6 +32,7 @@ from .corpus import (
     encode_instances,
     format_column_blocks,
     load_embedding_file,
+    open_text,
     parse_column_file,
     read_tag_blocks,
     split_dataset,
@@ -121,8 +122,8 @@ SHARED_KEYS = tuple(key for key in DEFAULTS if "." not in key)
 def parse_config_file(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     values, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -655,8 +656,8 @@ def cmd_predict(args) -> int:
         raise UsageError(f"{flag} needs a scope checkpoint (scope_<variant>.npz) in {run_dir}")
 
     if args.raw:
-        text = Path(args.input).read_text(encoding="utf-8")
-        sentences = [tokenize(line) for line in text.splitlines() if line.strip()]
+        with open_text(args.input) as handle:
+            sentences = [tokenize(line) for line in handle.read().splitlines() if line.strip()]
         if not sentences:
             raise CorpusError(f"{args.input}: no sentences found")
         log.info("tokenized %d raw sentences from %s", len(sentences), args.input)

@@ -63,15 +63,15 @@ def instance_loss_grads(tagger: Tagger, token_ids, gold, cue_bits=None):
     else:
         loss_sum, d_scores = softmax_seq_grads(scores, y)
 
-    d_w, d_b, d_states = dense_backward(tagger.dense, cache["states"], d_scores)
+    d_w, d_b, d_states = dense_backward(tagger.params["dense.W"], cache["states"], d_scores)
     g_f = g_b = None
     d_embedded = d_states
     if tagger.config.use_lstm:
         g_f, g_b, d_embedded = bilstm_backward(
-            tagger.lstm_fwd, tagger.lstm_bwd, cache["lstm"], d_states
+            tagger.lstm("f"), tagger.lstm("b"), cache["lstm"], d_states
         )
 
-    d_emb = (embed_backward(tagger.embedding, cache["ids"], d_embedded)
+    d_emb = (embed_backward(tagger.params["emb.E"], cache["ids"], d_embedded)
              if tagger.config.embeddings_trainable else None)
     grads = named_arrays(d_emb, g_f, g_b, d_w, d_b, d_trans)
     return loss_sum, len(y), grads

@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import struct
+import zipfile
 
 import numpy as np
 from hypothesis import strategies as st
@@ -228,6 +230,18 @@ def concat_lstm_backward(params, cache, d_hidden):
 
 # ---------------------------------------------------------------------------
 # gradient checking
+
+def flip_entry_byte(path, entry: str, offset: int = -1) -> None:
+    """Invert one data byte of a zip archive entry, by default its last: in
+    an uncompressed entry that fails the entry's CRC check."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(entry)
+    data = bytearray(path.read_bytes())
+    # the data follows a 30-byte local header, the name and an extra field
+    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    data[info.header_offset + 30 + name_len + extra_len + offset % info.compress_size] ^= 0xFF
+    path.write_bytes(data)
+
 
 def finite_diff_grad(f, at, eps: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of scalar f at a point, one coordinate at a time."""

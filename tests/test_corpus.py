@@ -537,6 +537,13 @@ class TestEmbeddingFile:
         np.testing.assert_array_equal(matrix[:, 1], [0.1, 0.2])
 
 
+    def test_a_byte_that_is_not_utf8_is_an_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"2 2\nno 1.0 2.0\ncells\xff 3.0 4.0\n")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_embedding_file(path, self._vocab())
+
+
 class TestPadTruncate:
     """Cutting to max_len: the annotation is clipped with the tokens."""
 

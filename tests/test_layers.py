@@ -26,8 +26,6 @@ from negscope.layers import (
     EXACT_ROWS,
     PROJECT_ROWS,
     CrfParams,
-    DenseParams,
-    EmbeddingParams,
     LstmParams,
     bilstm_backward,
     bilstm_forward,
@@ -58,44 +56,43 @@ def random_crf(rng, num_labels):
 
 class TestEmbedding:
     def test_lookup_shape_and_rows(self, rng):
-        params = init_embedding(4, 6, oov_index=0, rng=rng)
-        out = embed(params, np.array([2, 5, 2]))
+        weights = init_embedding(4, 6, oov_index=0, rng=rng)
+        out = embed(weights, np.array([2, 5, 2]))
         assert out.shape == (3, 4)
-        np.testing.assert_array_equal(out[0], params.weights[:, 2])
+        np.testing.assert_array_equal(out[0], weights[:, 2])
         np.testing.assert_array_equal(out[0], out[2])
 
     def test_oov_column_is_zero(self, rng):
-        params = init_embedding(5, 9, oov_index=0, rng=rng)
-        np.testing.assert_array_equal(embed(params, np.array([0])), 0.0)
+        weights = init_embedding(5, 9, oov_index=0, rng=rng)
+        np.testing.assert_array_equal(embed(weights, np.array([0])), 0.0)
 
     def test_one_hot_matrix_gives_basis_vectors(self):
-        params = EmbeddingParams(np.eye(4))
-        out = embed(params, np.array([3]))
+        out = embed(np.eye(4), np.array([3]))
         np.testing.assert_array_equal(out[0], [0, 0, 0, 1])
 
     def test_out_of_range_is_an_error(self, rng):
-        params = init_embedding(3, 5, oov_index=0, rng=rng)
+        weights = init_embedding(3, 5, oov_index=0, rng=rng)
         with pytest.raises(ValueError):
-            embed(params, np.array([5]))
+            embed(weights, np.array([5]))
 
     def test_backward_accumulates_repeated_ids(self, rng):
-        params = init_embedding(3, 5, oov_index=0, rng=rng)
+        weights = init_embedding(3, 5, oov_index=0, rng=rng)
         ids = np.array([4, 1, 1])
         d_emb = np.ones((3, 3))
-        grad = embed_backward(params, ids, d_emb)
+        grad = embed_backward(weights, ids, d_emb)
         np.testing.assert_array_equal(grad.cols, [1, 4])
         np.testing.assert_array_equal(grad.values, [[2.0] * 3, [1.0] * 3])
 
     def test_backward_matches_finite_differences(self, rng):
-        params = init_embedding(3, 5, oov_index=0, rng=rng)
+        weights = init_embedding(3, 5, oov_index=0, rng=rng)
         ids = np.array([1, 3, 1])
         proj = rng.normal(size=(3, 3))
 
         def f(w):
-            return float(np.sum(proj * embed(EmbeddingParams(w), ids)))
+            return float(np.sum(proj * embed(w, ids)))
 
-        analytic = embed_backward(params, ids, proj)
-        assert_grad_close(f, params.weights, densify(analytic, params.weights.shape))
+        analytic = embed_backward(weights, ids, proj)
+        assert_grad_close(f, weights, densify(analytic, weights.shape))
 
     @pytest.mark.parametrize("ids", [[3, 0, 3, 7, 0, 3, 9, 1], [0], [5], [2] * 6, list(range(10))],
                              ids=["repeated", "id-0", "single", "all-equal", "every-id"])
@@ -103,12 +100,12 @@ class TestEmbedding:
         """The column block sums each id's rows in token order, as the
         scatter-add into the full (d, v) matrix does; magnitudes spread
         over 1e-6..1e6 so that a different order would change the bits."""
-        params = init_embedding(4, 10, oov_index=0, rng=rng)
+        weights = init_embedding(4, 10, oov_index=0, rng=rng)
         d_emb = rng.normal(size=(len(ids), 4)) * 10.0 ** rng.integers(-6, 7, size=(len(ids), 1))
-        grad = embed_backward(params, np.array(ids), d_emb)
+        grad = embed_backward(weights, np.array(ids), d_emb)
         assert grad.cols.tolist() == sorted(set(ids))
         assert grad.values.shape == (len(set(ids)), 4)
-        dense = np.zeros_like(params.weights)
+        dense = np.zeros_like(weights)
         np.add.at(dense.T, np.array(ids), d_emb)
         assert densify(grad, dense.shape).tobytes() == dense.tobytes()
 
@@ -701,31 +698,29 @@ class TestBilstmDirectionsConcurrent:
 
 class TestDense:
     def test_hand_case(self):
-        params = DenseParams(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([0.5, -0.5]))
-        scores = dense_forward(params, np.array([[1.0, 1.0], [2.0, 0.0]]))
+        weights, bias = np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([0.5, -0.5])
+        scores = dense_forward(weights, bias, np.array([[1.0, 1.0], [2.0, 0.0]]))
         np.testing.assert_allclose(scores, [[1.5, 2.5], [1.5, -0.5]])
 
     def test_column_per_token(self, rng):
-        params = init_dense(4, 6, rng)
-        scores = dense_forward(params, rng.normal(size=(9, 6)))
+        weights, bias = init_dense(4, 6, rng)
+        scores = dense_forward(weights, bias, rng.normal(size=(9, 6)))
         assert scores.shape == (4, 9)
 
     def test_grads_match_finite_differences(self, rng):
-        params = init_dense(3, 4, rng)
+        weights, bias = init_dense(3, 4, rng)
         x = rng.normal(size=(5, 4))
         proj = rng.normal(size=(3, 5))
-        dw, db, dx = dense_backward(params, x, proj)
+        dw, db, dx = dense_backward(weights, x, proj)
 
         assert_grad_close(
-            lambda w: float(np.sum(proj * (w @ x.T + params.bias[:, None]))),
-            params.weights, dw,
+            lambda w: float(np.sum(proj * (w @ x.T + bias[:, None]))), weights, dw,
         )
         assert_grad_close(
-            lambda b: float(np.sum(proj * (params.weights @ x.T + b[:, None]))),
-            params.bias, db,
+            lambda b: float(np.sum(proj * (weights @ x.T + b[:, None]))), bias, db,
         )
         assert_grad_close(
-            lambda v: float(np.sum(proj * dense_forward(params, v))), x, dx
+            lambda v: float(np.sum(proj * dense_forward(weights, bias, v))), x, dx
         )
 
 

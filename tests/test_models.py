@@ -11,12 +11,14 @@ import pytest
 
 import negscope.layers as layers
 import negscope.models as models
+from helpers import flip_entry_byte
 from negscope.models import (
     META_KEYS,
     VARIANTS,
     Tagger,
     TaggerConfig,
     load_checkpoint,
+    parameter_shapes,
     read_checkpoint_meta,
     save_checkpoint,
     smooth_predictions,
@@ -34,22 +36,22 @@ class TestAssembly:
         tagger = build(TaggerConfig("cue", "baseline", vocab_size=7, embed_dim=4, units=3))
         names = set(tagger.parameters())
         assert names == {"emb.E", "dense.W", "dense.b"}
-        assert tagger.dense.weights.shape == (3, 4)  # 3 cue labels, embed width
+        assert tagger.params["dense.W"].shape == (3, 4)  # 3 cue labels, embed width
 
     def test_bilstm_crf_parameter_set(self):
         tagger = build(TaggerConfig("cue", "bilstm-crf", vocab_size=7, embed_dim=4, units=3))
         names = set(tagger.parameters())
         assert "crf.T" in names and "lstm.f.w_in" in names and "lstm.b.w_rec" in names
         assert not any(n.endswith(".w_aux") for n in names)
-        assert tagger.lstm_fwd.w_in.shape == (12, 4)  # 4 gates x 3 units, embed width
-        assert tagger.lstm_bwd.w_rec.shape == (12, 3)
-        assert tagger.dense.weights.shape == (3, 6)  # 2 * units
+        assert tagger.lstm("f").w_in.shape == (12, 4)  # 4 gates x 3 units, embed width
+        assert tagger.lstm("b").w_rec.shape == (12, 3)
+        assert tagger.params["dense.W"].shape == (3, 6)  # 2 * units
         assert tagger.crf.trans.shape == (5, 5)  # 3 labels + start + end
 
     def test_scope_model_is_two_input(self):
         tagger = build(TaggerConfig("scope", "bilstm", vocab_size=7, embed_dim=4, units=3))
         assert any(n.endswith(".w_aux") for n in tagger.parameters())
-        assert tagger.dense.weights.shape == (4, 6)  # 4 scope labels
+        assert tagger.params["dense.W"].shape == (4, 6)  # 4 scope labels
 
     def test_scope_post_variant_smooths(self):
         assert smooth_predictions("bilstm-post")
@@ -64,6 +66,8 @@ class TestAssembly:
     def test_frozen_embeddings_are_not_trainable_params(self):
         frozen = build(TaggerConfig("cue", "bilstm", 7, 4, 3))
         assert "emb.E" not in frozen.trainable_parameters()
+        # the pop above left the tagger's own table whole
+        assert list(frozen.parameters()) == list(parameter_shapes(frozen.config))
         trained = build(TaggerConfig("cue", "emb-train", 7, 4, 3))
         assert "emb.E" in trained.trainable_parameters()
 
@@ -76,7 +80,7 @@ class TestAssembly:
     def test_pretrained_matrix_is_adopted(self):
         matrix = np.arange(28, dtype=np.float64).reshape(4, 7)
         tagger = build(TaggerConfig("cue", "bilstm", 7, 4, 3), matrix=matrix)
-        np.testing.assert_array_equal(tagger.embedding.weights, matrix)
+        np.testing.assert_array_equal(tagger.params["emb.E"], matrix)
         with pytest.raises(ValueError, match="shape"):
             build(TaggerConfig("cue", "bilstm", 7, 4, 3), matrix=np.zeros((3, 7)))
 
@@ -137,16 +141,25 @@ class TestPrediction:
 
     def test_softmax_ties_pick_lowest_label(self):
         tagger = build(TaggerConfig("cue", "baseline", 6, 4, 3))
-        tagger.dense.weights[:] = 0.0
-        tagger.dense.bias[:] = 0.0
+        tagger.params["dense.W"][:] = 0.0
+        tagger.params["dense.b"][:] = 0.0
         assert tagger.predict_tags([np.array([1, 2, 3])]) == [["NC", "NC", "NC"]]
 
     def test_crf_ties_pick_lowest_label(self):
         tagger = build(TaggerConfig("cue", "emb-crf", 6, 4, 3))
-        tagger.dense.weights[:] = 0.0
-        tagger.dense.bias[:] = 0.0
+        tagger.params["dense.W"][:] = 0.0
+        tagger.params["dense.b"][:] = 0.0
         tagger.crf.trans[:] = 0.0
         assert tagger.predict_tags([np.array([1, 2, 3])]) == [["NC", "NC", "NC"]]
+
+    def test_parameters_are_a_new_dict_of_the_live_arrays(self):
+        tagger = build(TaggerConfig("cue", "bilstm-crf", 9, 4, 3))
+        params = tagger.parameters()
+        assert params is not tagger.parameters()
+        del params["dense.W"]
+        assert list(tagger.parameters()) == list(parameter_shapes(tagger.config))
+        params["dense.b"][:] = [0.0, 0.0, 1e3]
+        assert tagger.predict_ids([np.array([1, 2, 3])]) == [[2, 2, 2]]
 
     def test_predict_matches_scores_argmax(self):
         tagger = build(TaggerConfig("cue", "bilstm", 9, 4, 3))
@@ -160,9 +173,9 @@ class TestPrediction:
         tagger = build(TaggerConfig("cue", "bilstm", 9, 4, 3))
         states, alive = [], []
 
-        def tracked_dense(params, x):
+        def tracked_dense(weights, bias, x):
             states.append(weakref.ref(x))
-            return layers.dense_forward(params, x)
+            return layers.dense_forward(weights, bias, x)
 
         def tracked_embed(params, ids):
             alive.append(sum(ref() is not None for ref in states))
@@ -255,11 +268,12 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         save_checkpoint(path, build(TaggerConfig("scope", "bilstm-crf", 9, 4, 3)),
                         vocab_hash="h")
-        read, getitem = [], np.lib.npyio.NpzFile.__getitem__
+        read, got, getitem = [], {}, np.lib.npyio.NpzFile.__getitem__
 
         def tracked(self, key):
             read.append(key)
-            return getitem(self, key)
+            got[key] = getitem(self, key)
+            return got[key]
 
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", tracked)
         config, meta = read_checkpoint_meta(path)
@@ -268,24 +282,45 @@ class TestCheckpoint:
         assert (config, meta) == (tagger.config, again)
         assert read[1] == "__meta__"  # load_checkpoint reads the metadata first too
         assert sorted(read[2:]) == sorted(tagger.parameters())
+        # the tagger holds the very arrays np.load returned, uncopied
+        assert all(tagger.params[name] is got[name] for name in read[2:])
+
+    def test_a_loaded_table_takes_the_parameter_shapes_order(self, tmp_path):
+        tagger = build(TaggerConfig("scope", "bilstm-crf", 9, 4, 3))
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, tagger, vocab_hash="h")
+        rewrite_meta(path, reverse=True)
+        with np.load(path) as data:
+            assert data.files[-1] == "__meta__"
+        assert list(load_checkpoint(path)[0].params) == list(parameter_shapes(tagger.config))
 
     @pytest.mark.parametrize("damage", ["empty", "truncated", "text", "npy", "meta_list",
-                                        "meta_not_json"])
+                                        "meta_not_json", "array_crc", "compressed_meta"])
     def test_an_unreadable_checkpoint_is_a_value_error_naming_it(self, tmp_path, damage):
         path = tmp_path / "cue.npz"
         save_checkpoint(path, build(TaggerConfig("cue", "bilstm", 9, 4, 3)), vocab_hash="h")
         whole = path.read_bytes()
-        with open(path, "wb") as handle:
-            if damage == "truncated":
-                handle.write(whole[:len(whole) // 2])
-            elif damage == "text":
-                handle.write(b"not an archive\n")
-            elif damage == "npy":
-                np.save(handle, np.zeros(3))
-            elif damage != "empty":
-                meta = "[1, 2]" if damage == "meta_list" else "{oops"
-                np.savez(handle, __meta__=np.array(meta))
-        for read in (read_checkpoint_meta, load_checkpoint):
+        readers = (read_checkpoint_meta, load_checkpoint)
+        if damage == "array_crc":  # __meta__ is intact, so only the array read fails
+            flip_entry_byte(path, "dense.b.npy")
+            assert read_checkpoint_meta(path)[0].task == "cue"
+            readers = (load_checkpoint,)
+        elif damage == "compressed_meta":  # a deflate stream that does not decode
+            with np.load(path) as data:
+                np.savez_compressed(path, **{name: data[name] for name in data.files})
+            flip_entry_byte(path, "__meta__.npy", offset=5)
+        else:
+            with open(path, "wb") as handle:
+                if damage == "truncated":
+                    handle.write(whole[:len(whole) // 2])
+                elif damage == "text":
+                    handle.write(b"not an archive\n")
+                elif damage == "npy":
+                    np.save(handle, np.zeros(3))
+                elif damage != "empty":
+                    meta = "[1, 2]" if damage == "meta_list" else "{oops"
+                    np.savez(handle, __meta__=np.array(meta))
+        for read in readers:
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
                 read(path)
 
@@ -316,14 +351,19 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-def rewrite_meta(path, drop=(), **changes):
+def rewrite_meta(path, drop=(), reverse=False, **changes):
+    """Rewrite a checkpoint's __meta__; with reverse, its entries are
+    written in reverse order, __meta__ last."""
     with np.load(path) as data:
         arrays = {name: data[name] for name in data.files}
     meta = json.loads(str(arrays.pop("__meta__")))
     meta.update(changes)
     for key in drop:
         del meta[key]
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    if reverse:
+        np.savez(path, **dict(reversed(arrays.items())), __meta__=np.array(json.dumps(meta)))
+    else:
+        np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
 class TestCheckpointCrossCheck:

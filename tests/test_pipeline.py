@@ -40,7 +40,7 @@ from negscope.pipeline import (
     smooth_scopes,
 )
 from negscope.models import check_variant, scope_base
-from helpers import is_continuous, synthetic_instances, tag_rows
+from helpers import flip_entry_byte, is_continuous, synthetic_instances, tag_rows
 
 
 def write_config(path, corpus, **overrides):
@@ -577,13 +577,15 @@ class TestPredict:
         assert name in err and ("'head'" if fault == "meta" else "different vocabulary") in err
         assert ran == [] and not output.exists()
 
-    @pytest.mark.parametrize("damage", ["empty", "truncated", "meta_list"])
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "meta_list", "array_crc"])
     def test_an_unreadable_checkpoint_fails_with_its_path(self, experiment_run, tmp_path,
                                                            capsys, damage):
         run = edited_run(experiment_run, tmp_path, "cue.npz", lambda meta, arrays: None)
         checkpoint = run / "cue.npz"
         whole = checkpoint.read_bytes()
-        if damage == "meta_list":
+        if damage == "array_crc":
+            flip_entry_byte(checkpoint, "dense.b.npy")
+        elif damage == "meta_list":
             np.savez(checkpoint, __meta__=np.array(json.dumps([1, 2])))
         else:
             checkpoint.write_bytes(whole[:len(whole) // 2] if damage == "truncated" else b"")
@@ -638,6 +640,15 @@ class TestPredict:
                    str(output)])
         assert rc == 1
         assert "no sentences found" in capsys.readouterr().err
+        assert not output.exists()
+
+    def test_raw_text_that_is_not_utf8_fails_naming_it(self, experiment_run, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_bytes(b"the cells showed no growth\xff.\n")
+        output = tmp_path / "pred.col"
+        rc = main(["predict", "--out", str(experiment_run.out), "--raw", str(raw), str(output)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {raw}: not UTF-8 text")
         assert not output.exists()
 
     def test_vocabulary_mismatch_is_an_error(self, experiment_run, tmp_path, capsys):
@@ -843,6 +854,24 @@ class TestExitCodes:
         rc = main(["train-cue", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["config", "corpus", "prediction"])
+    def test_a_file_that_is_not_utf8_fails_naming_it(self, tmp_path, capsys, reader):
+        """A config file is a usage error (exit 2); a corpus or prediction
+        file, read by the column reader, a runtime error (exit 1)."""
+        corpus, cfg, pred = tmp_path / "corpus.col", tmp_path / "c.txt", tmp_path / "pred.col"
+        write_column_file(corpus, synthetic_instances(8, seed=7))
+        write_config(cfg, corpus)
+        shutil.copy(corpus, pred)
+        bad = {"config": cfg, "corpus": corpus, "prediction": pred}[reader]
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        rc = main(["evaluate", str(pred), str(corpus)] if reader == "prediction" else
+                  ["train-cue", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        if reader == "config":
+            assert rc == 2 and err.startswith(f"error: cannot read config file {cfg}: 'utf-8'")
+        else:
+            assert rc == 1 and err.startswith(f"error: {bad}: not UTF-8 text ('utf-8'")
 
     def test_misaligned_evaluate_is_runtime_error(self, tmp_path, capsys):
         a = tmp_path / "a.col"

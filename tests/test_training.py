@@ -477,10 +477,10 @@ class TestTrainLoop:
         before = matrix.copy()
         config = TaggerConfig("cue", variant, vocab.size, 8, 4, widen_embeddings=widen)
         tagger = Tagger.build(config, np.random.default_rng(0), matrix)
-        assert np.shares_memory(tagger.embedding.weights, matrix) == shared
+        assert np.shares_memory(tagger.params["emb.E"], matrix) == shared
         train(tagger, data, [], small_config(epochs=1))
         np.testing.assert_array_equal(matrix, before)
-        assert np.array_equal(tagger.embedding.weights, before) == shared
+        assert np.array_equal(tagger.params["emb.E"], before) == shared
 
     def test_loss_goes_down_on_learnable_data(self):
         data, vocab = encoded_corpus()
@@ -562,7 +562,7 @@ class TestTrainLoop:
         finally:
             tracemalloc.stop()
         assert history.best_epoch == 0
-        assert peak < tagger.embedding.weights.nbytes / 2
+        assert peak < tagger.params["emb.E"].nbytes / 2
 
     @pytest.mark.parametrize("task, variant", [("scope", "bilstm"), ("cue", "emb-crf")])
     def test_a_batch_gradients_are_freed_before_the_next_backward(self, monkeypatch, task,
@@ -620,9 +620,9 @@ class TestTrainLoop:
         tagger = Tagger.build(
             TaggerConfig("cue", "bilstm", vocab.size, 8, 8), np.random.default_rng(2)
         )
-        before = tagger.embedding.weights.copy()
+        before = tagger.params["emb.E"].copy()
         train(tagger, data, [], small_config(epochs=2))
-        np.testing.assert_array_equal(tagger.embedding.weights, before)
+        np.testing.assert_array_equal(tagger.params["emb.E"], before)
 
     def test_empty_training_set_rejected(self):
         tagger = Tagger.build(TaggerConfig("cue", "baseline", 5, 4, 2), np.random.default_rng(0))
