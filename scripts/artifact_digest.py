@@ -7,7 +7,7 @@ Usage::
 
 Imports negscope from `<checkout>/src` and the synthetic corpus builder
 from `<checkout>/tests/helpers.py`, writes
-`synthetic_instances(200, seed=21)` as a corpus, and runs twenty-three
+`synthetic_instances(200, seed=21)` as a corpus, and runs twenty-four
 commands in process:
 
   experiment                      run dir exp/ (three scope variants)
@@ -46,6 +46,12 @@ commands in process:
   train-scope --variant bilstm-post
                                   run dir post/ (the smoother on the
                                   validation and test predictions)
+  train-scope --seed 5            run dir env/, named by NEGSCOPE_OUT
+                                  alone, with no --variant under a config
+                                  that lists only bilstm-crf
+
+A command's leading `NAME=value` items are environment variables, set
+for that command only.
 
 The .vec file holds a seeded vector for four of every five corpus token
 types plus one type the corpus lacks, so the embedding log line counts
@@ -83,9 +89,11 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import shutil
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -158,6 +166,7 @@ def commands(work: Path) -> list[list[str]]:
     emb = str(work / "config_emb.txt")
     frozen = str(work / "config_frozen.txt")
     pretrained = str(work / "config_pretrained.txt")
+    crf_only = str(work / "config_crf.txt")
     exp, cue, scope, frz = (str(work / name) for name in ("exp", "cue", "scope", "frozen"))
     gold = str(work / "exp" / "scope_test_gold.col")
     return [
@@ -193,6 +202,7 @@ def commands(work: Path) -> list[list[str]]:
         ["experiment", "--config", pretrained, "--out", str(work / "pretrained")],
         ["train-scope", "--config", config, "--out", str(work / "post"),
          "--variant", "bilstm-post"],
+        [f"NEGSCOPE_OUT={work / 'env'}", "train-scope", "--config", crf_only, "--seed", "5"],
     ]
 
 
@@ -213,6 +223,7 @@ def main(argv: list[str]) -> int:
     _write_config(work / "config_wide.txt", corpus=corpus, embed_dim=200, units=48)
     _write_config(work / "config_emb.txt", corpus=corpus, **{"cue.batch_size": 2})
     _write_config(work / "config_frozen.txt", corpus=corpus, embeddings_trainable="false")
+    _write_config(work / "config_crf.txt", corpus=corpus, **{"scope.variants": "bilstm-crf"})
     _write_config(work / "config_pretrained.txt", corpus=corpus, embeddings=work / "vectors.vec",
                   embeddings_trainable="false", **{
                       f"{task}.{key}": value for task in ("cue", "scope") for key, value in
@@ -229,7 +240,10 @@ def main(argv: list[str]) -> int:
         if command is None:
             print("command 0: inputs")
         else:
-            print(f"command {number}: {command[0]} rc={pipeline.main(command)}")
+            start = next(k for k, item in enumerate(command) if "=" not in item)
+            env, args = dict(item.split("=", 1) for item in command[:start]), command[start:]
+            with mock.patch.dict(os.environ, env):
+                print(f"command {number}: {args[0]} rc={pipeline.main(args)}")
         for path in sorted(p for p in work.rglob("*") if p.is_file() and p.name != MARKER):
             name = str(path.relative_to(work))
             digest = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -3,7 +3,9 @@ gold cues, tag new text, score prediction files, and run the two-condition
 experiment that compares scope resolution under gold versus predicted cues
 on the identical tp + fn + fp sentence set.
 
-Every run directory is self-contained: the resolved config snapshot, the
+A resolved config is one dict keyed by the config-file names of `DEFAULTS`,
+and its snapshot lists every key, so `--config config.txt` reproduces the
+run. Every run directory is self-contained: that snapshot, the
 vocabulary, checkpoints, prediction files next to their gold subsets, the
 metric reports, and a plain-text run log. Re-running `evaluate` on the
 persisted files reproduces the reports byte for byte, and the same seed
@@ -115,8 +117,6 @@ DEFAULTS = {
 }
 _PARSERS = {bool: _bool, tuple: _variant_list, type(None): str}
 CONFIG_KEYS = {key: _PARSERS.get(type(value), type(value)) for key, value in DEFAULTS.items()}
-# ExperimentConfig fields stored under their own config key
-SHARED_KEYS = tuple(key for key in DEFAULTS if "." not in key)
 
 
 def parse_config_file(path) -> dict:
@@ -148,38 +148,22 @@ def parse_config_file(path) -> dict:
 def _config_text(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, tuple):
+        return ",".join(value)
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-@dataclass
-class ExperimentConfig:
-    corpus: str | None
-    embeddings: str | None
-    out: str | None
-    seed: int
-    max_len: int
-    embed_dim: int
-    units: int
-    embeddings_trainable: bool
-    cue_variant: str
-    scope_variants: tuple[str, ...]
-    cue_train: TrainConfig
-    scope_train: TrainConfig
-
-    def snapshot_lines(self) -> list[str]:
-        """Every config key as a sorted key=value line: a config file that
-        reproduces the run."""
-        values = {key: getattr(self, key) for key in SHARED_KEYS}
-        values["cue.variant"] = self.cue_variant
-        values["scope.variants"] = ",".join(self.scope_variants)
-        for task, tc in (("cue", self.cue_train), ("scope", self.scope_train)):
-            values.update({f"{task}.{name}": getattr(tc, name) for name in TASK_KEYS})
-        return sorted(f"{key}={_config_text(value)}" for key, value in values.items())
+def snapshot_lines(config: dict) -> list[str]:
+    """Every config key as a sorted key=value line: a config file that
+    reproduces the run."""
+    return sorted(f"{key}={_config_text(value)}" for key, value in config.items())
 
 
-def _task_train_config(values: dict, task: str, seed: int) -> TrainConfig:
+def train_config(config: dict, task: str) -> TrainConfig:
+    """The training settings of `task` ("cue" or "scope") in a config."""
     try:
-        return TrainConfig(seed=seed, **{name: values[f"{task}.{name}"] for name in TASK_KEYS})
+        return TrainConfig(seed=config["seed"],
+                           **{name: config[f"{task}.{name}"] for name in TASK_KEYS})
     except ValueError as exc:
         raise UsageError(f"{task} training settings: {exc}") from None
 
@@ -191,8 +175,9 @@ def _known(variant: str, task: str) -> str:
         raise UsageError(str(exc)) from None
 
 
-def resolve_config(args, need_corpus: bool = False, need_out: bool = False) -> ExperimentConfig:
-    """Merge defaults < config file < NEGSCOPE_OUT < command-line flags."""
+def resolve_config(args, need_corpus: bool = False, need_out: bool = False) -> dict:
+    """Merge defaults < config file < NEGSCOPE_OUT < command-line flags into
+    one value per `DEFAULTS` key, and check the result."""
     values = dict(DEFAULTS)
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
@@ -211,29 +196,23 @@ def resolve_config(args, need_corpus: bool = False, need_out: bool = False) -> E
     if values["seed"] < 0:
         raise UsageError(f"seed must be >= 0, got {values['seed']}")
 
-    config = ExperimentConfig(
-        **{key: values[key] for key in SHARED_KEYS},
-        cue_variant=values["cue.variant"],
-        scope_variants=values["scope.variants"],
-        cue_train=_task_train_config(values, "cue", values["seed"]),
-        scope_train=_task_train_config(values, "scope", values["seed"]),
-    )
-
-    _known(config.cue_variant, "cue")
-    for variant in config.scope_variants:
+    for task in ("cue", "scope"):
+        train_config(values, task)
+    _known(values["cue.variant"], "cue")
+    for variant in values["scope.variants"]:
         _known(variant, "scope")
     if need_corpus:
-        if not config.corpus:
+        if not values["corpus"]:
             raise UsageError("no corpus given (use --corpus or the config file)")
-        if not os.path.isfile(config.corpus):
-            raise UsageError(f"corpus file not found: {config.corpus}")
-    if config.embeddings and not os.path.isfile(config.embeddings):
-        raise UsageError(f"embeddings file not found: {config.embeddings}")
-    if need_out and not config.out:
+        if not os.path.isfile(values["corpus"]):
+            raise UsageError(f"corpus file not found: {values['corpus']}")
+    if values["embeddings"] and not os.path.isfile(values["embeddings"]):
+        raise UsageError(f"embeddings file not found: {values['embeddings']}")
+    if need_out and not values["out"]:
         raise UsageError(
             f"no output directory given (use --out, the config file, or ${OUT_ENV_VAR})"
         )
-    return config
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -263,30 +242,31 @@ class LoadedCorpus:
     matrix: np.ndarray | None
 
 
-def load_corpus(config: ExperimentConfig, emit) -> LoadedCorpus:
-    instances = parse_column_file(config.corpus)
+def load_corpus(config: dict, emit) -> LoadedCorpus:
+    instances = parse_column_file(config["corpus"])
     for line in corpus_stat_lines(instances):
         emit(line)
 
-    split = split_dataset(instances, seed=config.seed)
+    split = split_dataset(instances, seed=config["seed"])
     vocab = build_vocab(split.train)
     emit(f"split.train={len(split.train)} split.validation={len(split.validation)} "
          f"split.test={len(split.test)} vocab.size={vocab.size}")
 
     matrix = None
-    if config.embeddings:
+    if config["embeddings"]:
         matrix, coverage = load_embedding_file(
-            config.embeddings, vocab, expected_dim=config.embed_dim
+            config["embeddings"], vocab, expected_dim=config["embed_dim"]
         )
         emit(f"embeddings.covered={len(coverage.covered)} "
              f"embeddings.missing={len(coverage.missing)} "
              f"embeddings.type_oov_rate={coverage.type_oov_rate:.4f}")
 
     # only training instances are cut; validation and test are scored whole
-    cut = sum(1 for inst in split.train if len(inst.sentence.tokens) > config.max_len)
-    emit(f"train.max_len={config.max_len} train.cut_instances={cut}")
+    max_len = config["max_len"]
+    cut = sum(1 for inst in split.train if len(inst.sentence.tokens) > max_len)
+    emit(f"train.max_len={max_len} train.cut_instances={cut}")
     return LoadedCorpus(
-        encode_instances(split.train, vocab, config.max_len),
+        encode_instances(split.train, vocab, max_len),
         encode_instances(split.validation, vocab),
         encode_instances(split.test, vocab),
         vocab,
@@ -294,21 +274,21 @@ def load_corpus(config: ExperimentConfig, emit) -> LoadedCorpus:
     )
 
 
-def start_run(config: ExperimentConfig,
-              first_line: str | None = None) -> tuple[Path, RunLog, LoadedCorpus]:
-    """Create the run directory with its config snapshot, start the run log
-    (with `first_line`, if given), load the corpus and save its vocabulary."""
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(
-        "\n".join(config.snapshot_lines()) + "\n", encoding="utf-8"
-    )
+def load_run(config: dict, first_line: str | None = None) -> tuple[RunLog, LoadedCorpus]:
+    """Start the run log (with `first_line`, if given); load the corpus."""
     emit = RunLog()
     if first_line:
         emit(first_line)
-    corpus = load_corpus(config, emit)
+    return emit, load_corpus(config, emit)
+
+
+def save_run(config: dict, corpus: LoadedCorpus) -> Path:
+    """Write the run directory's config snapshot and corpus vocabulary."""
+    out = Path(config["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.txt").write_text("\n".join(snapshot_lines(config)) + "\n", encoding="utf-8")
     corpus.vocab.save(out / "vocab.json")
-    return out, emit, corpus
+    return out
 
 
 def column_blocks(data, cue_rows, scope_rows=None) -> list[tuple]:
@@ -408,18 +388,24 @@ def headline_items(prefix: str, report: CueReport | ScopeReport) -> list[str]:
 _STREAMS = {"cue": 2, "bilstm": 3, "bilstm-crf": 4}
 
 
-def build_tagger(config: ExperimentConfig, task: str, variant: str,
-                 corpus: LoadedCorpus) -> Tagger:
-    """A freshly initialized tagger for the corpus; the run's
-    embeddings_trainable may widen a variant's frozen embeddings."""
-    cfg = TaggerConfig(task, variant, corpus.vocab.size, config.embed_dim, config.units,
-                       config.embeddings_trainable)
+def train_tagger(config: dict, corpus: LoadedCorpus, task: str, variant: str,
+                 train_data, val_data, out: Path, emit, note: str = "") -> Tagger:
+    """Build a fresh tagger for the corpus (the run's embeddings_trainable
+    may widen a variant's frozen embeddings), train it with the task's
+    settings, log its wiring (plus `note`) and best epoch, and save it as
+    `cue.npz` or `scope_<variant>.npz`."""
+    cfg = TaggerConfig(task, variant, corpus.vocab.size, config["embed_dim"], config["units"],
+                       config["embeddings_trainable"])
     stream = _STREAMS["cue" if task == "cue" else scope_base(variant)]
-    return Tagger.build(cfg, np.random.default_rng([config.seed, stream]), corpus.matrix)
-
-
-def predict_cues(tagger: Tagger, data) -> list[list[str]]:
-    return tagger.predict_tags([inst.token_ids for inst in data])
+    tagger = Tagger.build(cfg, np.random.default_rng([config["seed"], stream]), corpus.matrix)
+    decoder = "viterbi" if tagger.crf is not None else "argmax"
+    emit(f"task={task} variant={variant} decoder={decoder}{note}")
+    history = train(tagger, train_data, val_data, train_config(config, task),
+                    log_line=lambda msg: emit(f"{task} {msg}"))
+    emit(f"{task} best_epoch={history.best_epoch} stopped_early={history.stopped_early}")
+    name = "cue.npz" if task == "cue" else f"scope_{variant}.npz"
+    save_checkpoint(out / name, tagger, corpus.vocab.content_hash())
+    return tagger
 
 
 def predict_scopes(tagger: Tagger, token_ids, cue_tags) -> list[list[str]]:
@@ -441,28 +427,24 @@ def smooth_scopes(scope_rows, cue_tags) -> list[list[str]]:
     return [postprocess(tags, b) if any(b) else tags for tags, b in zip(scope_rows, bits)]
 
 
-def score_scopes(out: Path, stem: str, data, cue_rows, scope_rows, gold_path) -> ScopeReport:
+def score_scopes(out: Path, stem: str, variant: str, data, cue_rows, scope_rows,
+                 gold_path) -> ScopeReport:
     """Write the scope rows of encoded instances under the given cue rows,
-    then score them (`write_and_score`)."""
+    smoothed if the variant smooths, then score them (`write_and_score`)."""
+    if smooth_predictions(variant):
+        scope_rows = smooth_scopes(scope_rows, cue_rows)
     return write_and_score(out, stem, column_blocks(data, cue_rows, scope_rows), gold_path).scope
 
 
-def run_cue_stage(config: ExperimentConfig, corpus: LoadedCorpus, out: Path,
-                  emit) -> list[list[str]]:
+def run_cue_stage(config: dict, corpus: LoadedCorpus, out: Path, emit) -> list[list[str]]:
     """Train the cue tagger, checkpoint it, and score it on the validation
     and test splits with all artifacts persisted. Returns the cue tags it
     predicts for the test split."""
-    tagger = build_tagger(config, "cue", config.cue_variant, corpus)
-    decoder = "viterbi" if tagger.crf is not None else "argmax"
-    emit(f"task=cue variant={config.cue_variant} decoder={decoder}")
-    history = train(tagger, corpus.train, corpus.validation, config.cue_train,
-                    log_line=lambda msg: emit(f"cue {msg}"))
-    emit(f"cue best_epoch={history.best_epoch} stopped_early={history.stopped_early}")
-    save_checkpoint(out / "cue.npz", tagger, corpus.vocab.content_hash())
-
+    tagger = train_tagger(config, corpus, "cue", config["cue.variant"], corpus.train,
+                          corpus.validation, out, emit)
     for name, data in (("val", corpus.validation), ("test", corpus.test)):
         gold_path = write_gold(out / f"cue_{name}_gold.col", data, with_scope=False)
-        cue_rows = predict_cues(tagger, data)
+        cue_rows = tagger.predict_tags([inst.token_ids for inst in data])
         result = write_and_score(out, f"cue_{name}", column_blocks(data, cue_rows), gold_path)
         emit(" ".join(headline_items(f"cue.{name}", result.cue)))
     return cue_rows
@@ -475,19 +457,13 @@ def negation_subset(data, what: str):
     return subset
 
 
-def run_scope_training(config: ExperimentConfig, corpus: LoadedCorpus, variant: str,
-                       out: Path, emit) -> Tagger:
+def run_scope_training(config: dict, corpus: LoadedCorpus, variant: str, out: Path,
+                       emit) -> Tagger:
     """Train one scope architecture on gold cue inputs and checkpoint it."""
-    train_data = negation_subset(corpus.train, "training")
-    val_data = [inst for inst in corpus.validation if inst.is_negation]
-    tagger = build_tagger(config, "scope", variant, corpus)
-    decoder = "viterbi" if tagger.crf is not None else "argmax"
-    emit(f"task=scope variant={variant} decoder={decoder} cue_inputs=gold")
-    history = train(tagger, train_data, val_data, config.scope_train,
-                    log_line=lambda msg: emit(f"scope {msg}"))
-    emit(f"scope best_epoch={history.best_epoch} stopped_early={history.stopped_early}")
-    save_checkpoint(out / f"scope_{variant}.npz", tagger, corpus.vocab.content_hash())
-    return tagger
+    return train_tagger(config, corpus, "scope", variant,
+                        negation_subset(corpus.train, "training"),
+                        [inst for inst in corpus.validation if inst.is_negation],
+                        out, emit, " cue_inputs=gold")
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +472,9 @@ def run_scope_training(config: ExperimentConfig, corpus: LoadedCorpus, variant: 
 def cmd_train_cue(args) -> int:
     config = resolve_config(args, need_corpus=True, need_out=True)
     if args.variant:
-        config.cue_variant = _known(args.variant, "cue")
-    out, emit, corpus = start_run(config)
+        config["cue.variant"] = _known(args.variant, "cue")
+    emit, corpus = load_run(config)
+    out = save_run(config, corpus)
     run_cue_stage(config, corpus, out, emit)
     emit.write(out / "run.log")
     return 0
@@ -505,31 +482,30 @@ def cmd_train_cue(args) -> int:
 
 def cmd_train_scope(args) -> int:
     config = resolve_config(args, need_corpus=True, need_out=True)
-    if args.variant:
-        variant = args.variant
-    elif len(config.scope_variants) == 1:
-        variant = config.scope_variants[0]
-    else:
-        raise UsageError(
-            f"config selects several scope variants {config.scope_variants}; "
-            "pick one with --variant"
-        )
-    config.scope_variants = (_known(variant, "scope"),)
-    checkpoint = Path(config.out) / "cue.npz"
+    variants = (args.variant,) if args.variant else config["scope.variants"]
+    if len(variants) > 1:
+        raise UsageError(f"config selects several scope variants {variants}; "
+                         "pick one with --variant")
+    variant = _known(variants[0], "scope")
+    config["scope.variants"] = (variant,)
+    checkpoint = Path(config["out"]) / "cue.npz"
     if args.cue_input == "pred" and not checkpoint.is_file():
         raise UsageError(f"--cue-input pred needs a trained cue model at {checkpoint}")
 
-    out, emit, corpus = start_run(config, f"cue_input={args.cue_input}")
-    # every Task-2 set must be nonempty before training; run_scope_training
-    # takes the training set itself, and the other two are scored
+    # every check (each Task-2 set nonempty, the cue model's vocabulary)
+    # comes before the run directory is written; run_scope_training takes
+    # the training set itself, and the other two are scored
+    emit, corpus = load_run(config, f"cue_input={args.cue_input}")
     scored = [(name, negation_subset(data, name)) for name, data in
               (("training", corpus.train), ("val", corpus.validation), ("test", corpus.test))][1:]
     cue_rows = [[inst.cue_tags for inst in subset] for _, subset in scored]
     if args.cue_input == "pred":  # the cue model is gone before the scope model trains
         _check_checkpoint(checkpoint, corpus.vocab)
         cue_tagger = load_checkpoint(checkpoint)[0]
-        cue_rows = [predict_cues(cue_tagger, subset) for _, subset in scored]
+        cue_rows = [cue_tagger.predict_tags([inst.token_ids for inst in subset])
+                    for _, subset in scored]
         del cue_tagger
+    out = save_run(config, corpus)
     tagger = run_scope_training(config, corpus, variant, out, emit)
 
     for (name, subset), rows in zip(scored, cue_rows):
@@ -539,9 +515,7 @@ def cmd_train_scope(args) -> int:
                      f"bits={''.join(str(b) for b in cue_vector(ctags))}")
         gold_path = write_gold(out / f"scope_{name}_gold.col", subset, with_scope=True)
         scope_rows = predict_scopes(tagger, [inst.token_ids for inst in subset], rows)
-        if smooth_predictions(variant):
-            scope_rows = smooth_scopes(scope_rows, rows)
-        scope = score_scopes(out, f"scope_{name}", subset, rows, scope_rows, gold_path)
+        scope = score_scopes(out, f"scope_{name}", variant, subset, rows, scope_rows, gold_path)
         emit(" ".join(headline_items(f"scope.{name}", scope)))
     emit.write(out / "run.log")
     return 0
@@ -549,7 +523,8 @@ def cmd_train_scope(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = resolve_config(args, need_corpus=True, need_out=True)
-    out, emit, corpus = start_run(config)
+    emit, corpus = load_run(config)
+    out = save_run(config, corpus)
     pred_tags = run_cue_stage(config, corpus, out, emit)
 
     # both conditions are evaluated on tp + fn + fp, fixed by the cue model
@@ -570,7 +545,7 @@ def cmd_experiment(args) -> int:
     # is dropped before the next base trains; -post smooths its base's rows
     ids = [inst.token_ids for inst in data]
     scope_rows = {}
-    for base in dict.fromkeys(scope_base(v) for v in config.scope_variants):
+    for base in dict.fromkeys(scope_base(v) for v in config["scope.variants"]):
         model = run_scope_training(config, corpus, base, out, emit)
         for condition, rows in cue_rows.items():
             scope_rows[base, condition] = predict_scopes(model, ids, rows)
@@ -582,14 +557,12 @@ def cmd_experiment(args) -> int:
     gold_path = write_gold(out / "scope_test_gold.col", data, with_scope=True)
 
     table_rows = []
-    for variant in config.scope_variants:
+    for variant in config["scope.variants"]:
         scores = {}
         for condition in ("gold", "pred"):
-            rows = scope_rows[scope_base(variant), condition]
-            if smooth_predictions(variant):
-                rows = smooth_scopes(rows, cue_rows[condition])
-            scope = score_scopes(out, f"scope_{variant}_{condition}cue", data,
-                                 cue_rows[condition], rows, gold_path)
+            scope = score_scopes(out, f"scope_{variant}_{condition}cue", variant, data,
+                                 cue_rows[condition], scope_rows[scope_base(variant), condition],
+                                 gold_path)
             summary += headline_items(f"scope.{variant}.{condition}cue", scope)
             scores[condition] = scope.headline()
         gold, pred = scores["gold"], scores["pred"]
@@ -624,7 +597,12 @@ def _run_checkpoints(run_dir: Path, variant: str | None):
     if variant is not None:
         wanted = run_dir / f"scope_{variant}.npz"
         if not wanted.is_file():
-            raise UsageError(f"no checkpoint {wanted}")
+            # experiment saves a -post variant's weights under its base
+            base = run_dir / f"scope_{scope_base(variant)}.npz"
+            hint = (f"; {variant} runs {base} with smoothing: use "
+                    f"--variant {scope_base(variant)} --postprocess"
+                    if base != wanted and base.is_file() else "")
+            raise UsageError(f"no checkpoint {wanted}{hint}")
         scope_paths = [wanted]
     if len(scope_paths) > 1:
         names = [p.stem.removeprefix("scope_") for p in scope_paths]
@@ -645,7 +623,7 @@ def cmd_predict(args) -> int:
     if args.raw and args.cue_input == "gold":
         raise UsageError("--cue-input gold needs a cue column in the input")
     config = resolve_config(args, need_out=True)
-    run_dir = Path(config.out)
+    run_dir = Path(config["out"])
     vocab, cue_path, scope_path = _run_checkpoints(run_dir, args.variant)
     if cue_path is None and args.cue_input == "pred":
         raise UsageError(f"no cue.npz in {run_dir}; use --cue-input gold")

@@ -38,6 +38,7 @@ from negscope.pipeline import (
     predict_scopes,
     resolve_config,
     smooth_scopes,
+    snapshot_lines,
 )
 from negscope.models import check_variant, scope_base
 from helpers import flip_entry_byte, is_continuous, synthetic_instances, tag_rows
@@ -75,10 +76,10 @@ class TestConfig:
         values = parse_config_file(cfg)
         assert values == {"seed": 9, "cue.lr0": 0.5, "scope.variants": ("bilstm-crf",)}
         config = resolve_config(plain_args(config=str(cfg)))
-        assert config.seed == 9
-        assert config.cue_train.lr0 == 0.5
-        assert config.scope_variants == ("bilstm-crf",)
-        assert config.cue_train.epochs == 30  # untouched default
+        assert config["seed"] == 9
+        assert config["cue.lr0"] == 0.5
+        assert config["scope.variants"] == ("bilstm-crf",)
+        assert config["cue.epochs"] == 30  # untouched default
 
     def test_unknown_key_is_usage_error_with_line(self, tmp_path):
         cfg = tmp_path / "c.txt"
@@ -108,10 +109,10 @@ class TestConfig:
         cfg = tmp_path / "c.txt"
         cfg.write_text("out=/from-file\n")
         monkeypatch.setenv("NEGSCOPE_OUT", "/from-env")
-        assert resolve_config(plain_args(config=str(cfg))).out == "/from-env"
-        assert resolve_config(plain_args(config=str(cfg), out="/from-flag")).out == "/from-flag"
+        assert resolve_config(plain_args(config=str(cfg)))["out"] == "/from-env"
+        assert resolve_config(plain_args(config=str(cfg), out="/from-flag"))["out"] == "/from-flag"
         monkeypatch.delenv("NEGSCOPE_OUT")
-        assert resolve_config(plain_args(config=str(cfg))).out == "/from-file"
+        assert resolve_config(plain_args(config=str(cfg)))["out"] == "/from-file"
 
     def test_unknown_variants_rejected(self, tmp_path):
         cfg = tmp_path / "c.txt"
@@ -180,6 +181,31 @@ class TestConfig:
         rc = main(["train-cue", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert rc == 2
         assert f"{key} must be >= 1, got 0" in capsys.readouterr().err
+
+
+def readme_config_rows() -> dict[str, str]:
+    """key -> default cell of the README's configuration table; a row for
+    a `cue.x` / `scope.x` pair gives both keys the same cell."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Configuration\n")[1]
+    rows = {}
+    for line in section.split("\n## ")[0].splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            for key in cells[0].split(" / "):
+                rows[key.strip("`")] = cells[1]
+    return rows
+
+
+class TestReadmeConfigTable:
+    def test_every_key_has_a_row_with_its_default(self):
+        rows = readme_config_rows()
+        assert set(rows) == set(CONFIG_KEYS)
+        for key, default in pipeline.DEFAULTS.items():
+            if default is None:
+                assert rows[key] in ("required", "none"), key
+            else:
+                assert rows[key] == f"`{pipeline._config_text(default)}`", key
 
 
 class TestSmallHelpers:
@@ -262,6 +288,21 @@ def experiment_run(tmp_path_factory):
     return SimpleNamespace(root=root, corpus=corpus, config=cfg, out=out)
 
 
+def patch_cue_predictions(monkeypatch, rows_of):
+    """Have each trained cue model tag the encoded instances it is given
+    with rows_of(instances) instead of its own predictions."""
+    train_tagger = pipeline.train_tagger
+
+    def patched(config, corpus, task, *rest):
+        tagger = train_tagger(config, corpus, task, *rest)
+        if task == "cue":
+            by_ids = {id(inst.token_ids): inst for inst in corpus.validation + corpus.test}
+            tagger.predict_tags = lambda ids: rows_of([by_ids[id(row)] for row in ids])
+        return tagger
+
+    monkeypatch.setattr(pipeline, "train_tagger", patched)
+
+
 def edited_run(experiment_run, root, name, edit) -> Path:
     """A run directory with the experiment's vocabulary and its cue and
     bilstm checkpoints, checkpoint `name` rewritten by edit(meta, arrays)."""
@@ -328,7 +369,7 @@ class TestExperiment:
         # the trained cue model marks no test sentence, so predict gold cue
         # presence instead, flipped on the first negation and the first
         # non-negation sentence: every group gets a member
-        def flipped_cues(tagger, data):
+        def flipped_cues(data):
             rows, flipped = [], set()
             for inst in data:
                 has_cue = inst.is_negation != (inst.is_negation not in flipped)
@@ -336,7 +377,7 @@ class TestExperiment:
                 rows.append(["C" if has_cue and k == 0 else "NC" for k in range(len(inst.tokens))])
             return rows
 
-        monkeypatch.setattr(pipeline, "predict_cues", flipped_cues)
+        patch_cue_predictions(monkeypatch, flipped_cues)
         out = tmp_path / "run"
         assert main(["experiment", "--config", str(experiment_run.config),
                      "--out", str(out)]) == 0
@@ -355,8 +396,8 @@ class TestExperiment:
         write_column_file(corpus, instances)
         cfg = tmp_path / "c.txt"
         write_config(cfg, corpus)
-        monkeypatch.setattr(pipeline, "predict_cues",
-                            lambda tagger, data: [["NC"] * len(inst.tokens) for inst in data])
+        patch_cue_predictions(monkeypatch,
+                              lambda data: [["NC"] * len(inst.tokens) for inst in data])
         out = tmp_path / "run"
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
         assert "empty Task-2 test set" in capsys.readouterr().err
@@ -446,7 +487,7 @@ class TestExperiment:
         snapshot = experiment_run.out / "config.txt"
         lines = snapshot.read_text().splitlines()
         assert {line.split("=")[0] for line in lines} == set(CONFIG_KEYS)
-        assert resolve_config(plain_args(config=str(snapshot))).snapshot_lines() == lines
+        assert snapshot_lines(resolve_config(plain_args(config=str(snapshot)))) == lines
 
     def test_same_seed_run_is_byte_identical(self, experiment_run, tmp_path):
         again = tmp_path / "again"
@@ -528,6 +569,32 @@ class TestPredict:
             assert tagged[block.source_id].cue_tags == block.cue_tags
             if block.source_id in scopes:
                 assert tagged[block.source_id].scope_tags == scopes[block.source_id]
+
+    def test_two_scope_checkpoints_need_a_variant(self, experiment_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(experiment_run.out, run)
+        shutil.copy(run / "scope_bilstm.npz", run / "scope_bilstm-crf.npz")
+        rc = main(["predict", "--out", str(run), str(run / "scope_test_gold.col"),
+                   str(tmp_path / "pred.col")])
+        assert rc == 2
+        assert "several scope checkpoints ['bilstm-crf', 'bilstm']; pick one with --variant" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "pred.col").exists()
+
+    def test_a_missing_post_checkpoint_names_its_base_and_postprocess(self, experiment_run,
+                                                                       tmp_path, capsys):
+        out = experiment_run.out
+        rc = main(["predict", "--out", str(out), "--variant", "bilstm-post",
+                   str(out / "scope_test_gold.col"), str(tmp_path / "pred.col")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"no checkpoint {out / 'scope_bilstm-post.npz'}; bilstm-post runs " \
+            f"{out / 'scope_bilstm.npz'} with smoothing: " \
+            "use --variant bilstm --postprocess" in err
+        rc = main(["predict", "--out", str(out), "--variant", "bilstm-crf",
+                   str(out / "scope_test_gold.col"), str(tmp_path / "pred.col")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: no checkpoint {out / 'scope_bilstm-crf.npz'}\n"
 
     @pytest.mark.parametrize("cue_input, loads", [
         ("pred", ["cue.npz", "scope_bilstm.npz"]),
@@ -797,6 +864,56 @@ class TestTrainCommands:
                  for line in lines[trained + 1:]]
         assert [kind for kind, _ in groupby(kinds)] == ["pred_cues", "val", "pred_cues", "test"]
 
+    def test_train_scope_trains_the_one_configured_variant(self, experiment_run, tmp_path):
+        cfg = tmp_path / "c.txt"
+        write_config(cfg, experiment_run.corpus, **{"scope.variants": "bilstm-crf"})
+        out = tmp_path / "run"
+        assert main(["train-scope", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [p.name for p in out.glob("scope_*.npz")] == ["scope_bilstm-crf.npz"]
+        assert "task=scope variant=bilstm-crf" in (out / "run.log").read_text()
+        assert "scope.variants=bilstm-crf" in (out / "config.txt").read_text().splitlines()
+
+    def test_train_scope_over_several_variants_needs_one(self, experiment_run, tmp_path,
+                                                         capsys):
+        out = tmp_path / "run"
+        rc = main(["train-scope", "--config", str(experiment_run.config), "--out", str(out)])
+        assert rc == 2
+        assert "config selects several scope variants ('bilstm', 'bilstm-post'); " \
+            "pick one with --variant" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_scope_variant_flag_is_the_snapshot_variant(self, experiment_run, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.delenv("NEGSCOPE_OUT", raising=False)
+        cfg = tmp_path / "c.txt"
+        write_config(cfg, experiment_run.corpus,
+                     **{"scope.variants": "bilstm,bilstm-crf,bilstm-post"})
+        out = tmp_path / "run"
+        assert main(["train-scope", "--config", str(cfg), "--out", str(out),
+                     "--variant", "bilstm-crf"]) == 0
+        lines = (out / "config.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith("scope.variants=")] == \
+            ["scope.variants=bilstm-crf"]
+        assert snapshot_lines(resolve_config(plain_args(config=str(out / "config.txt")))) == lines
+
+    def test_train_scope_that_fails_before_training_leaves_the_run_as_it_was(
+            self, experiment_run, tmp_path, capsys):
+        """A cue model trained under another seed's split has another
+        vocabulary: train-scope refuses it before it writes anything, so
+        the run's own checkpoints still predict."""
+        out = tmp_path / "run"
+        config = ["--config", str(experiment_run.config), "--out", str(out)]
+        assert main(["train-cue", *config, "--seed", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        rc = main(["train-scope", *config, "--seed", "2", "--variant", "bilstm",
+                   "--cue-input", "pred"])
+        assert rc == 1
+        assert "cue.npz: checkpoint was trained with a different vocabulary" \
+            in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert main(["predict", "--out", str(out), str(experiment_run.corpus),
+                     str(tmp_path / "pred.col")]) == 0
+
     def test_train_scope_without_negations_fails_cleanly(self, tmp_path, capsys):
         instances = [
             NegationInstance(
@@ -829,6 +946,7 @@ class TestTrainCommands:
         assert rc == 1
         assert "empty Task-2 test set" in capsys.readouterr().err
         assert not list(out.glob("scope_*.npz")) and not list(out.glob("scope_val_*"))
+        assert not out.exists()
 
 
 class TestExitCodes:
