@@ -89,19 +89,26 @@ def embed_backward(
 # All four gates take one tanh: sigmoid(z) = tanh(z/2)/2 + 1/2, and
 # halving is exact (absent subnormals), so the i, f and o columns of the
 # w_rec.T copy, the projection tables and the cue-bit row are halved, one
-# tanh runs over the (b, 4U) block, and the first 3U columns take *0.5, +0.5.
+# tanh runs over the (b, 4U) block, and the whole block then takes *0.5,
+# +0.5 on the i, f and o columns and *1.0, +(-0.0) on g: two contiguous
+# passes where the first 3U columns alone would take two strided ones.
 #
 # The input projection x @ w_in.T + b is computed once per key, not per
 # row: `keys` (T,) says which rows hold equal inputs (the tagger passes
 # token ids, whose embeddings are equal), and by default every row is its
 # own key. A block of whole steps projects its distinct keys into a table,
 # and each step gathers its rows from it. Training keeps every step's
-# gates, cell and hidden rows for the backward pass and gathers one
-# whole-T table straight into the gates. Prediction streams instead
-# (lstm_forward with out=): a block ends at the last step whose distinct
-# keys still fit a table of max(PROJECT_ROWS, b_0) rows, the steps run in
-# (b_0, .) buffers, and each step's h goes to its rows of out, so the
-# working memory grows neither with T nor with how often keys repeat.
+# gates, cell and hidden rows for the backward pass: before the first
+# step it projects one whole-T table, gathers all T rows of it into the
+# gates and adds the cue-bit term to them, so a step adds only its
+# recurrent term. Prediction streams instead (lstm_forward with out=): a
+# block ends at the last step whose distinct keys still fit a table of
+# max(PROJECT_ROWS, b_0) rows, the steps run in (b_0, .) buffers, each
+# step gathers its rows from the table (np.take with mode="clip", which
+# copies straight into the buffer, where the default mode copies through
+# a temporary) and adds its cue-bit term, and each step's h goes to its
+# rows of out, so the working memory grows neither with T nor with how
+# often keys repeat.
 # Every table product spans at least min(T, EXACT_ROWS) rows, topped up
 # with any input rows, because OpenBLAS rounds small products differently:
 # with d >= 32 and under about 1,200 outputs (rows x 4U), a row of a small
@@ -227,17 +234,20 @@ def lstm_forward(
     keys, q = keys[rows], None if q is None else q[rows]
     if keep:
         cell, hidden = np.empty((total, units)), np.empty((total, units))
-        gates = np.empty((total, 4 * units))
     else:
         table = np.empty((max(PROJECT_ROWS, sizes[0]), 4 * units))
         gathered = np.empty((sizes[0], 4 * units))
         seen = _previous_occurrence(keys)
     # x @ w_in.T + b for each distinct key of a block of whole steps; each
-    # step gathers its rows, adds its cue-bit and recurrent terms, in that
-    # order, and overwrites them with the activations (sigmoid of i, f, o
-    # and tanh of g), each term's i, f and o columns halved on a fresh array
+    # step's rows are gathered from it, the cue-bit and recurrent terms
+    # added, in that order, and overwritten with the activations (sigmoid
+    # of i, f, o and tanh of g), each term's i, f and o columns halved on a
+    # fresh array. Training's one block is gathered, and its cue-bit term
+    # added, before the first step. *1.0 and +(-0.0) leave the g columns'
+    # bits as they are, signed zeros and NaNs included.
     u2, u3 = 2 * units, 3 * units
     half = np.repeat([0.5, 1.0], [u3, units])
+    shift = np.repeat([0.5, -0.0], [u3, units])
     aux_row = None if q is None else params.w_aux * half
     w_rec_t = np.multiply(params.w_rec.T, half, order="C")
     rec = np.empty((sizes[0], 4 * units))
@@ -260,18 +270,25 @@ def lstm_forward(
             src = np.concatenate([rows[first + lo], np.arange(min(total, EXACT_ROWS) - len(first))])
             proj = np.matmul(x[src], params.w_in.T, out=None if keep else table[:len(src)])
             proj += params.b
-            proj[:, :u3] *= 0.5
+            proj *= half
+            if keep:
+                gates = proj[slot]
+                if q is not None:
+                    gates += q[:, None] * aux_row
         step = slice(start, start + size)
-        z = np.take(proj, slot[start - lo:start - lo + size], axis=0,
-                    out=gates[step] if keep else gathered[:size])
+        if keep:
+            z = gates[step]
+        else:
+            z = np.take(proj, slot[start - lo:start - lo + size], axis=0,
+                        out=gathered[:size], mode="clip")
+            if q is not None:  # rec's rows hold the product until the recurrent term
+                z += np.multiply(q[step, None], aux_row, out=rec[:size])
         t = tmp[:size]
-        if q is not None:  # rec's rows hold the product until the recurrent term
-            z += np.multiply(q[step, None], aux_row, out=rec[:size])
         if start:
             z += np.matmul(h[:size], w_rec_t, out=rec[:size])
         np.tanh(z, out=z)
-        z[:, :u3] *= 0.5
-        z[:, :u3] += 0.5
+        z *= half
+        z += shift
         # c = f*c_prev + i*g and h = o*tanh(c), written straight into the
         # cache or, streaming, over the previous step's first rows
         c_prev = c[:size]

@@ -37,15 +37,16 @@ from .layers import (
 
 CHECKPOINT_FORMAT = 3
 
-# bounds on a prediction chunk: sentences x longest length, and sentences.
-# Nothing is padded, and the streamed BiLSTM (bilstm_forward with
-# keep_cache=False) keeps no per-token working array, so a chunk holds its
-# (T, d) inputs and (T, 2U) states plus, per direction, step buffers sized
-# by its sentence count and a fixed projection table: at d = U = 200 a
-# full chunk of 64 sentences takes about 12 MB (10 MB at 32 sentences).
+# bounds on a prediction chunk: the tokens it holds (its summed sentence
+# lengths), and its sentences. Nothing is padded, and the streamed BiLSTM
+# (bilstm_forward with keep_cache=False) keeps no per-token working array,
+# so a chunk holds its T tokens' (T, d) inputs and (T, 2U) states plus,
+# per direction, step buffers sized by its sentence count and a fixed
+# projection table: at d = U = 200 a full chunk of 2048 tokens in 64
+# sentences takes about 16 MB (11 MB at 1024 tokens).
 # One chunk is alive at a time, and `predict` and `train-scope` hold one
 # model at a time (see pipeline.cmd_predict).
-PREDICT_TOKEN_BUDGET = 1024
+PREDICT_TOKEN_BUDGET = 2048
 PREDICT_MAX_SENTENCES = 64
 
 VARIANTS = {
@@ -262,14 +263,17 @@ class Tagger:
 
 def length_chunks(lengths, budget: int, max_sentences: int | None = None):
     """Sentence indices, stably sorted by length, cut into chunks whose
-    count x longest length stays within budget and whose count stays
-    within max_sentences; a sentence longer than the budget runs alone."""
+    summed lengths stay within budget and whose count stays within
+    max_sentences; a chunk ends only when the next sentence would break a
+    bound, and a sentence longer than the budget runs alone."""
     chunk: list[int] = []
+    tokens = 0
     for i in sorted(range(len(lengths)), key=lengths.__getitem__):
-        if chunk and ((len(chunk) + 1) * lengths[i] > budget or len(chunk) == max_sentences):
+        if chunk and (tokens + lengths[i] > budget or len(chunk) == max_sentences):
             yield chunk
-            chunk = []
+            chunk, tokens = [], 0
         chunk.append(i)
+        tokens += lengths[i]
     if chunk:
         yield chunk
 

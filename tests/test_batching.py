@@ -118,12 +118,27 @@ class TestBatchIndependence:
     def test_chunks_respect_the_budget_and_keep_every_sentence(self):
         lengths = [3, 9, 1, 9, 4, 20, 2]
         chunks = list(models.length_chunks(lengths, 12))
-        assert sorted(i for chunk in chunks for i in chunk) == list(range(len(lengths)))
-        for chunk in chunks:
-            assert len(chunk) == 1 or len(chunk) * max(lengths[i] for i in chunk) <= 12
-        # stable sort by length: the two length-9 sentences keep their order
         flat = [i for chunk in chunks for i in chunk]
-        assert flat.index(1) < flat.index(3)
+        # every sentence once, stably sorted by length: the two length-9
+        # sentences keep their input order
+        assert flat == sorted(range(len(lengths)), key=lengths.__getitem__)
+        for chunk in chunks:
+            assert len(chunk) == 1 or sum(lengths[i] for i in chunk) <= 12
+        assert chunks == [[2, 6, 0, 4], [1], [3], [5]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 30), max_size=40), budget=st.integers(1, 80),
+           cap=st.none() | st.integers(1, 8))
+    def test_each_chunk_is_as_large_as_both_bounds_allow(self, lengths, budget, cap):
+        chunks = list(models.length_chunks(lengths, budget, cap))
+        assert [i for chunk in chunks for i in chunk] == sorted(
+            range(len(lengths)), key=lengths.__getitem__)
+        for chunk, after in zip(chunks, chunks[1:] + [None]):
+            tokens = sum(lengths[i] for i in chunk)
+            assert len(chunk) == 1 or tokens <= budget
+            assert cap is None or len(chunk) <= cap
+            if after is not None:  # it ended only because the next sentence broke a bound
+                assert tokens + lengths[after[0]] > budget or len(chunk) == cap
 
     def test_chunks_respect_the_sentence_cap(self):
         lengths = [2, 1, 3] * 5
