@@ -281,7 +281,10 @@ def train(tagger: Tagger, train_data, val_data, config: TrainConfig,
     Validation token F1 is scored each epoch; with early stopping on,
     `patience` epochs without improvement stop the run and the best
     epoch's trainable parameters, copied into one buffer per parameter
-    at each improvement, are restored (a NaN score never improves).
+    at each improvement, are restored. A NaN score (a model that predicts
+    no positive label yet) never improves, and patience counts only from
+    the first finite score; a run that never scores one keeps the last
+    epoch's weights and says so through log_line.
     """
     if not train_data:
         raise ValueError("empty training set")
@@ -331,7 +334,7 @@ def train(tagger: Tagger, train_data, val_data, config: TrainConfig,
                     np.copyto(best[name], p)
                 history.best_epoch = epoch
                 since_best = 0
-            else:
+            elif history.best_epoch is not None:
                 since_best += 1
                 if since_best >= config.patience:
                     history.stopped_early = True
@@ -340,4 +343,6 @@ def train(tagger: Tagger, train_data, val_data, config: TrainConfig,
     if history.best_epoch is not None:
         for name, p in params.items():
             np.copyto(p, best[name])
+    elif best is not None:
+        emit("val_f1 was nan in every epoch: no best epoch, the last epoch's weights are kept")
     return history

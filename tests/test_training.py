@@ -598,10 +598,31 @@ class TestTrainLoop:
             TaggerConfig("cue", "bilstm", vocab.size, 8, 8), np.random.default_rng(1)
         )
         monkeypatch.setattr(training, "token_f1_score", lambda t, d: math.nan)
-        history = train(tagger, data, data[:4], config)
-        assert history.stopped_early
+        lines = []
+        history = train(tagger, data, data[:4], config, log_line=lines.append)
+        # patience counts only from a finite score, so every epoch runs
+        assert not history.stopped_early
         assert history.best_epoch is None
-        assert len(history.train_loss) == 2
+        assert len(history.train_loss) == 10
+        assert lines[-1] == ("val_f1 was nan in every epoch: no best epoch, "
+                             "the last epoch's weights are kept")
+
+    def test_patience_counts_from_the_first_finite_score(self):
+        """This cue model predicts no cue in its first three epochs, so its
+        validation F1 is NaN there; those epochs do not use up the
+        patience, and the run goes on to score and keep a best epoch
+        instead of stopping after epoch 1 with none."""
+        data, vocab = encoded_corpus(40)
+        tagger = Tagger.build(TaggerConfig("cue", "bilstm-crf", vocab.size, 8, 8),
+                              np.random.default_rng(1))
+        lines = []
+        history = train(tagger, data, data[:8], small_config(epochs=8, early_stopping=True),
+                        log_line=lines.append)
+        assert all(math.isnan(f) for f in history.val_f1[:3])
+        assert len(history.val_f1) > 3
+        assert history.best_epoch is not None and history.best_epoch >= 3
+        assert math.isfinite(history.val_f1[history.best_epoch])
+        assert not any(line.startswith("val_f1 was nan") for line in lines)
 
     def test_chunk_size_does_not_change_training(self, monkeypatch):
         data, vocab = encoded_corpus()
