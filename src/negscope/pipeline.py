@@ -554,6 +554,9 @@ def cmd_experiment(args) -> int:
     summary = [" ".join(f"testset.{key}={len(group)}" for key, group in groups.items())
                + f" testset.size={len(test_indices)}"]
     emit(summary[0])
+    if not groups["tp"] and not groups["fp"]:
+        emit("testset: the cue model predicted no cue in the test split (tp + fp = 0), "
+             "so every predcue scope F1 is NaN")
     gold_path = write_gold(out / "scope_test_gold.col", data, with_scope=True)
 
     table_rows = []

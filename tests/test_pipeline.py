@@ -404,6 +404,23 @@ class TestExperiment:
         assert (out / "cue.npz").is_file() and not list(out.glob("scope_*.npz"))
 
 
+    @pytest.mark.parametrize("marks_cues", [False, True])
+    def test_run_log_names_a_test_split_without_a_predicted_cue(self, experiment_run, tmp_path,
+                                                                monkeypatch, marks_cues):
+        """With no predicted cue in the test split, tp + fp = 0 and every
+        predicted-cue scope F1 is NaN; run.log says why, and only then."""
+        patch_cue_predictions(monkeypatch, lambda data: [
+            list(inst.cue_tags) if marks_cues else ["NC"] * len(inst.tokens) for inst in data])
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(experiment_run.config),
+                     "--out", str(out)]) == 0
+        note = ("testset: the cue model predicted no cue in the test split (tp + fp = 0), "
+                "so every predcue scope F1 is NaN")
+        assert (note in (out / "run.log").read_text().splitlines()) != marks_cues
+        pred_f1 = [row.split("\t")[2] for row in
+                   (out / "comparison.tsv").read_text().splitlines()[1:]]
+        assert (pred_f1 == ["NaN", "NaN"]) != marks_cues
+
     def test_each_base_model_predicts_each_cue_condition_once(self, experiment_run, tmp_path,
                                                               monkeypatch):
         """bilstm-post smooths the bilstm model's rows instead of running
