@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -290,7 +291,7 @@ def write_column_file(path, instances) -> None:
 
 
 def format_column_blocks(blocks) -> str:
-    """blocks: (source_id, tokens, cue_tags, scope_tags or None) tuples."""
+    """blocks: TagBlocks, or tuples of their four fields."""
     parts = []
     for source_id, tokens, ctags, stags in blocks:
         lines = [f"# {source_id}"] if source_id else []
@@ -303,15 +304,14 @@ def format_column_blocks(blocks) -> str:
     return "\n\n".join(parts) + "\n"
 
 
-@dataclass(frozen=True)
-class TagBlock:
-    """One instance read without gold validation: predictions are allowed
-    to break the gold patterns."""
+class TagBlock(NamedTuple):
+    """One instance's tags as a run writes them and read_tag_blocks reads
+    them, without gold validation: predictions may break the gold patterns."""
 
     source_id: str
-    tokens: tuple[str, ...]
-    cue_tags: tuple[str, ...]
-    scope_tags: tuple[str, ...] | None  # None for cue-only files
+    tokens: Sequence[str]
+    cue_tags: Sequence[str]
+    scope_tags: Sequence[str] | None  # None for cue-only files
 
 
 def read_tag_blocks(path) -> list[TagBlock]:

@@ -7,9 +7,12 @@ A resolved config is one dict keyed by the config-file names of `DEFAULTS`,
 and its snapshot lists every key, so `--config config.txt` reproduces the
 run. Every run directory is self-contained: that snapshot, the
 vocabulary, checkpoints, prediction files next to their gold subsets, the
-metric reports, and a plain-text run log. Re-running `evaluate` on the
-persisted files reproduces the reports byte for byte, and the same seed
-plus the same config reproduces the whole run.
+metric reports, and a plain-text run log. A run scores the blocks it
+writes without reading them back: each `<stem>_report.txt` is byte for byte
+what `negscope evaluate <stem>_pred.col <gold>` prints, with `<gold>` one of
+`cue_{val,test}_gold.col`, `scope_{val,test}_gold.col` (train-scope) and
+`scope_test_gold.col` (experiment). The same seed plus the same config
+reproduces the whole run.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 """
@@ -28,6 +31,7 @@ import numpy as np
 from .corpus import (
     CorpusError,
     Sentence,
+    TagBlock,
     Vocabulary,
     build_vocab,
     corpus_stat_lines,
@@ -291,12 +295,12 @@ def save_run(config: dict, corpus: LoadedCorpus) -> Path:
     return out
 
 
-def column_blocks(data, cue_rows, scope_rows=None) -> list[tuple]:
+def column_blocks(data, cue_rows, scope_rows=None) -> list[TagBlock]:
     """Column-file blocks of instances (anything with a source_id and
     tokens) with the given tag rows; without scope rows they are cue-only."""
     if scope_rows is None:
         scope_rows = [None] * len(data)
-    return [(inst.source_id, inst.tokens, ctags, stags)
+    return [TagBlock(inst.source_id, inst.tokens, ctags, stags)
             for inst, ctags, stags in zip(data, cue_rows, scope_rows)]
 
 
@@ -304,26 +308,24 @@ def write_blocks(path, blocks) -> None:
     Path(path).write_text(format_column_blocks(blocks), encoding="utf-8")
 
 
-def write_gold(path: Path, data, with_scope: bool) -> Path:
-    write_blocks(path, column_blocks(
-        data, [inst.cue_tags for inst in data],
-        [inst.scope_tags for inst in data] if with_scope else None,
-    ))
-    return path
+def write_gold(path: Path, data, with_scope: bool) -> list[TagBlock]:
+    blocks = column_blocks(data, [inst.cue_tags for inst in data],
+                           [inst.scope_tags for inst in data] if with_scope else None)
+    write_blocks(path, blocks)
+    return blocks
 
 
-def write_and_score(out: Path, stem: str, rows, gold_path) -> EvaluationResult:
-    """Write `<stem>_pred.col`, score it against the gold file and write
-    `<stem>_report.txt`."""
-    pred_path = out / f"{stem}_pred.col"
-    write_blocks(pred_path, rows)
-    result = evaluate_files(pred_path, gold_path)
+def write_and_score(out: Path, stem: str, blocks, gold_blocks) -> EvaluationResult:
+    """Write `<stem>_pred.col`, score its blocks against the gold blocks
+    in memory and write `<stem>_report.txt`."""
+    write_blocks(out / f"{stem}_pred.col", blocks)
+    result = score_blocks(blocks, gold_blocks)
     (out / f"{stem}_report.txt").write_text(result.text, encoding="utf-8")
     return result
 
 
 # ---------------------------------------------------------------------------
-# evaluation of prediction files
+# scoring
 
 @dataclass
 class EvaluationResult:
@@ -331,6 +333,18 @@ class EvaluationResult:
     instances: int
     cue: CueReport
     scope: ScopeReport | None
+
+
+def score_blocks(pred_blocks, gold_blocks) -> EvaluationResult:
+    """Score non-empty prediction blocks against the gold blocks of the same
+    sentences: the report is an `instances=` line, the cue metrics and, when
+    the predictions carry a scope column, the scope metrics."""
+    *_, pred_cues, pred_scopes = zip(*pred_blocks)
+    *_, gold_cues, gold_scopes = zip(*gold_blocks)
+    cue = evaluate_cue(pred_cues, gold_cues)
+    scope = None if pred_scopes[0] is None else evaluate_scope(pred_scopes, gold_scopes)
+    lines = [f"instances={len(pred_blocks)}", *cue.kv_lines(), *(scope.kv_lines() if scope else ())]
+    return EvaluationResult("\n".join(lines) + "\n", len(pred_blocks), cue, scope)
 
 
 def evaluate_files(pred_path, gold_path) -> EvaluationResult:
@@ -349,31 +363,15 @@ def evaluate_files(pred_path, gold_path) -> EvaluationResult:
         if p.tokens != g.tokens:
             name = p.source_id or g.source_id or f"index {i}"
             raise CorpusError(f"instance {i} ({name}): token sequences differ")
-
-    lines = [f"instances={len(pred_blocks)}"]
-    cue_report = evaluate_cue(
-        [p.cue_tags for p in pred_blocks], [g.cue_tags for g in gold_blocks]
-    )
-    lines += cue_report.kv_lines()
-
-    scope_report = None
     with_scope = sum(1 for p in pred_blocks if p.scope_tags)
     if 0 < with_scope < len(pred_blocks):
         raise CorpusError(
             f"{pred_path}: {len(pred_blocks) - with_scope} of {len(pred_blocks)} "
             "instances lack the scope column the others carry"
         )
-    if with_scope:
-        if not all(g.scope_tags for g in gold_blocks):
-            raise CorpusError(f"{gold_path}: no scope column to score against")
-        scope_report = evaluate_scope(
-            [p.scope_tags for p in pred_blocks], [g.scope_tags for g in gold_blocks]
-        )
-        lines += scope_report.kv_lines()
-
-    return EvaluationResult(
-        "\n".join(lines) + "\n", len(pred_blocks), cue_report, scope_report
-    )
+    if with_scope and not all(g.scope_tags for g in gold_blocks):
+        raise CorpusError(f"{gold_path}: no scope column to score against")
+    return score_blocks(pred_blocks, gold_blocks)
 
 
 def headline_items(prefix: str, report: CueReport | ScopeReport) -> list[str]:
@@ -427,13 +425,14 @@ def smooth_scopes(scope_rows, cue_tags) -> list[list[str]]:
     return [postprocess(tags, b) if any(b) else tags for tags, b in zip(scope_rows, bits)]
 
 
-def score_scopes(out: Path, stem: str, variant: str, data, cue_rows, scope_rows,
-                 gold_path) -> ScopeReport:
-    """Write the scope rows of encoded instances under the given cue rows,
-    smoothed if the variant smooths, then score them (`write_and_score`)."""
+def score_scopes(out: Path, stem: str, variant: str, cue_rows, scope_rows,
+                 gold_blocks) -> ScopeReport:
+    """Write the scope rows of the gold blocks' sentences under the cue
+    rows, smoothed if the variant smooths, and score them (`write_and_score`)."""
     if smooth_predictions(variant):
         scope_rows = smooth_scopes(scope_rows, cue_rows)
-    return write_and_score(out, stem, column_blocks(data, cue_rows, scope_rows), gold_path).scope
+    blocks = column_blocks(gold_blocks, cue_rows, scope_rows)
+    return write_and_score(out, stem, blocks, gold_blocks).scope
 
 
 def run_cue_stage(config: dict, corpus: LoadedCorpus, out: Path, emit) -> list[list[str]]:
@@ -443,9 +442,9 @@ def run_cue_stage(config: dict, corpus: LoadedCorpus, out: Path, emit) -> list[l
     tagger = train_tagger(config, corpus, "cue", config["cue.variant"], corpus.train,
                           corpus.validation, out, emit)
     for name, data in (("val", corpus.validation), ("test", corpus.test)):
-        gold_path = write_gold(out / f"cue_{name}_gold.col", data, with_scope=False)
+        gold_blocks = write_gold(out / f"cue_{name}_gold.col", data, with_scope=False)
         cue_rows = tagger.predict_tags([inst.token_ids for inst in data])
-        result = write_and_score(out, f"cue_{name}", column_blocks(data, cue_rows), gold_path)
+        result = write_and_score(out, f"cue_{name}", column_blocks(data, cue_rows), gold_blocks)
         emit(" ".join(headline_items(f"cue.{name}", result.cue)))
     return cue_rows
 
@@ -457,11 +456,10 @@ def negation_subset(data, what: str):
     return subset
 
 
-def run_scope_training(config: dict, corpus: LoadedCorpus, variant: str, out: Path,
-                       emit) -> Tagger:
+def run_scope_training(config: dict, corpus: LoadedCorpus, variant: str, train_data,
+                       out: Path, emit) -> Tagger:
     """Train one scope architecture on gold cue inputs and checkpoint it."""
-    return train_tagger(config, corpus, "scope", variant,
-                        negation_subset(corpus.train, "training"),
+    return train_tagger(config, corpus, "scope", variant, train_data,
                         [inst for inst in corpus.validation if inst.is_negation],
                         out, emit, " cue_inputs=gold")
 
@@ -493,11 +491,11 @@ def cmd_train_scope(args) -> int:
         raise UsageError(f"--cue-input pred needs a trained cue model at {checkpoint}")
 
     # every check (each Task-2 set nonempty, the cue model's vocabulary)
-    # comes before the run directory is written; run_scope_training takes
-    # the training set itself, and the other two are scored
+    # comes before the run directory is written
     emit, corpus = load_run(config, f"cue_input={args.cue_input}")
-    scored = [(name, negation_subset(data, name)) for name, data in
-              (("training", corpus.train), ("val", corpus.validation), ("test", corpus.test))][1:]
+    train_data = negation_subset(corpus.train, "training")
+    scored = [(name, negation_subset(data, name))
+              for name, data in (("val", corpus.validation), ("test", corpus.test))]
     cue_rows = [[inst.cue_tags for inst in subset] for _, subset in scored]
     if args.cue_input == "pred":  # the cue model is gone before the scope model trains
         _check_checkpoint(checkpoint, corpus.vocab)
@@ -506,16 +504,16 @@ def cmd_train_scope(args) -> int:
                     for _, subset in scored]
         del cue_tagger
     out = save_run(config, corpus)
-    tagger = run_scope_training(config, corpus, variant, out, emit)
+    tagger = run_scope_training(config, corpus, variant, train_data, out, emit)
 
     for (name, subset), rows in zip(scored, cue_rows):
         if args.cue_input == "pred":
             for inst, ctags in zip(subset, rows):
                 emit(f"pred_cues id={inst.source_id} "
                      f"bits={''.join(str(b) for b in cue_vector(ctags))}")
-        gold_path = write_gold(out / f"scope_{name}_gold.col", subset, with_scope=True)
+        gold_blocks = write_gold(out / f"scope_{name}_gold.col", subset, with_scope=True)
         scope_rows = predict_scopes(tagger, [inst.token_ids for inst in subset], rows)
-        scope = score_scopes(out, f"scope_{name}", variant, subset, rows, scope_rows, gold_path)
+        scope = score_scopes(out, f"scope_{name}", variant, rows, scope_rows, gold_blocks)
         emit(" ".join(headline_items(f"scope.{name}", scope)))
     emit.write(out / "run.log")
     return 0
@@ -544,9 +542,10 @@ def cmd_experiment(args) -> int:
     # one trained model per distinct base, which tags both conditions and
     # is dropped before the next base trains; -post smooths its base's rows
     ids = [inst.token_ids for inst in data]
+    train_data = negation_subset(corpus.train, "training")
     scope_rows = {}
     for base in dict.fromkeys(scope_base(v) for v in config["scope.variants"]):
-        model = run_scope_training(config, corpus, base, out, emit)
+        model = run_scope_training(config, corpus, base, train_data, out, emit)
         for condition, rows in cue_rows.items():
             scope_rows[base, condition] = predict_scopes(model, ids, rows)
         del model
@@ -557,15 +556,15 @@ def cmd_experiment(args) -> int:
     if not groups["tp"] and not groups["fp"]:
         emit("testset: the cue model predicted no cue in the test split (tp + fp = 0), "
              "so every predcue scope F1 is NaN")
-    gold_path = write_gold(out / "scope_test_gold.col", data, with_scope=True)
+    test_gold = write_gold(out / "scope_test_gold.col", data, with_scope=True)
 
     table_rows = []
     for variant in config["scope.variants"]:
         scores = {}
         for condition in ("gold", "pred"):
-            scope = score_scopes(out, f"scope_{variant}_{condition}cue", variant, data,
+            scope = score_scopes(out, f"scope_{variant}_{condition}cue", variant,
                                  cue_rows[condition], scope_rows[scope_base(variant), condition],
-                                 gold_path)
+                                 test_gold)
             summary += headline_items(f"scope.{variant}.{condition}cue", scope)
             scores[condition] = scope.headline()
         gold, pred = scores["gold"], scores["pred"]

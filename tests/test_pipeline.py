@@ -3,6 +3,7 @@ reports, and the end-to-end experiment on a synthetic corpus."""
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import tempfile
 import weakref
@@ -40,7 +41,7 @@ from negscope.pipeline import (
     smooth_scopes,
     snapshot_lines,
 )
-from negscope.models import check_variant, scope_base
+from negscope.models import VARIANTS, check_variant, scope_base
 from helpers import flip_entry_byte, is_continuous, synthetic_instances, tag_rows
 
 
@@ -964,6 +965,87 @@ class TestTrainCommands:
         assert "empty Task-2 test set" in capsys.readouterr().err
         assert not list(out.glob("scope_*.npz")) and not list(out.glob("scope_val_*"))
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def cue_scope_run(experiment_run, tmp_path_factory):
+    """train-cue, then train-scope --cue-input pred on its cue model, in
+    one run directory, on the shared experiment's corpus and config."""
+    out = tmp_path_factory.mktemp("cue_scope") / "run"
+    config = ["--config", str(experiment_run.config), "--out", str(out)]
+    assert main(["train-cue", *config]) == 0
+    assert main(["train-scope", *config, "--variant", "bilstm", "--cue-input", "pred"]) == 0
+    return out
+
+
+def report_gold_file(stem: str) -> str:
+    """The gold file a run scores `<stem>_pred.col` against."""
+    if stem in ("cue_val", "cue_test", "scope_val", "scope_test"):
+        return f"{stem}_gold.col"
+    return "scope_test_gold.col"  # an experiment condition
+
+
+def expand_name(name: str) -> set[str]:
+    """A run-artifacts table name with each `{a,b}` and `<variant>` expanded."""
+    if "<variant>" in name:
+        return set().union(*(expand_name(name.replace("<variant>", v))
+                             for v in VARIANTS["scope"]))
+    alternatives = re.search(r"\{([^}]*)\}", name)
+    if alternatives is None:
+        return {name}
+    head, tail = name[:alternatives.start()], name[alternatives.end():]
+    return set().union(*(expand_name(head + alt + tail)
+                         for alt in alternatives.group(1).split(",")))
+
+
+def readme_artifact_names() -> list[set[str]]:
+    """Each file name of the README's run-artifacts table, expanded."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Run artifacts\n")[1]
+    names = []
+    for line in section.split("\n| file |")[1].split("\n\n")[0].splitlines():
+        if line.startswith("| `"):
+            first_cell = line.split("|")[1]
+            names += [expand_name(name) for name in re.findall(r"`([^`]+)`", first_cell)]
+    return names
+
+
+class TestRunArtifacts:
+    """What experiment, train-cue and train-scope --cue-input pred write."""
+
+    def test_every_report_is_what_evaluate_prints(self, experiment_run, cue_scope_run):
+        reports = [path for run in (experiment_run.out, cue_scope_run)
+                   for path in sorted(run.glob("*_report.txt"))]
+        # cue val and test in both runs, scope val and test, and the two
+        # conditions of bilstm and bilstm-post
+        assert len(reports) == 2 + 2 + 2 + 4
+        for path in reports:
+            stem = path.name.removesuffix("_report.txt")
+            result = evaluate_files(path.with_name(f"{stem}_pred.col"),
+                                    path.with_name(report_gold_file(stem)))
+            assert path.read_text(encoding="utf-8") == result.text, path.name
+
+    def test_no_run_reads_a_file_back(self, experiment_run, tmp_path, monkeypatch):
+        """Each command scores the blocks it holds; only evaluate reads a
+        prediction or gold file."""
+        def refuse(path):
+            raise AssertionError(f"a run read {path} back")
+
+        monkeypatch.setattr(pipeline, "read_tag_blocks", refuse)
+        config = ["--config", str(experiment_run.config)]
+        assert main(["experiment", *config, "--out", str(tmp_path / "exp")]) == 0
+        run = ["--out", str(tmp_path / "run"), *config]
+        assert main(["train-cue", *run]) == 0
+        assert main(["train-scope", *run, "--variant", "bilstm", "--cue-input", "pred"]) == 0
+        assert (tmp_path / "run" / "scope_test_report.txt").is_file()
+
+    def test_readme_table_names_every_file_a_run_writes(self, experiment_run, cue_scope_run):
+        written = {path.name for run in (experiment_run.out, cue_scope_run)
+                   for path in run.iterdir()}
+        names = readme_artifact_names()
+        assert written - set().union(*names) == set()
+        for expanded in names:  # and no row names only files no run writes
+            assert expanded & written, sorted(expanded)
 
 
 class TestExitCodes:
